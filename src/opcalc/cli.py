@@ -183,8 +183,8 @@ def probe_hodge_const(cfg) -> ProbeReport:
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
     proj = hodge.constant_hodge_projections(pair, grid)
-    gamma_op = torus.symbol_multiplier(pair.gamma, grid)
-    gt_op = torus.symbol_multiplier(pair.gamma_tilde, grid)
+    gamma_op = torus.GridSymbol(pair.gamma, grid).multiplier()
+    gt_op = torus.GridSymbol(pair.gamma_tilde, grid).multiplier()
     worst_sum = worst_idem = worst_annih = 0.0
     for trial in range(int(cfg.get("trials", 3))):
         u = torus.random_band_limited(grid, pair.big_n, seed=seed + trial)
@@ -324,7 +324,7 @@ def probe_quadest(cfg) -> ProbeReport:
             "exact_square": exact_sq,
             "constant": rep.constant,
         },
-        {"closed_form_within_3se": bool(sq_ok), "bounded": rep.constant < 1e3},
+        {"closed_form_within_5se": bool(sq_ok), "bounded": rep.constant < 1e3},
     )
 
 
@@ -694,10 +694,7 @@ def _print_summary(reports):
 
 
 def cmd_analyze_symbol(args) -> int:
-    cfg = {"symbol": args.file, "sphere_samples": args.sphere_samples}
-    if args.grid:
-        cfg["grid"] = {"n": 1, "g": args.grid}
-    rep = probe_symbol(cfg)
+    rep = probe_symbol({"symbol": args.file, "sphere_samples": args.sphere_samples})
     print(json.dumps(_plain(rep.constants), sort_keys=True, indent=2))
     print("PASS" if rep.passed else "FAIL")
     if args.json:
@@ -712,10 +709,13 @@ def cmd_suite(args) -> int:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     if args.seed is not None:
         config["seed"] = args.seed
-    if "seed" not in config:
-        config["seed"] = 0
+    seed = config.setdefault("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     threads = int(os.environ.get("OPCALC_THREADS", "1"))
     out_dir = Path(args.out) if args.out else Path(f"reports-{args.name}")
     reports = run_suite(args.name, config, out_dir, threads=threads, plots=args.plots)
@@ -747,7 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     a = sub.add_parser("analyze-symbol", help="verify conditions of a symbol file")
     a.add_argument("file", help="path or bundled:<name>")
-    a.add_argument("--grid", type=int, default=None)
     a.add_argument("--sphere-samples", type=int, default=512)
     a.add_argument("--json", default=None, help="also write the report here")
     a.set_defaults(fn=cmd_analyze_symbol)

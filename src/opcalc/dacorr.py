@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,16 +47,21 @@ class FirstOrderD:
 class CompositionOp:
     """The operator u -> D(A u): multiplier after pointwise multiplication."""
 
-    d_op: torus.MultiplierOp
+    d: FirstOrderD
     a: hodge.MatrixField
+    grid: torus.TorusGrid
 
-    @property
-    def grid(self):
-        return self.d_op.grid
+    @cached_property
+    def symbol(self) -> torus.GridSymbol:
+        return torus.GridSymbol(self.d.symbol, self.grid)
+
+    @cached_property
+    def d_op(self) -> torus.MultiplierOp:
+        return self.symbol.multiplier()
 
     @property
     def big_n(self):
-        return self.d_op.big_n
+        return self.d.symbol.big_n
 
     @property
     def dim(self):
@@ -66,7 +72,7 @@ class CompositionOp:
 
 
 def composition(d: FirstOrderD, a: hodge.MatrixField, grid: torus.TorusGrid) -> CompositionOp:
-    return CompositionOp(torus.symbol_multiplier(d.symbol, grid), a)
+    return CompositionOp(d, a, grid)
 
 
 def _embed_block(mat: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
@@ -242,18 +248,6 @@ def contour_calculus(
     return torus.GridField.from_flat(grid, big_n, acc / (2j * math.pi))
 
 
-def shifted_symbol_precond(s: symbols.HomogeneousSymbol, grid: torus.TorusGrid):
-    """Factory z -> multiplier (z - S(xi))^{-1}, the exact constant-
-    coefficient inverse used to precondition shifted solves."""
-    mats = s(grid.lattice)
-    eye = np.eye(s.big_n, dtype=complex)
-
-    def factory(z: complex) -> torus.MultiplierOp:
-        return torus.MultiplierOp(grid, np.linalg.inv(z * eye - mats))
-
-    return factory
-
-
 def composition_calculus(
     op: CompositionOp,
     f: Callable,
@@ -282,7 +276,7 @@ def composition_calculus(
         u,
         f,
         contour,
-        precond_for=shifted_symbol_precond(d.symbol, op.grid),
+        precond_for=op.symbol.shifted,
         solver=solver,
         rtol=rtol,
         dense_mat=dense_mat,
@@ -313,7 +307,7 @@ def block_calculus(
         v,
         f,
         contour,
-        precond_for=shifted_symbol_precond(block_op.pair.total(), block_op.grid),
+        precond_for=block_op.total_symbol.shifted,
         solver=solver,
         rtol=rtol,
         dense_mat=dense_mat,
@@ -377,9 +371,7 @@ def block_resolvent_product(
     u1, u2 = split_components(v, size)
     d_u1 = torus.apply_multiplier(comp.d_op, u1)
     rhs = u2 - 1j * t * d_u1
-    mats = d.symbol(grid.lattice)
-    eye = np.eye(size, dtype=complex)
-    pre = torus.MultiplierOp(grid, np.linalg.inv(eye + (t * t) * (mats @ mats)))
+    pre = comp.symbol.smoothing(t)
 
     def matvec(vec):
         f = torus.GridField.from_flat(grid, size, vec)
@@ -412,7 +404,7 @@ class SimilarityMaps:
     split: Callable[[torus.GridField], torus.GridField]
     assemble: Callable[[torus.GridField], torus.GridField]
     triple_apply: Callable[[torus.GridField], torus.GridField]
-    triple_symbol: symbols.HomogeneousSymbol
+    triple_symbol: torus.GridSymbol
     size: int
 
 
@@ -474,7 +466,9 @@ def build_similarity(
         block[size : 2 * size, 2 * size :] = gtm
         block[2 * size :, size : 2 * size] = g
         tri_coeffs[theta] = block
-    tri_symbol = symbols.HomogeneousSymbol(pair.n, 3 * size, 1, tri_coeffs)
+    tri_symbol = torus.GridSymbol(
+        symbols.HomogeneousSymbol(pair.n, 3 * size, 1, tri_coeffs), grid
+    )
     return SimilarityMaps(split, assemble, triple_apply, tri_symbol, size)
 
 
@@ -500,7 +494,7 @@ def similarity_calculus(
         maps.split(u),
         f,
         contour,
-        precond_for=shifted_symbol_precond(maps.triple_symbol, grid),
+        precond_for=maps.triple_symbol.shifted,
         solver=solver,
         rtol=rtol,
     )
@@ -539,7 +533,7 @@ def coercivity_margins(
 ) -> tuple[float, float]:
     """Observed lower bounds of A on range(D) and A* on the adjoint range."""
     grid = a.grid
-    d_op = torus.symbol_multiplier(d.symbol, grid)
+    d_op = torus.GridSymbol(d.symbol, grid).multiplier()
     d_adj = d_op.adjoint()
     rng = np.random.default_rng(seed)
     c = cd = np.inf
@@ -742,7 +736,7 @@ def lipschitz_triple_decomposition(
     def fd(maps: SimilarityMaps, v: torus.GridField) -> torus.GridField:
         return contour_calculus(
             maps.triple_apply, v, f, contour,
-            precond_for=shifted_symbol_precond(maps.triple_symbol, grid),
+            precond_for=maps.triple_symbol.shifted,
             solver=solver, rtol=rtol,
         )
 

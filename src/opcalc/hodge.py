@@ -174,12 +174,17 @@ class VariableOp:
         return self.grid.size * self.big_n
 
     @cached_property
+    def total_symbol(self) -> torus.GridSymbol:
+        """The constant-coefficient symbol gamma + gamma_tilde on the grid."""
+        return torus.GridSymbol(self.pair.total(), self.grid)
+
+    @cached_property
     def gamma_op(self) -> torus.MultiplierOp:
-        return torus.symbol_multiplier(self.pair.gamma, self.grid)
+        return torus.GridSymbol(self.pair.gamma, self.grid).multiplier()
 
     @cached_property
     def gamma_tilde_op(self) -> torus.MultiplierOp:
-        return torus.symbol_multiplier(self.pair.gamma_tilde, self.grid)
+        return torus.GridSymbol(self.pair.gamma_tilde, self.grid).multiplier()
 
     def apply_twisted(self, u: torus.GridField) -> torus.GridField:
         """B1 gamma_tilde (B2 u)."""
@@ -228,40 +233,20 @@ def constant_hodge_projections(
 ) -> HodgeProjections:
     """Frequency-wise projections onto kernel / range(gamma) / range(gamma_tilde).
 
-    At each nonzero frequency the three subspace bases are assembled into
-    a basis matrix which is inverted; failure to span raises
-    DecompositionFailure.  The zero frequency carries p0 = I.
+    At each frequency the three subspace bases are joined into a basis
+    matrix which is inverted; failure to span, or a condition number above
+    cond_limit, raises DecompositionFailure at the first such frequency.
+    The zero frequency carries p0 = I.
     """
     n_comp = pair.big_n
     lattice = grid.lattice.reshape(-1, grid.n)
-    g_mats = pair.gamma(grid.lattice).reshape(-1, n_comp, n_comp)
-    gt_mats = pair.gamma_tilde(grid.lattice).reshape(-1, n_comp, n_comp)
-    p0 = np.zeros((lattice.shape[0], n_comp, n_comp), dtype=complex)
-    pg = np.zeros_like(p0)
-    pgt = np.zeros_like(p0)
-    eye = np.eye(n_comp, dtype=complex)
-    for i, xi in enumerate(lattice):
-        if np.all(xi == 0.0):
-            p0[i] = eye
-            continue
-        g, gt = g_mats[i], gt_mats[i]
-        kb = matcalc.kernel_basis(g + gt)
-        rg = matcalc.range_basis(g)
-        rt = matcalc.range_basis(gt)
-        dims = kb.shape[1] + rg.shape[1] + rt.shape[1]
-        if dims != n_comp:
-            raise DecompositionFailure(
-                f"subspace dimensions {kb.shape[1]}+{rg.shape[1]}+{rt.shape[1]} != {n_comp}",
-                xi=xi,
-            )
-        s = np.hstack([kb, rg, rt])
-        if np.linalg.cond(s) > cond_limit:
-            raise DecompositionFailure("subspace basis matrix ill-conditioned", xi=xi)
-        sinv = np.linalg.inv(s)
-        k0, k1 = kb.shape[1], kb.shape[1] + rg.shape[1]
-        p0[i] = s[:, :k0] @ sinv[:k0]
-        pg[i] = s[:, k0:k1] @ sinv[k0:k1]
-        pgt[i] = s[:, k1:] @ sinv[k1:]
+    g = torus.GridSymbol(pair.gamma, grid).mats.reshape(-1, n_comp, n_comp)
+    gt = torus.GridSymbol(pair.gamma_tilde, grid).mats.reshape(-1, n_comp, n_comp)
+    p0, pg, pgt = matcalc.subspace_projections(
+        [(g + gt, "ker"), (g, "ran"), (gt, "ran")],
+        cond_limit=cond_limit,
+        fail=lambda msg, i: DecompositionFailure(msg, xi=lattice[i]),
+    )
     shape = grid.shape + (n_comp, n_comp)
     ops = {
         "p0": torus.MultiplierOp(grid, p0.reshape(shape)),
@@ -383,10 +368,7 @@ def variable_resolvent(
     """
     if t == 0:
         return u
-    mats = op.pair.total()(op.grid.lattice)
-    eye = np.eye(op.big_n, dtype=complex)
-    pre_mats = np.linalg.inv(eye + 1j * t * mats)
-    pre_op = torus.MultiplierOp(op.grid, pre_mats)
+    pre_op = op.total_symbol.resolvent(t)
 
     def matvec(vec):
         f = torus.GridField.from_flat(op.grid, op.big_n, vec)
@@ -461,22 +443,11 @@ def dense_hodge_projections(op: VariableOp):
         lambda u: torus.apply_multiplier(op.gamma_op, u), op.grid, op.big_n
     )
     gt_b = dense_operator(op.apply_twisted, op.grid, op.big_n)
-    kb = matcalc.kernel_basis(m)
-    rg = matcalc.range_basis(g)
-    rt = matcalc.range_basis(gt_b)
-    if kb.shape[1] + rg.shape[1] + rt.shape[1] != op.dim:
-        raise DecompositionFailure(
-            f"dense subspaces do not span: {kb.shape[1]}+{rg.shape[1]}+{rt.shape[1]}"
-            f" != {op.dim}"
-        )
-    s = np.hstack([kb, rg, rt])
-    sinv = np.linalg.inv(s)
-    k0, k1 = kb.shape[1], kb.shape[1] + rg.shape[1]
-    return (
-        s[:, :k0] @ sinv[:k0],
-        s[:, k0:k1] @ sinv[k0:k1],
-        s[:, k1:] @ sinv[k1:],
+    p0, pg, pgt = matcalc.subspace_projections(
+        [(m[None], "ker"), (g[None], "ran"), (gt_b[None], "ran")],
+        fail=lambda msg, i: DecompositionFailure(f"dense {msg}"),
     )
+    return p0[0], pg[0], pgt[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +475,8 @@ def variable_hodge_projections(
         raise ValueError("need at least two scales to check convergence")
     # the attainable GMRES residual degrades like eps * t * ||op||; ask only
     # for what floating point can deliver at the largest scales
-    mats = op.pair.total()(op.grid.lattice)
-    big = float(np.linalg.svd(mats.reshape(-1, op.big_n, op.big_n),
-                              compute_uv=False)[:, 0].max())
+    mats = op.total_symbol.mats.reshape(-1, op.big_n, op.big_n)
+    big = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
     big *= max(1.0, op.coeffs.b1.inf_norm * op.coeffs.b2.inf_norm)
 
     def kw(t):

@@ -20,11 +20,14 @@ from .errors import (
     EigensolverError,
     NearSingular,
     NotBisectorial,
+    NotInvertible,
     SplitUndefined,
 )
 
 # Singular values below RANK_TOL * s_max count as zero in all rank decisions.
 RANK_TOL = 1e-10
+# Relative residual allowed when a kernel/range splitting is cross-checked.
+SPLIT_CHECK_TOL = 1e-8
 # Eigenvalues below ZERO_EIG_TOL * |T| are classified as the zero eigenvalue.
 ZERO_EIG_TOL = 1e-10
 
@@ -103,11 +106,10 @@ def spectrum(t) -> np.ndarray:
     return lam[order]
 
 
-def numerical_rank(a, tol=RANK_TOL) -> int:
+def numerical_rank(a, tol=RANK_TOL):
+    """Numerical rank; batched over the leading axes of a stack."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return np.sum(s > tol * s[..., :1], axis=-1)
 
 
 def kernel_basis(a, tol=RANK_TOL) -> np.ndarray:
@@ -153,31 +155,88 @@ def _classify(lam: np.ndarray, scale: float):
     return lam[mask], zero_tol
 
 
+def _batched_inv(mats: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of every matrix in a stack; a singular one is NotInvertible."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NotInvertible(f"{what} is singular for some matrix of the stack") from exc
+
+
+def subspace_projections(pieces, *, cond_limit=None, fail=None) -> list[np.ndarray]:
+    """Complementary projections onto subspaces named per stacked matrix.
+
+    ``pieces`` lists ``(mats, kind)``: a stack of shape (F, N, N) and
+    "ker" or "ran" for the kernel or the column space of each matrix,
+    from a batched SVD with the RANK_TOL cut.  At each of the F positions
+    the orthonormal bases are joined into one N x N matrix and inverted;
+    the j-th projection is the j-th block of columns times the j-th block
+    of rows of the inverse.  Positions with equal subspace dimensions
+    share one batched inversion, and where one subspace is everything its
+    projection is the identity exactly.  ``fail(msg, index)`` builds the
+    error (default SplitUndefined) for the first position whose dimensions
+    do not add up to N, whose basis matrix is singular, or whose condition
+    number exceeds ``cond_limit``.
+    """
+    fail = fail or (lambda msg, i: SplitUndefined(msg))
+    n = pieces[0][0].shape[-1]
+    svds, bases = {}, []
+    for mats, kind in pieces:
+        if id(mats) not in svds:
+            u, s, vh = np.linalg.svd(mats)
+            svds[id(mats)] = u, vh, np.sum(s > RANK_TOL * s[:, :1], axis=-1)
+        u, vh, rank = svds[id(mats)]
+        # (columns, first column, end column): ran = u[:, :r], ker = v[:, r:]
+        if kind == "ran":
+            bases.append((u, np.zeros_like(rank), rank))
+        else:
+            bases.append((vh.conj().swapaxes(-1, -2), rank, np.full_like(rank, n)))
+    dims = np.stack([hi - lo for _, lo, hi in bases], axis=-1)
+    keys, group = np.unique(dims, axis=0, return_inverse=True)
+    out = [np.zeros(mats.shape, dtype=complex) for mats, _ in pieces]
+    bad = []
+    for key, d in enumerate(keys):
+        idx = np.nonzero(group.ravel() == key)[0]
+        if d.sum() != n:
+            bad.append((idx[0], f"subspace dimensions {'+'.join(map(str, d))} != {n}"))
+            continue
+        if d.max() == n:
+            out[int(np.argmax(d))][idx] = np.eye(n)
+            continue
+        i0 = idx[0]
+        basis = np.concatenate([q[idx, :, lo[i0] : hi[i0]] for q, lo, hi in bases], axis=-1)
+        if cond_limit is not None:
+            over = np.nonzero(~(np.linalg.cond(basis) <= cond_limit))[0]
+            if over.size:
+                bad.append((idx[over[0]], "subspace basis matrix ill-conditioned"))
+                continue
+        try:
+            inv = _batched_inv(basis, "subspace basis matrix")
+        except NotInvertible:
+            bad.append((i0, "subspace basis matrix singular"))
+            continue
+        edges = np.concatenate([[0], np.cumsum(d)])
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            out[j][idx] = basis[..., lo:hi] @ inv[..., lo:hi, :]
+    if bad:
+        i, msg = min(bad)
+        raise fail(msg, int(i))
+    return out
+
+
 def split_via_bases(t) -> tuple[np.ndarray, np.ndarray]:
     """Dense invariant-subspace route to the kernel/range splitting.
 
-    Assembles orthonormal bases of ker(T) and of the column space and
-    inverts the joint basis matrix.  Serves as the independent
-    cross-check for the contour route in :func:`spectral_split`.
+    Joins orthonormal bases of ker(T) and of the column space and inverts
+    the basis matrix.  Serves as the independent cross-check for the
+    contour route in :func:`spectral_split`.
     """
-    a = _as_matrix(t)
-    n = a.shape[0]
-    k = kernel_basis(a)
-    r = range_basis(a)
-    if k.shape[1] + r.shape[1] != n:
-        raise SplitUndefined(
-            f"dim ker + dim ran = {k.shape[1]} + {r.shape[1]} != {n}"
-        )
-    s = np.hstack([k, r])
-    try:
-        sinv = np.linalg.inv(s)
-    except np.linalg.LinAlgError as exc:
-        raise SplitUndefined("kernel and range overlap numerically") from exc
-    p_ker = s[:, : k.shape[1]] @ sinv[: k.shape[1], :]
-    return p_ker, np.eye(n) - p_ker
+    a = _as_matrix(t)[None]
+    p_ker, p_ran = subspace_projections([(a, "ker"), (a, "ran")])
+    return p_ker[0], p_ran[0]
 
 
-def spectral_split(t, *, nodes=128, check=True, check_tol=1e-8):
+def spectral_split(t, *, nodes=128, check=True, check_tol=SPLIT_CHECK_TOL):
     """Complementary projections (p_ker, p_ran) onto ker(T) and ran(T).
 
     p_ker is computed as the Riesz contour integral of the resolvent

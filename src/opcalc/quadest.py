@@ -111,32 +111,18 @@ def eta(x: float) -> float:
     return lo * (1.0 + math.log(hi))
 
 
-def _bandpass_mats(
-    pair: symbols.HodgeDiracSymbolPair, grid: torus.TorusGrid, ts: Sequence[float]
-) -> dict[float, np.ndarray]:
-    """Per-frequency matrices of t S (I + t^2 S^2)^{-1} for each t."""
-    mats = pair.total()(grid.lattice)
-    eye = np.eye(pair.big_n, dtype=complex)
-    out = {}
-    for t in ts:
-        p = np.linalg.inv(eye + (t * t) * (mats @ mats))
-        out[t] = t * mats @ p
-    return out
-
-
 def bandpass_fields_constant(
     pair: symbols.HodgeDiracSymbolPair,
     u: torus.GridField,
     scales: DyadicScales,
 ) -> list[torus.GridField]:
     """Q_t u for every dyadic t in the window (constant coefficients)."""
-    mats = _bandpass_mats(pair, u.grid, scales.scales())
+    gs = torus.GridSymbol(pair.total(), u.grid)
     hat = torus.fft_field(u)
-    out = []
-    for t in scales.scales():
-        w_hat = np.einsum("...ij,...j->...i", mats[t], hat)
-        out.append(torus.ifft_field(u.grid, w_hat))
-    return out
+    return [
+        torus.ifft_field(u.grid, np.einsum("...ij,...j->...i", gs.bandpass(t).mats, hat))
+        for t in scales.scales()
+    ]
 
 
 def bandpass_fields_variable(
@@ -161,11 +147,12 @@ def reproducing_sum(
     window widens; the residual against that projection is the quantity
     tests track.
     """
-    ts = [2.0**k for k in range(scales.k_min, scales.k_max + 2)]
-    mats = _bandpass_mats(pair, u.grid, ts)
+    gs = torus.GridSymbol(pair.total(), u.grid)
+    q_next = gs.bandpass(2.0**scales.k_min).mats
     acc = None
     for k in scales.ks:
-        prod = mats[2.0**k] @ mats[2.0 ** (k + 1)]
+        q, q_next = q_next, gs.bandpass(2.0 ** (k + 1)).mats
+        prod = q @ q_next
         acc = prod if acc is None else acc + prod
     op = torus.MultiplierOp(u.grid, 1.5 * acc)
     return torus.apply_multiplier(op, u)
@@ -209,9 +196,9 @@ def schur_bound_probe(
     Operator norms are estimated by maximizing over random band-limited
     inputs; f is applied through the per-frequency matrix calculus.
     """
-    f_op = torus.matrix_function_multiplier(pair.total(), f, grid)
-    ts = sorted(set(list(t_list) + list(s_list)))
-    qmats = _bandpass_mats(pair, grid, ts)
+    gs = torus.GridSymbol(pair.total(), grid)
+    f_op = torus.matrix_function_multiplier(gs, f)
+    qmats = {t: gs.bandpass(t).mats for t in set(t_list) | set(s_list)}
     rng = np.random.default_rng(seed)
     fields = [
         torus.random_band_limited(grid, pair.big_n, seed=int(rng.integers(2**31)),
@@ -348,19 +335,6 @@ def principal_part(
         vals[mask] = w
         acc = acc + hodge.bandpass_apply(op, t, torus.GridField(op.grid, vals), rtol=rtol)
     return acc
-
-
-def torus_set_distance(grid: torus.TorusGrid, mask_e: np.ndarray, mask_f: np.ndarray) -> float:
-    """Minimal torus distance between cell centers of two index sets."""
-    xe = grid.coordinates[mask_e].reshape(-1, grid.n)
-    xf = grid.coordinates[mask_f].reshape(-1, grid.n)
-    best = math.inf
-    length = grid.length
-    for pt in xe:
-        d = np.abs(xf - pt)
-        d = np.minimum(d, length - d)
-        best = min(best, float(np.sqrt((d**2).sum(axis=1)).min()))
-    return best
 
 
 @dataclasses.dataclass

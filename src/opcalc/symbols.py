@@ -87,10 +87,6 @@ class HomogeneousSymbol:
         return HomogeneousSymbol(self.n, self.big_n, self.k, merged)
 
 
-def eval_symbol(s: HomogeneousSymbol, xi) -> np.ndarray:
-    return s(xi)
-
-
 @dataclasses.dataclass(frozen=True)
 class HodgeDiracSymbolPair:
     """Pair of first-order nilpotent symbols whose sum is the full symbol."""

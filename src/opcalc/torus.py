@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import matcalc, symbols
-from .errors import NotInvertible
+from .errors import SplitUndefined
 
 FIELD_MAGIC = b"TORUSFLD"
 LAYOUT_VECTOR = 1  # row-major spatial axes, trailing component axis
@@ -160,21 +160,6 @@ class MultiplierOp:
         return self.mats[(0,) * self.grid.n]
 
     @classmethod
-    def from_function(cls, grid: TorusGrid, fn: Callable, zero_mode=None) -> "MultiplierOp":
-        """Build from fn(lattice) -> stacked matrices; optional zero-mode override."""
-        mats = np.asarray(fn(grid.lattice), dtype=complex)
-        if zero_mode is not None:
-            mats = mats.copy()
-            mats[(0,) * grid.n] = np.asarray(zero_mode, dtype=complex)
-        return cls(grid, mats)
-
-    @classmethod
-    def from_symbol(
-        cls, grid: TorusGrid, s: symbols.HomogeneousSymbol, zero_mode=None
-    ) -> "MultiplierOp":
-        return cls.from_function(grid, s, zero_mode)
-
-    @classmethod
     def identity(cls, grid: TorusGrid, big_n: int) -> "MultiplierOp":
         eye = np.broadcast_to(np.eye(big_n, dtype=complex), grid.shape + (big_n, big_n))
         return cls(grid, eye.copy())
@@ -206,11 +191,6 @@ def apply_multiplier(m: MultiplierOp, u: GridField) -> GridField:
     return ifft_field(u.grid, out)
 
 
-def symbol_multiplier(s: symbols.HomogeneousSymbol, grid: TorusGrid) -> MultiplierOp:
-    """Multiplier of a homogeneous symbol; zero frequency maps to 0 (k >= 1)."""
-    return MultiplierOp.from_symbol(grid, s)
-
-
 def gradient_multiplier(grid: TorusGrid, big_n: int) -> list[MultiplierOp]:
     """Partial-derivative multipliers i*xi_j * I, one per axis."""
     out = []
@@ -221,39 +201,58 @@ def gradient_multiplier(grid: TorusGrid, big_n: int) -> list[MultiplierOp]:
     return out
 
 
-def _batched_inv(mats: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.inv(mats)
-    except np.linalg.LinAlgError as exc:
-        raise NotInvertible(f"{what} is singular at some lattice frequency") from exc
+@dataclasses.dataclass(frozen=True)
+class GridSymbol:
+    """One homogeneous symbol S on one grid, and the multipliers built from it.
 
-
-def resolvent_multipliers(
-    pair: symbols.HodgeDiracSymbolPair, grid: TorusGrid, t: complex
-) -> tuple[MultiplierOp, MultiplierOp, MultiplierOp]:
-    """(r, p, q) multipliers of the pair's total symbol S at scale t:
-
-    r = (I + i t S)^{-1},  p = (I + t^2 S^2)^{-1},  q = t S p.
-
-    The zero frequency carries S(0) = 0, so r and p act as the identity
-    and q as zero there.
+    ``mats`` holds S(xi) on the lattice, evaluated once and kept; every
+    other multiplier is formed on request from it and is not cached, so a
+    sweep over many scales keeps one stack alive.  The zero frequency
+    carries S(0) = 0 (k >= 1): there the resolvent and smoothing act as the
+    identity and the bandpass as zero.
     """
-    mats = pair.total()(grid.lattice)
-    eye = np.eye(pair.big_n, dtype=complex)
-    r = _batched_inv(eye + 1j * t * mats, "I + i t S")
-    p = _batched_inv(eye + (t * t) * (mats @ mats), "I + t^2 S^2")
-    q = t * mats @ p
-    return (
-        MultiplierOp(grid, r),
-        MultiplierOp(grid, p),
-        MultiplierOp(grid, q),
-    )
+
+    symbol: symbols.HomogeneousSymbol
+    grid: TorusGrid
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        mats = self.symbol(self.grid.lattice)
+        mats.flags.writeable = False
+        return mats
+
+    def _inv(self, mats: np.ndarray, what: str) -> MultiplierOp:
+        return MultiplierOp(self.grid, matcalc._batched_inv(mats, what))
+
+    @property
+    def _eye(self) -> np.ndarray:
+        return np.eye(self.symbol.big_n, dtype=complex)
+
+    def multiplier(self) -> MultiplierOp:
+        """S itself."""
+        return MultiplierOp(self.grid, self.mats)
+
+    def resolvent(self, t: complex) -> MultiplierOp:
+        """(I + i t S)^{-1}."""
+        return self._inv(self._eye + 1j * t * self.mats, "I + i t S")
+
+    def smoothing(self, t: complex) -> MultiplierOp:
+        """(I + t^2 S^2)^{-1}."""
+        return self._inv(self._eye + (t * t) * (self.mats @ self.mats), "I + t^2 S^2")
+
+    def bandpass(self, t: complex) -> MultiplierOp:
+        """Q_t = t S (I + t^2 S^2)^{-1}."""
+        return MultiplierOp(self.grid, t * self.mats @ self.smoothing(t).mats)
+
+    def shifted(self, z: complex) -> MultiplierOp:
+        """(z - S)^{-1}: the exact constant-coefficient inverse that
+        preconditions shifted solves."""
+        return self._inv(z * self._eye - self.mats, "z - S")
 
 
 def matrix_function_multiplier(
-    s: symbols.HomogeneousSymbol,
+    gs: GridSymbol,
     f: Callable,
-    grid: TorusGrid,
     *,
     cond_limit=1e8,
 ) -> MultiplierOp:
@@ -262,8 +261,8 @@ def matrix_function_multiplier(
     Uses the batched eigendecomposition where well-conditioned and falls
     back to the contour calculus pointwise otherwise.
     """
-    mats = s(grid.lattice)
-    flat = mats.reshape(-1, s.big_n, s.big_n)
+    n = gs.symbol.big_n
+    flat = gs.mats.reshape(-1, n, n)
     lam, v = np.linalg.eig(flat)
     fl = np.vectorize(lambda z: complex(f(z)))(lam)
     out = np.empty_like(flat)
@@ -271,27 +270,47 @@ def matrix_function_multiplier(
     good = conds < cond_limit
     if np.any(good):
         vg = v[good]
-        out[good] = vg @ (fl[good][:, :, None] * np.linalg.inv(vg))
+        out[good] = vg @ (fl[good][:, :, None] * matcalc._batched_inv(vg, "eigenvector matrix"))
     for idx in np.nonzero(~good)[0]:
         out[idx] = matcalc.contour_fc(flat[idx], f)
-    return MultiplierOp(grid, out.reshape(mats.shape))
+    return MultiplierOp(gs.grid, out.reshape(gs.mats.shape))
 
 
 def kernel_range_multipliers(
     s: symbols.HomogeneousSymbol, grid: TorusGrid
 ) -> tuple[MultiplierOp, MultiplierOp]:
-    """Pointwise spectral projections onto ker and ran of the symbol.
+    """Projections onto ker S(xi) along ran S(xi), and back, at every frequency.
 
-    At the zero frequency the symbol vanishes, so the kernel projection
-    is the identity there.
+    Raises SplitUndefined where rank S^2 < rank S (no such splitting), and
+    where the result fails the runtime check: S P, P S and P^2 - P must
+    vanish to SPLIT_CHECK_TOL relative to |S(xi)| (times max(1, |P|)).
+    At the zero frequency the kernel projection is the identity.
     """
-    mats = s(grid.lattice).reshape(-1, s.big_n, s.big_n)
-    p_ker = np.empty_like(mats)
-    for i, m in enumerate(mats):
-        p_ker[i], _ = matcalc.spectral_split(m)
-    p_ker = p_ker.reshape(grid.shape + (s.big_n, s.big_n))
-    eye = np.eye(s.big_n, dtype=complex)
-    return MultiplierOp(grid, p_ker), MultiplierOp(grid, eye - p_ker)
+    n = s.big_n
+    mats = GridSymbol(s, grid).mats.reshape(-1, n, n)
+    lattice = grid.lattice.reshape(-1, grid.n)
+    defective = np.nonzero(matcalc.numerical_rank(mats @ mats) < matcalc.numerical_rank(mats))[0]
+    if defective.size:
+        raise SplitUndefined(
+            f"rank(S^2) < rank(S) at xi={lattice[defective[0]]}: zero eigenvalue is defective"
+        )
+    p_ker, p_ran = matcalc.subspace_projections(
+        [(mats, "ker"), (mats, "ran")],
+        fail=lambda msg, i: SplitUndefined(f"{msg} at xi={lattice[i]}"),
+    )
+    fro = lambda x: np.linalg.norm(x, axis=(-2, -1))
+    scale = fro(mats)
+    scale[scale == 0] = 1.0
+    resid = np.maximum.reduce(
+        [fro(mats @ p_ker) / scale, fro(p_ker @ mats) / scale, fro(p_ker @ p_ker - p_ker)]
+    )
+    bad = np.nonzero(resid > matcalc.SPLIT_CHECK_TOL * np.maximum(1.0, fro(p_ker)))[0]
+    if bad.size:
+        raise SplitUndefined(
+            f"kernel/range split residual {resid[bad[0]]:.3e} at xi={lattice[bad[0]]}"
+        )
+    shape = grid.shape + (n, n)
+    return MultiplierOp(grid, p_ker.reshape(shape)), MultiplierOp(grid, p_ran.reshape(shape))
 
 
 def translate(u: GridField, z) -> GridField:
@@ -362,36 +381,6 @@ def random_band_limited(
     return ifft_field(grid, hat)
 
 
-def random_kernel_field(
-    pair: symbols.HodgeDiracSymbolPair, grid: TorusGrid, *, seed: int = 0, band=None
-) -> GridField:
-    """Random field built from per-frequency kernels of the total symbol."""
-    rng = np.random.default_rng(seed)
-    if band is None:
-        band = grid.g // 4
-    total = pair.total()
-    hat = np.zeros(grid.shape + (pair.big_n,), dtype=complex)
-    lattice = grid.lattice.reshape(-1, grid.n)
-    ints = np.stack(
-        np.meshgrid(*([grid.axis_integers] * grid.n), indexing="ij"), axis=-1
-    ).reshape(-1, grid.n)
-    flat = hat.reshape(-1, pair.big_n)
-    for i, (xi, mi) in enumerate(zip(lattice, ints)):
-        if np.any(np.abs(mi) > band):
-            continue
-        if np.all(mi == 0):
-            flat[i] = rng.standard_normal(pair.big_n) + 1j * rng.standard_normal(
-                pair.big_n
-            )
-            continue
-        kb = matcalc.kernel_basis(total(xi))
-        if kb.shape[1] == 0:
-            continue
-        c = rng.standard_normal(kb.shape[1]) + 1j * rng.standard_normal(kb.shape[1])
-        flat[i] = kb @ c
-    return ifft_field(grid, flat.reshape(hat.shape))
-
-
 # ---------------------------------------------------------------------------
 # Probes for the constant-coefficient theory.
 # ---------------------------------------------------------------------------
@@ -410,8 +399,7 @@ def resolvent_bound_probe(
     """Estimated sup over sampled lambda outside the bisector of the norm
     of lambda*(lambda - S)^{-1} acting on random fields."""
     rng = np.random.default_rng(seed)
-    mats = pair.total()(grid.lattice)
-    eye = np.eye(pair.big_n, dtype=complex)
+    gs = GridSymbol(pair.total(), grid)
     worst = 0.0
     fields = [
         random_band_limited(grid, pair.big_n, seed=int(rng.integers(2**31)))
@@ -423,7 +411,7 @@ def resolvent_bound_probe(
             ang = -ang
         radius = 10.0 ** rng.uniform(-2, 2)
         lam = radius * np.exp(1j * ang)
-        op = MultiplierOp(grid, lam * _batched_inv(lam * eye - mats, "lambda - S"))
+        op = gs.shifted(lam) * lam
         for u in fields:
             denom = lp_norm(u, p)
             if denom == 0:
@@ -442,7 +430,7 @@ def coercivity_probe(
 ) -> float:
     """Largest observed ratio of gradient norm to operator norm on the range."""
     total = pair.total()
-    pi_op = symbol_multiplier(total, grid)
+    pi_op = GridSymbol(total, grid).multiplier()
     _, p_ran = kernel_range_multipliers(total, grid)
     grads = gradient_multiplier(grid, pair.big_n)
     rng = np.random.default_rng(seed)

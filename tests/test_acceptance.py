@@ -125,8 +125,8 @@ def test_05_hodge_decompositions():
     pair = symbols.dirac_pair_1d()
     grid = torus.TorusGrid(1, 256)
     proj = hodge.constant_hodge_projections(pair, grid)
-    gamma_op = torus.symbol_multiplier(pair.gamma, grid)
-    gt_op = torus.symbol_multiplier(pair.gamma_tilde, grid)
+    gamma_op = torus.GridSymbol(pair.gamma, grid).multiplier()
+    gt_op = torus.GridSymbol(pair.gamma_tilde, grid).multiplier()
     worst = 0.0
     for seed in (1, 2):
         u = torus.random_band_limited(grid, 2, seed=seed)

@@ -35,6 +35,12 @@ class TestAnalyzeSymbol:
         bad.write_text("{not json")
         assert cli.main(["analyze-symbol", str(bad)]) == 2
 
+    def test_grid_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze-symbol", "bundled:dirac1d", "--grid", "10"])
+        capsys.readouterr()
+        assert exc.value.code == 2
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         cli.main(["analyze-symbol", "bundled:dirac1d", "--json", str(out)])
@@ -108,6 +114,21 @@ class TestSuite:
         code = cli.main(["suite", "symbols", "--config", str(cfg)])
         capsys.readouterr()
         assert code == 2
+
+    def test_array_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code = cli.main(["suite", "symbols", "--config", str(cfg)])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        assert cli.main(["suite", "hodge-const", "--seed", "-1", "--out", out]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        assert cli.main(["suite", "hodge-const", "--config", str(cfg), "--out", out]) == 2
+        capsys.readouterr()
 
     def test_perturb_suite_emits_ratio_table(self, tmp_path, capsys):
         code = cli.main(

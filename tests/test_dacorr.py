@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from opcalc import dacorr, hodge, symbols, torus
+from opcalc import dacorr, hodge, matcalc, symbols, torus
 from opcalc.errors import CoercivityError, ProbeAborted
 
-from conftest import diagonal_coefficients
+from conftest import diagonal_coefficients, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +153,26 @@ class TestSimilarity:
                                           coeff_sup=1.1)
         direct = dacorr.contour_calculus(
             op.apply, u, f_odd, contour,
-            precond_for=dacorr.shifted_symbol_precond(dirac_pair.total(), grid16),
+            precond_for=torus.GridSymbol(dirac_pair.total(), grid16).shifted,
         )
         assert torus.lp_norm(via_maps - direct, 2.0) <= 1e-6 * torus.lp_norm(u, 2.0)
+
+
+class TestEigOracle:
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_composition_calculus_matches_eigendecomposition(self, d_scalar, eps):
+        # exact f(DA) from the eigendecomposition of the assembled operator
+        grid = torus.TorusGrid(1, 16)
+        a = hodge.perturbed_identity(grid, 1, eps, 67)
+        comp = dacorr.composition(d_scalar, a, grid)
+        u = torus.random_band_limited(grid, 1, seed=12)
+        got = dacorr.composition_calculus(
+            comp, dacorr.f_rational_odd, u, d_scalar, solver="dense", nodes=128
+        )
+        exact = matcalc.matrix_function_eig(
+            hodge.dense_operator(comp.apply, grid, 1), dacorr.f_rational_odd
+        ) @ u.flat()
+        assert rel_err(got.flat(), exact) < 1e-6
 
 
 class TestHolomorphy:

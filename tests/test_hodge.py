@@ -97,7 +97,7 @@ class TestApply:
     def test_identity_coefficients_reduce_to_multiplier(self, dirac_pair, grid64):
         op = hodge.VariableOp.constant(dirac_pair, grid64)
         u = torus.random_band_limited(grid64, 2, seed=2)
-        total = torus.symbol_multiplier(dirac_pair.total(), grid64)
+        total = torus.GridSymbol(dirac_pair.total(), grid64).multiplier()
         assert rel_err(op.apply(u).values, torus.apply_multiplier(total, u).values) < 1e-12
 
     def test_constant_field_annihilated(self, dirac_pair, grid16):
@@ -170,7 +170,7 @@ class TestVariableResolvent:
         op = hodge.VariableOp.constant(dirac_pair, grid64)
         u = torus.random_band_limited(grid64, 2, seed=5)
         got = hodge.variable_resolvent(op, 1.3, u, rtol=1e-12)
-        r, _, _ = torus.resolvent_multipliers(dirac_pair, grid64, 1.3)
+        r = torus.GridSymbol(dirac_pair.total(), grid64).resolvent(1.3)
         ref = torus.apply_multiplier(r, u)
         assert torus.lp_norm(got - ref, 2.0) <= 1e-10 * torus.lp_norm(u, 2.0)
 

@@ -49,7 +49,7 @@ class TestRademacherNorm:
 
     def test_applies_operators(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=6)
-        _, _, q = torus.resolvent_multipliers(dirac_pair, grid64, 1.0)
+        q = torus.GridSymbol(dirac_pair.total(), grid64).bandpass(1.0)
         est1 = quadest.rademacher_norm(
             [lambda v: torus.apply_multiplier(q, v)], [u], p=2.0, samples=16, seed=7
         )
@@ -194,7 +194,9 @@ class TestQuadraticEstimate:
         # within an order of magnitude of the square of the measured
         # quadratic-estimate constant (no equality claimed)
         f = lambda z: z / (1 + z * z)
-        f_op = torus.matrix_function_multiplier(dirac_pair.total(), f, grid64)
+        f_op = torus.matrix_function_multiplier(
+            torus.GridSymbol(dirac_pair.total(), grid64), f
+        )
         from opcalc import dacorr
 
         f_sup = dacorr.sup_norm_on_bisector(f, np.pi / 8)

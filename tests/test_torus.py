@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from opcalc import torus
+from opcalc import cli, hodge, matcalc, quadest, symbols, torus
+from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
 from conftest import rel_err
 
@@ -39,14 +40,15 @@ class TestApplyMultiplier:
         # bandpass at t=1 on the frequency-1 wave with vector (1, 0):
         # the per-frequency matrix is half the swap, so output (0, 1/2)
         u = torus.plane_wave(grid64, [1], [1.0, 0.0])
-        _, _, q = torus.resolvent_multipliers(dirac_pair, grid64, 1.0)
+        q = torus.GridSymbol(dirac_pair.total(), grid64).bandpass(1.0)
         out = torus.apply_multiplier(q, u)
         expected = torus.plane_wave(grid64, [1], [0.0, 0.5])
         assert rel_err(out.values, expected.values) < 1e-12
 
     def test_composition_is_pointwise_product(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=5)
-        _, p, q = torus.resolvent_multipliers(dirac_pair, grid64, 0.7)
+        gs = torus.GridSymbol(dirac_pair.total(), grid64)
+        p, q = gs.smoothing(0.7), gs.bandpass(0.7)
         once = torus.apply_multiplier(p @ q, u)
         twice = torus.apply_multiplier(p, torus.apply_multiplier(q, u))
         assert rel_err(once.values, twice.values) < 1e-10
@@ -54,7 +56,7 @@ class TestApplyMultiplier:
     def test_linearity(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=6)
         v = torus.random_band_limited(grid64, 2, seed=7)
-        _, _, q = torus.resolvent_multipliers(dirac_pair, grid64, 1.3)
+        q = torus.GridSymbol(dirac_pair.total(), grid64).bandpass(1.3)
         lhs = torus.apply_multiplier(q, 2.0 * u + 3.0 * v)
         rhs = 2.0 * torus.apply_multiplier(q, u) + 3.0 * torus.apply_multiplier(q, v)
         denom = torus.lp_norm(u, 2.0) + torus.lp_norm(v, 2.0)
@@ -63,7 +65,7 @@ class TestApplyMultiplier:
     def test_dense_oracle_small_grid(self, dirac_pair):
         # multiplier against the explicit DFT conjugation on a tiny grid
         grid = torus.TorusGrid(1, 8)
-        _, _, q = torus.resolvent_multipliers(dirac_pair, grid, 1.0)
+        q = torus.GridSymbol(dirac_pair.total(), grid).bandpass(1.0)
         u = torus.random_band_limited(grid, 2, seed=8)
         f = dft_matrix(8)
         finv = np.conj(f) / 8
@@ -73,27 +75,33 @@ class TestApplyMultiplier:
         assert rel_err(got, expected) < 1e-12
 
 
+def resolvent_family(pair, grid, t):
+    """(r, p, q) = ((I + itS)^{-1}, (I + t^2 S^2)^{-1}, t S p) of the total symbol."""
+    gs = torus.GridSymbol(pair.total(), grid)
+    return gs.resolvent(t), gs.smoothing(t), gs.bandpass(t)
+
+
 class TestResolventMultipliers:
     def test_zero_scale(self, dirac_pair, grid64):
-        r, p, q = torus.resolvent_multipliers(dirac_pair, grid64, 0.0)
+        r, p, q = resolvent_family(dirac_pair, grid64, 0.0)
         eye = np.eye(2)
         assert np.allclose(r.mats, eye) and np.allclose(p.mats, eye)
         assert np.allclose(q.mats, 0)
 
     def test_dirac_at_unit_frequency(self, dirac_pair, grid64):
-        _, p, q = torus.resolvent_multipliers(dirac_pair, grid64, 1.0)
+        _, p, q = resolvent_family(dirac_pair, grid64, 1.0)
         idx = 1  # frequency +1
         assert rel_err(p.mats[idx], np.eye(2) / 2) < 1e-12
         assert rel_err(q.mats[idx], np.array([[0, 0.5], [0.5, 0]])) < 1e-12
 
     def test_even_odd_from_resolvents(self, dirac_pair, grid64):
-        r_plus, p, q = torus.resolvent_multipliers(dirac_pair, grid64, 1.7)
-        r_minus, _, _ = torus.resolvent_multipliers(dirac_pair, grid64, -1.7)
+        r_plus, p, q = resolvent_family(dirac_pair, grid64, 1.7)
+        r_minus, _, _ = resolvent_family(dirac_pair, grid64, -1.7)
         assert np.abs((r_plus.mats + r_minus.mats) / 2 - p.mats).max() < 1e-12
         assert np.abs(0.5j * (r_plus.mats - r_minus.mats) - q.mats).max() < 1e-12
 
     def test_zero_modes(self, dirac_pair, grid64):
-        r, p, q = torus.resolvent_multipliers(dirac_pair, grid64, 2.5)
+        r, p, q = resolvent_family(dirac_pair, grid64, 2.5)
         assert np.allclose(r.zero_mode, np.eye(2))
         assert np.allclose(p.zero_mode, np.eye(2))
         assert np.allclose(q.zero_mode, 0)
@@ -102,10 +110,70 @@ class TestResolventMultipliers:
     def test_smoothing_residual_identity(self, dirac_pair, grid64, seed):
         rng = np.random.default_rng(seed)
         t = float(rng.uniform(0.1, 4.0))
-        _, p, _ = torus.resolvent_multipliers(dirac_pair, grid64, t)
+        _, p, _ = resolvent_family(dirac_pair, grid64, t)
         mats = dirac_pair.total()(grid64.lattice)
         resid = p.mats + (t * t) * mats @ mats @ p.mats - np.eye(2)
         assert np.abs(resid).max() < 1e-12
+
+
+    def test_singular_frequency_is_not_invertible(self):
+        # S(xi) = xi [[0, -1], [1, 0]] squares to -xi^2 I, so I + t^2 S^2
+        # vanishes at xi = +-1 for t = 1
+        grid = torus.TorusGrid(1, 16)
+        pair = symbols.HodgeDiracSymbolPair(
+            symbols.HomogeneousSymbol(1, 2, 1, {(1,): [[0, 0], [1, 0]]}),
+            symbols.HomogeneousSymbol(1, 2, 1, {(1,): [[0, -1], [0, 0]]}),
+        )
+        with pytest.raises(NotInvertible):
+            torus.GridSymbol(pair.total(), grid).smoothing(1.0)
+        u = torus.random_band_limited(grid, 2, seed=1)
+        with pytest.raises(NotInvertible):
+            quadest.bandpass_fields_constant(pair, u, quadest.DyadicScales(0, 0))
+
+
+def per_point_splits(pair, grid):
+    """Oracle: a per-frequency loop over the contour-based spectral_split.
+
+    On ran S the total symbol S is invertible, and the Hodge pieces of S v
+    are gamma v and gamma_tilde v, so p_gamma = gamma (S + p_ker)^{-1} p_ran.
+    """
+    n = pair.big_n
+    g = pair.gamma(grid.lattice).reshape(-1, n, n)
+    gt = pair.gamma_tilde(grid.lattice).reshape(-1, n, n)
+    out = {k: np.empty_like(g) for k in ("p_ker", "p_ran", "p_gamma", "p_gamma_tilde")}
+    for i, (a, b) in enumerate(zip(g, gt)):
+        pk, pr = matcalc.spectral_split(a + b, check=False)
+        inv_on_range = np.linalg.inv(a + b + pk) @ pr
+        out["p_ker"][i], out["p_ran"][i] = pk, pr
+        out["p_gamma"][i], out["p_gamma_tilde"][i] = a @ inv_on_range, b @ inv_on_range
+    return out
+
+
+class TestBatchedSplits:
+    @pytest.mark.parametrize("case", [("dirac1d", 1, 256), ("graddiv2d", 2, 16)])
+    def test_match_per_point_oracle(self, case, dirac_pair, grad_div_pair):
+        name, n, g = case
+        pair = dirac_pair if name == "dirac1d" else grad_div_pair
+        grid = torus.TorusGrid(n, g)
+        ref = per_point_splits(pair, grid)
+        p_ker, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
+        hp = hodge.constant_hodge_projections(pair, grid).multipliers
+        got = {
+            "p_ker": p_ker, "p_ran": p_ran, "p0": hp["p0"],
+            "p_gamma": hp["p_gamma"], "p_gamma_tilde": hp["p_gamma_tilde"],
+        }
+        for key, op in got.items():
+            want = ref["p_ker" if key == "p0" else key]
+            assert np.abs(op.mats.reshape(want.shape) - want).max() < 1e-12, key
+
+    def test_unsplittable_pair(self, grid64):
+        pair = cli.load_symbol_arg("bundled:pair_gamma_equal")
+        with pytest.raises(SplitUndefined):
+            torus.kernel_range_multipliers(pair.total(), grid64)
+        with pytest.raises(DecompositionFailure) as exc:
+            hodge.constant_hodge_projections(pair, grid64)
+        # the first failing frequency in FFT order is +1
+        assert np.array_equal(exc.value.xi, grid64.lattice[1])
 
 
 class TestTranslate:
@@ -240,18 +308,9 @@ class TestProbes:
         assert all(0 < v < 10 for v in vals)
         assert max(vals) <= 2.0 * min(vals)
 
-    def test_kernel_field_annihilated(self, grad_div_pair):
-        grid = torus.TorusGrid(2, 16)
-        u = torus.random_kernel_field(grad_div_pair, grid, seed=2)
-        un = torus.lp_norm(u, 2.0)
-        g_op = torus.symbol_multiplier(grad_div_pair.gamma, grid)
-        gt_op = torus.symbol_multiplier(grad_div_pair.gamma_tilde, grid)
-        total = torus.lp_norm(torus.apply_multiplier(g_op, u), 2.0)
-        total += torus.lp_norm(torus.apply_multiplier(gt_op, u), 2.0)
-        assert total <= 1e-10 * un
-
     def test_matrix_function_multiplier_matches_formula(self, dirac_pair, grid64):
         f = lambda z: z / (1 + z * z)
-        op = torus.matrix_function_multiplier(dirac_pair.total(), f, grid64)
-        _, _, q = torus.resolvent_multipliers(dirac_pair, grid64, 1.0)
+        gs = torus.GridSymbol(dirac_pair.total(), grid64)
+        op = torus.matrix_function_multiplier(gs, f)
+        q = gs.bandpass(1.0)
         assert np.abs(op.mats - q.mats).max() < 1e-12
