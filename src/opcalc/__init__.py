@@ -5,7 +5,6 @@ from . import dacorr, hodge, krylov, matcalc, quadest, symbols, torus
 from .errors import (
     ContourTooClose,
     DecompositionFailure,
-    DegenerateFrequency,
     EigensolverError,
     HodgeDecompositionUncertain,
     NearSingular,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import importlib.resources
@@ -98,11 +99,34 @@ def load_symbol_arg(name_or_path: str):
         raise ConfigError(f"cannot parse symbol file {name_or_path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _config_values(what: str):
+    """Turn a bad value met while reading ``what`` into a ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _grid_from(cfg: dict) -> torus.TorusGrid:
     g = cfg.get("grid", {})
-    return torus.TorusGrid(
-        int(g.get("n", 1)), int(g.get("g", 64)), float(g.get("length", 2 * math.pi))
-    )
+    with _config_values("grid"):
+        return torus.TorusGrid(
+            int(g.get("n", 1)), int(g.get("g", 64)), float(g.get("length", 2 * math.pi))
+        )
+
+
+def _scales_from(cfg: dict) -> quadest.DyadicScales:
+    with _config_values("scale window"):
+        return quadest.DyadicScales(int(cfg.get("k_min", -6)), int(cfg.get("k_max", 6)))
+
+
+def _samples_from(cfg: dict, default: int) -> int:
+    with _config_values("samples"):
+        samples = int(cfg.get("samples", default))
+        if samples < 16:
+            raise ValueError(f"need at least 16 sign samples, got {samples}")
+    return samples
 
 
 def _pair_from(cfg: dict) -> symbols.HodgeDiracSymbolPair:
@@ -115,13 +139,14 @@ def _pair_from(cfg: dict) -> symbols.HodgeDiracSymbolPair:
 def _coeffs_from(cfg: dict, grid, big_n) -> hodge.CoefficientPair:
     c = cfg.get("coefficients", {})
     seed = int(cfg.get("seed", 0))
-    b1 = hodge.parse_coefficient(
-        c.get("b1", f"identity+0.05*diagrandom({seed + 23})"), grid, big_n
-    )
-    b2 = hodge.parse_coefficient(
-        c.get("b2", f"identity+0.05*diagrandom({seed + 24})"), grid, big_n
-    )
-    return hodge.CoefficientPair(b1, b2)
+    with _config_values("coefficients"):
+        b1 = hodge.parse_coefficient(
+            c.get("b1", f"identity+0.05*diagrandom({seed + 23})"), grid, big_n
+        )
+        b2 = hodge.parse_coefficient(
+            c.get("b2", f"identity+0.05*diagrandom({seed + 24})"), grid, big_n
+        )
+        return hodge.CoefficientPair(b1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +319,20 @@ def probe_quadest(cfg) -> ProbeReport:
     pair = _pair_from(cfg)
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 64))
-    scales = quadest.DyadicScales(
-        int(cfg.get("k_min", -6)), int(cfg.get("k_max", 6))
-    )
+    samples = _samples_from(cfg, 64)
+    scales = _scales_from(cfg)
     _, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
     u = torus.apply_multiplier(
         p_ran, torus.random_band_limited(grid, pair.big_n, seed=seed + 5)
     )
-    fields = quadest.bandpass_fields_constant(pair, u, scales)
-    est = quadest.rademacher_norm(None, fields, p=2.0, samples=samples, seed=seed)
-    exact_sq = quadest.exact_l2_square_expectation(fields)
+    rep = quadest.quadratic_estimate(pair, u, scales, samples=samples, seed=seed)
+    est = rep.estimate
+    exact_sq = quadest.exact_l2_square_expectation(rep.summands)
     sq_err = abs(est.mean_square - exact_sq)
     # 5 standard errors: the gate must hold for every user-chosen seed, and
     # the squared-norm distribution is skewed enough that 3 SE trips on
     # roughly 1 seed in 100 at small sample counts
     sq_ok = sq_err <= 5.0 * max(est.std_error_square, 1e-14)
-    rep = quadest.quadratic_estimate(pair, u, scales, samples=samples, seed=seed)
     return ProbeReport(
         "quadratic-estimate",
         seed,
@@ -332,8 +354,8 @@ def probe_translated(cfg) -> ProbeReport:
     pair = _pair_from(cfg)
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 32))
-    scales = quadest.DyadicScales(int(cfg.get("k_min", -6)), int(cfg.get("k_max", 6)))
+    samples = _samples_from(cfg, 32)
+    scales = _scales_from(cfg)
     u = torus.random_band_limited(grid, pair.big_n, seed=seed + 59, kill_zero_mode=True)
     zmods = cfg.get("translations", [0.0, 1.0, 4.0, 16.0])
     rows = []

@@ -25,10 +25,6 @@ class NearSingular(OpcalcError):
     """Resolvent requested at a point too close to the spectrum."""
 
 
-class DegenerateFrequency(OpcalcError):
-    """Operation undefined at the zero frequency."""
-
-
 class DecompositionFailure(OpcalcError):
     """The three candidate subspaces do not span; no Hodge splitting."""
 

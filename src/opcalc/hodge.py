@@ -483,14 +483,15 @@ def variable_hodge_projections(
         floor = 30.0 * np.finfo(float).eps * (1.0 + abs(t) * big)
         return dict(rtol=max(rtol, floor))
 
-    def p0_at(t, u):
-        return smoothing_apply(op, t, u, **kw(t))
-
-    def pg_at(t, u):
-        return torus.apply_multiplier(op.gamma_op, t * bandpass_apply(op, t, u, **kw(t)))
-
-    def pgt_at(t, u):
-        return op.apply_twisted(t * bandpass_apply(op, t, u, **kw(t)))
+    def all_at(t, u):
+        # the three projections from three solves: R(t)u, R(-t)u, R(-t)R(t)u
+        plus = variable_resolvent(op, t, u, **kw(t))
+        band = t * (0.5j * (plus - variable_resolvent(op, -t, u, **kw(t))))
+        return (
+            variable_resolvent(op, -t, plus, **kw(t)),
+            torus.apply_multiplier(op.gamma_op, band),
+            op.apply_twisted(band),
+        )
 
     rng = np.random.default_rng(seed)
     fields = []
@@ -500,11 +501,7 @@ def variable_hodge_projections(
     curve = []
     prev = None
     for t in t_sequence:
-        vals = [
-            [p0_at(t, f) for f in fields],
-            [pg_at(t, f) for f in fields],
-            [pgt_at(t, f) for f in fields],
-        ]
+        vals = list(zip(*[all_at(t, f) for f in fields]))
         if prev is not None:
             diff = max(
                 torus.lp_norm(a - b, 2.0)
@@ -520,10 +517,11 @@ def variable_hodge_projections(
             curve=curve,
         )
     t_final = t_sequence[-1]
+    band = lambda u: t_final * bandpass_apply(op, t_final, u, **kw(t_final))
     return HodgeProjections(
-        p0=lambda u: p0_at(t_final, u),
-        p_gamma=lambda u: pg_at(t_final, u),
-        p_gamma_tilde=lambda u: pgt_at(t_final, u),
+        p0=lambda u: smoothing_apply(op, t_final, u, **kw(t_final)),
+        p_gamma=lambda u: torus.apply_multiplier(op.gamma_op, band(u)),
+        p_gamma_tilde=lambda u: op.apply_twisted(band(u)),
         report={"curve": curve, "t_final": t_final},
     )
 

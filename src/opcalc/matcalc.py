@@ -163,22 +163,9 @@ def _batched_inv(mats: np.ndarray, what: str) -> np.ndarray:
         raise NotInvertible(f"{what} is singular for some matrix of the stack") from exc
 
 
-def subspace_projections(pieces, *, cond_limit=None, fail=None) -> list[np.ndarray]:
-    """Complementary projections onto subspaces named per stacked matrix.
-
-    ``pieces`` lists ``(mats, kind)``: a stack of shape (F, N, N) and
-    "ker" or "ran" for the kernel or the column space of each matrix,
-    from a batched SVD with the RANK_TOL cut.  At each of the F positions
-    the orthonormal bases are joined into one N x N matrix and inverted;
-    the j-th projection is the j-th block of columns times the j-th block
-    of rows of the inverse.  Positions with equal subspace dimensions
-    share one batched inversion, and where one subspace is everything its
-    projection is the identity exactly.  ``fail(msg, index)`` builds the
-    error (default SplitUndefined) for the first position whose dimensions
-    do not add up to N, whose basis matrix is singular, or whose condition
-    number exceeds ``cond_limit``.
-    """
-    fail = fail or (lambda msg, i: SplitUndefined(msg))
+def _projections(pieces, cond_limit=None):
+    """:func:`subspace_projections` without raising: the projections and
+    a list of (positions, message), one entry per failed check and group."""
     n = pieces[0][0].shape[-1]
     svds, bases = {}, []
     for mats, kind in pieces:
@@ -198,7 +185,7 @@ def subspace_projections(pieces, *, cond_limit=None, fail=None) -> list[np.ndarr
     for key, d in enumerate(keys):
         idx = np.nonzero(group.ravel() == key)[0]
         if d.sum() != n:
-            bad.append((idx[0], f"subspace dimensions {'+'.join(map(str, d))} != {n}"))
+            bad.append((idx, f"subspace dimensions {'+'.join(map(str, d))} != {n}"))
             continue
         if d.max() == n:
             out[int(np.argmax(d))][idx] = np.eye(n)
@@ -208,20 +195,63 @@ def subspace_projections(pieces, *, cond_limit=None, fail=None) -> list[np.ndarr
         if cond_limit is not None:
             over = np.nonzero(~(np.linalg.cond(basis) <= cond_limit))[0]
             if over.size:
-                bad.append((idx[over[0]], "subspace basis matrix ill-conditioned"))
+                bad.append((idx[over], "subspace basis matrix ill-conditioned"))
                 continue
-        try:
-            inv = _batched_inv(basis, "subspace basis matrix")
-        except NotInvertible:
-            bad.append((i0, "subspace basis matrix singular"))
-            continue
+        # an exact zero pivot, as np.linalg.inv would meet it
+        singular = np.linalg.slogdet(basis)[0] == 0
+        if singular.any():
+            bad.append((idx[singular], "subspace basis matrix singular"))
+            idx, basis = idx[~singular], basis[~singular]
+        inv = _batched_inv(basis, "subspace basis matrix")
         edges = np.concatenate([[0], np.cumsum(d)])
         for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             out[j][idx] = basis[..., lo:hi] @ inv[..., lo:hi, :]
+    return out, bad
+
+
+def subspace_projections(pieces, *, cond_limit=None, fail=None) -> list[np.ndarray]:
+    """Complementary projections onto subspaces named per stacked matrix.
+
+    ``pieces`` lists ``(mats, kind)``: a stack of shape (F, N, N) and
+    "ker" or "ran" for the kernel or the column space of each matrix,
+    from a batched SVD with the RANK_TOL cut.  At each of the F positions
+    the orthonormal bases are joined into one N x N matrix and inverted;
+    the j-th projection is the j-th block of columns times the j-th block
+    of rows of the inverse.  Positions with equal subspace dimensions
+    share one batched inversion, and where one subspace is everything its
+    projection is the identity exactly.  ``fail(msg, index)`` builds the
+    error (default SplitUndefined) for the first position whose dimensions
+    do not add up to N, whose basis matrix is singular, or whose condition
+    number exceeds ``cond_limit``.
+    """
+    out, bad = _projections(pieces, cond_limit)
     if bad:
-        i, msg = min(bad)
-        raise fail(msg, int(i))
+        i, msg = min((int(idx[0]), msg) for idx, msg in bad)
+        raise (fail or (lambda msg, i: SplitUndefined(msg)))(msg, i)
     return out
+
+
+def stacked_split(mats):
+    """Kernel/range projections (p_ker, p_ran) of each matrix of a stack
+    (F, N, N), formed as in :func:`subspace_projections`, and ``why``: ""
+    where matrix i splits, else the first check it fails of rank(T^2) >=
+    rank(T), an invertible basis matrix, and T P, P T, P^2 - P vanishing to
+    SPLIT_CHECK_TOL relative to |T| (times max(1, |P|)) in Frobenius norm.
+    The projections mean nothing where a check fails."""
+    (p_ker, p_ran), bad = _projections([(mats, "ker"), (mats, "ran")])
+    fro = lambda x: np.linalg.norm(x, axis=(-2, -1))
+    scale = fro(mats)
+    scale[scale == 0] = 1.0
+    resid = np.maximum.reduce(
+        [fro(mats @ p_ker) / scale, fro(p_ker @ mats) / scale, fro(p_ker @ p_ker - p_ker)]
+    )
+    why = np.full(mats.shape[0], "", dtype=object)
+    why[resid > SPLIT_CHECK_TOL * np.maximum(1.0, fro(p_ker))] = "split residual above tolerance"
+    for idx, msg in bad:
+        why[idx] = msg
+    defective = numerical_rank(mats @ mats) < numerical_rank(mats)
+    why[defective] = "rank(T^2) < rank(T): zero eigenvalue is defective"
+    return p_ker, p_ran, why
 
 
 def split_via_bases(t) -> tuple[np.ndarray, np.ndarray]:
@@ -242,21 +272,25 @@ def spectral_split(t, *, nodes=128, check=True, check_tol=SPLIT_CHECK_TOL):
     p_ker is computed as the Riesz contour integral of the resolvent
     around the zero eigenvalue only; raises SplitUndefined when 0 is a
     defective eigenvalue (rank T^2 < rank T), in which case no such
-    splitting exists.  With ``check=True`` the result is cross-checked
-    against the dense invariant-subspace oracle.
+    splitting exists, and when the eigenvalues do not separate into a zero
+    cluster of size dim ker(T) and a nonzero rest.  With ``check=True`` the
+    result is cross-checked against the dense invariant-subspace oracle.
     """
     a = _as_matrix(t)
     n = a.shape[0]
     big_m = operator_norm(a)
-    if numerical_rank(a @ a) < numerical_rank(a):
+    rank = numerical_rank(a)
+    if numerical_rank(a @ a) < rank:
         raise SplitUndefined("rank(T^2) < rank(T): zero eigenvalue is defective")
-    if numerical_rank(a) == 0:
+    if rank == 0:
         return np.eye(n), np.zeros((n, n))
     lam = spectrum(a)
     nz, zero_tol = _classify(lam, big_m)
     if nz.size == n:
         # invertible: nothing to project out
         return np.zeros((n, n)), np.eye(n)
+    if nz.size < rank:
+        raise SplitUndefined(f"{n - nz.size} eigenvalues at 0 but dim ker(T) = {n - rank}")
     min_nz = float(np.abs(nz).min())
     if min_nz < 10 * zero_tol:
         raise SplitUndefined(

@@ -228,6 +228,8 @@ class QuadraticEstimateReport:
     ratio: float
     constant: float
     input_norm: float
+    # the fields whose Rademacher sum was estimated
+    summands: list[torus.GridField]
 
 
 def quadratic_estimate(
@@ -260,7 +262,7 @@ def quadratic_estimate(
         constant = max(ratio, 1.0 / ratio)
     else:
         constant = ratio
-    return QuadraticEstimateReport(est, ratio, constant, un)
+    return QuadraticEstimateReport(est, ratio, constant, un, ws)
 
 
 def translated_quadratic_estimate(
@@ -284,7 +286,7 @@ def translated_quadratic_estimate(
     un = torus.lp_norm(u, p)
     denom = (1.0 + log_plus) * un
     ratio = est.mean / denom if denom > 0 else 0.0
-    return QuadraticEstimateReport(est, ratio, ratio, un)
+    return QuadraticEstimateReport(est, ratio, ratio, un, shifted)
 
 
 def dyadic_cells_for_scale(grid: torus.TorusGrid, t: float) -> int:

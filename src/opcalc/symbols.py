@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import matcalc
-from .errors import DegenerateFrequency, NotBisectorial, SplitUndefined
 
 # Condition names used in reports and error messages.
 COERCIVE_ON_RANGE = "coercive_on_range"
@@ -202,6 +201,14 @@ class SymbolConditionReport:
         return "fail: " + ", ".join(self.failures)
 
 
+def _first_failures(checks, points):
+    """Failed checks ordered by their first failing point, then by check
+    order, and that point for each: ``checks`` lists (name, mask)."""
+    first = {name: int(np.argmax(bad)) for name, bad in checks if bad.any()}
+    failures = sorted(first, key=first.get)
+    return failures, {name: points[first[name]] for name in failures}
+
+
 def verify_symbol_conditions(
     s: HomogeneousSymbol, sample: SphereSample | None = None
 ) -> SymbolConditionReport:
@@ -209,45 +216,43 @@ def verify_symbol_conditions(
 
     kappa is the least singular value of the symbol restricted to its
     range (a singular-value bound, not an eigenvalue bound), omega the
-    largest bisector half-angle over the sample, M the largest norm.
+    largest bisector half-angle over the sample, M the largest norm.  All
+    points at once: the split check is :func:`matcalc.stacked_split` plus
+    the eigenvalue tests of :func:`matcalc.spectral_split`.
     """
     if sample is None:
         sample = sphere_sample(s.n)
-    failures: list[str] = []
-    points: dict[str, np.ndarray] = {}
+    t = s(sample.points)
+    norms = np.linalg.svd(t, compute_uv=False)[:, 0]
+    rank = matcalc.numerical_rank(t)
+    lam = np.linalg.eigvals(t)
+    zero_tol = matcalc.ZERO_EIG_TOL * np.maximum(norms, 1e-300)
+    nonzero = np.abs(lam) > zero_tol[:, None]
+    count = nonzero.sum(axis=-1)
+    min_nz = np.where(nonzero, np.abs(lam), np.inf).min(axis=-1)
+    no_split = (matcalc.stacked_split(t)[2] != "") | (count < rank)
+    no_split |= (count < s.big_n) & (min_nz < 10 * zero_tol)
+    angles = np.minimum(np.abs(np.angle(lam)), np.abs(np.angle(-lam)))
+    omegas = np.where(nonzero, angles, 0.0).max(axis=-1)
+    not_bisectorial = ~no_split & (omegas >= math.pi / 2 - 1e-9)
+    omega = float(np.max(omegas[~no_split & ~not_bisectorial], initial=0.0))
+    u = np.linalg.svd(t)[0]
+    ran_dim = np.where(no_split, 0, rank)
     kappa = math.inf
-    omega = 0.0
-    big_m = 0.0
-    for xi in sample.points:
-        t = s(xi)
-        big_m = max(big_m, matcalc.operator_norm(t))
-        try:
-            matcalc.spectral_split(t)
-        except SplitUndefined:
-            if COERCIVE_ON_RANGE not in failures:
-                failures.append(COERCIVE_ON_RANGE)
-                points[COERCIVE_ON_RANGE] = xi
-            continue
-        try:
-            bp = matcalc.bisector_params(t)
-            omega = max(omega, bp.omega)
-        except NotBisectorial:
-            if SPECTRUM_IN_BISECTOR not in failures:
-                failures.append(SPECTRUM_IN_BISECTOR)
-                points[SPECTRUM_IN_BISECTOR] = xi
-        vr = matcalc.range_basis(t)
-        if vr.shape[1] > 0:
-            smin = float(np.linalg.svd(t @ vr, compute_uv=False).min())
-            kappa = min(kappa, smin)
+    for r in np.unique(ran_dim[ran_dim > 0]):
+        idx = np.nonzero(ran_dim == r)[0]
+        smin = np.linalg.svd(t[idx] @ u[idx, :, :r], compute_uv=False)[:, -1]
+        kappa = min(kappa, float(smin.min()))
+    failures, points = _first_failures(
+        [(COERCIVE_ON_RANGE, no_split), (SPECTRUM_IN_BISECTOR, not_bisectorial)],
+        sample.points,
+    )
     if math.isinf(kappa):
         kappa = 0.0
     if kappa <= 0.0 and COERCIVE_ON_RANGE not in failures:
         failures.append(COERCIVE_ON_RANGE)
-    passed = not failures
-    params = None
-    if passed:
-        params = matcalc.BisectorParams(omega, kappa, big_m)
-    return SymbolConditionReport(params, passed, failures, points)
+    params = None if failures else matcalc.BisectorParams(omega, kappa, float(norms.max()))
+    return SymbolConditionReport(params, not failures, failures, points)
 
 
 @dataclasses.dataclass
@@ -279,78 +284,39 @@ def verify_hodge_pair(
     pointwise identity of ker(sum) with the intersection of the two kernels."""
     if sample is None:
         sample = sphere_sample(pair.n)
-    failures: list[str] = []
-    points: dict[str, np.ndarray] = {}
-    kdims: list[int] = []
+    n = pair.big_n
+    g = pair.gamma(sample.points)
+    gt = pair.gamma_tilde(sample.points)
 
-    def _flag(name, xi):
-        if name not in failures:
-            failures.append(name)
-            points[name] = xi
+    def nilpotent_fails(a):
+        norm = np.linalg.svd(a, compute_uv=False)[:, 0]
+        square = np.linalg.svd(a @ a, compute_uv=False)[:, 0]
+        return square > nilpotence_tol * np.maximum(norm**2, 1e-300)
 
-    for xi in sample.points:
-        g = pair.gamma(xi)
-        gt = pair.gamma_tilde(xi)
-        scale_g = max(matcalc.operator_norm(g) ** 2, 1e-300)
-        scale_gt = max(matcalc.operator_norm(gt) ** 2, 1e-300)
-        if matcalc.operator_norm(g @ g) > nilpotence_tol * scale_g:
-            _flag(GAMMA_NILPOTENT, xi)
-        if matcalc.operator_norm(gt @ gt) > nilpotence_tol * scale_gt:
-            _flag(GAMMA_TILDE_NILPOTENT, xi)
-        pi = g + gt
-        k_pi = matcalc.kernel_basis(pi)
-        k_both = matcalc.kernel_basis(np.vstack([g, gt]))
-        kdims.append(k_pi.shape[1])
-        if k_pi.shape[1] != k_both.shape[1]:
-            _flag(KERNEL_INTERSECTION, xi)
-        elif k_pi.shape[1] > 0:
-            ang = matcalc.principal_angles(k_pi, k_both)
-            if ang.size and float(ang.max()) > angle_tol:
-                _flag(KERNEL_INTERSECTION, xi)
-
+    pi, both = g + gt, np.concatenate([g, gt], axis=-2)
+    vh_pi, vh_both = np.linalg.svd(pi)[2], np.linalg.svd(both)[2]
+    kdims = n - matcalc.numerical_rank(pi)
+    kernel_bad = kdims != n - matcalc.numerical_rank(both)
+    for d in np.unique(kdims[~kernel_bad & (kdims > 0)]):
+        idx = np.nonzero(~kernel_bad & (kdims == d))[0]
+        k_pi = vh_pi[idx, n - d :].conj().swapaxes(-1, -2)
+        k_both = vh_both[idx, n - d :].conj().swapaxes(-1, -2)
+        resid = k_both - k_pi @ (k_pi.conj().swapaxes(-1, -2) @ k_both)
+        sines = np.linalg.svd(resid, compute_uv=False)[:, 0]
+        kernel_bad[idx] = np.arcsin(np.clip(sines, 0.0, 1.0)) > angle_tol
+    failures, points = _first_failures(
+        [
+            (GAMMA_NILPOTENT, nilpotent_fails(g)),
+            (GAMMA_TILDE_NILPOTENT, nilpotent_fails(gt)),
+            (KERNEL_INTERSECTION, kernel_bad),
+        ],
+        sample.points,
+    )
     sym_report = verify_symbol_conditions(pair.total(), sample)
     failures = sym_report.failures + failures
     points = {**sym_report.failure_points, **points}
     passed = not failures
-    return HodgePairReport(sym_report, passed, failures, points, kdims)
-
-
-def range_pseudoinverse(s: HomogeneousSymbol, xi) -> np.ndarray:
-    """Inverse of the symbol on its range composed with the range
-    projection; zero on the kernel.  Homogeneous of order -k."""
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    if np.linalg.norm(x) == 0.0:
-        raise DegenerateFrequency("range pseudoinverse undefined at xi = 0")
-    t = s(x)
-    _, p_ran = matcalc.spectral_split(t)
-    vr = matcalc.range_basis(t)
-    if vr.shape[1] == 0:
-        return np.zeros_like(t)
-    m_small = vr.conj().T @ t @ vr
-    return vr @ np.linalg.solve(m_small, vr.conj().T @ p_ran)
-
-
-def smoothed_derivative_symbol(s: HomogeneousSymbol, theta, t: float, xi) -> np.ndarray:
-    """Symbol t^2 xi^theta D(xi) (I + t^2 D(xi)^2)^{-1}, in factored form.
-
-    Computed as (xi^theta * range_pseudoinverse) (I - (I + t^2 D^2)^{-1});
-    both factors stay smooth away from the origin.
-    """
-    th = tuple(int(a) for a in theta)
-    if len(th) != s.n or sum(th) != s.k:
-        raise ValueError(f"need |theta| = k = {s.k}")
-    if t == 0.0:
-        return np.zeros((s.big_n, s.big_n), dtype=complex)
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    d = s(x)
-    eye = np.eye(s.big_n)
-    p_t = np.linalg.solve(eye + (t * t) * (d @ d), eye)
-    m = range_pseudoinverse(s, x)
-    mono = 1.0
-    for j, p in enumerate(th):
-        if p:
-            mono *= x[j] ** p
-    return mono * m @ (eye - p_t)
+    return HodgePairReport(sym_report, passed, failures, points, kdims.tolist())
 
 
 def finite_difference(fun: Callable, xi, alpha, h: float) -> np.ndarray:
@@ -395,23 +361,29 @@ def mikhlin_probe(
 ) -> list[MikhlinRow]:
     """Estimated sup over sample and taus of |xi|^{|alpha|} |d^alpha m_tau(xi)|.
 
-    Derivatives by central differences at step h; each row is recomputed
-    at h/2 and flagged unstable when the two differ by more than a factor 2.
+    ``family(tau, xi)`` maps a (P, n) stack of points to the (P, N, N)
+    stack of m_tau there, so each derivative covers the whole sample at
+    once.  Derivatives by central differences at step h; each row is
+    recomputed at h/2 and flagged unstable when the two differ by more
+    than a factor 2.
     """
     if alphas is None:
         alphas = default_alphas(sample.n)
+    pts = sample.points
+    # |xi| by a dot product, as np.linalg.norm takes it for one vector, so
+    # the rows equal a point-by-point evaluation bit for bit
+    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
     rows = []
     for alpha in alphas:
         alpha = tuple(int(a) for a in alpha)
+        factor = norms ** sum(alpha)
         vals = {}
         for step in (h, h / 2):
             worst = 0.0
             for tau in taus:
-                fun = lambda x: family(tau, x)
-                for xi in sample.points:
-                    d = finite_difference(fun, xi, alpha, step)
-                    factor = float(np.linalg.norm(xi)) ** sum(alpha)
-                    worst = max(worst, factor * matcalc.operator_norm(d))
+                d = finite_difference(lambda x: family(tau, x), pts, alpha, step)
+                sup = (factor * np.linalg.svd(d, compute_uv=False)[:, 0]).max()
+                worst = max(worst, float(sup))
             vals[step] = worst
         v, vh = vals[h], vals[h / 2]
         hi, lo = max(v, vh), min(v, vh)
@@ -421,10 +393,11 @@ def mikhlin_probe(
 
 
 def resolvent_symbol_family(s: HomogeneousSymbol, kind: str) -> Callable:
-    """Families tau -> m_tau(xi) built from the resolvent of the symbol.
+    """Families (tau, xi) -> m_tau(xi) built from the resolvent of the symbol.
 
     kind 'resolvent': (I + i tau D)^{-1}; 'even': (I + tau^2 D^2)^{-1};
-    'odd': tau D (I + tau^2 D^2)^{-1}.
+    'odd': tau D (I + tau^2 D^2)^{-1}.  xi is one point or a (P, n) stack
+    of points, and the result the matrix or the (P, N, N) stack of them.
     """
     if kind not in ("resolvent", "even", "odd"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -433,21 +406,11 @@ def resolvent_symbol_family(s: HomogeneousSymbol, kind: str) -> Callable:
         d = s(np.asarray(xi, dtype=float))
         eye = np.eye(s.big_n)
         if kind == "resolvent":
-            return np.linalg.solve(eye + 1j * tau * d, eye)
-        p = np.linalg.solve(eye + tau * tau * (d @ d), eye)
+            return np.linalg.inv(eye + 1j * tau * d)
+        p = np.linalg.inv(eye + tau * tau * (d @ d))
         if kind == "even":
             return p
         return tau * d @ p
-
-    return fam
-
-
-def kernel_projection_family(s: HomogeneousSymbol) -> Callable:
-    """tau-independent family xi -> projection onto ker of the symbol."""
-
-    def fam(_tau, xi):
-        p_ker, _ = matcalc.spectral_split(s(np.asarray(xi, dtype=float)))
-        return p_ker
 
     return fam
 

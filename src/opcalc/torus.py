@@ -281,34 +281,18 @@ def kernel_range_multipliers(
 ) -> tuple[MultiplierOp, MultiplierOp]:
     """Projections onto ker S(xi) along ran S(xi), and back, at every frequency.
 
-    Raises SplitUndefined where rank S^2 < rank S (no such splitting), and
-    where the result fails the runtime check: S P, P S and P^2 - P must
-    vanish to SPLIT_CHECK_TOL relative to |S(xi)| (times max(1, |P|)).
+    Raises SplitUndefined at the first frequency where the split fails a
+    check of :func:`matcalc.stacked_split`: rank S^2 < rank S (no such
+    splitting), a singular basis matrix, or S P, P S and P^2 - P not
+    vanishing to SPLIT_CHECK_TOL relative to |S(xi)| (times max(1, |P|)).
     At the zero frequency the kernel projection is the identity.
     """
     n = s.big_n
-    mats = GridSymbol(s, grid).mats.reshape(-1, n, n)
-    lattice = grid.lattice.reshape(-1, grid.n)
-    defective = np.nonzero(matcalc.numerical_rank(mats @ mats) < matcalc.numerical_rank(mats))[0]
-    if defective.size:
-        raise SplitUndefined(
-            f"rank(S^2) < rank(S) at xi={lattice[defective[0]]}: zero eigenvalue is defective"
-        )
-    p_ker, p_ran = matcalc.subspace_projections(
-        [(mats, "ker"), (mats, "ran")],
-        fail=lambda msg, i: SplitUndefined(f"{msg} at xi={lattice[i]}"),
-    )
-    fro = lambda x: np.linalg.norm(x, axis=(-2, -1))
-    scale = fro(mats)
-    scale[scale == 0] = 1.0
-    resid = np.maximum.reduce(
-        [fro(mats @ p_ker) / scale, fro(p_ker @ mats) / scale, fro(p_ker @ p_ker - p_ker)]
-    )
-    bad = np.nonzero(resid > matcalc.SPLIT_CHECK_TOL * np.maximum(1.0, fro(p_ker)))[0]
+    p_ker, p_ran, why = matcalc.stacked_split(GridSymbol(s, grid).mats.reshape(-1, n, n))
+    bad = np.nonzero(why != "")[0]
     if bad.size:
-        raise SplitUndefined(
-            f"kernel/range split residual {resid[bad[0]]:.3e} at xi={lattice[bad[0]]}"
-        )
+        xi = grid.lattice.reshape(-1, grid.n)[bad[0]]
+        raise SplitUndefined(f"{why[bad[0]]} at xi={xi}")
     shape = grid.shape + (n, n)
     return MultiplierOp(grid, p_ker.reshape(shape)), MultiplierOp(grid, p_ran.reshape(shape))
 

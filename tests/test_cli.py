@@ -130,6 +130,23 @@ class TestSuite:
         assert cli.main(["suite", "hodge-const", "--config", str(cfg), "--out", out]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "suite, config",
+        [
+            ("hodge-const", {"grid": {"n": 1, "g": 10}}),
+            ("hodge-const", {"grid": {"n": "x"}}),
+            ("hodge-var", {"coefficients": {"b1": "/nonexistent.bin"}}),
+            ("quadest", {"k_min": 5, "k_max": -5}),
+            ("quadest", {"samples": 8}),
+        ],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, suite, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main(["suite", suite, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert "error:" in capsys.readouterr().err
+        assert code == 2
+
     def test_perturb_suite_emits_ratio_table(self, tmp_path, capsys):
         code = cli.main(
             ["suite", "perturb", "--seed", "5", "--out", str(tmp_path / "r")]

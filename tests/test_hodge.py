@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opcalc import hodge, matcalc, symbols, torus
+from opcalc import hodge, krylov, matcalc, symbols, torus
 from opcalc.errors import DecompositionFailure, PerturbationTooLarge
 
 from conftest import diagonal_coefficients, rel_err
@@ -233,6 +233,24 @@ class TestVariableProjections:
         assert torus.lp_norm(s - u, 2.0) <= 1e-6 * un
         v = proj.p_gamma(u)
         assert torus.lp_norm(proj.p_gamma(v) - v, 2.0) <= 1e-6 * un
+
+    def test_solves_each_resolvent_once(self, var_op16, grid16, monkeypatch):
+        # per probe field and scale: R(t)u, R(-t)u and R(-t)R(t)u
+        calls = []
+        solve = krylov.solve_or_raise
+
+        def counted(*args, **kw):
+            calls.append(kw["what"])
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(krylov, "solve_or_raise", counted)
+        proj = hodge.variable_hodge_projections(var_op16, seed=9)
+        assert len(calls) == 3 * 3 * 3
+        u = torus.random_band_limited(grid16, 2, seed=10)
+        for fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
+            del calls[:]
+            fn(u)
+            assert len(calls) == 2
 
 
 class TestSwapOperator:

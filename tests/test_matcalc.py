@@ -83,6 +83,25 @@ class TestSpectralSplit:
         assert np.linalg.norm(pk @ pr) < 1e-10
         assert np.linalg.norm(t @ pk) < 1e-9
 
+    def test_zero_cluster_larger_than_kernel_raises(self):
+        # rank(T^2) = 2 >= rank(T) = 1 under the relative rank cut, but both
+        # eigenvalues +-1e-11 fall in the zero cluster
+        with pytest.raises(SplitUndefined):
+            matcalc.spectral_split(np.array([[0, 1], [1e-22, 0]]))
+
+    def test_stacked_split_flags_each_matrix(self):
+        # a defective and a singular-basis matrix do not spoil their neighbours
+        mats = np.array(
+            [[[0, 1], [0, 0]], [[0, 1], [1, 0]], [[0, 1], [1e-22, 0]], [[1, 1], [0, 0]]],
+            dtype=complex,
+        )
+        p_ker, p_ran, why = matcalc.stacked_split(mats)
+        assert [w != "" for w in why] == [True, False, True, False]
+        for i in (1, 3):
+            pk, pr = matcalc.spectral_split(mats[i])
+            assert np.abs(p_ker[i] - pk).max() < 1e-12
+            assert np.abs(p_ran[i] - pr).max() < 1e-12
+
     def test_matches_subspace_oracle(self):
         t, _, _ = diagonalizable_matrix(4, 3)
         lam, v = np.linalg.eig(t)

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from opcalc import matcalc, symbols
-from opcalc.errors import DegenerateFrequency
+from opcalc import cli, matcalc, symbols
+from opcalc.errors import NotBisectorial, SplitUndefined
 
 from conftest import rel_err
 
@@ -87,6 +88,12 @@ class TestSymbolConditions:
         rep = symbols.verify_symbol_conditions(s, sample1d)
         assert symbols.SPECTRUM_IN_BISECTOR in rep.failures
 
+    def test_tiny_corner_fails_coercivity(self, sample1d):
+        # both eigenvalues +-1e-11 sit in the zero cluster of a rank-1 symbol
+        s = symbols.HomogeneousSymbol(1, 2, 1, {(1,): np.array([[0, 1], [1e-22, 0]])})
+        rep = symbols.verify_symbol_conditions(s, sample1d)
+        assert rep.failures == [symbols.COERCIVE_ON_RANGE]
+
     def test_annulus_invariant(self, grad_div_pair, sample2d):
         # every nonzero eigenvalue modulus lies in [kappa - eps, M + eps]
         rep = symbols.verify_symbol_conditions(grad_div_pair.total(), sample2d)
@@ -133,37 +140,6 @@ class TestHodgePair:
             k1 = matcalc.kernel_basis(g + gt)
             k2 = matcalc.kernel_basis(np.vstack([g, gt]))
             assert matcalc.principal_angles(k1, k2).max() < 1e-8
-
-
-class TestRangePseudoinverse:
-    def test_dirac_full_rank(self, dirac_pair):
-        m = symbols.range_pseudoinverse(dirac_pair.total(), np.array([2.0]))
-        assert rel_err(m, np.array([[0, 0.5], [0.5, 0]])) < 1e-12
-
-    def test_diagonal_with_kernel(self):
-        s = symbols.HomogeneousSymbol(1, 2, 2, {(2,): np.diag([1.0, 0.0])})
-        m = symbols.range_pseudoinverse(s, np.array([1.0]))
-        assert rel_err(m, np.diag([1.0, 0.0])) < 1e-12
-
-    def test_zero_frequency_raises(self, dirac_pair):
-        with pytest.raises(DegenerateFrequency):
-            symbols.range_pseudoinverse(dirac_pair.total(), np.zeros(1))
-
-    def test_homogeneity_random(self, grad_div_pair, sample2d):
-        rng = np.random.default_rng(3)
-        s = grad_div_pair.total()
-        for _ in range(10):
-            xi = rng.standard_normal(2)
-            m1 = symbols.range_pseudoinverse(s, 2.0 * xi)
-            m2 = symbols.range_pseudoinverse(s, xi)
-            assert rel_err(m1, 0.5 * m2) < 1e-10
-
-    def test_left_inverse_on_range(self, grad_div_pair):
-        xi = np.array([0.6, -0.8])
-        s = grad_div_pair.total()
-        m = symbols.range_pseudoinverse(s, xi)
-        _, p_ran = matcalc.spectral_split(s(xi))
-        assert rel_err(m @ s(xi), p_ran) < 1e-10
 
 
 def dirac_resolvent_entries(t, xi):
@@ -224,12 +200,6 @@ class TestMikhlinProbe:
         rows = symbols.mikhlin_probe(fam, [(0,)], sample1d, [1.0])
         assert abs(rows[0].value - 0.5) < 1e-12
 
-    def test_kernel_projection_constant(self, dirac_pair, sample1d):
-        # trivial kernel away from 0: the kernel projection family vanishes
-        fam = symbols.kernel_projection_family(dirac_pair.total())
-        rows = symbols.mikhlin_probe(fam, [(0,)], sample1d, [1.0])
-        assert rows[0].value < 1e-12
-
     def test_stable_under_sample_refinement(self, grad_div_pair):
         fam = symbols.resolvent_symbol_family(grad_div_pair.total(), "even")
         taus = [0.5, 1.0, 2.0]
@@ -243,33 +213,180 @@ class TestMikhlinProbe:
             assert max(a, b) <= 2.0 * max(min(a, b), 1e-14)
 
 
-class TestSmoothedDerivativeSymbol:
-    def test_zero_scale(self, dirac_pair):
-        out = symbols.smoothed_derivative_symbol(
-            dirac_pair.total(), (1,), 0.0, np.array([1.0])
-        )
-        assert np.allclose(out, 0)
+def per_point_symbol_conditions(s, sample):
+    """Oracle: one point at a time through spectral_split, bisector_params
+    and range_basis.  Returns (params, failures, failure_points)."""
+    failures, points = [], {}
+    kappa, omega, big_m = math.inf, 0.0, 0.0
 
-    def test_dirac_value(self, dirac_pair):
-        out = symbols.smoothed_derivative_symbol(
-            dirac_pair.total(), (1,), 1.0, np.array([1.0])
-        )
-        assert rel_err(out, 0.5 * np.array([[0, 1], [1, 0]])) < 1e-12
+    def flag(name, xi):
+        if name not in failures:
+            failures.append(name)
+            points[name] = xi
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_factored_equals_direct(self, grad_div_pair, seed):
-        rng = np.random.default_rng(11 + seed)
-        s = grad_div_pair.total()
-        xi = rng.standard_normal(2)
-        t = float(rng.uniform(0.25, 4.0))
-        theta = (1, 0)
-        fact = symbols.smoothed_derivative_symbol(s, theta, t, xi)
-        d = s(xi)
-        eye = np.eye(4)
-        direct = (
-            t * t * xi[0] * d @ np.linalg.solve(eye + t * t * (d @ d), eye)
-        )
-        assert np.linalg.norm(fact - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
+    for xi in sample.points:
+        t = s(xi)
+        big_m = max(big_m, matcalc.operator_norm(t))
+        try:
+            matcalc.spectral_split(t)
+        except SplitUndefined:
+            flag(symbols.COERCIVE_ON_RANGE, xi)
+            continue
+        try:
+            omega = max(omega, matcalc.bisector_params(t).omega)
+        except NotBisectorial:
+            flag(symbols.SPECTRUM_IN_BISECTOR, xi)
+        vr = matcalc.range_basis(t)
+        if vr.shape[1] > 0:
+            kappa = min(kappa, float(np.linalg.svd(t @ vr, compute_uv=False).min()))
+    kappa = 0.0 if math.isinf(kappa) else kappa
+    if kappa <= 0.0 and symbols.COERCIVE_ON_RANGE not in failures:
+        failures.append(symbols.COERCIVE_ON_RANGE)
+    params = None if failures else matcalc.BisectorParams(omega, kappa, big_m)
+    return params, failures, points
+
+
+def per_point_hodge_pair(pair, sample, nilpotence_tol=1e-12, angle_tol=1e-8):
+    """Oracle: one point at a time through kernel_basis and principal_angles,
+    then per_point_symbol_conditions of the sum.  Returns (params,
+    failures, failure_points, kernel_dims)."""
+    failures, points, kdims = [], {}, []
+
+    def flag(name, xi):
+        if name not in failures:
+            failures.append(name)
+            points[name] = xi
+
+    for xi in sample.points:
+        g, gt = pair.gamma(xi), pair.gamma_tilde(xi)
+        for name, a in ((symbols.GAMMA_NILPOTENT, g), (symbols.GAMMA_TILDE_NILPOTENT, gt)):
+            scale = max(matcalc.operator_norm(a) ** 2, 1e-300)
+            if matcalc.operator_norm(a @ a) > nilpotence_tol * scale:
+                flag(name, xi)
+        k_pi = matcalc.kernel_basis(g + gt)
+        k_both = matcalc.kernel_basis(np.vstack([g, gt]))
+        kdims.append(k_pi.shape[1])
+        if k_pi.shape[1] != k_both.shape[1]:
+            flag(symbols.KERNEL_INTERSECTION, xi)
+        elif k_pi.shape[1] > 0:
+            if matcalc.principal_angles(k_pi, k_both).max() > angle_tol:
+                flag(symbols.KERNEL_INTERSECTION, xi)
+    params, sym_failures, sym_points = per_point_symbol_conditions(pair.total(), sample)
+    return params, sym_failures + failures, {**sym_points, **points}, kdims
+
+
+def per_point_mikhlin(family, alphas, sample, taus, h=1e-4):
+    """Oracle: the Mikhlin sups with the family called at one point at a time."""
+    rows = []
+    for alpha in alphas:
+        vals = []
+        for step in (h, h / 2):
+            worst = 0.0
+            for tau in taus:
+                for xi in sample.points:
+                    d = symbols.finite_difference(lambda x: family(tau, x), xi, alpha, step)
+                    factor = float(np.linalg.norm(xi)) ** sum(alpha)
+                    worst = max(worst, factor * matcalc.operator_norm(d))
+            vals.append(worst)
+        rows.append(tuple(vals))
+    return rows
+
+
+def random_symbol(seed):
+    """n=2, N=3: Hermitian parts for even seeds, a common kernel for odd."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for theta in ((1, 0), (0, 1)):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        coeffs[theta] = a + a.conj().T if seed % 2 == 0 else a @ np.diag([1.0, 1.0, 0.0])
+    return symbols.HomogeneousSymbol(2, 3, 1, coeffs)
+
+
+def two_failures(k):
+    """n=2, N=3 on the 128-point circle: an eigenvalue xi_1 + i xi_2 that
+    reaches the imaginary axis at point 32, and a block that is nilpotent
+    exactly at point k."""
+    c, s = symbols.sphere_sample(2, 128).points[k]
+    # diagonal s xi_1 - c xi_2 of the 2 x 2 block vanishes at (c, s)
+    g1 = np.array([[1, 0, 0], [0, s, 1], [0, 0, s]], dtype=complex)
+    g2 = np.array([[1j, 0, 0], [0, -c, 0], [0, 0, -c]], dtype=complex)
+    return symbols.HomogeneousSymbol(2, 3, 1, {(1, 0): g1, (0, 1): g2})
+
+
+def assert_same_points(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+SINGLE_SYMBOLS = {
+    "d/dx": lambda: symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]])}),
+    "xi^2 diag(1+i, 0)": lambda: symbols.HomogeneousSymbol(
+        1, 2, 2, {(2,): np.diag([1 + 1j, 0.0])}
+    ),
+    "xi iI": lambda: symbols.HomogeneousSymbol(1, 2, 1, {(1,): 1j * np.eye(2)}),
+    "xi [[0,1],[1e-22,0]]": lambda: symbols.HomogeneousSymbol(
+        1, 2, 1, {(1,): np.array([[0, 1], [1e-22, 0]])}
+    ),
+    "xi diag(1, 5e-10, 0)": lambda: symbols.HomogeneousSymbol(
+        1, 3, 1, {(1,): np.diag([1.0, 5e-10, 0.0])}
+    ),
+    "dirac1d_nilpotent": lambda: cli.load_symbol_arg("bundled:dirac1d_nilpotent"),
+    **{f"random{seed}": (lambda seed=seed: random_symbol(seed)) for seed in range(5)},
+    "nilpotent at 24, imaginary at 32": lambda: two_failures(24),
+    "imaginary at 32, nilpotent at 40": lambda: two_failures(40),
+}
+
+PAIRS = {
+    "dirac1d": (lambda: symbols.dirac_pair_1d(), 2),
+    "graddiv2d-128": (lambda: symbols.grad_div_pair_2d(), 128),
+    "graddiv2d-512": (lambda: symbols.grad_div_pair_2d(), 512),
+    "pair_gamma_equal": (lambda: cli.load_symbol_arg("bundled:pair_gamma_equal"), 2),
+    "non-nilpotent": (
+        lambda: symbols.HodgeDiracSymbolPair(
+            symbols.HomogeneousSymbol(1, 2, 1, {(1,): np.diag([1.0, 0.0])}),
+            symbols.HomogeneousSymbol(1, 2, 1, {(1,): np.diag([0.0, 1.0])}),
+        ),
+        2,
+    ),
+}
+
+
+class TestBatchedAgainstPerPointOracle:
+    @pytest.mark.parametrize("name", sorted(SINGLE_SYMBOLS))
+    def test_symbol_conditions(self, name):
+        s = SINGLE_SYMBOLS[name]()
+        sample = symbols.sphere_sample(s.n, 128)
+        rep = symbols.verify_symbol_conditions(s, sample)
+        params, failures, points = per_point_symbol_conditions(s, sample)
+        assert rep.params == params
+        assert rep.failures == failures
+        assert_same_points(rep.failure_points, points)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_hodge_pair(self, name):
+        make, count = PAIRS[name]
+        pair = make()
+        sample = symbols.sphere_sample(pair.n, count)
+        rep = symbols.verify_hodge_pair(pair, sample)
+        params, failures, points, kdims = per_point_hodge_pair(pair, sample)
+        assert rep.params == params
+        assert rep.failures == failures
+        assert_same_points(rep.failure_points, points)
+        assert rep.kernel_dims == kdims
+
+    @pytest.mark.parametrize("kind", ["resolvent", "even", "odd"])
+    @pytest.mark.parametrize("case", [("dirac1d", 2), ("graddiv2d", 64)])
+    def test_mikhlin_rows(self, kind, case):
+        name, count = case
+        pair = symbols.dirac_pair_1d() if name == "dirac1d" else symbols.grad_div_pair_2d()
+        sample = symbols.sphere_sample(pair.n, count)
+        alphas = symbols.default_alphas(pair.n) if pair.n > 1 else [(0,), (1,), (2,)]
+        taus = [2.0**k for k in range(-4, 5)]
+        fam = symbols.resolvent_symbol_family(pair.total(), kind)
+        rows = symbols.mikhlin_probe(fam, alphas, sample, taus)
+        want = per_point_mikhlin(fam, alphas, sample, taus)
+        assert [(r.value, r.value_half_step) for r in rows] == want
 
 
 class TestSphereSample:
