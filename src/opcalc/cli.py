@@ -84,6 +84,8 @@ def canonical_digest(cfg: dict) -> str:
 
 
 def load_symbol_arg(name_or_path: str):
+    if not isinstance(name_or_path, str):
+        raise ConfigError(f"symbol must be a name or a path, got {name_or_path!r}")
     if name_or_path.startswith("bundled:"):
         key = name_or_path.split(":", 1)[1]
         if key not in BUNDLED:
@@ -111,6 +113,8 @@ def _config_values(what: str):
 def _grid_from(cfg: dict) -> torus.TorusGrid:
     g = cfg.get("grid", {})
     with _config_values("grid"):
+        if not isinstance(g, dict):
+            raise TypeError(f"expected an object, got {g!r}")
         return torus.TorusGrid(
             int(g.get("n", 1)), int(g.get("g", 64)), float(g.get("length", 2 * math.pi))
         )
@@ -121,12 +125,12 @@ def _scales_from(cfg: dict) -> quadest.DyadicScales:
         return quadest.DyadicScales(int(cfg.get("k_min", -6)), int(cfg.get("k_max", 6)))
 
 
-def _samples_from(cfg: dict, default: int) -> int:
-    with _config_values("samples"):
-        samples = int(cfg.get("samples", default))
-        if samples < 16:
-            raise ValueError(f"need at least 16 sign samples, got {samples}")
-    return samples
+def _count_from(cfg: dict, key: str, default: int, least: int) -> int:
+    with _config_values(key):
+        count = int(cfg.get(key, default))
+        if count < least:
+            raise ValueError(f"need at least {least}, got {count}")
+    return count
 
 
 def _pair_from(cfg: dict) -> symbols.HodgeDiracSymbolPair:
@@ -319,7 +323,7 @@ def probe_quadest(cfg) -> ProbeReport:
     pair = _pair_from(cfg)
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
-    samples = _samples_from(cfg, 64)
+    samples = _count_from(cfg, "samples", 64, 16)
     scales = _scales_from(cfg)
     _, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
     u = torus.apply_multiplier(
@@ -354,7 +358,7 @@ def probe_translated(cfg) -> ProbeReport:
     pair = _pair_from(cfg)
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
-    samples = _samples_from(cfg, 32)
+    samples = _count_from(cfg, "samples", 32, 16)
     scales = _scales_from(cfg)
     u = torus.random_band_limited(grid, pair.big_n, seed=seed + 59, kill_zero_mode=True)
     zmods = cfg.get("translations", [0.0, 1.0, 4.0, 16.0])
@@ -457,8 +461,13 @@ def _first_order_from(cfg) -> dacorr.FirstOrderD:
 def probe_block(cfg) -> ProbeReport:
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
+    nodes = _count_from(cfg, "nodes", 128, 8)
+    with _config_values("eps"):
+        eps = float(cfg.get("eps", 0.05))
+        if not math.isfinite(eps):
+            raise ValueError(f"need a finite number, got {eps}")
     d = _first_order_from(cfg)
-    a = hodge.perturbed_identity(grid, 1, float(cfg.get("eps", 0.05)), seed + 67)
+    a = hodge.perturbed_identity(grid, 1, eps, seed + 67)
     block = dacorr.build_block(d, a, seed=seed)
     comp = dacorr.composition(d, a, grid)
     u2 = torus.random_band_limited(grid, 2, seed=seed + 2)
@@ -474,7 +483,7 @@ def probe_block(cfg) -> ProbeReport:
     factor = torus.lp_norm(lhs - rhs, 2.0) / torus.lp_norm(v, 2.0)
     inter = dacorr.intertwine_check(
         d, a, dacorr.f_rational_odd,
-        trials=int(cfg.get("trials", 2)), nodes=int(cfg.get("nodes", 128)), seed=seed,
+        trials=int(cfg.get("trials", 2)), nodes=nodes, seed=seed,
     )
     return ProbeReport(
         "block-correspondence",
@@ -496,8 +505,8 @@ def probe_holomorphy(cfg) -> ProbeReport:
         hodge.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, seed + 71)
     )
     radius = float(cfg.get("radius", 0.3))
-    nodes = int(cfg.get("circle_nodes", 16))
-    cn = int(cfg.get("nodes", 128))
+    nodes = _count_from(cfg, "circle_nodes", 16, 1)
+    cn = _count_from(cfg, "nodes", 128, 8)
     r1 = dacorr.holomorphy_probe(
         path, d, dacorr.f_rational_odd, u, radius=radius, nodes=nodes, calculus_nodes=cn
     )
@@ -519,6 +528,7 @@ def probe_holomorphy(cfg) -> ProbeReport:
 def probe_lipschitz(cfg) -> ProbeReport:
     grid = _grid_from(cfg)
     seed = int(cfg.get("seed", 0))
+    nodes = _count_from(cfg, "nodes", 128, 8)
     d = _first_order_from(cfg)
     eye = hodge.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, seed + 73)
@@ -526,7 +536,7 @@ def probe_lipschitz(cfg) -> ProbeReport:
     for eps in cfg.get("deltas", [0.04, 0.02, 0.01]):
         rep = dacorr.lipschitz_probe(
             d, eye, eye + eps * e, dacorr.f_rational_odd,
-            trials=int(cfg.get("trials", 2)), calculus_nodes=int(cfg.get("nodes", 128)),
+            trials=int(cfg.get("trials", 2)), calculus_nodes=nodes,
             seed=seed,
         )
         ratios.append({"delta": eps, "ratio": rep.max_ratio})
@@ -636,7 +646,13 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
         cfg = _merge(suite["defaults"], config)
         # per-probe blocks under "overrides" take precedence over suite keys
         overrides = cfg.pop("overrides", {})
-        cfg = _merge(cfg, overrides.get(probe_name, {}))
+        with _config_values("overrides"):
+            if not isinstance(overrides, dict):
+                raise TypeError(f"expected an object, got {overrides!r}")
+            extra = overrides.get(probe_name, {})
+            if not isinstance(extra, dict):
+                raise TypeError(f"{probe_name}: expected an object, got {extra!r}")
+        cfg = _merge(cfg, extra)
         jobs.append((probe_name, cfg))
 
     def run_one(item):

@@ -185,67 +185,54 @@ def contour_calculus(
     contour: matcalc.ContourSpec,
     *,
     precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
-    solver: str = "auto",
-    dense_mat: np.ndarray | None = None,
-    rtol: float = 1e-12,
-    restart: int = 50,
-    maxiter: int = 5000,
 ) -> torus.GridField:
     """f of a matrix-free operator applied to a field, via the contour.
 
     Requires f(0) = 0 (all members of the bundled test family vanish at
-    the origin, so no kernel-projection term is needed).  Each contour
-    node costs one shifted solve.  'dense' assembles the operator once
-    and batch-factorizes the shifted systems, which is far cheaper at
-    desk scale; 'gmres' runs preconditioned Krylov solves and is the
-    path for dimensions past DENSE_CALCULUS_LIMIT.  'auto' picks by size.
+    the origin, so no kernel-projection term is needed).  Each node of
+    ``contour.quadrature`` costs one shifted solve, and the size alone
+    picks how: up to DENSE_CALCULUS_LIMIT unknowns the operator is
+    assembled once and the shifted systems are batch-factorized, each
+    batch within one contour piece and of at most 5e6 matrix entries;
+    past it, each node runs a GMRES solve to relative residual 1e-12,
+    preconditioned by ``precond_for(z)`` when given.
     """
     if abs(complex(f(0.0))) > 1e-13:
         raise ValueError("contour calculus requires f(0) = 0")
     grid, big_n = u.grid, u.big_n
     dim = grid.size * big_n
-    if solver == "auto":
-        solver = "dense" if dim <= DENSE_CALCULUS_LIMIT else "gmres"
+    z, w = contour.quadrature
+    fw = matcalc._feval(f, z.ravel()).reshape(z.shape) * w
     acc = np.zeros(dim, dtype=complex)
     b = u.flat()
-    if solver == "dense":
-        if dense_mat is None:
-            dense_mat = hodge.dense_operator(apply_fn, grid, big_n)
+    if dim <= DENSE_CALCULUS_LIMIT:
+        mat = hodge.dense_operator(apply_fn, grid, big_n)
         eye = np.eye(dim)
         chunk = max(1, 5_000_000 // (dim * dim))
-        for piece in contour.pieces():
-            z, w = matcalc._gauss_nodes(piece, contour.nodes_per_segment)
-            fz = matcalc._feval(f, z)
-            for lo in range(0, len(z), chunk):
-                zs = z[lo : lo + chunk]
-                mats = zs[:, None, None] * eye - dense_mat
+        for z_piece, fw_piece in zip(z, fw):
+            for lo in range(0, z_piece.size, chunk):
+                zs = z_piece[lo : lo + chunk]
+                mats = zs[:, None, None] * eye - mat
                 rhs = np.broadcast_to(b[:, None], (len(zs), dim, 1))
                 sols = np.linalg.solve(mats, rhs)[..., 0]
-                acc += (fz[lo : lo + chunk] * w[lo : lo + chunk]) @ sols
-    elif solver == "gmres":
-        for piece in contour.pieces():
-            z, w = matcalc._gauss_nodes(piece, contour.nodes_per_segment)
-            for zz, ww in zip(z, w):
-                pre = None
-                if precond_for is not None:
-                    pre_op = precond_for(zz)
-                    pre = lambda vec, _op=pre_op: torus.apply_multiplier(
-                        _op, torus.GridField.from_flat(grid, big_n, vec)
-                    ).flat()
-                x = krylov.solve_or_raise(
-                    lambda vec: zz * vec
-                    - apply_fn(torus.GridField.from_flat(grid, big_n, vec)).flat(),
-                    b,
-                    what=f"shifted solve at z={zz:.4g}",
-                    rtol=rtol,
-                    restart=restart,
-                    maxiter=maxiter,
-                    precond=pre,
-                )
-                acc += complex(f(zz)) * ww * x
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return torus.GridField.from_flat(grid, big_n, acc / (2j * math.pi))
+                acc += fw_piece[lo : lo + chunk] @ sols
+        return torus.GridField.from_flat(grid, big_n, acc)
+    for zz, c in zip(z.ravel(), fw.ravel()):
+        pre = None
+        if precond_for is not None:
+            pre_op = precond_for(zz)
+            pre = lambda vec, _op=pre_op: torus.apply_multiplier(
+                _op, torus.GridField.from_flat(grid, big_n, vec)
+            ).flat()
+        x = krylov.solve_or_raise(
+            lambda vec: zz * vec - apply_fn(torus.GridField.from_flat(grid, big_n, vec)).flat(),
+            b,
+            what=f"shifted solve at z={zz:.4g}",
+            rtol=1e-12,
+            precond=pre,
+        )
+        acc += c * x
+    return torus.GridField.from_flat(grid, big_n, acc)
 
 
 def composition_calculus(
@@ -255,9 +242,6 @@ def composition_calculus(
     d: FirstOrderD,
     *,
     nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
-    dense_mat: np.ndarray | None = None,
     contour: matcalc.ContourSpec | None = None,
 ) -> torus.GridField:
     """f(D A) u through the contour calculus on the undoubled space.
@@ -271,16 +255,7 @@ def composition_calculus(
         contour = discrete_contour(
             d.params, op.grid, coeff_distance=dist, coeff_sup=op.a.inf_norm, nodes=nodes
         )
-    return contour_calculus(
-        op.apply,
-        u,
-        f,
-        contour,
-        precond_for=op.symbol.shifted,
-        solver=solver,
-        rtol=rtol,
-        dense_mat=dense_mat,
-    )
+    return contour_calculus(op.apply, u, f, contour, precond_for=op.symbol.shifted)
 
 
 def block_calculus(
@@ -290,9 +265,6 @@ def block_calculus(
     d: FirstOrderD,
     *,
     nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
-    dense_mat: np.ndarray | None = None,
 ) -> torus.GridField:
     """f of the doubled-space operator applied to a stacked field."""
     eye = hodge.MatrixField.identity(block_op.grid, block_op.big_n)
@@ -303,14 +275,7 @@ def block_calculus(
         d.params, block_op.grid, coeff_distance=dist, coeff_sup=sup, nodes=nodes
     )
     return contour_calculus(
-        block_op.apply,
-        v,
-        f,
-        contour,
-        precond_for=block_op.total_symbol.shifted,
-        solver=solver,
-        rtol=rtol,
-        dense_mat=dense_mat,
+        block_op.apply, v, f, contour, precond_for=block_op.total_symbol.shifted
     )
 
 
@@ -321,8 +286,6 @@ def intertwine_check(
     *,
     trials: int = 3,
     nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
     seed: int = 0,
 ) -> float:
     """Max relative residual of f(block)(Au, u) = (A f(DA) u, f(DA) u)."""
@@ -331,19 +294,11 @@ def intertwine_check(
     comp = composition(d, a, grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    dense_block = dense_half = None
-    if solver == "dense":
-        dense_block = hodge.assemble_dense(block_op)
-        dense_half = hodge.dense_operator(comp.apply, grid, comp.big_n)
     for _ in range(trials):
         u = torus.random_band_limited(grid, comp.big_n, seed=int(rng.integers(2**31)))
         v = stack_components(a.apply(u), u)
-        lhs = block_calculus(
-            block_op, f, v, d, nodes=nodes, solver=solver, rtol=rtol, dense_mat=dense_block
-        )
-        x = composition_calculus(
-            comp, f, u, d, nodes=nodes, solver=solver, rtol=rtol, dense_mat=dense_half
-        )
+        lhs = block_calculus(block_op, f, v, d, nodes=nodes)
+        x = composition_calculus(comp, f, u, d, nodes=nodes)
         rhs = stack_components(a.apply(x), x)
         denom = torus.lp_norm(v, 2.0)
         if denom == 0:
@@ -392,7 +347,7 @@ def block_resolvent_product(
 
 
 # ---------------------------------------------------------------------------
-# Triple-space similarity transport.
+# Triple-space similarity maps.
 # ---------------------------------------------------------------------------
 
 
@@ -470,35 +425,6 @@ def build_similarity(
         symbols.HomogeneousSymbol(pair.n, 3 * size, 1, tri_coeffs), grid
     )
     return SimilarityMaps(split, assemble, triple_apply, tri_symbol, size)
-
-
-def similarity_calculus(
-    maps: SimilarityMaps,
-    f: Callable,
-    u: torus.GridField,
-    params: matcalc.BisectorParams,
-    *,
-    coeff_distance: float = 0.0,
-    coeff_sup: float = 1.0,
-    nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
-) -> torus.GridField:
-    """f of the twisted operator via transport through the tripled space."""
-    grid = u.grid
-    contour = discrete_contour(
-        params, grid, coeff_distance=coeff_distance, coeff_sup=coeff_sup, nodes=nodes
-    )
-    fd = contour_calculus(
-        maps.triple_apply,
-        maps.split(u),
-        f,
-        contour,
-        precond_for=maps.triple_symbol.shifted,
-        solver=solver,
-        rtol=rtol,
-    )
-    return maps.assemble(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +516,6 @@ def holomorphy_probe(
     nodes: int = 16,
     floor: float = 1e-6,
     calculus_nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
     seed: int = 0,
 ) -> HolomorphyReport:
     """Mean-value test of analytic dependence on the coefficient.
@@ -624,14 +548,12 @@ def holomorphy_probe(
         nodes=calculus_nodes,
     )
     center = composition_calculus(
-        composition(d, path.at(0.0), grid), f, u, d,
-        solver=solver, rtol=rtol, contour=contour,
+        composition(d, path.at(0.0), grid), f, u, d, contour=contour
     )
     acc = np.zeros_like(center.values)
     for z in zs:
         val = composition_calculus(
-            composition(d, path.at(z), grid), f, u, d,
-            solver=solver, rtol=rtol, contour=contour,
+            composition(d, path.at(z), grid), f, u, d, contour=contour
         )
         acc += val.values
     mean = torus.GridField(grid, acc / nodes)
@@ -667,8 +589,6 @@ def lipschitz_probe(
     trials: int = 3,
     p: float = 2.0,
     calculus_nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
     seed: int = 0,
 ) -> LipschitzReport:
     """Observed ratio ||f(DA)u - f(DA~)u||_p / (||A - A~|| ||f||_sup ||u||_p)."""
@@ -695,10 +615,8 @@ def lipschitz_probe(
         un = torus.lp_norm(u, p)
         if un == 0:
             continue
-        fa = composition_calculus(comp_a, f, u, d, solver=solver, rtol=rtol,
-                                  contour=contour)
-        fb = composition_calculus(comp_b, f, u, d, solver=solver, rtol=rtol,
-                                  contour=contour)
+        fa = composition_calculus(comp_a, f, u, d, contour=contour)
+        fb = composition_calculus(comp_b, f, u, d, contour=contour)
         worst = max(worst, torus.lp_norm(fa - fb, p) / (dist * f_sup * un))
     return LipschitzReport(worst, dist, f_sup)
 
@@ -712,8 +630,6 @@ def lipschitz_triple_decomposition(
     params: matcalc.BisectorParams,
     *,
     nodes: int = 128,
-    solver: str = "auto",
-    rtol: float = 1e-12,
 ) -> dict:
     """Direct difference of the transported calculi against its three-term
     split (map difference, calculus difference, split difference).
@@ -735,9 +651,7 @@ def lipschitz_triple_decomposition(
 
     def fd(maps: SimilarityMaps, v: torus.GridField) -> torus.GridField:
         return contour_calculus(
-            maps.triple_apply, v, f, contour,
-            precond_for=maps.triple_symbol.shifted,
-            solver=solver, rtol=rtol,
+            maps.triple_apply, v, f, contour, precond_for=maps.triple_symbol.shifted
         )
 
     sa_u = maps_a.split(u)

@@ -195,10 +195,6 @@ class VariableOp:
     def apply(self, u: torus.GridField) -> torus.GridField:
         return torus.apply_multiplier(self.gamma_op, u) + self.apply_twisted(u)
 
-    def apply_flat(self, vec: np.ndarray) -> np.ndarray:
-        u = torus.GridField.from_flat(self.grid, self.big_n, vec)
-        return self.apply(u).flat()
-
     @classmethod
     def constant(
         cls, pair: symbols.HodgeDiracSymbolPair, grid: torus.TorusGrid

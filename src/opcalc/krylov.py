@@ -144,14 +144,3 @@ def operator_norm_power(mat: np.ndarray, *, iters: int = 100, seed: int = 0) -> 
         v = w / nw
         sigma = nw**0.5
     return float(sigma)
-
-
-def operator_norm_sketch(apply_fn, dim: int, *, trials: int = 32, seed: int = 0) -> float:
-    """Randomized lower estimate of the operator 2-norm (matrix-free)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        worst = max(worst, float(np.linalg.norm(apply_fn(v))))
-    return worst

@@ -94,6 +94,35 @@ class ContourSpec:
             out.append(("seg", r0 * np.exp(1j * a0), r1 * np.exp(1j * a0)))
         return out
 
+    @functools.cached_property
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes z and weights w with sum(w * g(z)) ~ (2 pi i)^{-1} times
+        the integral of g over the path; read-only, of shape
+        (pieces, nodes_per_segment), one row per entry of :meth:`pieces`.
+
+        Gauss-Legendre per piece: the plain trapezoid rule loses too much
+        accuracy at the contour corners to certify 1e-8 agreement.
+        """
+        x, gw = np.polynomial.legendre.leggauss(self.nodes_per_segment)
+        tt = 0.5 * (x + 1.0)
+        wt = 0.5 * gw
+        zs, ws = [], []
+        for piece in self.pieces():
+            if piece[0] == "arc":
+                _, r, a0, a1 = piece
+                z = r * np.exp(1j * (a0 + (a1 - a0) * tt))
+                dz = 1j * z * (a1 - a0)
+            else:
+                _, z0, z1 = piece
+                z = z0 + (z1 - z0) * tt
+                dz = z1 - z0
+            zs.append(z)
+            ws.append(wt * dz / (2j * math.pi))
+        z, w = np.array(zs), np.array(ws)
+        z.flags.writeable = False
+        w.flags.writeable = False
+        return z, w
+
 
 def spectrum(t) -> np.ndarray:
     """Eigenvalues with multiplicity, ordered by (modulus, argument)."""
@@ -341,35 +370,6 @@ def default_contour(params: BisectorParams, nodes=256) -> ContourSpec:
     return ContourSpec(theta, 0.5 * params.kappa, 2.0 * params.big_m, nodes)
 
 
-@functools.lru_cache(maxsize=32)
-def _leggauss(m: int):
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _gauss_nodes(piece, m):
-    """Quadrature nodes z and weights w*dz for one contour piece.
-
-    Gauss-Legendre per piece: the plain trapezoid rule loses too much
-    accuracy at the contour corners to certify 1e-8 agreement.
-    """
-    x, w = _leggauss(m)
-    tt = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    if piece[0] == "arc":
-        _, r, a0, a1 = piece
-        ang = a0 + (a1 - a0) * tt
-        z = r * np.exp(1j * ang)
-        dz = 1j * r * np.exp(1j * ang) * (a1 - a0)
-    else:
-        _, z0, z1 = piece
-        z = z0 + (z1 - z0) * tt
-        dz = np.full(m, z1 - z0)
-    return z, wt * dz
-
-
 def _feval(f: Callable, z: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function on an array, vectorized when possible."""
     try:
@@ -412,15 +412,10 @@ def contour_fc(t, f: Callable, spec: ContourSpec | None = None, *, margin=1e-6):
     if spec is None:
         spec = default_contour(bisector_params(a))
     _check_enclosed(nz, spec, margin)
-    acc = np.zeros((n, n), dtype=complex)
+    z, w = (q.ravel() for q in spec.quadrature)
     eye = np.eye(n)
-    for piece in spec.pieces():
-        z, w = _gauss_nodes(piece, spec.nodes_per_segment)
-        fz = _feval(f, z)
-        rhs = np.broadcast_to(eye, (len(z), n, n))
-        res = np.linalg.solve(z[:, None, None] * eye - a, rhs)
-        acc += np.einsum("k,kij->ij", fz * w, res)
-    return f0 * p_ker + acc / (2j * math.pi)
+    res = np.linalg.solve(z[:, None, None] * eye - a, np.broadcast_to(eye, (z.size, n, n)))
+    return f0 * p_ker + np.einsum("k,kij->ij", _feval(f, z) * w, res)
 
 
 def matrix_function_eig(t, f: Callable) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Monte-Carlo Rademacher sums, the telescoping reproducing identity, the
 cross-scale Schur weight, one- and two-sided quadratic estimates, the
-translated variant, principal parts over dyadic cubes, and off-diagonal
-decay probes.  All randomized quantities carry their standard error and
-are reported, never asserted exactly.
+translated variant, and off-diagonal decay probes.  All randomized
+quantities carry their standard error and are reported, never asserted
+exactly.
 """
 
 from __future__ import annotations
@@ -287,56 +287,6 @@ def translated_quadratic_estimate(
     denom = (1.0 + log_plus) * un
     ratio = est.mean / denom if denom > 0 else 0.0
     return QuadraticEstimateReport(est, ratio, ratio, un, shifted)
-
-
-def dyadic_cells_for_scale(grid: torus.TorusGrid, t: float) -> int:
-    """Side length in cells of the dyadic cubes matching physical scale t."""
-    cells = t / grid.cell_width
-    c = int(round(cells))
-    if not math.isclose(cells, c, rel_tol=1e-12) or c < 1 or (c & (c - 1)) or grid.g % c:
-        raise ValueError(
-            f"scale {t} is not a power-of-two multiple of the cell width "
-            f"dividing g={grid.g}"
-        )
-    return c
-
-
-def _cube_masks(grid: torus.TorusGrid, cells: int):
-    """Boolean indicators of the dyadic cubes of the given cell side."""
-    per_axis = grid.g // cells
-    for flat in range(per_axis**grid.n):
-        idx = []
-        rem = flat
-        for _ in range(grid.n):
-            idx.append(rem % per_axis)
-            rem //= per_axis
-        mask = np.zeros(grid.shape, dtype=bool)
-        region = tuple(slice(i * cells, (i + 1) * cells) for i in idx)
-        mask[region] = True
-        yield mask
-
-
-def principal_part(
-    op: hodge.VariableOp,
-    t: float,
-    w,
-    *,
-    rtol: float = 1e-10,
-) -> torus.GridField:
-    """Pointwise action of Q_t^B on the cube-wise constant extensions of w.
-
-    Sums Q_t^B (w 1_Q) over the dyadic cubes Q of side t; on the torus the
-    indicators add to one, so the sum agrees with Q_t^B applied to the
-    constant field w up to solver tolerance.
-    """
-    cells = dyadic_cells_for_scale(op.grid, t)
-    w = np.asarray(w, dtype=complex).reshape(op.big_n)
-    acc = torus.zero_field(op.grid, op.big_n)
-    for mask in _cube_masks(op.grid, cells):
-        vals = np.zeros(op.grid.shape + (op.big_n,), dtype=complex)
-        vals[mask] = w
-        acc = acc + hodge.bandpass_apply(op, t, torus.GridField(op.grid, vals), rtol=rtol)
-    return acc
 
 
 @dataclasses.dataclass

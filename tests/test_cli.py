@@ -138,6 +138,13 @@ class TestSuite:
             ("hodge-var", {"coefficients": {"b1": "/nonexistent.bin"}}),
             ("quadest", {"k_min": 5, "k_max": -5}),
             ("quadest", {"samples": 8}),
+            ("hodge-const", {"grid": 5}),
+            ("hodge-const", {"overrides": 3}),
+            ("hodge-const", {"symbol": 5}),
+            ("block", {"nodes": 4}),
+            ("holomorphy", {"nodes": 4}),
+            ("block", {"eps": "x"}),
+            ("holomorphy", {"circle_nodes": 0}),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, suite, config):

@@ -146,11 +146,12 @@ class TestSimilarity:
         params = symbols.verify_hodge_pair(dirac_pair).params
         maps = dacorr.build_similarity(dirac_pair, coeffs, grid16)
         u = torus.random_band_limited(grid16, 2, seed=10)
-        via_maps = dacorr.similarity_calculus(
-            maps, f_odd, u, params, coeff_distance=0.1, coeff_sup=1.1
-        )
         contour = dacorr.discrete_contour(params, grid16, coeff_distance=0.1,
                                           coeff_sup=1.1)
+        via_maps = maps.assemble(dacorr.contour_calculus(
+            maps.triple_apply, maps.split(u), f_odd, contour,
+            precond_for=maps.triple_symbol.shifted,
+        ))
         direct = dacorr.contour_calculus(
             op.apply, u, f_odd, contour,
             precond_for=torus.GridSymbol(dirac_pair.total(), grid16).shifted,
@@ -167,12 +168,23 @@ class TestEigOracle:
         comp = dacorr.composition(d_scalar, a, grid)
         u = torus.random_band_limited(grid, 1, seed=12)
         got = dacorr.composition_calculus(
-            comp, dacorr.f_rational_odd, u, d_scalar, solver="dense", nodes=128
+            comp, dacorr.f_rational_odd, u, d_scalar, nodes=128
         )
         exact = matcalc.matrix_function_eig(
             hodge.dense_operator(comp.apply, grid, 1), dacorr.f_rational_odd
         ) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-6
+
+
+class TestGmresPath:
+    def test_matches_dense_path(self, d_scalar, monkeypatch):
+        grid = torus.TorusGrid(1, 16)
+        comp = dacorr.composition(d_scalar, hodge.perturbed_identity(grid, 1, 0.3, 67), grid)
+        u = torus.random_band_limited(grid, 1, seed=12)
+        dense = dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar, nodes=32)
+        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
+        gmres = dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar, nodes=32)
+        assert rel_err(gmres.flat(), dense.flat()) < 1e-10
 
 
 class TestHolomorphy:

@@ -132,6 +132,28 @@ class TestBisectorParams:
         assert bp.omega == 0.0
 
 
+class TestQuadrature:
+    spec = matcalc.ContourSpec(np.pi / 4, 0.5, 4.0, 64)
+
+    @pytest.mark.parametrize(
+        "lam, winding",
+        [(1.0, 1), (2 * np.exp(0.3j), 1), (-1.5, 1), (-2 * np.exp(-0.5j), 1),
+         (0.1, 0), (0.0, 0), (10.0, 0), (2j, 0), (np.exp(1.2j), 0), (-6.0, 0)],
+    )
+    def test_winding_number(self, lam, winding):
+        # (2 pi i)^{-1} times the integral of dz / (z - lam) over the path
+        z, w = self.spec.quadrature
+        assert abs(np.sum(w / (z - lam)) - winding) < 1e-12
+
+    def test_shape_and_read_only(self):
+        z, w = self.spec.quadrature
+        assert z.shape == w.shape == (8, 64)
+        assert self.spec.quadrature[0] is z
+        for arr in (z, w):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
 class TestContourFC:
     def test_involution_closed_form(self):
         t = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -254,47 +254,6 @@ class TestTranslatedEstimate:
         assert slope <= base.estimate.mean
 
 
-class TestPrincipalPart:
-    def test_zero_vector(self, dirac_pair, grid16):
-        op = hodge.VariableOp.constant(dirac_pair, grid16)
-        out = quadest.principal_part(op, 4 * grid16.cell_width, [0.0, 0.0])
-        assert torus.lp_norm(out, 2.0) == 0.0
-
-    def test_identity_coefficients_vanish(self, dirac_pair, grid16):
-        op = hodge.VariableOp.constant(dirac_pair, grid16)
-        out = quadest.principal_part(op, 4 * grid16.cell_width, [1.0, 0.5])
-        assert torus.lp_norm(out, 2.0) <= 1e-10
-
-    def test_matches_direct_constant_extension(self, dirac_pair, grid16):
-        coeffs = diagonal_coefficients(grid16, 2, 0.2, 61)
-        op = hodge.VariableOp(dirac_pair, coeffs, grid16)
-        t = 4 * grid16.cell_width
-        w = np.array([0.7, -0.2])
-        summed = quadest.principal_part(op, t, w)
-        const = torus.GridField(
-            grid16, np.broadcast_to(w, grid16.shape + (2,)).astype(complex)
-        )
-        direct = hodge.bandpass_apply(op, t, const)
-        assert torus.lp_norm(summed - direct, 2.0) <= 1e-9
-
-    def test_linear_in_vector(self, dirac_pair, grid16):
-        # the principal part acts as a pointwise matrix: assemble it from
-        # basis vectors and compare on a random combination
-        coeffs = diagonal_coefficients(grid16, 2, 0.2, 62)
-        op = hodge.VariableOp(dirac_pair, coeffs, grid16)
-        t = 4 * grid16.cell_width
-        cols = [quadest.principal_part(op, t, e) for e in np.eye(2)]
-        w = np.array([0.3 + 0.1j, -1.2])
-        combo = quadest.principal_part(op, t, w)
-        ref = w[0] * cols[0].values + w[1] * cols[1].values
-        assert np.abs(combo.values - ref).max() <= 1e-9
-
-    def test_incompatible_scale(self, dirac_pair, grid16):
-        op = hodge.VariableOp.constant(dirac_pair, grid16)
-        with pytest.raises(ValueError):
-            quadest.principal_part(op, 3 * grid16.cell_width, [1.0, 0.0])
-
-
 class TestOffDiagonal:
     def test_ratio_decreases_with_separation(self, dirac_pair):
         grid = torus.TorusGrid(1, 64)
