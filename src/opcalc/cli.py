@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -106,117 +107,194 @@ def _config_values(what: str):
     """Turn a bad value met while reading ``what`` into a ConfigError."""
     try:
         yield
-    except (ValueError, TypeError, OSError) as exc:
+    except (ConfigError, ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _grid_from(cfg: dict) -> torus.TorusGrid:
-    g = cfg.get("grid", {})
-    with _config_values("grid"):
-        if not isinstance(g, dict):
-            raise TypeError(f"expected an object, got {g!r}")
-        return torus.TorusGrid(
-            int(g.get("n", 1)), int(g.get("g", 64)), float(g.get("length", 2 * math.pi))
-        )
+# ---------------------------------------------------------------------------
+# The config surface.  READERS turns the raw value of one key into a typed
+# value; a reader may use the values already read for the same probe, so
+# PROBE_KEYS lists seed, symbol and grid before the keys that need them.
+# ---------------------------------------------------------------------------
+
+# scalar d/dx on the line: the first-order operator of block, holomorphy
+# and lipschitz
+DX = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]], dtype=complex)})
 
 
-def _scales_from(cfg: dict) -> quadest.DyadicScales:
-    with _config_values("scale window"):
-        return quadest.DyadicScales(int(cfg.get("k_min", -6)), int(cfg.get("k_max", 6)))
-
-
-def _count_from(cfg: dict, key: str, default: int, least: int) -> int:
-    with _config_values(key):
-        count = int(cfg.get(key, default))
+def _count(least: int):
+    def read(raw, got) -> int:
+        count = int(raw)
         if count < least:
             raise ValueError(f"need at least {least}, got {count}")
-    return count
+        return count
+
+    return read
 
 
-def _pair_from(cfg: dict) -> symbols.HodgeDiracSymbolPair:
-    obj = load_symbol_arg(cfg.get("symbol", "bundled:dirac1d"))
-    if not isinstance(obj, symbols.HodgeDiracSymbolPair):
-        raise ConfigError("this probe needs a symbol pair, got a single symbol")
-    return obj
+def _real(*, positive: bool):
+    def read(raw, got) -> float:
+        x = float(raw)
+        if not math.isfinite(x) or (positive and x <= 0):
+            raise ValueError(f"need a finite{' positive' if positive else ''} number, got {x}")
+        return x
+
+    return read
 
 
-def _coeffs_from(cfg: dict, grid, big_n) -> hodge.CoefficientPair:
-    c = cfg.get("coefficients", {})
-    seed = int(cfg.get("seed", 0))
-    with _config_values("coefficients"):
-        b1 = hodge.parse_coefficient(
-            c.get("b1", f"identity+0.05*diagrandom({seed + 23})"), grid, big_n
-        )
-        b2 = hodge.parse_coefficient(
-            c.get("b2", f"identity+0.05*diagrandom({seed + 24})"), grid, big_n
-        )
-        return hodge.CoefficientPair(b1, b2)
+def _nonempty_list(item):
+    def read(raw, got) -> list:
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise TypeError(f"expected a non-empty list, got {raw!r}")
+        return [item(x, got) for x in raw]
+
+    return read
+
+
+def _object(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected an object, got {raw!r}")
+    return raw
+
+
+def _seed(raw, got) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        raise ValueError(f"need a non-negative integer, got {raw!r}")
+    return raw
+
+
+def _grid(raw, got) -> torus.TorusGrid:
+    g = _object(raw)
+    grid = torus.TorusGrid(
+        int(g.get("n", 1)), int(g.get("g", 64)), float(g.get("length", 2 * math.pi))
+    )
+    n = got["symbol"].n if "symbol" in got else DX.n
+    if grid.n != n:
+        raise ValueError(f"the grid has {grid.n} axes, the symbol {n}")
+    return grid
+
+
+def _coefficients(raw, got) -> hodge.CoefficientPair:
+    c, seed = _object(raw), got["seed"]
+    fields = []
+    for key, offset in (("b1", 23), ("b2", 24)):
+        expr = c.get(key, f"identity+0.05*diagrandom({seed + offset})")
+        if not isinstance(expr, str):
+            raise TypeError(f"{key}: expected a string, got {expr!r}")
+        fields.append(hodge.parse_coefficient(expr, got["grid"], got["symbol"].big_n))
+    return hodge.CoefficientPair(*fields)
+
+
+def _scale_window(k_min: int, k_max: int) -> int:
+    quadest.DyadicScales(k_min, k_max)  # raises on an empty or too wide window
+    return k_max
+
+
+READERS = {
+    "seed": _seed,
+    "symbol": lambda raw, got: load_symbol_arg(raw),
+    "grid": _grid,
+    "coefficients": _coefficients,
+    "sphere_samples": _count(1),
+    "samples": _count(16),
+    "trials": _count(1),
+    "nodes": _count(8),  # ContourSpec's floor
+    "circle_nodes": _count(1),
+    "k_min": lambda raw, got: int(raw),
+    "k_max": lambda raw, got: _scale_window(got["k_min"], int(raw)),
+    "windows": _nonempty_list(lambda raw, got: _scale_window(-int(raw), int(raw))),
+    "triple_g": lambda raw, got: torus.TorusGrid(1, int(raw)),
+    "tolerance": _real(positive=True),
+    "eps": _real(positive=False),
+    "deltas": _nonempty_list(_real(positive=True)),
+}
+
+PAIR = "bundled:dirac1d"
+DELTAS = [0.04, 0.02, 0.01]
+
+# probe -> its keys, in reading order, with their defaults
+PROBE_KEYS = {
+    "symbol": {"seed": 0, "symbol": PAIR, "sphere_samples": 512},
+    "mikhlin": {"seed": 0, "symbol": PAIR, "sphere_samples": 64},
+    "hodge-const": {"seed": 0, "symbol": PAIR, "grid": {}, "trials": 3, "tolerance": 1e-10},
+    "hodge-var": {"seed": 0, "symbol": PAIR, "grid": {}, "coefficients": {},
+                  "tolerance": 1e-6},
+    "perturb": {"seed": 0, "symbol": PAIR, "grid": {}, "deltas": DELTAS},
+    "quadest": {"seed": 0, "symbol": PAIR, "grid": {}, "samples": 64, "k_min": -6, "k_max": 6},
+    "translated": {"seed": 0, "symbol": PAIR, "grid": {}, "samples": 32, "k_min": -6,
+                   "k_max": 6},
+    "reproducing": {"seed": 0, "symbol": PAIR, "grid": {}, "windows": [4, 8, 12, 16, 20],
+                    "tolerance": 1e-5},
+    "schur": {"seed": 0, "symbol": PAIR, "grid": {}, "trials": 4},
+    "offdiag": {"seed": 0, "symbol": PAIR, "grid": {}, "coefficients": {}, "trials": 2},
+    "block": {"seed": 0, "grid": {}, "nodes": 128, "eps": 0.05, "trials": 2},
+    "holomorphy": {"seed": 0, "grid": {}, "circle_nodes": 16, "nodes": 128},
+    "lipschitz": {"seed": 0, "grid": {}, "nodes": 128, "deltas": DELTAS, "trials": 2,
+                  "triple_g": 16},
+}
+
+
+def read_config(probe: str, cfg: dict) -> dict:
+    """The typed values of ``probe``'s keys in its merged config ``cfg``.
+
+    A missing key takes its default.  A bad value raises a ConfigError
+    that names the probe and the key.
+    """
+    values = {}
+    for key, default in PROBE_KEYS[probe].items():
+        with _config_values(f"{key} for probe {probe}"):
+            values[key] = READERS[key](cfg.get(key, default), values)
+            needs_pair = key == "symbol" and probe != "symbol"
+            if needs_pair and not isinstance(values[key], symbols.HodgeDiracSymbolPair):
+                raise TypeError("this probe needs a symbol pair, got a single symbol")
+    return values
 
 
 # ---------------------------------------------------------------------------
-# Probes.  Each takes the merged config and returns a ProbeReport.
+# Probes.  Each takes, as keywords, the values read_config read for it and
+# returns (report name, constants, passes).  Every probe gets its seed, which
+# the report records, whether or not the probe draws from it.
 # ---------------------------------------------------------------------------
 
 
-def probe_symbol(cfg) -> ProbeReport:
-    obj = load_symbol_arg(cfg.get("symbol", "bundled:dirac1d"))
-    count = int(cfg.get("sphere_samples", 512))
-    if isinstance(obj, symbols.HodgeDiracSymbolPair):
-        sample = symbols.sphere_sample(obj.n, count)
-        rep = symbols.verify_hodge_pair(obj, sample)
+def probe_symbol(seed, symbol, sphere_samples):
+    sample = symbols.sphere_sample(symbol.n, sphere_samples)
+    if isinstance(symbol, symbols.HodgeDiracSymbolPair):
+        rep = symbols.verify_hodge_pair(symbol, sample)
     else:
-        sample = symbols.sphere_sample(obj.n, count)
-        rep = symbols.verify_symbol_conditions(obj, sample)
+        rep = symbols.verify_symbol_conditions(symbol, sample)
     constants = {"failures": rep.failures}
     if rep.params is not None:
         constants.update(
             omega=rep.params.omega, kappa=rep.params.kappa, big_m=rep.params.big_m
         )
-    return ProbeReport(
-        "symbol-conditions",
-        int(cfg.get("seed", 0)),
-        canonical_digest(cfg),
-        constants,
-        {"conditions": rep.passed},
-    )
+    return "symbol-conditions", constants, {"conditions": rep.passed}
 
 
-def probe_mikhlin(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    sample = symbols.sphere_sample(pair.n, int(cfg.get("sphere_samples", 64)))
+def probe_mikhlin(seed, symbol, sphere_samples):
+    sample = symbols.sphere_sample(symbol.n, sphere_samples)
     taus = [2.0**k for k in range(-4, 5)]
-    alphas = cfg.get("alphas")
-    if alphas is None and pair.n == 1:
-        alphas = [(0,), (1,), (2,)]
+    alphas = [(0,), (1,), (2,)] if symbol.n == 1 else None
     table = {}
     stable = True
     for kind in ("resolvent", "even", "odd"):
-        fam = symbols.resolvent_symbol_family(pair.total(), kind)
+        fam = symbols.resolvent_symbol_family(symbol.total(), kind)
         rows = symbols.mikhlin_probe(fam, alphas, sample, taus)
         table[kind] = [
             {"alpha": list(r.alpha), "value": r.value, "half": r.value_half_step}
             for r in rows
         ]
         stable = stable and all(r.stable for r in rows)
-    return ProbeReport(
-        "mikhlin",
-        int(cfg.get("seed", 0)),
-        canonical_digest(cfg),
-        {"table": table},
-        {"stable_under_step_halving": stable},
-    )
+    return "mikhlin", {"table": table}, {"stable_under_step_halving": stable}
 
 
-def probe_hodge_const(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    proj = hodge.constant_hodge_projections(pair, grid)
-    gamma_op = torus.GridSymbol(pair.gamma, grid).multiplier()
-    gt_op = torus.GridSymbol(pair.gamma_tilde, grid).multiplier()
+def probe_hodge_const(seed, symbol, grid, trials, tolerance):
+    proj = hodge.constant_hodge_projections(symbol, grid)
+    gamma_op = torus.GridSymbol(symbol.gamma, grid).multiplier()
+    gt_op = torus.GridSymbol(symbol.gamma_tilde, grid).multiplier()
     worst_sum = worst_idem = worst_annih = 0.0
-    for trial in range(int(cfg.get("trials", 3))):
-        u = torus.random_band_limited(grid, pair.big_n, seed=seed + trial)
+    for trial in range(trials):
+        u = torus.random_band_limited(grid, symbol.big_n, seed=seed + trial)
         un = torus.lp_norm(u, 2.0)
         s = proj.p0(u) + proj.p_gamma(u) + proj.p_gamma_tilde(u)
         worst_sum = max(worst_sum, torus.lp_norm(s - u, 2.0) / un)
@@ -232,27 +310,20 @@ def probe_hodge_const(cfg) -> ProbeReport:
             worst_annih,
             torus.lp_norm(gtu - proj.p_gamma_tilde(gtu), 2.0) / max(un, 1e-300),
         )
-    tol = float(cfg.get("tolerance", 1e-10))
-    return ProbeReport(
+    return (
         "hodge-constant",
-        seed,
-        canonical_digest(cfg),
         {
             "sum_residual": worst_sum,
             "idempotence_residual": worst_idem,
             "range_residual": worst_annih,
         },
-        {"sum": worst_sum <= tol, "idempotence": worst_idem <= tol,
+        {"sum": worst_sum <= tolerance, "idempotence": worst_idem <= tolerance,
          "ranges": worst_annih <= 1e-8},
     )
 
 
-def probe_hodge_var(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    coeffs = _coeffs_from(cfg, grid, pair.big_n)
-    op = hodge.VariableOp(pair, coeffs, grid)
+def probe_hodge_var(seed, symbol, grid, coefficients, tolerance):
+    op = hodge.VariableOp(symbol, coefficients, grid)
     cond = hodge.check_coefficient_conditions(op, seed=seed)
     proj = hodge.variable_hodge_projections(op, seed=seed)
     constants = {
@@ -266,33 +337,28 @@ def probe_hodge_var(cfg) -> ProbeReport:
         dense = hodge.dense_hodge_projections(op)
         worst = 0.0
         for trial in range(3):
-            u = torus.random_band_limited(grid, pair.big_n, seed=seed + 50 + trial)
+            u = torus.random_band_limited(grid, symbol.big_n, seed=seed + 50 + trial)
             un = torus.lp_norm(u, 2.0)
             for fn, mat in zip((proj.p0, proj.p_gamma, proj.p_gamma_tilde), dense):
-                ref = torus.GridField.from_flat(grid, pair.big_n, mat @ u.flat())
+                ref = torus.GridField.from_flat(grid, symbol.big_n, mat @ u.flat())
                 worst = max(worst, torus.lp_norm(fn(u) - ref, 2.0) / un)
         constants["limit_vs_dense"] = worst
-        passes["limit_vs_dense"] = worst <= float(cfg.get("tolerance", 1e-6))
-    t = 2.0 ** int(cfg.get("intertwine_log_scale", 1))
-    res = hodge.underline_intertwining_residual(op, t, seed=seed)
+        passes["limit_vs_dense"] = worst <= tolerance
+    res = hodge.underline_intertwining_residual(op, 2.0, seed=seed)
     constants["swap_intertwining"] = res
     passes["swap_intertwining"] = res <= 1e-8
-    return ProbeReport("hodge-variable", seed, canonical_digest(cfg), constants, passes)
+    return "hodge-variable", constants, passes
 
 
-def probe_perturb(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    deltas = cfg.get("deltas", [0.04, 0.02, 0.01])
-    e1 = hodge.diagonal_direction(grid, pair.big_n, seed + 41)
-    e2 = hodge.diagonal_direction(grid, pair.big_n, seed + 42)
-    base = hodge.VariableOp.constant(pair, grid)
-    eye = hodge.MatrixField.identity(grid, pair.big_n)
+def probe_perturb(seed, symbol, grid, deltas):
+    e1 = hodge.diagonal_direction(grid, symbol.big_n, seed + 41)
+    e2 = hodge.diagonal_direction(grid, symbol.big_n, seed + 42)
+    base = hodge.VariableOp.constant(symbol, grid)
+    eye = hodge.MatrixField.identity(grid, symbol.big_n)
     ratio_rows = []
     for d in deltas:
         coeffs = hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2)
-        rep = hodge.hodge_perturbation_report(base, hodge.VariableOp(pair, coeffs, grid))
+        rep = hodge.hodge_perturbation_report(base, hodge.VariableOp(symbol, coeffs, grid))
         ratio_rows.append({"delta": rep.delta, **rep.ratios})
     spread = 0.0
     for key in ("p0", "p_gamma", "p_gamma_tilde"):
@@ -300,7 +366,7 @@ def probe_perturb(cfg) -> ProbeReport:
         if vals:
             spread = max(spread, max(vals) / min(vals))
     rng = np.random.default_rng(seed + 37)
-    dim = int(cfg.get("split_dim", 24))
+    dim = 24
     p0 = np.zeros((dim, dim), dtype=complex)
     p0[: dim // 2, : dim // 2] = np.eye(dim // 2)
     p1 = np.eye(dim) - p0
@@ -309,27 +375,21 @@ def probe_perturb(cfg) -> ProbeReport:
     split = hodge.perturb_splitting(p0, p1, 0.1 * t_dir)
     ident = matcalc.operator_norm(split.p0_new + split.p1_new - np.eye(dim))
     idem = matcalc.operator_norm(split.p0_new @ split.p0_new - split.p0_new)
-    return ProbeReport(
+    return (
         "perturbation",
-        seed,
-        canonical_digest(cfg),
         {"ratios": ratio_rows, "ratio_spread": spread,
          "split_sum_residual": ident, "split_idem_residual": idem},
         {"ratio_band": spread <= 4.0, "split_identities": max(ident, idem) <= 1e-10},
     )
 
 
-def probe_quadest(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    samples = _count_from(cfg, "samples", 64, 16)
-    scales = _scales_from(cfg)
-    _, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
+def probe_quadest(seed, symbol, grid, samples, k_min, k_max):
+    scales = quadest.DyadicScales(k_min, k_max)
+    _, p_ran = torus.kernel_range_multipliers(symbol.total(), grid)
     u = torus.apply_multiplier(
-        p_ran, torus.random_band_limited(grid, pair.big_n, seed=seed + 5)
+        p_ran, torus.random_band_limited(grid, symbol.big_n, seed=seed + 5)
     )
-    rep = quadest.quadratic_estimate(pair, u, scales, samples=samples, seed=seed)
+    rep = quadest.quadratic_estimate(symbol, u, scales, samples=samples, seed=seed)
     est = rep.estimate
     exact_sq = quadest.exact_l2_square_expectation(rep.summands)
     sq_err = abs(est.mean_square - exact_sq)
@@ -337,13 +397,10 @@ def probe_quadest(cfg) -> ProbeReport:
     # the squared-norm distribution is skewed enough that 3 SE trips on
     # roughly 1 seed in 100 at small sample counts
     sq_ok = sq_err <= 5.0 * max(est.std_error_square, 1e-14)
-    return ProbeReport(
+    return (
         "quadratic-estimate",
-        seed,
-        canonical_digest(cfg),
         {
-            "params": {"k_min": scales.k_min, "k_max": scales.k_max,
-                       "samples": samples, "p": 2.0},
+            "params": {"k_min": k_min, "k_max": k_max, "samples": samples, "p": 2.0},
             "mean": est.mean,
             "std_error": est.std_error,
             "mean_square": est.mean_square,
@@ -354,119 +411,78 @@ def probe_quadest(cfg) -> ProbeReport:
     )
 
 
-def probe_translated(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    samples = _count_from(cfg, "samples", 32, 16)
-    scales = _scales_from(cfg)
-    u = torus.random_band_limited(grid, pair.big_n, seed=seed + 59, kill_zero_mode=True)
-    zmods = cfg.get("translations", [0.0, 1.0, 4.0, 16.0])
+def probe_translated(seed, symbol, grid, samples, k_min, k_max):
+    scales = quadest.DyadicScales(k_min, k_max)
+    u = torus.random_band_limited(grid, symbol.big_n, seed=seed + 59, kill_zero_mode=True)
     rows = []
-    for zm in zmods:
+    for zm in (0.0, 1.0, 4.0, 16.0):
         z = np.zeros(grid.n)
         z[0] = zm
         if zm == 0.0:
-            rep = quadest.quadratic_estimate(pair, u, scales, samples=samples, seed=seed)
-            rows.append({"z": zm, "mean": rep.estimate.mean, "ratio": rep.ratio})
+            rep = quadest.quadratic_estimate(symbol, u, scales, samples=samples, seed=seed)
         else:
             rep = quadest.translated_quadratic_estimate(
-                pair, u, z, scales, samples=samples, seed=seed
+                symbol, u, z, scales, samples=samples, seed=seed
             )
-            rows.append({"z": zm, "mean": rep.estimate.mean, "ratio": rep.ratio})
-    base = rows[0]["mean"] / torus.lp_norm(u, 2.0)
+        rows.append({"z": zm, "mean": rep.estimate.mean, "ratio": rep.ratio})
+    un = torus.lp_norm(u, 2.0)
     pos = [r for r in rows if r["z"] > 1.0]
-    slope = 0.0
-    if len(pos) >= 2:
-        slope = float(
-            np.polyfit([math.log(r["z"]) for r in pos], [r["mean"] for r in pos], 1)[0]
-        ) / torus.lp_norm(u, 2.0)
-    return ProbeReport(
+    slope = float(
+        np.polyfit([math.log(r["z"]) for r in pos], [r["mean"] for r in pos], 1)[0]
+    ) / un
+    base = rows[0]["mean"] / un
+    return (
         "translated-quadratic",
-        seed,
-        canonical_digest(cfg),
         {"rows": rows, "fitted_slope": slope, "base_ratio": base},
         {"log_growth": slope <= base},
     )
 
 
-def probe_reproducing(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
+def probe_reproducing(seed, symbol, grid, windows, tolerance):
     u = torus.random_band_limited(
-        grid, pair.big_n, seed=seed + 43, band=grid.g // 4, kill_zero_mode=True
+        grid, symbol.big_n, seed=seed + 43, band=grid.g // 4, kill_zero_mode=True
     )
-    _, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
+    _, p_ran = torus.kernel_range_multipliers(symbol.total(), grid)
     u = torus.apply_multiplier(p_ran, u)
-    widths = cfg.get("windows", [4, 8, 12, 16, 20])
     rows = []
-    for w in widths:
-        res = quadest.reproducing_residual(pair, u, quadest.DyadicScales(-w, w))
+    for w in windows:
+        res = quadest.reproducing_residual(symbol, u, quadest.DyadicScales(-w, w))
         rows.append({"window": w, "residual": res})
     monotone = all(
         rows[i + 1]["residual"] <= rows[i]["residual"] * 1.1 for i in range(len(rows) - 1)
     )
     final = rows[-1]["residual"]
-    tol = float(cfg.get("tolerance", 1e-5))
-    return ProbeReport(
+    return (
         "reproducing-sum",
-        seed,
-        canonical_digest(cfg),
         {"curve": rows},
-        {"monotone": monotone, "final_residual": final <= tol},
+        {"monotone": monotone, "final_residual": final <= tolerance},
     )
 
 
-def probe_schur(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
+def probe_schur(seed, symbol, grid, trials):
     ts = [2.0**k for k in range(-3, 4, 2)]
     res = quadest.schur_bound_probe(
-        pair, dacorr.f_rational_odd, ts, ts, grid,
-        trials=int(cfg.get("trials", 4)), seed=seed,
+        symbol, dacorr.f_rational_odd, ts, ts, grid, trials=trials, seed=seed
     )
-    return ProbeReport(
+    return (
         "schur-bound",
-        seed,
-        canonical_digest(cfg),
         {"max_ratio": res.max_ratio, "table": res.table},
         {"bounded": res.max_ratio < 100.0},
     )
 
 
-def probe_offdiag(cfg) -> ProbeReport:
-    pair = _pair_from(cfg)
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    coeffs = _coeffs_from(cfg, grid, pair.big_n)
-    op = hodge.VariableOp(pair, coeffs, grid)
-    t = grid.cell_width * int(cfg.get("scale_cells", 2))
-    res = quadest.offdiagonal_probe(op, t, trials=int(cfg.get("trials", 2)), seed=seed)
-    return ProbeReport(
+def probe_offdiag(seed, symbol, grid, coefficients, trials):
+    op = hodge.VariableOp(symbol, coefficients, grid)
+    res = quadest.offdiagonal_probe(op, 2 * grid.cell_width, trials=trials, seed=seed)
+    return (
         "offdiagonal-decay",
-        seed,
-        canonical_digest(cfg),
         {"rho": res.rho_values, "ratios": res.ratios, "exponent": res.decay_exponent},
         {"decaying": res.decay_exponent >= 1.0},
     )
 
 
-def _first_order_from(cfg) -> dacorr.FirstOrderD:
-    sym = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]], dtype=complex)})
-    return dacorr.FirstOrderD.verified(sym)
-
-
-def probe_block(cfg) -> ProbeReport:
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    nodes = _count_from(cfg, "nodes", 128, 8)
-    with _config_values("eps"):
-        eps = float(cfg.get("eps", 0.05))
-        if not math.isfinite(eps):
-            raise ValueError(f"need a finite number, got {eps}")
-    d = _first_order_from(cfg)
+def probe_block(seed, grid, nodes, eps, trials):
+    d = dacorr.FirstOrderD.verified(DX)
     a = hodge.perturbed_identity(grid, 1, eps, seed + 67)
     block = dacorr.build_block(d, a, seed=seed)
     comp = dacorr.composition(d, a, grid)
@@ -479,16 +495,13 @@ def probe_block(cfg) -> ProbeReport:
     t = 0.7
     v = torus.random_band_limited(grid, 2, seed=seed + 3)
     lhs = hodge.variable_resolvent(block, t, v, rtol=1e-12)
-    rhs = dacorr.block_resolvent_product(d, a, t, v, rtol=1e-12)
+    rhs = dacorr.block_resolvent_product(d, a, t, v)
     factor = torus.lp_norm(lhs - rhs, 2.0) / torus.lp_norm(v, 2.0)
     inter = dacorr.intertwine_check(
-        d, a, dacorr.f_rational_odd,
-        trials=int(cfg.get("trials", 2)), nodes=nodes, seed=seed,
+        d, a, dacorr.f_rational_odd, trials=trials, nodes=nodes, seed=seed
     )
-    return ProbeReport(
+    return (
         "block-correspondence",
-        seed,
-        canonical_digest(cfg),
         {"structure_residual": structure, "resolvent_product_residual": factor,
          "intertwine_residual": inter},
         {"structure": structure <= 1e-10, "resolvent_product": factor <= 1e-9,
@@ -496,71 +509,57 @@ def probe_block(cfg) -> ProbeReport:
     )
 
 
-def probe_holomorphy(cfg) -> ProbeReport:
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    d = _first_order_from(cfg)
+def probe_holomorphy(seed, grid, circle_nodes, nodes):
+    d = dacorr.FirstOrderD.verified(DX)
     u = torus.random_band_limited(grid, 1, seed=seed + 71)
     path = dacorr.CoefficientPath(
         hodge.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, seed + 71)
     )
-    radius = float(cfg.get("radius", 0.3))
-    nodes = _count_from(cfg, "circle_nodes", 16, 1)
-    cn = _count_from(cfg, "nodes", 128, 8)
-    r1 = dacorr.holomorphy_probe(
-        path, d, dacorr.f_rational_odd, u, radius=radius, nodes=nodes, calculus_nodes=cn
-    )
-    r2 = dacorr.holomorphy_probe(
-        path, d, dacorr.f_rational_odd, u, radius=radius, nodes=2 * nodes,
-        calculus_nodes=cn,
+    radius = 0.3
+    r1, r2 = (
+        dacorr.holomorphy_probe(
+            path, d, dacorr.f_rational_odd, u, radius=radius, nodes=m, calculus_nodes=nodes
+        )
+        for m in (circle_nodes, 2 * circle_nodes)
     )
     improves = r1.residual >= 4.0 * r2.residual
-    return ProbeReport(
+    return (
         "holomorphy",
-        seed,
-        canonical_digest(cfg),
         {"residual": r1.residual, "residual_refined": r2.residual,
-         "radius": radius, "circle_nodes": nodes},
+         "radius": radius, "circle_nodes": circle_nodes},
         {"residual_small": r1.residual <= 1e-4, "improves_4x": bool(improves)},
     )
 
 
-def probe_lipschitz(cfg) -> ProbeReport:
-    grid = _grid_from(cfg)
-    seed = int(cfg.get("seed", 0))
-    nodes = _count_from(cfg, "nodes", 128, 8)
-    d = _first_order_from(cfg)
+def probe_lipschitz(seed, grid, nodes, deltas, trials, triple_g):
+    d = dacorr.FirstOrderD.verified(DX)
     eye = hodge.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, seed + 73)
     ratios = []
-    for eps in cfg.get("deltas", [0.04, 0.02, 0.01]):
+    for eps in deltas:
         rep = dacorr.lipschitz_probe(
             d, eye, eye + eps * e, dacorr.f_rational_odd,
-            trials=int(cfg.get("trials", 2)), calculus_nodes=nodes,
-            seed=seed,
+            trials=trials, calculus_nodes=nodes, seed=seed,
         )
         ratios.append({"delta": eps, "ratio": rep.max_ratio})
     vals = [r["ratio"] for r in ratios if r["ratio"] > 0]
     spread = max(vals) / min(vals) if vals else math.inf
     pair = symbols.dirac_pair_1d()
-    grid_small = torus.TorusGrid(1, int(cfg.get("triple_g", 16)))
     params = symbols.verify_hodge_pair(pair).params
     ca = hodge.CoefficientPair(
-        hodge.perturbed_identity(grid_small, 2, 0.05, seed + 81, diagonal=True),
-        hodge.perturbed_identity(grid_small, 2, 0.05, seed + 82, diagonal=True),
+        hodge.perturbed_identity(triple_g, 2, 0.05, seed + 81, diagonal=True),
+        hodge.perturbed_identity(triple_g, 2, 0.05, seed + 82, diagonal=True),
     )
     cb = hodge.CoefficientPair(
-        hodge.perturbed_identity(grid_small, 2, 0.03, seed + 83, diagonal=True),
-        hodge.perturbed_identity(grid_small, 2, 0.03, seed + 84, diagonal=True),
+        hodge.perturbed_identity(triple_g, 2, 0.03, seed + 83, diagonal=True),
+        hodge.perturbed_identity(triple_g, 2, 0.03, seed + 84, diagonal=True),
     )
-    u = torus.random_band_limited(grid_small, 2, seed=seed + 85)
+    u = torus.random_band_limited(triple_g, 2, seed=seed + 85)
     triple = dacorr.lipschitz_triple_decomposition(
         pair, ca, cb, dacorr.f_rational_odd, u, params
     )
-    return ProbeReport(
+    return (
         "lipschitz",
-        seed,
-        canonical_digest(cfg),
         {"sweep": ratios, "spread": spread,
          "triple_identity_residual": triple["identity_residual"]},
         {"stable_band": spread <= 4.0,
@@ -636,11 +635,27 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _run_probe(job) -> ProbeReport:
+    """Run one probe on its read values; an exception becomes a failed report."""
+    probe_name, cfg, values = job
+    t0 = time.perf_counter()
+    try:
+        name, constants, passes = PROBES[probe_name](**values)
+    except Exception as exc:  # one probe's crash must not take down the suite
+        if not isinstance(exc, OpcalcError):  # a defect, not a numerical verdict
+            traceback.print_exc(file=sys.stderr)
+        name, constants, passes = (
+            probe_name, {"error": f"{type(exc).__name__}: {exc}"}, {"completed": False}
+        )
+    rep = ProbeReport(name, values["seed"], canonical_digest(cfg), constants, passes)
+    rep.timing_s = time.perf_counter() - t0
+    return rep
+
+
 def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots=False):
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; options: {sorted(SUITES)}")
     suite = SUITES[name]
-    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = []
     for probe_name in suite["probes"]:
         cfg = _merge(suite["defaults"], config)
@@ -653,28 +668,20 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
             if not isinstance(extra, dict):
                 raise TypeError(f"{probe_name}: expected an object, got {extra!r}")
         cfg = _merge(cfg, extra)
-        jobs.append((probe_name, cfg))
+        jobs.append((probe_name, cfg, read_config(probe_name, cfg)))
+    read = {key for probe_name in suite["probes"] for key in PROBE_KEYS[probe_name]}
+    for key in sorted({key for _, cfg, _ in jobs for key in cfg} - read):
+        print(f"warning: no probe of suite {name} reads config key {key!r}; ignored",
+              file=sys.stderr)
 
-    def run_one(item):
-        probe_name, cfg = item
-        t0 = time.perf_counter()
-        try:
-            rep = PROBES[probe_name](cfg)
-        except OpcalcError as exc:
-            rep = ProbeReport(
-                probe_name, int(cfg.get("seed", 0)), canonical_digest(cfg),
-                {"error": f"{type(exc).__name__}: {exc}"}, {"completed": False},
-            )
-        rep.timing_s = time.perf_counter() - t0
-        return probe_name, rep
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
+            results = list(pool.map(_run_probe, jobs))
     else:
-        results = [run_one(j) for j in jobs]
+        results = [_run_probe(j) for j in jobs]
     reports = []
-    for probe_name, rep in sorted(results, key=lambda r: r[0]):
+    for probe_name, rep in sorted(zip(suite["probes"], results), key=lambda r: r[0]):
         path = out_dir / f"{name}__{probe_name}.json"
         path.write_text(rep.to_json(), encoding="utf-8")
         reports.append(rep)
@@ -732,7 +739,8 @@ def _print_summary(reports):
 
 
 def cmd_analyze_symbol(args) -> int:
-    rep = probe_symbol({"symbol": args.file, "sphere_samples": args.sphere_samples})
+    cfg = {"symbol": args.file, "sphere_samples": args.sphere_samples}
+    rep = _run_probe(("symbol", cfg, read_config("symbol", cfg)))
     print(json.dumps(_plain(rep.constants), sort_keys=True, indent=2))
     print("PASS" if rep.passed else "FAIL")
     if args.json:
@@ -751,9 +759,7 @@ def cmd_suite(args) -> int:
             raise ConfigError(f"config {args.config} must hold a JSON object")
     if args.seed is not None:
         config["seed"] = args.seed
-    seed = config.setdefault("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    config.setdefault("seed", 0)  # so the inputs digest covers the seed
     threads = int(os.environ.get("OPCALC_THREADS", "1"))
     out_dir = Path(args.out) if args.out else Path(f"reports-{args.name}")
     reports = run_suite(args.name, config, out_dir, threads=threads, plots=args.plots)

@@ -312,8 +312,6 @@ def block_resolvent_product(
     a: hodge.MatrixField,
     t: float,
     v: torus.GridField,
-    *,
-    rtol: float = 1e-12,
 ) -> torus.GridField:
     """Resolvent of the block operator via the three-factor product formula.
 
@@ -336,7 +334,7 @@ def block_resolvent_product(
         matvec,
         rhs.flat(),
         what="central block solve",
-        rtol=rtol,
+        rtol=1e-12,
         precond=lambda vec: torus.apply_multiplier(
             pre, torus.GridField.from_flat(grid, size, vec)
         ).flat(),

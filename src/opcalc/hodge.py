@@ -354,8 +354,6 @@ def variable_resolvent(
     u: torus.GridField,
     *,
     rtol: float = 1e-10,
-    restart: int = 50,
-    maxiter: int = 5000,
 ) -> torus.GridField:
     """Solve (I + i t Op) x = u by preconditioned GMRES.
 
@@ -379,8 +377,6 @@ def variable_resolvent(
         u.flat(),
         what=f"resolvent at t={t}",
         rtol=rtol,
-        restart=restart,
-        maxiter=maxiter,
         precond=precond,
     )
     return torus.GridField.from_flat(op.grid, op.big_n, x)
@@ -425,13 +421,6 @@ def dense_matrix_field(mf: MatrixField) -> np.ndarray:
     return out
 
 
-def dense_resolvent(op: VariableOp, t: float, u: torus.GridField) -> torus.GridField:
-    """LU oracle for the resolvent; use on small grids only."""
-    m = assemble_dense(op)
-    x = np.linalg.solve(np.eye(op.dim) + 1j * t * m, u.flat())
-    return torus.GridField.from_flat(op.grid, op.big_n, x)
-
-
 def dense_hodge_projections(op: VariableOp):
     """Dense subspace oracle: projections from explicit kernel/range bases."""
     m = assemble_dense(op)
@@ -458,7 +447,6 @@ def variable_hodge_projections(
     tol: float = 1e-6,
     probes: int = 3,
     seed: int = 0,
-    rtol: float = 1e-10,
 ) -> HodgeProjections:
     """Projections from the large-t limit formulas.
 
@@ -477,7 +465,7 @@ def variable_hodge_projections(
 
     def kw(t):
         floor = 30.0 * np.finfo(float).eps * (1.0 + abs(t) * big)
-        return dict(rtol=max(rtol, floor))
+        return dict(rtol=max(1e-10, floor))
 
     def all_at(t, u):
         # the three projections from three solves: R(t)u, R(-t)u, R(-t)R(t)u
@@ -618,9 +606,7 @@ def hodge_perturbation_report(
     return PerturbationReport(delta, diffs[0], diffs[1], diffs[2], diff_inv, ratios)
 
 
-def underline_intertwining_residual(
-    op: VariableOp, t: float, *, seed: int = 0, rtol: float = 1e-11
-) -> float:
+def underline_intertwining_residual(op: VariableOp, t: float, *, seed: int = 0) -> float:
     """Residual of the companion-operator intertwining on range(gamma_tilde).
 
     Checks gamma B1 (I + (t Op_swap)^2)^{-1} v = gamma (I + (t Op)^2)^{-1} B1 v
@@ -634,9 +620,9 @@ def underline_intertwining_residual(
     if vn == 0:
         return 0.0
     lhs = torus.apply_multiplier(
-        op.gamma_op, op.coeffs.b1.apply(smoothing_apply(swapped, t, v, rtol=rtol))
+        op.gamma_op, op.coeffs.b1.apply(smoothing_apply(swapped, t, v, rtol=1e-11))
     )
     rhs = torus.apply_multiplier(
-        op.gamma_op, smoothing_apply(op, t, op.coeffs.b1.apply(v), rtol=rtol)
+        op.gamma_op, smoothing_apply(op, t, op.coeffs.b1.apply(v), rtol=1e-11)
     )
     return torus.lp_norm(lhs - rhs, 2.0) / vn

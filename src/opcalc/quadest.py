@@ -129,11 +129,9 @@ def bandpass_fields_variable(
     op: hodge.VariableOp,
     u: torus.GridField,
     scales: DyadicScales,
-    *,
-    rtol: float = 1e-10,
 ) -> list[torus.GridField]:
     """Q_t^B u for every dyadic t, via the two resolvent solves per scale."""
-    return [hodge.bandpass_apply(op, t, u, rtol=rtol) for t in scales.scales()]
+    return [hodge.bandpass_apply(op, t, u) for t in scales.scales()]
 
 
 def reproducing_sum(
@@ -240,7 +238,6 @@ def quadratic_estimate(
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
-    rtol: float = 1e-10,
 ) -> QuadraticEstimateReport:
     """Randomized square-function probe E||sum eps_k Q_{2^k} u||_p / ||u||_p.
 
@@ -253,7 +250,7 @@ def quadratic_estimate(
         ws = bandpass_fields_constant(op, u, scales)
         two_sided = True
     else:
-        ws = bandpass_fields_variable(op, u, scales, rtol=rtol)
+        ws = bandpass_fields_variable(op, u, scales)
         two_sided = False
     est = rademacher_norm(None, ws, p=p, samples=samples, seed=seed)
     un = torus.lp_norm(u, p)
@@ -305,7 +302,6 @@ def offdiagonal_probe(
     p: float = 2.0,
     seed: int = 0,
     f_fraction: int = 8,
-    rtol: float = 1e-10,
 ) -> OffDiagonalResult:
     """Decay of 1_E Q_t^B 1_F with the separation dist(E, F)/t = rho.
 
@@ -340,7 +336,7 @@ def offdiagonal_probe(
             denom = torus.lp_norm(uf, p)
             if denom == 0:
                 continue
-            qu = hodge.bandpass_apply(op, t, uf, rtol=rtol)
+            qu = hodge.bandpass_apply(op, t, uf)
             cut = np.where(mask_e[..., None], qu.values, 0.0)
             worst = max(worst, torus.lp_norm(torus.GridField(grid, cut), p) / denom)
         rhos.append(float(rho))

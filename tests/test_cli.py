@@ -1,8 +1,9 @@
 import json
-
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opcalc import cli, hodge, torus
 
@@ -65,6 +66,25 @@ SMALL = {
     "circle_nodes": 4,
     "triple_g": 8,
 }
+
+
+# (suite, config, probe, key): values a probe would otherwise meet only
+# mid-run, or that would let it pass having checked nothing
+NAMED_BAD_VALUES = [
+    ("hodge-const", {"tolerance": "a"}, "hodge-const", "tolerance"),
+    ("hodge-const", {"trials": "x"}, "hodge-const", "trials"),
+    ("hodge-const", {"grid": {"n": 3, "g": 4}}, "hodge-const", "grid"),
+    ("perturb", {"deltas": "x"}, "perturb", "deltas"),
+    ("perturb", {"deltas": [0.0]}, "perturb", "deltas"),
+    ("reproducing", {"windows": "x"}, "reproducing", "windows"),
+    ("reproducing", {"windows": []}, "reproducing", "windows"),
+    ("lipschitz", {"triple_g": 10}, "lipschitz", "triple_g"),
+    ("block", {"nodes": math.inf}, "block", "nodes"),
+    ("symbols", {"sphere_samples": 0}, "symbol", "sphere_samples"),
+    ("hodge-const", {"trials": 0}, "hodge-const", "trials"),
+    # only the suite's last probe reads this one
+    ("quadest", {"overrides": {"offdiag": {"trials": 0}}}, "offdiag", "trials"),
+]
 
 
 class TestSuite:
@@ -145,7 +165,7 @@ class TestSuite:
             ("holomorphy", {"nodes": 4}),
             ("block", {"eps": "x"}),
             ("holomorphy", {"circle_nodes": 0}),
-        ],
+        ] + [case[:2] for case in NAMED_BAD_VALUES],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, suite, config):
         cfg = tmp_path / "cfg.json"
@@ -153,6 +173,42 @@ class TestSuite:
         code = cli.main(["suite", suite, "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert "error:" in capsys.readouterr().err
         assert code == 2
+
+    @pytest.mark.parametrize("suite, config, probe, key", NAMED_BAD_VALUES)
+    def test_bad_value_is_named_and_nothing_runs(
+        self, tmp_path, capsys, suite, config, probe, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main(["suite", suite, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert f"error: bad {key} for probe {probe}:" in capsys.readouterr().err
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_unread_key_warns(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grdi": 1, "grid": SMALL["grid"]}))
+        code = cli.main(
+            ["suite", "hodge-const", "--config", str(cfg), "--out", str(tmp_path / "r")]
+        )
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert code == 0
+        assert len(warnings) == 1 and "'grdi'" in warnings[0]
+
+    def test_probe_crash_leaves_the_other_reports(self, tmp_path, monkeypatch, capsys):
+        def crash(**values):
+            raise RuntimeError("injected")
+
+        monkeypatch.setitem(cli.PROBES, "schur", crash)
+        cli.run_suite("quadest", dict(SMALL), tmp_path / "r", threads=2)
+        capsys.readouterr()
+        data = {p.stem: json.loads(p.read_text()) for p in (tmp_path / "r").glob("*.json")}
+        crashed = data.pop("quadest__schur")
+        assert crashed["passes"] == {"completed": False}
+        assert crashed["constants"]["error"].startswith("RuntimeError")
+        assert sorted(data) == ["quadest__offdiag", "quadest__quadest", "quadest__translated"]
+        assert all(d["pass"] for d in data.values())
 
     def test_perturb_suite_emits_ratio_table(self, tmp_path, capsys):
         code = cli.main(
@@ -175,6 +231,37 @@ class TestSuite:
         capsys.readouterr()
         for fa in sorted((tmp_path / "serial").glob("*.json")):
             assert fa.read_bytes() == (tmp_path / "parallel" / fa.name).read_bytes()
+
+
+# JSON values, small enough that no drawn grid or coefficient field is large
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 64) | st.floats(-8, 64)
+    | st.sampled_from([math.nan, math.inf, -math.inf, "bundled:dirac1d",
+                       "bundled:graddiv2d", "identity"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "g", "length", "b1", "b2"]) | st.text(max_size=2),
+        inner, max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+class TestReadConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(probe=st.sampled_from(sorted(cli.PROBE_KEYS)), data=st.data())
+    def test_returns_or_raises_config_error(self, probe, data):
+        keys = st.sampled_from(sorted(cli.PROBE_KEYS[probe]))
+        cfg = data.draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+        try:
+            values = cli.read_config(probe, cfg)
+        except cli.ConfigError:
+            return
+        assert values.keys() == cli.PROBE_KEYS[probe].keys()
+
+    def test_sixteen_keys(self):
+        keys = {key for table in cli.PROBE_KEYS.values() for key in table}
+        assert keys == set(cli.READERS) and len(keys) == 16
 
 
 class TestReportMerge:
