@@ -7,7 +7,6 @@ from .errors import (
     DecompositionFailure,
     EigensolverError,
     HodgeDecompositionUncertain,
-    NearSingular,
     NotBisectorial,
     NotInvertible,
     OpcalcError,

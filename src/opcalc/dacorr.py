@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import hodge, krylov, matcalc, symbols, torus
+from . import hodge, matcalc, symbols, torus
 from .errors import CoercivityError, ProbeAborted
 
 
@@ -62,10 +62,6 @@ class CompositionOp:
     @property
     def big_n(self):
         return self.d.symbol.big_n
-
-    @property
-    def dim(self):
-        return self.grid.size * self.big_n
 
     def apply(self, u: torus.GridField) -> torus.GridField:
         return torus.apply_multiplier(self.d_op, self.a.apply(u))
@@ -204,9 +200,9 @@ def contour_calculus(
     z, w = contour.quadrature
     fw = matcalc._feval(f, z.ravel()).reshape(z.shape) * w
     acc = np.zeros(dim, dtype=complex)
-    b = u.flat()
     if dim <= DENSE_CALCULUS_LIMIT:
         mat = hodge.dense_operator(apply_fn, grid, big_n)
+        b = u.flat()
         eye = np.eye(dim)
         chunk = max(1, 5_000_000 // (dim * dim))
         for z_piece, fw_piece in zip(z, fw):
@@ -218,20 +214,14 @@ def contour_calculus(
                 acc += fw_piece[lo : lo + chunk] @ sols
         return torus.GridField.from_flat(grid, big_n, acc)
     for zz, c in zip(z.ravel(), fw.ravel()):
-        pre = None
-        if precond_for is not None:
-            pre_op = precond_for(zz)
-            pre = lambda vec, _op=pre_op: torus.apply_multiplier(
-                _op, torus.GridField.from_flat(grid, big_n, vec)
-            ).flat()
-        x = krylov.solve_or_raise(
-            lambda vec: zz * vec - apply_fn(torus.GridField.from_flat(grid, big_n, vec)).flat(),
-            b,
+        x = hodge.solve_field(
+            lambda f: zz * f - apply_fn(f),
+            u,
             what=f"shifted solve at z={zz:.4g}",
             rtol=1e-12,
-            precond=pre,
+            precond=None if precond_for is None else precond_for(zz),
         )
-        acc += c * x
+        acc += c * x.flat()
     return torus.GridField.from_flat(grid, big_n, acc)
 
 
@@ -318,28 +308,17 @@ def block_resolvent_product(
     Applies, in order: a shear by the plain part, the central smoothing
     inverse (I + t^2 (DA)^2)^{-1}, and a shear by the twisted part.
     """
-    grid = a.grid
-    comp = composition(d, a, grid)
+    comp = composition(d, a, a.grid)
     size = comp.big_n
     u1, u2 = split_components(v, size)
     d_u1 = torus.apply_multiplier(comp.d_op, u1)
-    rhs = u2 - 1j * t * d_u1
-    pre = comp.symbol.smoothing(t)
-
-    def matvec(vec):
-        f = torus.GridField.from_flat(grid, size, vec)
-        return (f + (t * t) * comp.apply(comp.apply(f))).flat()
-
-    y = krylov.solve_or_raise(
-        matvec,
-        rhs.flat(),
+    y2 = hodge.solve_field(
+        lambda f: f + (t * t) * comp.apply(comp.apply(f)),
+        u2 - 1j * t * d_u1,
         what="central block solve",
         rtol=1e-12,
-        precond=lambda vec: torus.apply_multiplier(
-            pre, torus.GridField.from_flat(grid, size, vec)
-        ).flat(),
+        precond=comp.symbol.smoothing(t),
     )
-    y2 = torus.GridField.from_flat(grid, size, y)
     ada_y2 = a.apply(torus.apply_multiplier(comp.d_op, a.apply(y2)))
     return stack_components(u1 - 1j * t * ada_y2, y2)
 
@@ -452,28 +431,6 @@ class CoefficientPath:
         )
 
 
-def coercivity_margins(
-    d: FirstOrderD, a: hodge.MatrixField, *, trials: int = 4, seed: int = 0
-) -> tuple[float, float]:
-    """Observed lower bounds of A on range(D) and A* on the adjoint range."""
-    grid = a.grid
-    d_op = torus.GridSymbol(d.symbol, grid).multiplier()
-    d_adj = d_op.adjoint()
-    rng = np.random.default_rng(seed)
-    c = cd = np.inf
-    for _ in range(trials):
-        v = torus.random_band_limited(grid, a.big_n, seed=int(rng.integers(2**31)))
-        w = torus.apply_multiplier(d_op, v)
-        wn = torus.lp_norm(w, 2.0)
-        if wn > 1e-13:
-            c = min(c, torus.lp_norm(a.apply(w), 2.0) / wn)
-        wd = torus.apply_multiplier(d_adj, v)
-        wdn = torus.lp_norm(wd, 2.0)
-        if wdn > 1e-13:
-            cd = min(cd, torus.lp_norm(a.adjoint().apply(wd), 2.0) / wdn)
-    return float(c), float(cd)
-
-
 @dataclasses.dataclass
 class HolomorphyReport:
     residual: float
@@ -490,17 +447,15 @@ def admissible_radius(
     probe_nodes: int = 8,
     seed: int = 0,
 ) -> float:
-    """Largest dyadic-halving radius whose whole circle keeps the
-    coercivity margins above the floor."""
+    """Largest dyadic-halving radius whose whole circle keeps the block
+    coefficients above the coercivity floor."""
     for r in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        ok = True
-        for z in r * np.exp(2j * math.pi * np.arange(probe_nodes) / probe_nodes):
-            c, cd = coercivity_margins(d, path.at(z), seed=seed)
-            if min(c, cd) < floor:
-                ok = False
-                break
-        if ok:
-            return r
+        try:
+            for z in r * np.exp(2j * math.pi * np.arange(probe_nodes) / probe_nodes):
+                build_block(d, path.at(z), floor=floor, seed=seed)
+        except CoercivityError:
+            continue
+        return r
     return 0.03125
 
 
@@ -520,21 +475,19 @@ def holomorphy_probe(
 
     Compares f(D A_0) u with the average of f(D A_z) u over an equispaced
     circle |z| = radius (the trapezoid Cauchy integral of g(z)/z).  All
-    circle nodes must keep the coercivity margins above the floor.  The
-    default radius is half the largest scale whose circle still passes
-    the margin check.
+    circle nodes must keep the block coefficients above the coercivity
+    floor.  The default radius is half the largest scale whose circle
+    still passes that check.
     """
     grid = u.grid
     if radius is None:
         radius = 0.5 * admissible_radius(path, d, floor=floor, seed=seed)
     zs = radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
     for z in zs:
-        c, cd = coercivity_margins(d, path.at(z), seed=seed)
-        if min(c, cd) < floor:
-            raise ProbeAborted(
-                f"coercivity margin {min(c, cd):.3e} below floor at node {z:.6g}",
-                node=z,
-            )
+        try:
+            build_block(d, path.at(z), floor=floor, seed=seed)
+        except CoercivityError as exc:
+            raise ProbeAborted(f"{exc} at node {z:.6g}", node=z) from exc
     # one contour for the whole disc: quadrature error then varies
     # analytically with z and cancels in the Cauchy mean
     base_dist = (path.base - hodge.MatrixField.identity(grid, u.big_n)).inf_norm

@@ -21,10 +21,6 @@ class ContourTooClose(OpcalcError):
     """An eigenvalue lies within the safety margin of the integration contour."""
 
 
-class NearSingular(OpcalcError):
-    """Resolvent requested at a point too close to the spectrum."""
-
-
 class DecompositionFailure(OpcalcError):
     """The three candidate subspaces do not span; no Hodge splitting."""
 

@@ -10,6 +10,7 @@ oracle on small grids.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from functools import cached_property
 from typing import Callable, Sequence
@@ -38,8 +39,6 @@ class MatrixField:
         v = np.asarray(self.values, dtype=complex)
         if v.shape != self.grid.shape + v.shape[-2:] or v.shape[-1] != v.shape[-2]:
             raise ValueError(f"matrix field shape {v.shape} incompatible with grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("matrix field has non-finite entries")
         object.__setattr__(self, "values", v)
 
     @property
@@ -122,9 +121,11 @@ def parse_coefficient(expr: str, grid: torus.TorusGrid, big_n: int) -> MatrixFie
         return MatrixField.identity(grid, big_n)
     m = _EXPR_RE.match(expr.replace(" ", ""))
     if m:
+        eps = float(m.group(1))
+        if not math.isfinite(eps):
+            raise ValueError(f"{expr}: the scale must be finite")
         return perturbed_identity(
-            grid, big_n, float(m.group(1)), int(m.group(3)),
-            diagonal=m.group(2) == "diagrandom",
+            grid, big_n, eps, int(m.group(3)), diagonal=m.group(2) == "diagrandom"
         )
     loaded_grid, values = torus.load_field(expr)
     if loaded_grid != grid or values.shape[-1] != big_n:
@@ -303,6 +304,7 @@ def check_coefficient_conditions(
     rng = np.random.default_rng(seed)
     gt = op.gamma_tilde_op
     gt_adj = gt.adjoint()
+    b2_adj = op.coeffs.b2.adjoint()
     p_dual = p / (p - 1.0)
     nilp = 0.0
     c_primal = np.inf
@@ -325,10 +327,7 @@ def check_coefficient_conditions(
         wd = torus.apply_multiplier(gt_adj, v)
         wdn = torus.lp_norm(wd, p_dual)
         if wdn > 1e-13 * vn:
-            c_dual = min(
-                c_dual,
-                torus.lp_norm(op.coeffs.b2.adjoint().apply(wd), p_dual) / wdn,
-            )
+            c_dual = min(c_dual, torus.lp_norm(b2_adj.apply(wd), p_dual) / wdn)
     if not np.isfinite(c_primal):
         c_primal = 0.0
     if not np.isfinite(c_dual):
@@ -348,6 +347,37 @@ def check_coefficient_conditions(
 # ---------------------------------------------------------------------------
 
 
+def solve_field(
+    apply_fn: Callable[[torus.GridField], torus.GridField],
+    rhs: torus.GridField,
+    *,
+    what: str,
+    rtol: float,
+    precond: torus.MultiplierOp | None = None,
+) -> torus.GridField:
+    """Solve apply_fn(x) = rhs for the field x by GMRES to relative residual
+    rtol, right-preconditioned by the multiplier ``precond`` when given.
+
+    Raises NotInvertible, naming ``what``, when GMRES stagnates or meets a
+    non-finite residual.
+    """
+    grid, big_n = rhs.grid, rhs.big_n
+
+    def on_flat(fn):
+        return lambda vec: fn(torus.GridField.from_flat(grid, big_n, vec)).flat()
+
+    x = krylov.solve_or_raise(
+        on_flat(apply_fn),
+        rhs.flat(),
+        what=what,
+        rtol=rtol,
+        precond=None if precond is None else on_flat(
+            lambda f: torus.apply_multiplier(precond, f)
+        ),
+    )
+    return torus.GridField.from_flat(grid, big_n, x)
+
+
 def variable_resolvent(
     op: VariableOp,
     t: float,
@@ -362,24 +392,13 @@ def variable_resolvent(
     """
     if t == 0:
         return u
-    pre_op = op.total_symbol.resolvent(t)
-
-    def matvec(vec):
-        f = torus.GridField.from_flat(op.grid, op.big_n, vec)
-        return (f + 1j * t * op.apply(f)).flat()
-
-    def precond(vec):
-        f = torus.GridField.from_flat(op.grid, op.big_n, vec)
-        return torus.apply_multiplier(pre_op, f).flat()
-
-    x = krylov.solve_or_raise(
-        matvec,
-        u.flat(),
+    return solve_field(
+        lambda f: f + 1j * t * op.apply(f),
+        u,
         what=f"resolvent at t={t}",
         rtol=rtol,
-        precond=precond,
+        precond=op.total_symbol.resolvent(t),
     )
-    return torus.GridField.from_flat(op.grid, op.big_n, x)
 
 
 def smoothing_apply(op: VariableOp, t: float, u: torus.GridField, **kw) -> torus.GridField:
@@ -562,12 +581,6 @@ class PerturbationReport:
     diff_p_gamma_tilde: float
     diff_restricted_inverse: float
     ratios: dict | None
-
-    def describe(self) -> str:
-        if self.ratios is None:
-            return "delta = 0; ratios undefined"
-        parts = ", ".join(f"{k}={v:.3g}" for k, v in self.ratios.items())
-        return f"delta = {self.delta:.4g}: {parts}"
 
 
 def hodge_perturbation_report(

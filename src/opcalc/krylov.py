@@ -8,6 +8,7 @@ semantics do not depend on external library versions.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,8 @@ def gmres(
 
     With right preconditioning the minimized residual is the true
     residual of the original system, so convergence means
-    ``||b - A x|| <= rtol * ||b||``.
+    ``||b - A x|| <= rtol * ||b||``.  A residual that is not finite ends
+    the solve, unconverged.
     """
     b = np.asarray(b, dtype=complex).reshape(-1)
     n = b.size
@@ -57,6 +59,8 @@ def gmres(
         res = beta / bnorm
         if res <= rtol:
             return x, SolveInfo(total, res, True)
+        if not math.isfinite(res):
+            break
         prev_res = res
         m = min(restart, maxiter - total, n)
         v = np.zeros((m + 1, n), dtype=complex)
@@ -90,6 +94,8 @@ def gmres(
             cols = j + 1
             total += 1
             res = abs(g[j + 1]) / bnorm
+            if not math.isfinite(res):
+                return x, SolveInfo(total, res, False)
             if res <= rtol or hnext < 1e-300:
                 break
             v[j + 1] = w / hnext

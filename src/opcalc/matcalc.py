@@ -1,8 +1,8 @@
 """Finite-dimensional complex spectral core.
 
-Eigenvalues, kernel/range splittings, resolvents, and contour-integral
-matrix functions for operators whose nonzero spectrum lies in a bisector
-around the real axis.  Everything here works on plain square complex
+Eigenvalues, kernel/range splittings and contour-integral matrix
+functions for operators whose nonzero spectrum lies in a bisector around
+the real axis.  Everything here works on plain square complex
 ndarrays; all routines are pure functions of their inputs.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ContourTooClose,
     EigensolverError,
-    NearSingular,
     NotBisectorial,
     NotInvertible,
     SplitUndefined,
@@ -431,17 +430,3 @@ def matrix_function_eig(t, f: Callable) -> np.ndarray:
     fl = np.asarray([complex(f(z)) for z in lam])
     return v @ (fl[:, None] * np.linalg.inv(v))
 
-
-def resolvent(t, lam: complex, *, margin=1e-10, residual_tol=1e-10) -> np.ndarray:
-    """(lam*I - T)^{-1} by dense solve, with a residual guarantee."""
-    a = _as_matrix(t)
-    n = a.shape[0]
-    spec = spectrum(a)
-    scale = max(abs(lam), operator_norm(a), 1.0)
-    if np.min(np.abs(spec - lam)) < margin * scale:
-        raise NearSingular(f"lambda={lam} within margin of the spectrum")
-    x = np.linalg.solve(lam * np.eye(n) - a, np.eye(n))
-    res = operator_norm((lam * np.eye(n) - a) @ x - np.eye(n))
-    if res > residual_tol:
-        raise NearSingular(f"resolvent residual {res:.3e} exceeds {residual_tol}")
-    return x

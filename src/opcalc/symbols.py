@@ -128,10 +128,6 @@ class SphereSample:
         object.__setattr__(self, "points", p)
 
     @property
-    def count(self):
-        return self.points.shape[0]
-
-    @property
     def n(self):
         return self.points.shape[1]
 
@@ -434,6 +430,8 @@ def _matrix_from_json(rows, big_n):
     a = np.asarray(rows, dtype=float)
     if a.shape != (big_n, big_n, 2):
         raise ValueError(f"matrix entry has shape {a.shape}, want ({big_n},{big_n},2)")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entry has non-finite values")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -450,13 +448,19 @@ def symbol_to_dict(s: HomogeneousSymbol) -> dict:
     }
 
 
+def _object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(d).__name__}")
+    return d
+
+
 def symbol_from_dict(d: dict) -> HomogeneousSymbol:
-    if d.get("kind") != "homogeneous_symbol":
+    if _object(d, "symbol").get("kind") != "homogeneous_symbol":
         raise ValueError(f"not a symbol object: kind={d.get('kind')!r}")
     n, big_n, k = int(d["n"]), int(d["N"]), int(d["k"])
     coeffs = {
         tuple(int(x) for x in key.split(",")): _matrix_from_json(val, big_n)
-        for key, val in d["coeffs"].items()
+        for key, val in _object(d["coeffs"], "coeffs").items()
     }
     return HomogeneousSymbol(n, big_n, k, coeffs)
 
@@ -472,7 +476,7 @@ def pair_to_dict(p: HodgeDiracSymbolPair) -> dict:
 
 
 def pair_from_dict(d: dict) -> HodgeDiracSymbolPair:
-    if d.get("kind") != "hodge_pair":
+    if _object(d, "pair").get("kind") != "hodge_pair":
         raise ValueError(f"not a pair object: kind={d.get('kind')!r}")
     return HodgeDiracSymbolPair(
         symbol_from_dict(d["gamma"]), symbol_from_dict(d["gamma_tilde"])
@@ -483,7 +487,7 @@ def load_symbol_file(path):
     """Load either a single symbol or a Hodge pair from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    kind = d.get("kind")
+    kind = _object(d, "top level").get("kind")
     if kind == "homogeneous_symbol":
         return symbol_from_dict(d)
     if kind == "hodge_pair":

@@ -43,8 +43,8 @@ class TorusGrid:
             raise ValueError("n must be >= 1")
         if self.g < 4 or not _is_pow2(self.g):
             raise ValueError("g must be a power of two, >= 4")
-        if not (self.length > 0):
-            raise ValueError("length must be positive")
+        if not (0 < self.length < math.inf):
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,8 +95,6 @@ class GridField:
         v = np.asarray(self.values, dtype=complex)
         if v.shape[:-1] != self.grid.shape or v.ndim != self.grid.n + 1:
             raise ValueError(f"values shape {v.shape} incompatible with grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field has non-finite entries")
         object.__setattr__(self, "values", v)
 
     @property
@@ -147,8 +145,6 @@ class MultiplierOp:
             raise ValueError(f"mats shape {m.shape} incompatible with grid")
         if m.shape[-1] != m.shape[-2]:
             raise ValueError("per-frequency entries must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("multiplier has non-finite entries")
         object.__setattr__(self, "mats", m)
 
     @property
@@ -167,12 +163,6 @@ class MultiplierOp:
     def __matmul__(self, other: "MultiplierOp") -> "MultiplierOp":
         return MultiplierOp(self.grid, self.mats @ other.mats)
 
-    def __add__(self, other: "MultiplierOp") -> "MultiplierOp":
-        return MultiplierOp(self.grid, self.mats + other.mats)
-
-    def __sub__(self, other: "MultiplierOp") -> "MultiplierOp":
-        return MultiplierOp(self.grid, self.mats - other.mats)
-
     def __mul__(self, c) -> "MultiplierOp":
         return MultiplierOp(self.grid, self.mats * c)
 
@@ -189,16 +179,6 @@ def apply_multiplier(m: MultiplierOp, u: GridField) -> GridField:
     hat = fft_field(u)
     out = np.einsum("...ij,...j->...i", m.mats, hat)
     return ifft_field(u.grid, out)
-
-
-def gradient_multiplier(grid: TorusGrid, big_n: int) -> list[MultiplierOp]:
-    """Partial-derivative multipliers i*xi_j * I, one per axis."""
-    out = []
-    for j in range(grid.n):
-        xi_j = grid.lattice[..., j]
-        mats = 1j * xi_j[..., None, None] * np.eye(big_n)
-        out.append(MultiplierOp(grid, mats))
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,22 +293,6 @@ def lp_norm(u: GridField, p: float) -> float:
     return float((np.sum(mags**p) * u.grid.cell_volume) ** (1.0 / p))
 
 
-def dyadic_average(u: GridField, cells: int) -> GridField:
-    """Mean over dyadic blocks of side `cells` grid cells; idempotent."""
-    g, n = u.grid.g, u.grid.n
-    if cells < 1 or not _is_pow2(cells) or g % cells != 0:
-        raise ValueError(f"block side {cells} must be a power of two dividing {g}")
-    if cells == 1:
-        return u
-    shape = ()
-    for _ in range(n):
-        shape += (g // cells, cells)
-    v = u.values.reshape(shape + (u.big_n,))
-    mean_axes = tuple(2 * i + 1 for i in range(n))
-    m = v.mean(axis=mean_axes, keepdims=True)
-    return GridField(u.grid, np.broadcast_to(m, v.shape).reshape(u.values.shape))
-
-
 # ---------------------------------------------------------------------------
 # Random and structured test fields.
 # ---------------------------------------------------------------------------
@@ -363,73 +327,6 @@ def random_band_limited(
     if kill_zero_mode:
         hat[(0,) * grid.n] = 0.0
     return ifft_field(grid, hat)
-
-
-# ---------------------------------------------------------------------------
-# Probes for the constant-coefficient theory.
-# ---------------------------------------------------------------------------
-
-
-def resolvent_bound_probe(
-    pair: symbols.HodgeDiracSymbolPair,
-    grid: TorusGrid,
-    *,
-    theta_prime: float,
-    n_lambda: int = 50,
-    n_fields: int = 200,
-    p: float = 2.0,
-    seed: int = 0,
-) -> float:
-    """Estimated sup over sampled lambda outside the bisector of the norm
-    of lambda*(lambda - S)^{-1} acting on random fields."""
-    rng = np.random.default_rng(seed)
-    gs = GridSymbol(pair.total(), grid)
-    worst = 0.0
-    fields = [
-        random_band_limited(grid, pair.big_n, seed=int(rng.integers(2**31)))
-        for _ in range(n_fields)
-    ]
-    for _ in range(n_lambda):
-        ang = rng.uniform(theta_prime, math.pi - theta_prime)
-        if rng.uniform() < 0.5:
-            ang = -ang
-        radius = 10.0 ** rng.uniform(-2, 2)
-        lam = radius * np.exp(1j * ang)
-        op = gs.shifted(lam) * lam
-        for u in fields:
-            denom = lp_norm(u, p)
-            if denom == 0:
-                continue
-            worst = max(worst, lp_norm(apply_multiplier(op, u), p) / denom)
-    return worst
-
-
-def coercivity_probe(
-    pair: symbols.HodgeDiracSymbolPair,
-    grid: TorusGrid,
-    *,
-    p: float = 2.0,
-    trials: int = 10,
-    seed: int = 0,
-) -> float:
-    """Largest observed ratio of gradient norm to operator norm on the range."""
-    total = pair.total()
-    pi_op = GridSymbol(total, grid).multiplier()
-    _, p_ran = kernel_range_multipliers(total, grid)
-    grads = gradient_multiplier(grid, pair.big_n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        v = random_band_limited(grid, pair.big_n, seed=int(rng.integers(2**31)))
-        u = apply_multiplier(p_ran, v)
-        denom = lp_norm(apply_multiplier(pi_op, u), p)
-        if denom < 1e-12:
-            continue
-        grad_vals = np.concatenate(
-            [apply_multiplier(gop, u).values for gop in grads], axis=-1
-        )
-        worst = max(worst, lp_norm(GridField(grid, grad_vals), p) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +369,8 @@ def load_field(path):
         else:
             raise ValueError(f"{path}: unknown layout tag {tag}")
         data = np.frombuffer(fh.read(), dtype=np.complex64).reshape(shape)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite values")
     values = data.astype(complex)
     if tag == LAYOUT_VECTOR:
         return GridField(grid, values)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -42,6 +44,22 @@ class TestAnalyzeSymbol:
         capsys.readouterr()
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("obj", [
+        [1],
+        {"kind": "hodge_pair", "n": 1, "N": 2, "gamma": 5, "gamma_tilde": 5},
+        {"kind": "homogeneous_symbol", "n": 1, "N": 1, "k": 1, "coeffs": [1]},
+    ])
+    def test_wrong_json_shape_is_config_error(self, tmp_path, capsys, obj):
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps(obj))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"symbol": str(path)}))
+        for argv in (["analyze-symbol", str(path)],
+                     ["suite", "hodge-const", "--config", str(cfg), "--out", str(tmp_path)]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         cli.main(["analyze-symbol", "bundled:dirac1d", "--json", str(out)])
@@ -84,6 +102,9 @@ NAMED_BAD_VALUES = [
     ("hodge-const", {"trials": 0}, "hodge-const", "trials"),
     # only the suite's last probe reads this one
     ("quadest", {"overrides": {"offdiag": {"trials": 0}}}, "offdiag", "trials"),
+    ("hodge-const", {"grid": {"length": math.inf}}, "hodge-const", "grid"),
+    ("hodge-var", {"coefficients": {"b1": "identity+1e999*random(1)"}}, "hodge-var",
+     "coefficients"),
 ]
 
 
@@ -185,6 +206,18 @@ class TestSuite:
         assert code == 2
         assert not (tmp_path / "r").exists()
 
+    def test_non_finite_coefficient_file_is_named(self, tmp_path, capsys):
+        grid = torus.TorusGrid(1, 16)  # the hodge-var suite's grid
+        values = hodge.MatrixField.identity(grid, 2).values.copy()
+        values[7, 0, 1] = np.nan
+        field = tmp_path / "b1.bin"
+        torus.save_field(field, hodge.MatrixField(grid, values))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coefficients": {"b1": str(field)}}))
+        code = cli.main(["suite", "hodge-var", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert "error: bad coefficients for probe hodge-var:" in capsys.readouterr().err
+        assert code == 2
+
     def test_unread_key_warns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grdi": 1, "grid": SMALL["grid"]}))
@@ -262,6 +295,43 @@ class TestReadConfig:
     def test_sixteen_keys(self):
         keys = {key for table in cli.PROBE_KEYS.values() for key in table}
         assert keys == set(cli.READERS) and len(keys) == 16
+
+
+# symbol files: any JSON value, and symbol and pair objects whose fields are
+# JSON values or, to reach the checks past parsing, small well-formed ones
+_NUMBERS = st.floats(-8, 64) | st.sampled_from([0.0, 1.0, math.nan, math.inf])
+_MATRICES = st.integers(1, 3).flatmap(
+    lambda m: st.lists(st.lists(st.lists(_NUMBERS, min_size=2, max_size=2),
+                                min_size=m, max_size=m), min_size=m, max_size=m)
+)
+_SIZES = st.integers(1, 3) | JSON_VALUES
+_SYMBOL_OBJECTS = st.fixed_dictionaries(
+    {"kind": st.just("homogeneous_symbol")},
+    optional={"n": _SIZES, "N": _SIZES, "k": _SIZES, "coeffs": JSON_VALUES | st.dictionaries(
+        st.sampled_from(["1", "2", "0,1", "1,0", "1,1"]), _MATRICES | JSON_VALUES, max_size=3
+    )},
+)
+SYMBOL_FILES = JSON_VALUES | _SYMBOL_OBJECTS | st.fixed_dictionaries(
+    {"kind": st.just("hodge_pair")},
+    optional={"gamma": _SYMBOL_OBJECTS | JSON_VALUES, "gamma_tilde": _SYMBOL_OBJECTS},
+)
+
+
+@pytest.fixture(scope="module")
+def symbol_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("symbol") / "symbol.json"
+
+
+class TestSymbolFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=SYMBOL_FILES)
+    def test_exit_code_without_traceback(self, symbol_path, obj):
+        symbol_path.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze-symbol", str(symbol_path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestReportMerge:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opcalc import hodge, krylov, matcalc, symbols, torus
-from opcalc.errors import DecompositionFailure, PerturbationTooLarge
+from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
 
 from conftest import diagonal_coefficients, rel_err
 
@@ -188,6 +188,18 @@ class TestVariableResolvent:
         got = hodge.variable_resolvent(op, 2.0, u, rtol=1e-12)
         ref = dense_resolvent(op, 2.0, u)
         assert torus.lp_norm(got - ref, 2.0) <= 1e-9 * torus.lp_norm(u, 2.0)
+
+    def test_nan_rhs_is_not_invertible(self, var_op16, grid16):
+        values = torus.random_band_limited(grid16, 2, seed=6).values.copy()
+        values[5, 1] = np.nan
+        with pytest.raises(NotInvertible):
+            hodge.solve_field(
+                lambda f: f + 1j * var_op16.apply(f),
+                torus.GridField(grid16, values),
+                what="resolvent at t=1",
+                rtol=1e-10,
+                precond=var_op16.total_symbol.resolvent(1.0),
+            )
 
 
 class TestVariableProjections:

@@ -35,6 +35,11 @@ class TestGmres:
         x, info = krylov.gmres(lambda v: v, np.zeros(5, dtype=complex))
         assert info.converged and np.all(x == 0)
 
+    def test_nan_rhs_ends_at_once(self):
+        b = np.array([1.0, np.nan, 0.0], dtype=complex)
+        _, info = krylov.gmres(lambda v: 2.0 * v, b)
+        assert not info.converged and info.iterations == 0
+
     def test_singular_raises(self):
         a = np.diag([1.0, 1.0, 0.0])
         b = np.array([1.0, 1.0, 1.0], dtype=complex)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opcalc import matcalc
-from opcalc.errors import ContourTooClose, NearSingular, NotBisectorial, SplitUndefined
+from opcalc.errors import ContourTooClose, NotBisectorial, SplitUndefined
 
 from conftest import diagonalizable_matrix, random_matrix, rel_err
 
@@ -202,43 +202,6 @@ class TestContourFC:
     def test_split_undefined_propagates(self):
         with pytest.raises(SplitUndefined):
             matcalc.contour_fc(np.array([[0, 1], [0, 0]]), f_odd)
-
-
-class TestResolvent:
-    def test_zero_matrix(self):
-        out = matcalc.resolvent(np.zeros((2, 2)), 2.0)
-        assert np.allclose(out, np.eye(2) / 2)
-
-    def test_involution_closed_form(self):
-        t = np.array([[0, 1], [1, 0]], dtype=complex)
-        lam = 2j
-        # (lam - t)^{-1} = (lam + t)/(lam^2 - 1) when t*t = I
-        out = matcalc.resolvent(t, lam)
-        assert rel_err(out, (lam * np.eye(2) + t) / (lam**2 - 1)) < 1e-12
-
-    def test_residual_oracle_on_bisector_rays(self):
-        t, _, _ = diagonalizable_matrix(4, 23, angle=np.pi / 8)
-        for r in (0.1, 1.0, 10.0):
-            lam = r * np.exp(1j * np.pi / 2)
-            x = matcalc.resolvent(t, lam)
-            res = np.linalg.norm((lam * np.eye(4) - t) @ x - np.eye(4))
-            assert res <= 1e-10
-
-    def test_near_singular(self):
-        t = np.diag([1.0, 2.0])
-        with pytest.raises(NearSingular):
-            matcalc.resolvent(t, 1.0 + 1e-14)
-
-    def test_resolvent_bound_finite(self):
-        # sampled lambda outside the bisector: ||lam (lam - T)^{-1}|| bounded
-        t, _, _ = diagonalizable_matrix(4, 29, angle=np.pi / 8)
-        worst = 0.0
-        for r in np.logspace(-2, 2, 9):
-            for ang in (np.pi / 2, -np.pi / 2, 3 * np.pi / 8, -3 * np.pi / 8):
-                lam = r * np.exp(1j * ang)
-                x = matcalc.resolvent(t, lam)
-                worst = max(worst, abs(lam) * np.linalg.norm(x, 2))
-        assert np.isfinite(worst)
 
 
 class TestPrincipalAngles:
