@@ -185,13 +185,17 @@ def contour_calculus(
     """f of a matrix-free operator applied to a field, via the contour.
 
     Requires f(0) = 0 (all members of the bundled test family vanish at
-    the origin, so no kernel-projection term is needed).  Each node of
-    ``contour.quadrature`` costs one shifted solve, and the size alone
-    picks how: up to DENSE_CALCULUS_LIMIT unknowns the operator is
-    assembled once and the shifted systems are batch-factorized, each
-    batch within one contour piece and of at most 5e6 matrix entries;
-    past it, each node runs a GMRES solve to relative residual 1e-12,
-    preconditioned by ``precond_for(z)`` when given.
+    the origin, so no kernel-projection term is needed).  The quadrature
+    is ``contour.quadrature``; the size picks how its shifted solves are
+    done.  Up to DENSE_CALCULUS_LIMIT unknowns the operator is assembled
+    and diagonalized once, A = V diag(lam) V^{-1}, and the sum over nodes
+    becomes V (sum_k w_k f(z_k) / (z_k - lam)) V^{-1} u.  That route is
+    taken only when cond(V) <= matcalc.EIG_COND_LIMIT (its error grows
+    with cond(V)), and it raises ContourTooClose when a nonzero
+    eigenvalue is not enclosed by the contour.  Past the size limit, or
+    with V too ill-conditioned or singular, each node runs a GMRES solve
+    to relative residual 1e-12, preconditioned by ``precond_for(z)`` when
+    given.
     """
     if abs(complex(f(0.0))) > 1e-13:
         raise ValueError("contour calculus requires f(0) = 0")
@@ -199,20 +203,15 @@ def contour_calculus(
     dim = grid.size * big_n
     z, w = contour.quadrature
     fw = matcalc._feval(f, z.ravel()).reshape(z.shape) * w
-    acc = np.zeros(dim, dtype=complex)
     if dim <= DENSE_CALCULUS_LIMIT:
-        mat = hodge.dense_operator(apply_fn, grid, big_n)
-        b = u.flat()
-        eye = np.eye(dim)
-        chunk = max(1, 5_000_000 // (dim * dim))
-        for z_piece, fw_piece in zip(z, fw):
-            for lo in range(0, z_piece.size, chunk):
-                zs = z_piece[lo : lo + chunk]
-                mats = zs[:, None, None] * eye - mat
-                rhs = np.broadcast_to(b[:, None], (len(zs), dim, 1))
-                sols = np.linalg.solve(mats, rhs)[..., 0]
-                acc += fw_piece[lo : lo + chunk] @ sols
-        return torus.GridField.from_flat(grid, big_n, acc)
+        lam, v = np.linalg.eig(hodge.dense_operator(apply_fn, grid, big_n))
+        if np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT:
+            nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
+            matcalc._check_enclosed(nz, contour, 1e-6)
+            scal = fw.ravel() @ (1 / (z.ravel()[:, None] - lam))
+            out = v @ (scal * np.linalg.solve(v, u.flat()))
+            return torus.GridField.from_flat(grid, big_n, out)
+    acc = np.zeros(dim, dtype=complex)
     for zz, c in zip(z.ravel(), fw.ravel()):
         x = hodge.solve_field(
             lambda f: zz * f - apply_fn(f),

@@ -29,6 +29,8 @@ RANK_TOL = 1e-10
 SPLIT_CHECK_TOL = 1e-8
 # Eigenvalues below ZERO_EIG_TOL * |T| are classified as the zero eigenvalue.
 ZERO_EIG_TOL = 1e-10
+# Eigendecomposition routes f(T) = V f(L) V^{-1} require cond(V) <= EIG_COND_LIMIT.
+EIG_COND_LIMIT = 1e8
 
 
 def _as_matrix(t) -> np.ndarray:
@@ -425,7 +427,7 @@ def matrix_function_eig(t, f: Callable) -> np.ndarray:
     a = _as_matrix(t)
     lam, v = np.linalg.eig(a)
     cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > 1e8:
+    if not np.isfinite(cond) or cond > EIG_COND_LIMIT:
         raise EigensolverError(f"eigenvector matrix too ill-conditioned: {cond:.2e}")
     fl = np.asarray([complex(f(z)) for z in lam])
     return v @ (fl[:, None] * np.linalg.inv(v))

@@ -230,12 +230,7 @@ class GridSymbol:
         return self._inv(z * self._eye - self.mats, "z - S")
 
 
-def matrix_function_multiplier(
-    gs: GridSymbol,
-    f: Callable,
-    *,
-    cond_limit=1e8,
-) -> MultiplierOp:
+def matrix_function_multiplier(gs: GridSymbol, f: Callable) -> MultiplierOp:
     """Multiplier with per-frequency matrices f(S(xi)).
 
     Uses the batched eigendecomposition where well-conditioned and falls
@@ -247,7 +242,7 @@ def matrix_function_multiplier(
     fl = np.vectorize(lambda z: complex(f(z)))(lam)
     out = np.empty_like(flat)
     conds = np.linalg.cond(v)
-    good = conds < cond_limit
+    good = conds < matcalc.EIG_COND_LIMIT
     if np.any(good):
         vg = v[good]
         out[good] = vg @ (fl[good][:, :, None] * matcalc._batched_inv(vg, "eigenvector matrix"))

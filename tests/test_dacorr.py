@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opcalc import dacorr, hodge, matcalc, symbols, torus
-from opcalc.errors import CoercivityError, ProbeAborted
+from opcalc.errors import CoercivityError, ContourTooClose, ProbeAborted
 
 from conftest import diagonal_coefficients, rel_err
 
@@ -185,6 +185,74 @@ class TestGmresPath:
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
         gmres = dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar, nodes=32)
         assert rel_err(gmres.flat(), dense.flat()) < 1e-10
+
+
+def lu_contour_oracle(apply_fn, u, f, contour):
+    """The contour sum with one dense LU solve per node."""
+    dim = u.grid.size * u.big_n
+    mat = hodge.dense_operator(apply_fn, u.grid, u.big_n)
+    z, w = (q.ravel() for q in contour.quadrature)
+    rhs = np.broadcast_to(u.flat()[:, None], (z.size, dim, 1))
+    sols = np.linalg.solve(z[:, None, None] * np.eye(dim) - mat, rhs)[..., 0]
+    return (matcalc._feval(f, z) * w) @ sols
+
+
+def _composition_case(d, grid16, dirac_pair):
+    comp = dacorr.composition(d, hodge.perturbed_identity(grid16, 1, 0.3, 67), grid16)
+    contour = dacorr.discrete_contour(d.params, grid16, coeff_distance=0.3, coeff_sup=1.3)
+    return comp.apply, torus.random_band_limited(grid16, 1, seed=12), contour
+
+
+def _block_case(d, grid16, dirac_pair):
+    block = dacorr.build_block(d, hodge.perturbed_identity(grid16, 1, 0.3, 67), seed=0)
+    v = torus.random_band_limited(grid16, 2, seed=13)
+    contour = dacorr.discrete_contour(d.params, grid16, coeff_distance=0.6, coeff_sup=1.3)
+    return block.apply, v, contour
+
+
+def _triple_case(d, grid16, dirac_pair):
+    coeffs = diagonal_coefficients(grid16, 2, 0.05, 84)
+    maps = dacorr.build_similarity(dirac_pair, coeffs, grid16)
+    params = symbols.verify_hodge_pair(dirac_pair).params
+    contour = dacorr.discrete_contour(params, grid16, coeff_distance=0.1, coeff_sup=1.1)
+    return maps.triple_apply, maps.split(torus.random_band_limited(grid16, 2, seed=10)), contour
+
+
+class TestDenseRoute:
+    @pytest.mark.parametrize("case", [_composition_case, _block_case, _triple_case])
+    def test_eig_route_matches_lu_oracle(self, case, d_scalar, grid16, dirac_pair, monkeypatch):
+        apply_fn, u, contour = case(d_scalar, grid16, dirac_pair)
+
+        def no_gmres(*args, **kwargs):
+            raise AssertionError("GMRES fallback taken")
+
+        monkeypatch.setattr(hodge, "solve_field", no_gmres)
+        got = dacorr.contour_calculus(apply_fn, u, f_odd, contour)
+        assert rel_err(got.flat(), lu_contour_oracle(apply_fn, u, f_odd, contour)) < 1e-12
+
+    def test_jordan_block_falls_back_to_gmres(self, grid16):
+        # 2 I plus the lower shift: one Jordan block, so V is singular
+        def apply_fn(v):
+            x = v.flat()
+            out = 2 * x
+            out[1:] += x[:-1]
+            return torus.GridField.from_flat(grid16, 1, out)
+
+        dense = hodge.dense_operator(apply_fn, grid16, 1)
+        assert not np.linalg.cond(np.linalg.eig(dense)[1]) <= matcalc.EIG_COND_LIMIT
+        spec = matcalc.ContourSpec(1.0, 0.1, 10.0, 64)
+        u = torus.random_band_limited(grid16, 1, seed=3)
+        got = dacorr.contour_calculus(apply_fn, u, f_odd, spec)
+        exact = matcalc.contour_fc(dense, f_odd, spec) @ u.flat()
+        assert rel_err(got.flat(), exact) < 1e-10
+
+    def test_spectrum_outside_contour_raises(self, d_scalar, grid16):
+        comp = dacorr.composition(d_scalar, hodge.perturbed_identity(grid16, 1, 0.3, 67), grid16)
+        lam = np.linalg.eigvals(hodge.dense_operator(comp.apply, grid16, 1))
+        spec = matcalc.ContourSpec(1.0, 0.1, 0.5 * np.abs(lam).max(), 32)
+        u = torus.random_band_limited(grid16, 1, seed=12)
+        with pytest.raises(ContourTooClose):
+            dacorr.contour_calculus(comp.apply, u, f_odd, spec)
 
 
 class TestHolomorphy:
