@@ -182,20 +182,22 @@ def contour_calculus(
     *,
     precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
 ) -> torus.GridField:
-    """f of a matrix-free operator applied to a field, via the contour.
+    """f of a matrix-free operator applied to a field, or to each field of
+    a stack ``u``, via the contour.
 
-    Requires f(0) = 0 (all members of the bundled test family vanish at
-    the origin, so no kernel-projection term is needed).  The quadrature
-    is ``contour.quadrature``; the size picks how its shifted solves are
+    ``apply_fn`` must act on stacks of fields.  Requires f(0) = 0 (all
+    members of the bundled test family vanish at the origin, so no
+    kernel-projection term is needed).  The quadrature is
+    ``contour.quadrature``; the size picks how its shifted solves are
     done.  Up to DENSE_CALCULUS_LIMIT unknowns the operator is assembled
     and diagonalized once, A = V diag(lam) V^{-1}, and the sum over nodes
-    becomes V (sum_k w_k f(z_k) / (z_k - lam)) V^{-1} u.  That route is
-    taken only when cond(V) <= matcalc.EIG_COND_LIMIT (its error grows
-    with cond(V)), and it raises ContourTooClose when a nonzero
-    eigenvalue is not enclosed by the contour.  Past the size limit, or
-    with V too ill-conditioned or singular, each node runs a GMRES solve
-    to relative residual 1e-12, preconditioned by ``precond_for(z)`` when
-    given.
+    becomes V (sum_k w_k f(z_k) / (z_k - lam)) V^{-1} U, one solve with V
+    for all the fields.  That route is taken only when cond(V) <=
+    matcalc.EIG_COND_LIMIT (its error grows with cond(V)), and it raises
+    ContourTooClose when a nonzero eigenvalue is not enclosed by the
+    contour.  Past the size limit, or with V too ill-conditioned or
+    singular, each node runs a GMRES solve per field to relative residual
+    1e-12, preconditioned by ``precond_for(z)`` when given.
     """
     if abs(complex(f(0.0))) > 1e-13:
         raise ValueError("contour calculus requires f(0) = 0")
@@ -209,19 +211,23 @@ def contour_calculus(
             nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
             matcalc._check_enclosed(nz, contour, 1e-6)
             scal = fw.ravel() @ (1 / (z.ravel()[:, None] - lam))
-            out = v @ (scal * np.linalg.solve(v, u.flat()))
-            return torus.GridField.from_flat(grid, big_n, out)
-    acc = np.zeros(dim, dtype=complex)
-    for zz, c in zip(z.ravel(), fw.ravel()):
-        x = hodge.solve_field(
-            lambda f: zz * f - apply_fn(f),
-            u,
-            what=f"shifted solve at z={zz:.4g}",
-            rtol=1e-12,
-            precond=None if precond_for is None else precond_for(zz),
-        )
-        acc += c * x.flat()
-    return torus.GridField.from_flat(grid, big_n, acc)
+            cols = u.values.reshape(-1, dim).T
+            out = v @ (scal[:, None] * np.linalg.solve(v, cols))
+            return torus.GridField(grid, out.T.reshape(u.values.shape))
+    sums = []
+    for field in u.members():
+        acc = np.zeros(dim, dtype=complex)
+        for zz, c in zip(z.ravel(), fw.ravel()):
+            x = hodge.solve_field(
+                lambda f: zz * f - apply_fn(f),
+                field,
+                what=f"shifted solve at z={zz:.4g}",
+                rtol=1e-12,
+                precond=None if precond_for is None else precond_for(zz),
+            )
+            acc += c * x.flat()
+        sums.append(acc)
+    return torus.GridField(grid, np.reshape(sums, u.values.shape))
 
 
 def composition_calculus(
@@ -255,7 +261,8 @@ def block_calculus(
     *,
     nodes: int = 128,
 ) -> torus.GridField:
-    """f of the doubled-space operator applied to a stacked field."""
+    """f of the doubled-space operator applied to a field of component
+    pairs, or to each field of a stack of them."""
     eye = hodge.MatrixField.identity(block_op.grid, block_op.big_n)
     b1 = block_op.coeffs.b1
     dist = min((b1 + block_op.coeffs.b2 - eye).inf_norm, 2.0)
@@ -266,6 +273,16 @@ def block_calculus(
     return contour_calculus(
         block_op.apply, v, f, contour, precond_for=block_op.total_symbol.shifted
     )
+
+
+def random_trials(grid: torus.TorusGrid, big_n: int, trials: int, seed: int) -> torus.GridField:
+    """``trials`` random band-limited fields as one stack, each drawn from
+    its own seed out of the generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return torus.GridField.stack([
+        torus.random_band_limited(grid, big_n, seed=int(rng.integers(2**31)))
+        for _ in range(trials)
+    ])
 
 
 def intertwine_check(
@@ -281,18 +298,17 @@ def intertwine_check(
     grid = a.grid
     block_op = build_block(d, a, seed=seed)
     comp = composition(d, a, grid)
-    rng = np.random.default_rng(seed)
+    us = random_trials(grid, comp.big_n, trials, seed)
+    vs = stack_components(a.apply(us), us)
+    lhs = block_calculus(block_op, f, vs, d, nodes=nodes)
+    x = composition_calculus(comp, f, us, d, nodes=nodes)
+    rhs = stack_components(a.apply(x), x)
     worst = 0.0
-    for _ in range(trials):
-        u = torus.random_band_limited(grid, comp.big_n, seed=int(rng.integers(2**31)))
-        v = stack_components(a.apply(u), u)
-        lhs = block_calculus(block_op, f, v, d, nodes=nodes)
-        x = composition_calculus(comp, f, u, d, nodes=nodes)
-        rhs = stack_components(a.apply(x), x)
+    for v, diff in zip(vs.members(), (lhs - rhs).members()):
         denom = torus.lp_norm(v, 2.0)
         if denom == 0:
             continue
-        worst = max(worst, torus.lp_norm(lhs - rhs, 2.0) / denom)
+        worst = max(worst, torus.lp_norm(diff, 2.0) / denom)
     return worst
 
 
@@ -356,7 +372,8 @@ def build_similarity(
         lambda u: torus.apply_multiplier(op.gamma_tilde_op, u), grid, size
     )
     v_basis = matcalc.range_basis(gt)
-    w = hodge.dense_matrix_field(coeffs.b1) @ v_basis
+    b1_dense = hodge.dense_operator(coeffs.b1.apply, grid, size)
+    w = b1_dense @ v_basis
     b1_restricted_inv = v_basis @ np.linalg.pinv(w, rcond=1e-12)
 
     def split(u: torus.GridField) -> torus.GridField:
@@ -366,8 +383,6 @@ def build_similarity(
             [pp.reshape(grid.shape + (size,)) for pp in parts], axis=-1
         )
         return torus.GridField(grid, vals)
-
-    b1_dense = hodge.dense_matrix_field(coeffs.b1)
 
     def assemble(v3: torus.GridField) -> torus.GridField:
         vals = v3.values
@@ -558,16 +573,15 @@ def lipschitz_probe(
         coeff_sup=max(a.inf_norm, a_tilde.inf_norm),
         nodes=calculus_nodes,
     )
-    rng = np.random.default_rng(seed)
+    us = random_trials(grid, a.big_n, trials, seed)
+    fa = composition_calculus(comp_a, f, us, d, contour=contour)
+    fb = composition_calculus(comp_b, f, us, d, contour=contour)
     worst = 0.0
-    for _ in range(trials):
-        u = torus.random_band_limited(grid, a.big_n, seed=int(rng.integers(2**31)))
+    for u, diff in zip(us.members(), (fa - fb).members()):
         un = torus.lp_norm(u, p)
         if un == 0:
             continue
-        fa = composition_calculus(comp_a, f, u, d, contour=contour)
-        fb = composition_calculus(comp_b, f, u, d, contour=contour)
-        worst = max(worst, torus.lp_norm(fa - fb, p) / (dist * f_sup * un))
+        worst = max(worst, torus.lp_norm(diff, p) / (dist * f_sup * un))
     return LipschitzReport(worst, dist, f_sup)
 
 
@@ -607,10 +621,13 @@ def lipschitz_triple_decomposition(
     sa_u = maps_a.split(u)
     sb_u = maps_b.split(u)
     fda_sa = fd(maps_a, sa_u)
-    direct = maps_a.assemble(fda_sa) - maps_b.assemble(fd(maps_b, sb_u))
+    fdb_sb, fdb_sa, fdb_diff = fd(
+        maps_b, torus.GridField.stack([sb_u, sa_u, sa_u - sb_u])
+    ).members()
+    direct = maps_a.assemble(fda_sa) - maps_b.assemble(fdb_sb)
     term1 = maps_a.assemble(fda_sa) - maps_b.assemble(fda_sa)
-    term2 = maps_b.assemble(fda_sa - fd(maps_b, sa_u))
-    term3 = maps_b.assemble(fd(maps_b, sa_u - sb_u))
+    term2 = maps_b.assemble(fda_sa - fdb_sa)
+    term3 = maps_b.assemble(fdb_diff)
     recombined = term1 + term2 + term3
     un = torus.lp_norm(u, 2.0)
     return {

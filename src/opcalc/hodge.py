@@ -414,35 +414,34 @@ def bandpass_apply(op: VariableOp, t: float, u: torus.GridField, **kw) -> torus.
 
 
 # ---------------------------------------------------------------------------
-# Dense assembly (oracle path, small grids).
+# Dense assembly (small grids: the oracles and the dense contour route).
 # ---------------------------------------------------------------------------
 
 
+# columns of the identity pushed through the operator per batched call
+DENSE_CHUNK = 64
+
+
 def dense_operator(apply_fn, grid: torus.TorusGrid, big_n: int) -> np.ndarray:
-    def matvec(vec):
-        return apply_fn(torus.GridField.from_flat(grid, big_n, vec)).flat()
+    """Dense matrix of a linear map on fields, in the order of GridField.flat.
 
-    return krylov.dense_from_matvec(matvec, grid.size * big_n)
-
-
-def assemble_dense(op: VariableOp) -> np.ndarray:
-    return dense_operator(op.apply, op.grid, op.big_n)
-
-
-def dense_matrix_field(mf: MatrixField) -> np.ndarray:
-    """Block-diagonal dense matrix of a pointwise multiplication operator."""
-    n = mf.big_n
-    blocks = mf.values.reshape(-1, n, n)
-    dim = blocks.shape[0] * n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, b in enumerate(blocks):
-        out[i * n : (i + 1) * n, i * n : (i + 1) * n] = b
+    ``apply_fn`` must act on batched fields: it is applied to the identity,
+    DENSE_CHUNK columns at a time, stacked on the batch axis.
+    """
+    dim = grid.size * big_n
+    out = np.empty((dim, dim), dtype=complex)
+    for lo in range(0, dim, DENSE_CHUNK):
+        k = min(DENSE_CHUNK, dim - lo)
+        eye = np.zeros((k, dim), dtype=complex)
+        eye[:, lo : lo + k] = np.eye(k)
+        unit = torus.GridField(grid, eye.reshape((k,) + grid.shape + (big_n,)))
+        out[:, lo : lo + k] = apply_fn(unit).values.reshape(k, dim).T
     return out
 
 
 def dense_hodge_projections(op: VariableOp):
     """Dense subspace oracle: projections from explicit kernel/range bases."""
-    m = assemble_dense(op)
+    m = dense_operator(op.apply, op.grid, op.big_n)
     g = dense_operator(
         lambda u: torus.apply_multiplier(op.gamma_op, u), op.grid, op.big_n
     )
@@ -603,8 +602,8 @@ def hodge_perturbation_report(
         lambda u: torus.apply_multiplier(opa.gamma_tilde_op, u), opa.grid, opa.big_n
     )
     v = matcalc.range_basis(gt)
-    wa = dense_matrix_field(opa.coeffs.b1) @ v
-    wb = dense_matrix_field(opb.coeffs.b1) @ v
+    wa = dense_operator(opa.coeffs.b1.apply, opa.grid, opa.big_n) @ v
+    wb = dense_operator(opb.coeffs.b1.apply, opb.grid, opb.big_n) @ v
     inv_a = v @ np.linalg.lstsq(wa, pa[2], rcond=None)[0]
     inv_b = v @ np.linalg.lstsq(wb, pb[2], rcond=None)[0]
     diff_inv = krylov.operator_norm_power(inv_b - inv_a, iters=power_iters, seed=seed)

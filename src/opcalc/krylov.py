@@ -124,17 +124,6 @@ def solve_or_raise(matvec, b, what: str = "linear system", **kwargs) -> np.ndarr
     return x
 
 
-def dense_from_matvec(matvec, dim: int) -> np.ndarray:
-    """Assemble the dense matrix of a linear map by applying it to the basis."""
-    out = np.zeros((dim, dim), dtype=complex)
-    e = np.zeros(dim, dtype=complex)
-    for j in range(dim):
-        e[j] = 1.0
-        out[:, j] = matvec(e)
-        e[j] = 0.0
-    return out
-
-
 def operator_norm_power(mat: np.ndarray, *, iters: int = 100, seed: int = 0) -> float:
     """2-norm by power iteration on A^H A (dense input)."""
     rng = np.random.default_rng(seed)

@@ -142,15 +142,6 @@ def numerical_rank(a, tol=RANK_TOL):
     return np.sum(s > tol * s[..., :1], axis=-1)
 
 
-def kernel_basis(a, tol=RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, as columns."""
-    a = np.asarray(a, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    cut = tol * s[0] if s.size and s[0] > 0 else np.inf
-    rank = int(np.sum(s > cut))
-    return vh[rank:].conj().T
-
-
 def range_basis(a, tol=RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column space, as columns."""
     a = np.asarray(a, dtype=complex)
@@ -158,24 +149,6 @@ def range_basis(a, tol=RANK_TOL) -> np.ndarray:
     cut = tol * s[0] if s.size and s[0] > 0 else np.inf
     rank = int(np.sum(s > cut))
     return u[:, :rank]
-
-
-def principal_angles(u, v) -> np.ndarray:
-    """Principal angles between the column spans of two orthonormal bases.
-
-    Sine-based formulation: the singular values of (I - u u^H) v are the
-    sines of the angles, which stays accurate for angles near zero where
-    the cosine route loses half the digits.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape[1] == 0 and v.shape[1] == 0:
-        return np.zeros(0)
-    if u.shape[1] != v.shape[1]:
-        return np.array([math.pi / 2])
-    resid = v - u @ (u.conj().T @ v)
-    s = np.linalg.svd(resid, compute_uv=False)
-    return np.sort(np.arcsin(np.clip(s, 0.0, 1.0)))[::-1]
 
 
 def _classify(lam: np.ndarray, scale: float):
@@ -417,18 +390,3 @@ def contour_fc(t, f: Callable, spec: ContourSpec | None = None, *, margin=1e-6):
     eye = np.eye(n)
     res = np.linalg.solve(z[:, None, None] * eye - a, np.broadcast_to(eye, (z.size, n, n)))
     return f0 * p_ker + np.einsum("k,kij->ij", _feval(f, z) * w, res)
-
-
-def matrix_function_eig(t, f: Callable) -> np.ndarray:
-    """Eigendecomposition route f(T) = V f(L) V^{-1} (diagonalizable T).
-
-    Independent of the contour machinery; used as its oracle.
-    """
-    a = _as_matrix(t)
-    lam, v = np.linalg.eig(a)
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > EIG_COND_LIMIT:
-        raise EigensolverError(f"eigenvector matrix too ill-conditioned: {cond:.2e}")
-    fl = np.asarray([complex(f(z)) for z in lam])
-    return v @ (fl[:, None] * np.linalg.inv(v))
-

@@ -422,10 +422,6 @@ def resolvent_symbol_family(s: HomogeneousSymbol, kind: str) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_to_json(a: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-
 def _matrix_from_json(rows, big_n):
     a = np.asarray(rows, dtype=float)
     if a.shape != (big_n, big_n, 2):
@@ -433,19 +429,6 @@ def _matrix_from_json(rows, big_n):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entry has non-finite values")
     return a[..., 0] + 1j * a[..., 1]
-
-
-def symbol_to_dict(s: HomogeneousSymbol) -> dict:
-    return {
-        "kind": "homogeneous_symbol",
-        "n": s.n,
-        "N": s.big_n,
-        "k": s.k,
-        "coeffs": {
-            ",".join(str(x) for x in th): _matrix_to_json(m)
-            for th, m in sorted(s.coeffs.items())
-        },
-    }
 
 
 def _object(d, what: str) -> dict:
@@ -463,16 +446,6 @@ def symbol_from_dict(d: dict) -> HomogeneousSymbol:
         for key, val in _object(d["coeffs"], "coeffs").items()
     }
     return HomogeneousSymbol(n, big_n, k, coeffs)
-
-
-def pair_to_dict(p: HodgeDiracSymbolPair) -> dict:
-    return {
-        "kind": "hodge_pair",
-        "n": p.n,
-        "N": p.big_n,
-        "gamma": symbol_to_dict(p.gamma),
-        "gamma_tilde": symbol_to_dict(p.gamma_tilde),
-    }
 
 
 def pair_from_dict(d: dict) -> HodgeDiracSymbolPair:
@@ -495,33 +468,8 @@ def load_symbol_file(path):
     raise ValueError(f"unrecognized kind {kind!r} in {path}")
 
 
-def save_symbol_file(path, obj):
-    if isinstance(obj, HodgeDiracSymbolPair):
-        d = pair_to_dict(obj)
-    else:
-        d = symbol_to_dict(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def dirac_pair_1d() -> HodgeDiracSymbolPair:
     """The bundled 1-D model pair: lower/upper triangular first-order parts."""
     g = HomogeneousSymbol(1, 2, 1, {(1,): np.array([[0, 0], [1, 0]], dtype=complex)})
     gt = HomogeneousSymbol(1, 2, 1, {(1,): np.array([[0, 1], [0, 0]], dtype=complex)})
-    return HodgeDiracSymbolPair(g, gt)
-
-
-def grad_div_pair_2d() -> HodgeDiracSymbolPair:
-    """n=2, N=4 pair: gradient into components (1,2), divergence back to 0."""
-    g1 = np.zeros((4, 4), dtype=complex)
-    g1[1, 0] = 1.0
-    g2 = np.zeros((4, 4), dtype=complex)
-    g2[2, 0] = 1.0
-    gt1 = np.zeros((4, 4), dtype=complex)
-    gt1[0, 1] = 1.0
-    gt2 = np.zeros((4, 4), dtype=complex)
-    gt2[0, 2] = 1.0
-    g = HomogeneousSymbol(2, 4, 1, {(1, 0): g1, (0, 1): g2})
-    gt = HomogeneousSymbol(2, 4, 1, {(1, 0): gt1, (0, 1): gt2})
     return HodgeDiracSymbolPair(g, gt)

@@ -86,20 +86,35 @@ class TorusGrid:
 
 @dataclasses.dataclass(frozen=True)
 class GridField:
-    """Function on the grid with values in C^N."""
+    """Function on the grid with values in C^N, or a stack of them.
+
+    ``values`` has shape ``batch + grid.shape + (N,)``: leading batch axes,
+    if any, hold independent fields that every operator acts on at once.
+    """
 
     grid: TorusGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape[:-1] != self.grid.shape or v.ndim != self.grid.n + 1:
+        n = self.grid.n
+        if v.ndim < n + 1 or v.shape[v.ndim - n - 1 : -1] != self.grid.shape:
             raise ValueError(f"values shape {v.shape} incompatible with grid")
         object.__setattr__(self, "values", v)
 
     @property
     def big_n(self) -> int:
         return self.values.shape[-1]
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.values.shape[: self.values.ndim - self.grid.n - 1]
+
+    def single(self) -> "GridField":
+        """This field, after checking that it carries no batch axis."""
+        if self.batch:
+            raise ValueError(f"expected a single field, got a batch of shape {self.batch}")
+        return self
 
     def __add__(self, other):
         return GridField(self.grid, self.values + other.values)
@@ -113,23 +128,34 @@ class GridField:
     __rmul__ = __mul__
 
     def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
+        return self.single().values.reshape(-1)
 
     @staticmethod
     def from_flat(grid: TorusGrid, big_n: int, vec: np.ndarray) -> "GridField":
         return GridField(grid, np.asarray(vec, dtype=complex).reshape(grid.shape + (big_n,)))
 
+    @staticmethod
+    def stack(fields: Sequence["GridField"]) -> "GridField":
+        """Single fields on one grid as one batch along a new leading axis."""
+        return GridField(fields[0].grid, np.stack([f.single().values for f in fields]))
 
-def zero_field(grid: TorusGrid, big_n: int) -> GridField:
-    return GridField(grid, np.zeros(grid.shape + (big_n,), dtype=complex))
+    def members(self) -> list["GridField"]:
+        """The single fields of the batch, in C order (just this field if unbatched)."""
+        shape = (-1,) + self.grid.shape + (self.big_n,)
+        return [GridField(self.grid, v) for v in self.values.reshape(shape)]
+
+
+def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
+    """The grid axes of field values, counted from the end."""
+    return tuple(range(-grid.n - 1, -1))
 
 
 def fft_field(u: GridField) -> np.ndarray:
-    return np.fft.fftn(u.values, axes=tuple(range(u.grid.n)))
+    return np.fft.fftn(u.values, axes=_grid_axes(u.grid))
 
 
 def ifft_field(grid: TorusGrid, hat: np.ndarray) -> GridField:
-    return GridField(grid, np.fft.ifftn(hat, axes=tuple(range(grid.n))))
+    return GridField(grid, np.fft.ifftn(hat, axes=_grid_axes(grid)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,17 +177,10 @@ class MultiplierOp:
     def big_n(self) -> int:
         return self.mats.shape[-1]
 
-    @property
-    def zero_mode(self) -> np.ndarray:
-        return self.mats[(0,) * self.grid.n]
-
     @classmethod
     def identity(cls, grid: TorusGrid, big_n: int) -> "MultiplierOp":
         eye = np.broadcast_to(np.eye(big_n, dtype=complex), grid.shape + (big_n, big_n))
         return cls(grid, eye.copy())
-
-    def __matmul__(self, other: "MultiplierOp") -> "MultiplierOp":
-        return MultiplierOp(self.grid, self.mats @ other.mats)
 
     def __mul__(self, c) -> "MultiplierOp":
         return MultiplierOp(self.grid, self.mats * c)
@@ -284,22 +303,13 @@ def lp_norm(u: GridField, p: float) -> float:
     """Midpoint-rule L^p norm with the Euclidean norm on components."""
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    mags = np.linalg.norm(u.values, axis=-1)
+    mags = np.linalg.norm(u.single().values, axis=-1)
     return float((np.sum(mags**p) * u.grid.cell_volume) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
 # Random and structured test fields.
 # ---------------------------------------------------------------------------
-
-
-def plane_wave(grid: TorusGrid, freq: Sequence[int], vector) -> GridField:
-    """Single-frequency field exp(i x . xi) * vector."""
-    vec = np.asarray(vector, dtype=complex)
-    x = grid.coordinates
-    xi = 2 * math.pi / grid.length * np.asarray(freq, dtype=float)
-    phase = np.exp(1j * np.tensordot(x, xi, axes=([-1], [0])))
-    return GridField(grid, phase[..., None] * vec)
 
 
 def random_band_limited(
@@ -338,8 +348,10 @@ def random_band_limited(
 
 
 def save_field(path, u) -> None:
-    values = u.values
-    tag = LAYOUT_VECTOR if values.ndim == u.grid.n + 1 else LAYOUT_MATRIX
+    """Write a single GridField (tag 1) or a matrix field (tag 2)."""
+    vector = isinstance(u, GridField)
+    values = u.single().values if vector else u.values
+    tag = LAYOUT_VECTOR if vector else LAYOUT_MATRIX
     header = FIELD_MAGIC + struct.pack(
         "<IIIId", tag, u.grid.n, u.grid.g, values.shape[-1], u.grid.length
     )

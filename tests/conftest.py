@@ -1,7 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from opcalc import hodge, symbols, torus
+from opcalc import hodge, matcalc, symbols, torus
+from opcalc.errors import EigensolverError
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +15,7 @@ def dirac_pair():
 
 @pytest.fixture(scope="session")
 def grad_div_pair():
-    return symbols.grad_div_pair_2d()
+    return grad_div_pair_2d()
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +54,104 @@ def diagonal_coefficients(grid, big_n, eps, seed):
 def rel_err(a, b):
     na = np.linalg.norm(np.asarray(a) - np.asarray(b))
     return na / max(np.linalg.norm(np.asarray(b)), 1e-300)
+
+
+def grad_div_pair_2d() -> symbols.HodgeDiracSymbolPair:
+    """n=2, N=4 pair: gradient into components (1,2), divergence back to 0."""
+    g1 = np.zeros((4, 4), dtype=complex)
+    g1[1, 0] = 1.0
+    g2 = np.zeros((4, 4), dtype=complex)
+    g2[2, 0] = 1.0
+    gt1 = np.zeros((4, 4), dtype=complex)
+    gt1[0, 1] = 1.0
+    gt2 = np.zeros((4, 4), dtype=complex)
+    gt2[0, 2] = 1.0
+    g = symbols.HomogeneousSymbol(2, 4, 1, {(1, 0): g1, (0, 1): g2})
+    gt = symbols.HomogeneousSymbol(2, 4, 1, {(1, 0): gt1, (0, 1): gt2})
+    return symbols.HodgeDiracSymbolPair(g, gt)
+
+
+def symbol_to_dict(s: symbols.HomogeneousSymbol) -> dict:
+    def matrix(a):
+        return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+
+    coeffs = {",".join(str(x) for x in th): matrix(m) for th, m in sorted(s.coeffs.items())}
+    return {"kind": "homogeneous_symbol", "n": s.n, "N": s.big_n, "k": s.k, "coeffs": coeffs}
+
+
+def save_symbol_file(path, obj):
+    """Write a symbol or a pair in the format symbols.load_symbol_file reads."""
+    if isinstance(obj, symbols.HodgeDiracSymbolPair):
+        d = {
+            "kind": "hodge_pair", "n": obj.n, "N": obj.big_n,
+            "gamma": symbol_to_dict(obj.gamma), "gamma_tilde": symbol_to_dict(obj.gamma_tilde),
+        }
+    else:
+        d = symbol_to_dict(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def zero_field(grid, big_n):
+    return torus.GridField(grid, np.zeros(grid.shape + (big_n,), dtype=complex))
+
+
+def plane_wave(grid, freq, vector):
+    """Single-frequency field exp(i x . xi) * vector."""
+    vec = np.asarray(vector, dtype=complex)
+    xi = 2 * math.pi / grid.length * np.asarray(freq, dtype=float)
+    phase = np.exp(1j * np.tensordot(grid.coordinates, xi, axes=([-1], [0])))
+    return torus.GridField(grid, phase[..., None] * vec)
+
+
+def zero_mode(op):
+    """The matrix of a multiplier at the zero frequency."""
+    return op.mats[(0,) * op.grid.n]
+
+
+def kernel_basis(a, tol=matcalc.RANK_TOL):
+    """Orthonormal basis of the numerical kernel, as columns."""
+    _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
+    cut = tol * s[0] if s.size and s[0] > 0 else np.inf
+    return vh[int(np.sum(s > cut)):].conj().T
+
+
+def principal_angles(u, v):
+    """Principal angles between the column spans of two orthonormal bases.
+
+    Sine-based formulation: the singular values of (I - u u^H) v are the
+    sines of the angles, which stays accurate for angles near zero where
+    the cosine route loses half the digits.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    if u.shape[1] == 0 and v.shape[1] == 0:
+        return np.zeros(0)
+    if u.shape[1] != v.shape[1]:
+        return np.array([math.pi / 2])
+    s = np.linalg.svd(v - u @ (u.conj().T @ v), compute_uv=False)
+    return np.sort(np.arcsin(np.clip(s, 0.0, 1.0)))[::-1]
+
+
+def matrix_function_eig(t, f):
+    """Eigendecomposition route f(T) = V f(L) V^{-1} (diagonalizable T),
+    independent of the contour machinery."""
+    lam, v = np.linalg.eig(np.asarray(t, dtype=complex))
+    cond = np.linalg.cond(v)
+    if not np.isfinite(cond) or cond > matcalc.EIG_COND_LIMIT:
+        raise EigensolverError(f"eigenvector matrix too ill-conditioned: {cond:.2e}")
+    fl = np.asarray([complex(f(z)) for z in lam])
+    return v @ (fl[:, None] * np.linalg.inv(v))
+
+
+def dense_by_columns(apply_fn, grid, big_n):
+    """Dense matrix of a linear map on fields, one unit vector at a time:
+    the oracle for hodge.dense_operator."""
+    dim = grid.size * big_n
+    out = np.zeros((dim, dim), dtype=complex)
+    e = np.zeros(dim, dtype=complex)
+    for j in range(dim):
+        e[j] = 1.0
+        out[:, j] = apply_fn(torus.GridField.from_flat(grid, big_n, e)).flat()
+        e[j] = 0.0
+    return out

@@ -2,10 +2,11 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from opcalc import cli, hodge, torus
 
@@ -330,6 +331,49 @@ class TestSymbolFiles:
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["analyze-symbol", str(symbol_path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+_CONFIG_KEYS = st.sampled_from(sorted(cli.READERS)) | st.text(max_size=3)
+_PROBE_CONFIGS = st.dictionaries(_CONFIG_KEYS, JSON_VALUES, max_size=4)
+WHOLE_CONFIGS = JSON_VALUES | st.dictionaries(
+    _CONFIG_KEYS | st.just("overrides"),
+    JSON_VALUES | st.dictionaries(
+        st.sampled_from(sorted(cli.PROBES)) | st.text(max_size=2),
+        _PROBE_CONFIGS | JSON_VALUES,
+        max_size=3,
+    ),
+    max_size=6,
+)
+
+
+def _stub_probe(**values):
+    # odd seeds fail, so exit code 1 is reachable as well
+    return "stub", {}, {"even_seed": values["seed"] % 2 == 0}
+
+
+@pytest.fixture(scope="module")
+def suite_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("suite")
+
+
+class TestWholeConfigs:
+    @settings(max_examples=200, deadline=None)
+    @given(suite=st.sampled_from(sorted(cli.SUITES)), config=WHOLE_CONFIGS,
+           seed=st.none() | st.integers(-2, 3))
+    def test_exit_code_without_traceback(self, suite_dir, suite, config, seed):
+        cfg = suite_dir / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["suite", suite, "--config", str(cfg), "--out", str(suite_dir / "r")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        err = io.StringIO()
+        stubs = dict.fromkeys(cli.PROBES, _stub_probe)
+        with mock.patch.dict(cli.PROBES, stubs), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        event(f"exit {code}")
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
 

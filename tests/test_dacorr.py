@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from opcalc import dacorr, hodge, matcalc, symbols, torus
+from opcalc import cli, dacorr, hodge, matcalc, symbols, torus
 from opcalc.errors import CoercivityError, ContourTooClose, ProbeAborted
 
-from conftest import diagonal_coefficients, rel_err
+from conftest import (
+    dense_by_columns,
+    diagonal_coefficients,
+    matrix_function_eig,
+    rel_err,
+    zero_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +70,7 @@ class TestBuildBlock:
         block = dacorr.build_block(d_scalar, a, seed=0)
         comp = dacorr.composition(d_scalar, a, grid32)
         u = torus.random_band_limited(grid32, 1, seed=4)
-        stacked = dacorr.stack_components(torus.zero_field(grid32, 1), u)
+        stacked = dacorr.stack_components(zero_field(grid32, 1), u)
         sq = block.apply(block.apply(stacked))
         first, second = dacorr.split_components(sq, 1)
         ref = comp.apply(comp.apply(u))
@@ -137,7 +143,7 @@ class TestSimilarity:
         u = torus.random_band_limited(grid16, 2, seed=9)
         uk = torus.GridField.from_flat(grid16, 2, p0 @ u.flat())
         sk = maps.split(uk)
-        expected = dacorr.stack_components(uk, torus.zero_field(grid16, 4))
+        expected = dacorr.stack_components(uk, zero_field(grid16, 4))
         assert torus.lp_norm(sk - expected, 2.0) <= 1e-10 * torus.lp_norm(u, 2.0)
 
     def test_transported_calculus_matches_direct(self, dirac_pair, grid16):
@@ -170,7 +176,7 @@ class TestEigOracle:
         got = dacorr.composition_calculus(
             comp, dacorr.f_rational_odd, u, d_scalar, nodes=128
         )
-        exact = matcalc.matrix_function_eig(
+        exact = matrix_function_eig(
             hodge.dense_operator(comp.apply, grid, 1), dacorr.f_rational_odd
         ) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-6
@@ -233,10 +239,10 @@ class TestDenseRoute:
     def test_jordan_block_falls_back_to_gmres(self, grid16):
         # 2 I plus the lower shift: one Jordan block, so V is singular
         def apply_fn(v):
-            x = v.flat()
+            x = v.values
             out = 2 * x
-            out[1:] += x[:-1]
-            return torus.GridField.from_flat(grid16, 1, out)
+            out[..., 1:, :] += x[..., :-1, :]
+            return torus.GridField(grid16, out)
 
         dense = hodge.dense_operator(apply_fn, grid16, 1)
         assert not np.linalg.cond(np.linalg.eig(dense)[1]) <= matcalc.EIG_COND_LIMIT
@@ -253,6 +259,67 @@ class TestDenseRoute:
         u = torus.random_band_limited(grid16, 1, seed=12)
         with pytest.raises(ContourTooClose):
             dacorr.contour_calculus(comp.apply, u, f_odd, spec)
+        stack = dacorr.random_trials(grid16, 1, 3, 0)
+        with pytest.raises(ContourTooClose):
+            dacorr.contour_calculus(comp.apply, stack, f_odd, spec)
+
+    @pytest.mark.parametrize("case", [_composition_case, _block_case, _triple_case])
+    def test_dense_operator_matches_unit_vector_oracle(self, case, d_scalar, grid16, dirac_pair):
+        apply_fn, u, _ = case(d_scalar, grid16, dirac_pair)
+        got = hodge.dense_operator(apply_fn, u.grid, u.big_n)
+        assert np.array_equal(got, dense_by_columns(apply_fn, u.grid, u.big_n))
+
+
+def _stack_of_three(case, d, grid16, dirac_pair):
+    apply_fn, u, contour = case(d, grid16, dirac_pair)
+    rng = np.random.default_rng(5)
+    fields = [u] + [
+        torus.GridField(grid16, rng.standard_normal(u.values.shape) + 0j) for _ in range(2)
+    ]
+    return apply_fn, fields, contour
+
+
+class TestStackedCalls:
+    """A contour call on a stack of fields equals one call per field."""
+
+    @pytest.mark.parametrize("case", [_composition_case, _block_case, _triple_case])
+    def test_eig_route(self, case, d_scalar, grid16, dirac_pair):
+        apply_fn, fields, contour = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        got = dacorr.contour_calculus(apply_fn, torus.GridField.stack(fields), f_odd, contour)
+        assert got.batch == (3,)
+        for member, u in zip(got.members(), fields):
+            one = dacorr.contour_calculus(apply_fn, u, f_odd, contour)
+            assert rel_err(member.flat(), one.flat()) < 1e-13
+
+    def test_gmres_route(self, d_scalar, grid16, dirac_pair, monkeypatch):
+        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
+        apply_fn, fields, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
+        contour = dacorr.discrete_contour(
+            d_scalar.params, grid16, coeff_distance=0.3, coeff_sup=1.3, nodes=16
+        )
+        precond = torus.GridSymbol(d_scalar.symbol, grid16).shifted
+        got = dacorr.contour_calculus(
+            apply_fn, torus.GridField.stack(fields), f_odd, contour, precond_for=precond
+        )
+        for member, u in zip(got.members(), fields):
+            one = dacorr.contour_calculus(apply_fn, u, f_odd, contour, precond_for=precond)
+            assert rel_err(member.flat(), one.flat()) < 1e-10
+
+    @pytest.mark.parametrize("suite, calls", [("block", 2), ("lipschitz", 8)])
+    def test_contour_calls_per_probe(self, suite, calls, monkeypatch):
+        # the contour-1d benchmark configs: one call per operator, not per trial
+        count = []
+        inner = dacorr.contour_calculus
+
+        def counted(*args, **kwargs):
+            count.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dacorr, "contour_calculus", counted)
+        grid = {"n": 1, "g": 128 if suite == "block" else 64}
+        _, _, passes = cli.PROBES[suite](**cli.read_config(suite, {"seed": 0, "grid": grid}))
+        assert all(passes.values())
+        assert len(count) == calls
 
 
 class TestHolomorphy:

@@ -4,7 +4,13 @@ import pytest
 from opcalc import hodge, krylov, matcalc, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
 
-from conftest import diagonal_coefficients, rel_err
+from conftest import (
+    dense_by_columns,
+    diagonal_coefficients,
+    random_matrix,
+    rel_err,
+    zero_mode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +20,7 @@ def var_op16(dirac_pair, grid16):
 
 def dense_resolvent(op, t, u):
     """LU oracle for the resolvent (I + i t Op)^{-1} u; small grids only."""
-    m = hodge.assemble_dense(op)
+    m = hodge.dense_operator(op.apply, op.grid, op.big_n)
     x = np.linalg.solve(np.eye(op.dim) + 1j * t * m, u.flat())
     return torus.GridField.from_flat(op.grid, op.big_n, x)
 
@@ -69,8 +75,8 @@ class TestConstantProjections:
 
     def test_zero_mode(self, dirac_pair, grid64):
         proj = hodge.constant_hodge_projections(dirac_pair, grid64)
-        assert np.allclose(proj.multipliers["p0"].zero_mode, np.eye(2))
-        assert np.allclose(proj.multipliers["p_gamma"].zero_mode, 0)
+        assert np.allclose(zero_mode(proj.multipliers["p0"]), np.eye(2))
+        assert np.allclose(zero_mode(proj.multipliers["p_gamma"]), 0)
 
     def test_identities_grad_div(self, grad_div_pair):
         grid = torus.TorusGrid(2, 8)
@@ -133,7 +139,35 @@ class TestApply:
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(u.flat())
 
     def test_library_dense_matches_dft_oracle(self, var_op16):
-        assert np.abs(hodge.assemble_dense(var_op16) - dense_via_dft(var_op16)).max() < 1e-10
+        dense = hodge.dense_operator(var_op16.apply, var_op16.grid, var_op16.big_n)
+        assert np.abs(dense - dense_via_dft(var_op16)).max() < 1e-10
+
+
+class TestDenseOperator:
+    def test_reconstructs_matrix(self):
+        # 8 points x 3 components: 24 columns, less than one chunk
+        grid, big_n = torus.TorusGrid(1, 8), 3
+        a = random_matrix(24, 6)
+
+        def apply_fn(u):
+            flat = u.values.reshape(-1, 24)
+            return torus.GridField(grid, (flat @ a.T).reshape(u.values.shape))
+
+        assert np.allclose(hodge.dense_operator(apply_fn, grid, big_n), a)
+
+    def test_spans_several_chunks(self, dirac_pair, grid64):
+        op = hodge.VariableOp(dirac_pair, diagonal_coefficients(grid64, 2, 0.05, 24), grid64)
+        assert op.dim > hodge.DENSE_CHUNK
+        dense = hodge.dense_operator(op.apply, grid64, 2)
+        assert np.array_equal(dense, dense_by_columns(op.apply, grid64, 2))
+
+    def test_pointwise_field_is_block_diagonal(self, grid16):
+        mf = hodge.perturbed_identity(grid16, 2, 0.3, 22)
+        blocks = mf.values.reshape(-1, 2, 2)
+        expected = np.zeros((32, 32), dtype=complex)
+        for i, b in enumerate(blocks):
+            expected[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
+        assert np.array_equal(hodge.dense_operator(mf.apply, grid16, 2), expected)
 
 
 class TestCoefficientConditions:
@@ -289,8 +323,8 @@ class TestSwapOperator:
         coeffs = diagonal_coefficients(grid, 2, 0.1, 31)
         op = hodge.VariableOp(dirac_pair, coeffs, grid)
         sw = hodge.swap_operator(op)
-        lam_a = np.linalg.eigvals(hodge.assemble_dense(op))
-        lam_b = np.linalg.eigvals(hodge.assemble_dense(sw))
+        lam_a = np.linalg.eigvals(hodge.dense_operator(op.apply, grid, 2))
+        lam_b = np.linalg.eigvals(hodge.dense_operator(sw.apply, grid, 2))
         nz_a = np.sort_complex(lam_a[np.abs(lam_a) > 1e-8])
         nz_b = np.sort_complex(lam_b[np.abs(lam_b) > 1e-8])
         assert nz_a.size == nz_b.size

@@ -47,13 +47,6 @@ class TestGmres:
             krylov.solve_or_raise(lambda v: a @ v, b, rtol=1e-12, maxiter=60)
 
 
-class TestDenseAssembly:
-    def test_reconstructs_matrix(self):
-        a = random_matrix(12, 6)
-        out = krylov.dense_from_matvec(lambda v: a @ v, 12)
-        assert np.allclose(out, a)
-
-
 class TestNormEstimates:
     def test_power_matches_svd(self):
         a = random_matrix(25, 7)

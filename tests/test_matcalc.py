@@ -4,7 +4,7 @@ import pytest
 from opcalc import matcalc
 from opcalc.errors import ContourTooClose, NotBisectorial, SplitUndefined
 
-from conftest import diagonalizable_matrix, random_matrix, rel_err
+from conftest import diagonalizable_matrix, principal_angles, random_matrix, rel_err
 
 
 def char_poly_roots(a):
@@ -207,10 +207,10 @@ class TestContourFC:
 class TestPrincipalAngles:
     def test_same_space(self):
         q = np.linalg.qr(random_matrix(5, 1))[0][:, :2]
-        ang = matcalc.principal_angles(q, q)
+        ang = principal_angles(q, q)
         assert ang.max() < 1e-12
 
     def test_orthogonal_spaces(self):
         e = np.eye(4)
-        ang = matcalc.principal_angles(e[:, :1], e[:, 1:2])
+        ang = principal_angles(e[:, :1], e[:, 1:2])
         assert abs(ang.max() - np.pi / 2) < 1e-12

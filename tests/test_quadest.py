@@ -5,7 +5,7 @@ import pytest
 
 from opcalc import hodge, quadest, torus
 
-from conftest import diagonal_coefficients
+from conftest import diagonal_coefficients, plane_wave, zero_field
 
 
 def scalar_bandpass(t, x):
@@ -25,14 +25,14 @@ class TestRademacherNorm:
 
     def test_zero_second_summand(self, grid64):
         u = torus.random_band_limited(grid64, 2, seed=2)
-        z = torus.zero_field(grid64, 2)
+        z = zero_field(grid64, 2)
         est = quadest.rademacher_norm(None, [u, z], p=2.0, samples=16, seed=0)
         assert abs(est.mean - torus.lp_norm(u, 2.0)) < 1e-12
 
     def test_orthogonal_summands_deterministic(self, grid64):
         # disjoint frequencies: the norm of the signed sum never varies
-        u1 = torus.plane_wave(grid64, [1], [1.0, 0.0])
-        u2 = torus.plane_wave(grid64, [3], [0.0, 2.0])
+        u1 = plane_wave(grid64, [1], [1.0, 0.0])
+        u2 = plane_wave(grid64, [3], [0.0, 2.0])
         est = quadest.rademacher_norm(None, [u1, u2], p=2.0, samples=32, seed=3)
         exact_sq = quadest.exact_l2_square_expectation([u1, u2])
         assert est.std_error <= 1e-12
@@ -90,7 +90,7 @@ class TestReproducingSum:
         assert torus.lp_norm(out, 2.0) <= 1e-12 * torus.lp_norm(c, 2.0)
 
     def test_single_wave_telescoping_oracle(self, dirac_pair, grid64):
-        u = torus.plane_wave(grid64, [1], [1.0, 0.5])
+        u = plane_wave(grid64, [1], [1.0, 0.5])
         scales = quadest.DyadicScales(-20, 20)
         out = quadest.reproducing_sum(dirac_pair, u, scales)
         resid = torus.lp_norm(out - u, 2.0) / torus.lp_norm(u, 2.0)
@@ -164,7 +164,7 @@ class TestQuadraticEstimate:
         assert rep.estimate.mean <= 1e-12 * torus.lp_norm(c, 2.0)
 
     def test_plane_wave_frequency_oracle(self, dirac_pair, grid64):
-        u = torus.plane_wave(grid64, [2], [1.0, 1.0])
+        u = plane_wave(grid64, [2], [1.0, 1.0])
         scales = quadest.DyadicScales(-6, 6)
         rep = quadest.quadratic_estimate(dirac_pair, u, scales, samples=256, seed=53)
         # frequency-wise exact second moment: per-scale norms of q(t S) on

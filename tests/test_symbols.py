@@ -7,7 +7,13 @@ import pytest
 from opcalc import cli, matcalc, symbols
 from opcalc.errors import NotBisectorial, SplitUndefined
 
-from conftest import rel_err
+from conftest import (
+    grad_div_pair_2d,
+    kernel_basis,
+    principal_angles,
+    rel_err,
+    save_symbol_file,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +143,9 @@ class TestHodgePair:
         for xi in sample2d.points[:40]:
             g = grad_div_pair.gamma(xi)
             gt = grad_div_pair.gamma_tilde(xi)
-            k1 = matcalc.kernel_basis(g + gt)
-            k2 = matcalc.kernel_basis(np.vstack([g, gt]))
-            assert matcalc.principal_angles(k1, k2).max() < 1e-8
+            k1 = kernel_basis(g + gt)
+            k2 = kernel_basis(np.vstack([g, gt]))
+            assert principal_angles(k1, k2).max() < 1e-8
 
 
 def dirac_resolvent_entries(t, xi):
@@ -263,13 +269,13 @@ def per_point_hodge_pair(pair, sample, nilpotence_tol=1e-12, angle_tol=1e-8):
             scale = max(matcalc.operator_norm(a) ** 2, 1e-300)
             if matcalc.operator_norm(a @ a) > nilpotence_tol * scale:
                 flag(name, xi)
-        k_pi = matcalc.kernel_basis(g + gt)
-        k_both = matcalc.kernel_basis(np.vstack([g, gt]))
+        k_pi = kernel_basis(g + gt)
+        k_both = kernel_basis(np.vstack([g, gt]))
         kdims.append(k_pi.shape[1])
         if k_pi.shape[1] != k_both.shape[1]:
             flag(symbols.KERNEL_INTERSECTION, xi)
         elif k_pi.shape[1] > 0:
-            if matcalc.principal_angles(k_pi, k_both).max() > angle_tol:
+            if principal_angles(k_pi, k_both).max() > angle_tol:
                 flag(symbols.KERNEL_INTERSECTION, xi)
     params, sym_failures, sym_points = per_point_symbol_conditions(pair.total(), sample)
     return params, sym_failures + failures, {**sym_points, **points}, kdims
@@ -339,8 +345,8 @@ SINGLE_SYMBOLS = {
 
 PAIRS = {
     "dirac1d": (lambda: symbols.dirac_pair_1d(), 2),
-    "graddiv2d-128": (lambda: symbols.grad_div_pair_2d(), 128),
-    "graddiv2d-512": (lambda: symbols.grad_div_pair_2d(), 512),
+    "graddiv2d-128": (lambda: grad_div_pair_2d(), 128),
+    "graddiv2d-512": (lambda: grad_div_pair_2d(), 512),
     "pair_gamma_equal": (lambda: cli.load_symbol_arg("bundled:pair_gamma_equal"), 2),
     "non-nilpotent": (
         lambda: symbols.HodgeDiracSymbolPair(
@@ -379,7 +385,7 @@ class TestBatchedAgainstPerPointOracle:
     @pytest.mark.parametrize("case", [("dirac1d", 2), ("graddiv2d", 64)])
     def test_mikhlin_rows(self, kind, case):
         name, count = case
-        pair = symbols.dirac_pair_1d() if name == "dirac1d" else symbols.grad_div_pair_2d()
+        pair = symbols.dirac_pair_1d() if name == "dirac1d" else grad_div_pair_2d()
         sample = symbols.sphere_sample(pair.n, count)
         alphas = symbols.default_alphas(pair.n) if pair.n > 1 else [(0,), (1,), (2,)]
         taus = [2.0**k for k in range(-4, 5)]
@@ -409,7 +415,7 @@ class TestSphereSample:
 class TestSerialization:
     def test_round_trip_pair(self, dirac_pair, tmp_path):
         path = tmp_path / "pair.json"
-        symbols.save_symbol_file(path, dirac_pair)
+        save_symbol_file(path, dirac_pair)
         loaded = symbols.load_symbol_file(path)
         assert isinstance(loaded, symbols.HodgeDiracSymbolPair)
         xi = np.array([1.3])
@@ -420,14 +426,14 @@ class TestSerialization:
             2, 2, 2, {(1, 1): np.array([[1.0, 2j], [0, 1.0]])}
         )
         path = tmp_path / "s.json"
-        symbols.save_symbol_file(path, s)
+        save_symbol_file(path, s)
         loaded = symbols.load_symbol_file(path)
         xi = np.array([0.3, -0.7])
         assert rel_err(loaded(xi), s(xi)) < 1e-15
 
     def test_schema_shape(self, dirac_pair, tmp_path):
         path = tmp_path / "pair.json"
-        symbols.save_symbol_file(path, dirac_pair)
+        save_symbol_file(path, dirac_pair)
         d = json.loads(path.read_text())
         assert d["kind"] == "hodge_pair"
         entry = d["gamma"]["coeffs"]["1"]
