@@ -122,18 +122,21 @@ def _config_values(what: str):
 DX = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]], dtype=complex)})
 
 
-def _count(least: int):
+def _integer(least: int | None = None):
     def read(raw, got) -> int:
-        count = int(raw)
-        if count < least:
-            raise ValueError(f"need at least {least}, got {count}")
-        return count
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise TypeError(f"need an integer, got {raw!r}")
+        if least is not None and raw < least:
+            raise ValueError(f"need at least {least}, got {raw}")
+        return raw
 
     return read
 
 
 def _real(*, positive: bool):
     def read(raw, got) -> float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise TypeError(f"need a number, got {raw!r}")
         x = float(raw)
         if not math.isfinite(x) or (positive and x <= 0):
             raise ValueError(f"need a finite{' positive' if positive else ''} number, got {x}")
@@ -157,16 +160,12 @@ def _object(raw) -> dict:
     return raw
 
 
-def _seed(raw, got) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise ValueError(f"need a non-negative integer, got {raw!r}")
-    return raw
-
-
 def _grid(raw, got) -> torus.TorusGrid:
     g = _object(raw)
     grid = torus.TorusGrid(
-        int(g.get("n", 1)), int(g.get("g", 64)), float(g.get("length", 2 * math.pi))
+        _integer()(g.get("n", 1), got),
+        _integer()(g.get("g", 64), got),
+        _real(positive=True)(g.get("length", 2 * math.pi), got),
     )
     n = got["symbol"].n if "symbol" in got else DX.n
     if grid.n != n:
@@ -191,19 +190,19 @@ def _scale_window(k_min: int, k_max: int) -> int:
 
 
 READERS = {
-    "seed": _seed,
+    "seed": _integer(0),
     "symbol": lambda raw, got: load_symbol_arg(raw),
     "grid": _grid,
     "coefficients": _coefficients,
-    "sphere_samples": _count(1),
-    "samples": _count(16),
-    "trials": _count(1),
-    "nodes": _count(8),  # ContourSpec's floor
-    "circle_nodes": _count(1),
-    "k_min": lambda raw, got: int(raw),
-    "k_max": lambda raw, got: _scale_window(got["k_min"], int(raw)),
-    "windows": _nonempty_list(lambda raw, got: _scale_window(-int(raw), int(raw))),
-    "triple_g": lambda raw, got: torus.TorusGrid(1, int(raw)),
+    "sphere_samples": _integer(1),
+    "samples": _integer(16),
+    "trials": _integer(1),
+    "nodes": _integer(8),  # ContourSpec's floor
+    "circle_nodes": _integer(1),
+    "k_min": _integer(),
+    "k_max": lambda raw, got: _scale_window(got["k_min"], _integer()(raw, got)),
+    "windows": _nonempty_list(lambda raw, got: _scale_window(-_integer()(raw, got), raw)),
+    "triple_g": lambda raw, got: torus.TorusGrid(1, _integer()(raw, got)),
     "tolerance": _real(positive=True),
     "eps": _real(positive=False),
     "deltas": _nonempty_list(_real(positive=True)),
@@ -516,18 +515,16 @@ def probe_holomorphy(seed, grid, circle_nodes, nodes):
         hodge.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, seed + 71)
     )
     radius = 0.3
-    r1, r2 = (
-        dacorr.holomorphy_probe(
-            path, d, dacorr.f_rational_odd, u, radius=radius, nodes=m, calculus_nodes=nodes
-        )
-        for m in (circle_nodes, 2 * circle_nodes)
+    rep = dacorr.holomorphy_probe(
+        path, d, dacorr.f_rational_odd, u, radius=radius, nodes=circle_nodes,
+        calculus_nodes=nodes,
     )
-    improves = r1.residual >= 4.0 * r2.residual
+    improves = rep.residual >= 4.0 * rep.residual_refined
     return (
         "holomorphy",
-        {"residual": r1.residual, "residual_refined": r2.residual,
+        {"residual": rep.residual, "residual_refined": rep.residual_refined,
          "radius": radius, "circle_nodes": circle_nodes},
-        {"residual_small": r1.residual <= 1e-4, "improves_4x": bool(improves)},
+        {"residual_small": rep.residual <= 1e-4, "improves_4x": bool(improves)},
     )
 
 
@@ -535,13 +532,11 @@ def probe_lipschitz(seed, grid, nodes, deltas, trials, triple_g):
     d = dacorr.FirstOrderD.verified(DX)
     eye = hodge.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, seed + 73)
-    ratios = []
-    for eps in deltas:
-        rep = dacorr.lipschitz_probe(
-            d, eye, eye + eps * e, dacorr.f_rational_odd,
-            trials=trials, calculus_nodes=nodes, seed=seed,
-        )
-        ratios.append({"delta": eps, "ratio": rep.max_ratio})
+    reps = dacorr.lipschitz_probe(
+        d, eye, [eye + eps * e for eps in deltas], dacorr.f_rational_odd,
+        trials=trials, calculus_nodes=nodes, seed=seed,
+    )
+    ratios = [{"delta": eps, "ratio": rep.max_ratio} for eps, rep in zip(deltas, reps)]
     vals = [r["ratio"] for r in ratios if r["ratio"] > 0]
     spread = max(vals) / min(vals) if vals else math.inf
     pair = symbols.dirac_pair_1d()

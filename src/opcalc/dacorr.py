@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,27 +105,18 @@ def block_coefficients(a: hodge.MatrixField) -> hodge.CoefficientPair:
     )
 
 
-def build_block(
-    d: FirstOrderD,
-    a: hodge.MatrixField,
-    *,
-    check: bool = True,
-    floor: float = 1e-6,
-    seed: int = 0,
-) -> hodge.VariableOp:
+def build_block(d: FirstOrderD, a: hodge.MatrixField, *, seed: int = 0) -> hodge.VariableOp:
     """Assemble the doubled-space twisted operator for u -> D(A u).
 
-    The result acts as [[0, A D A], [D, 0]] on component pairs.  With
-    ``check=True`` the coercivity of A on range(D) and of A* on the
-    adjoint range is verified and CoercivityError raised on failure.
+    The result acts as [[0, A D A], [D, 0]] on component pairs.  The
+    coercivity of A on range(D) and of A* on the adjoint range is checked
+    by ``hodge.check_coefficient_conditions`` (drawing from ``seed``), and
+    CoercivityError raised on failure.
     """
     op = hodge.VariableOp(block_pair(d), block_coefficients(a), a.grid)
-    if check:
-        report = hodge.check_coefficient_conditions(op, seed=seed, floor=floor)
-        if not report.passed:
-            raise CoercivityError(
-                "block coefficients fail: " + report.describe()
-            )
+    report = hodge.check_coefficient_conditions(op, seed=seed)
+    if not report.passed:
+        raise CoercivityError("block coefficients fail: " + report.describe())
     return op
 
 
@@ -275,16 +266,6 @@ def block_calculus(
     )
 
 
-def random_trials(grid: torus.TorusGrid, big_n: int, trials: int, seed: int) -> torus.GridField:
-    """``trials`` random band-limited fields as one stack, each drawn from
-    its own seed out of the generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    return torus.GridField.stack([
-        torus.random_band_limited(grid, big_n, seed=int(rng.integers(2**31)))
-        for _ in range(trials)
-    ])
-
-
 def intertwine_check(
     d: FirstOrderD,
     a: hodge.MatrixField,
@@ -298,7 +279,7 @@ def intertwine_check(
     grid = a.grid
     block_op = build_block(d, a, seed=seed)
     comp = composition(d, a, grid)
-    us = random_trials(grid, comp.big_n, trials, seed)
+    us = torus.random_trials(grid, comp.big_n, trials, seed)
     vs = stack_components(a.apply(us), us)
     lhs = block_calculus(block_op, f, vs, d, nodes=nodes)
     x = composition_calculus(comp, f, us, d, nodes=nodes)
@@ -448,29 +429,10 @@ class CoefficientPath:
 @dataclasses.dataclass
 class HolomorphyReport:
     residual: float
+    residual_refined: float
     nodes: int
     radius: float
     center_norm: float
-
-
-def admissible_radius(
-    path: CoefficientPath,
-    d: FirstOrderD,
-    *,
-    floor: float = 1e-6,
-    probe_nodes: int = 8,
-    seed: int = 0,
-) -> float:
-    """Largest dyadic-halving radius whose whole circle keeps the block
-    coefficients above the coercivity floor."""
-    for r in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        try:
-            for z in r * np.exp(2j * math.pi * np.arange(probe_nodes) / probe_nodes):
-                build_block(d, path.at(z), floor=floor, seed=seed)
-        except CoercivityError:
-            continue
-        return r
-    return 0.03125
 
 
 def holomorphy_probe(
@@ -479,27 +441,25 @@ def holomorphy_probe(
     f: Callable,
     u: torus.GridField,
     *,
-    radius: float | None = None,
+    radius: float,
     nodes: int = 16,
-    floor: float = 1e-6,
     calculus_nodes: int = 128,
-    seed: int = 0,
 ) -> HolomorphyReport:
     """Mean-value test of analytic dependence on the coefficient.
 
     Compares f(D A_0) u with the average of f(D A_z) u over an equispaced
-    circle |z| = radius (the trapezoid Cauchy integral of g(z)/z).  All
-    circle nodes must keep the block coefficients above the coercivity
-    floor.  The default radius is half the largest scale whose circle
-    still passes that check.
+    circle |z| = radius (the trapezoid Cauchy integral of g(z)/z).  One
+    sweep of the 2 * ``nodes`` circle gives both means: ``residual`` from
+    the even nodes, which are the ``nodes``-point circle, and
+    ``residual_refined`` from all of them.  Each node is one coercivity
+    check of the block coefficients (ProbeAborted names the first node
+    that fails it) and one contour call, all on one contour for the disc.
     """
     grid = u.grid
-    if radius is None:
-        radius = 0.5 * admissible_radius(path, d, floor=floor, seed=seed)
-    zs = radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    zs = radius * np.exp(2j * math.pi * np.arange(2 * nodes) / (2 * nodes))
     for z in zs:
         try:
-            build_block(d, path.at(z), floor=floor, seed=seed)
+            build_block(d, path.at(z))
         except CoercivityError as exc:
             raise ProbeAborted(f"{exc} at node {z:.6g}", node=z) from exc
     # one contour for the whole disc: quadrature error then varies
@@ -512,20 +472,29 @@ def holomorphy_probe(
         coeff_sup=path.base.inf_norm + radius,
         nodes=calculus_nodes,
     )
-    center = composition_calculus(
-        composition(d, path.at(0.0), grid), f, u, d, contour=contour
-    )
-    acc = np.zeros_like(center.values)
-    for z in zs:
-        val = composition_calculus(
+
+    def at(z: complex) -> np.ndarray:
+        return composition_calculus(
             composition(d, path.at(z), grid), f, u, d, contour=contour
-        )
-        acc += val.values
-    mean = torus.GridField(grid, acc / nodes)
+        ).values
+
+    center = torus.GridField(grid, at(0.0))
+    # summed in node order, so the even-node mean is bitwise the mean over
+    # a sweep of the nodes-point circle alone
+    acc_even = np.zeros_like(center.values)
+    acc_all = np.zeros_like(center.values)
+    for j, z in enumerate(zs):
+        val = at(z)
+        acc_all += val
+        if j % 2 == 0:
+            acc_even += val
     cn = torus.lp_norm(center, 2.0)
     denom = cn if cn > 0 else torus.lp_norm(u, 2.0)
-    residual = torus.lp_norm(mean - center, 2.0) / denom
-    return HolomorphyReport(residual, nodes, radius, cn)
+    residual, refined = (
+        torus.lp_norm(torus.GridField(grid, acc / m) - center, 2.0) / denom
+        for acc, m in ((acc_even, nodes), (acc_all, 2 * nodes))
+    )
+    return HolomorphyReport(residual, refined, nodes, radius, cn)
 
 
 def sup_norm_on_bisector(f: Callable, theta: float, *, decades=(-6, 6), samples=4000) -> float:
@@ -548,41 +517,49 @@ class LipschitzReport:
 def lipschitz_probe(
     d: FirstOrderD,
     a: hodge.MatrixField,
-    a_tilde: hodge.MatrixField,
+    a_tildes: Sequence[hodge.MatrixField],
     f: Callable,
     *,
     trials: int = 3,
     p: float = 2.0,
     calculus_nodes: int = 128,
     seed: int = 0,
-) -> LipschitzReport:
-    """Observed ratio ||f(DA)u - f(DA~)u||_p / (||A - A~|| ||f||_sup ||u||_p)."""
+) -> list[LipschitzReport]:
+    """Observed ratio ||f(DA)u - f(DA~)u||_p / (||A - A~|| ||f||_sup ||u||_p)
+    for each A~ of the sweep ``a_tildes``, one report per member.
+
+    The sweep shares one contour, sized by the largest distance from the
+    identity and the largest sup over A and the whole sweep, so f(DA)U on
+    the stack U of random trials and ||f||_sup are computed once.
+    """
     grid = a.grid
-    dist = (a - a_tilde).inf_norm
     theta = 0.5 * (d.params.omega + math.pi / 2)
     f_sup = sup_norm_on_bisector(f, theta)
-    if dist == 0:
-        return LipschitzReport(0.0, 0.0, f_sup)
-    comp_a = composition(d, a, grid)
-    comp_b = composition(d, a_tilde, grid)
     eye = hodge.MatrixField.identity(grid, a.big_n)
+    family = [a, *a_tildes]
     contour = discrete_contour(
         d.params,
         grid,
-        coeff_distance=max((a - eye).inf_norm, (a_tilde - eye).inf_norm),
-        coeff_sup=max(a.inf_norm, a_tilde.inf_norm),
+        coeff_distance=max((m - eye).inf_norm for m in family),
+        coeff_sup=max(m.inf_norm for m in family),
         nodes=calculus_nodes,
     )
-    us = random_trials(grid, a.big_n, trials, seed)
-    fa = composition_calculus(comp_a, f, us, d, contour=contour)
-    fb = composition_calculus(comp_b, f, us, d, contour=contour)
-    worst = 0.0
-    for u, diff in zip(us.members(), (fa - fb).members()):
-        un = torus.lp_norm(u, p)
-        if un == 0:
-            continue
-        worst = max(worst, torus.lp_norm(diff, p) / (dist * f_sup * un))
-    return LipschitzReport(worst, dist, f_sup)
+    us = torus.random_trials(grid, a.big_n, trials, seed)
+    fa = composition_calculus(composition(d, a, grid), f, us, d, contour=contour)
+    reports = []
+    for a_tilde in a_tildes:
+        dist = (a - a_tilde).inf_norm
+        worst = 0.0
+        if dist > 0:
+            fb = composition_calculus(
+                composition(d, a_tilde, grid), f, us, d, contour=contour
+            )
+            for u, diff in zip(us.members(), (fa - fb).members()):
+                un = torus.lp_norm(u, p)
+                if un > 0:
+                    worst = max(worst, torus.lp_norm(diff, p) / (dist * f_sup * un))
+        reports.append(LipschitzReport(worst, dist, f_sup))
+    return reports
 
 
 def lipschitz_triple_decomposition(

@@ -292,42 +292,39 @@ def check_coefficient_conditions(
     seed: int = 0,
     floor: float = 1e-6,
     nilpotence_tol: float = 1e-8,
-    band: int | None = None,
 ) -> CoefficientConditionReport:
     """Monte-Carlo check of the two coefficient conditions.
 
     First, the twisted operator must stay nilpotent:
     gamma_tilde B2 B1 gamma_tilde annihilates random band-limited fields.
     Second, B1 must be bounded below on range(gamma_tilde) and B2* on the
-    adjoint range; the observed lower bounds are reported.
+    adjoint range; the observed lower bounds are reported.  The ``trials``
+    fields of ``torus.random_trials`` go through gamma_tilde, its adjoint,
+    B1 and B2 as one stack; the norms and bounds are taken per field.
     """
-    rng = np.random.default_rng(seed)
-    gt = op.gamma_tilde_op
-    gt_adj = gt.adjoint()
-    b2_adj = op.coeffs.b2.adjoint()
+    b1, b2 = op.coeffs.b1, op.coeffs.b2
+    v = torus.random_trials(op.grid, op.big_n, trials, seed)
+    gv = torus.apply_multiplier(op.gamma_tilde_op, v)
+    b1_gv = b1.apply(gv)
+    chain = torus.apply_multiplier(op.gamma_tilde_op, b2.apply(b1_gv))
+    adj_v = torus.apply_multiplier(op.gamma_tilde_op.adjoint(), v)
+    b2_adj_v = b2.adjoint().apply(adj_v)
     p_dual = p / (p - 1.0)
     nilp = 0.0
     c_primal = np.inf
     c_dual = np.inf
-    for _ in range(trials):
-        v = torus.random_band_limited(
-            op.grid, op.big_n, seed=int(rng.integers(2**31)), band=band
-        )
-        vn = torus.lp_norm(v, p)
+    stacks = (v, gv, b1_gv, chain, adj_v, b2_adj_v)
+    for vk, gvk, b1_gvk, chaink, adj_vk, b2_adj_vk in zip(*(s.members() for s in stacks)):
+        vn = torus.lp_norm(vk, p)
         if vn == 0:
             continue
-        w = torus.apply_multiplier(gt, v)
-        chain = torus.apply_multiplier(
-            gt, op.coeffs.b2.apply(op.coeffs.b1.apply(w))
-        )
-        nilp = max(nilp, torus.lp_norm(chain, p) / vn)
-        wn = torus.lp_norm(w, p)
-        if wn > 1e-13 * vn:
-            c_primal = min(c_primal, torus.lp_norm(op.coeffs.b1.apply(w), p) / wn)
-        wd = torus.apply_multiplier(gt_adj, v)
-        wdn = torus.lp_norm(wd, p_dual)
-        if wdn > 1e-13 * vn:
-            c_dual = min(c_dual, torus.lp_norm(b2_adj.apply(wd), p_dual) / wdn)
+        nilp = max(nilp, torus.lp_norm(chaink, p) / vn)
+        gn = torus.lp_norm(gvk, p)
+        if gn > 1e-13 * vn:
+            c_primal = min(c_primal, torus.lp_norm(b1_gvk, p) / gn)
+        adj_n = torus.lp_norm(adj_vk, p_dual)
+        if adj_n > 1e-13 * vn:
+            c_dual = min(c_dual, torus.lp_norm(b2_adj_vk, p_dual) / adj_n)
     if not np.isfinite(c_primal):
         c_primal = 0.0
     if not np.isfinite(c_dual):
@@ -495,11 +492,10 @@ def variable_hodge_projections(
             op.apply_twisted(band),
         )
 
-    rng = np.random.default_rng(seed)
-    fields = []
-    for _ in range(probes):
-        f = torus.random_band_limited(op.grid, op.big_n, seed=int(rng.integers(2**31)))
-        fields.append(f * (1.0 / torus.lp_norm(f, 2.0)))
+    fields = [
+        f * (1.0 / torus.lp_norm(f, 2.0))
+        for f in torus.random_trials(op.grid, op.big_n, probes, seed).members()
+    ]
     curve = []
     prev = None
     for t in t_sequence:

@@ -56,23 +56,16 @@ class RademacherEstimate:
 
 
 def rademacher_norm(
-    apply_k: Sequence[Callable] | None,
     u_k: Sequence[torus.GridField],
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
 ) -> RademacherEstimate:
-    """Monte-Carlo estimate of E || sum_k eps_k T_k u_k ||_p.
+    """Monte-Carlo estimate of E || sum_k eps_k u_k ||_p.
 
-    The operators are applied once; only the random signs are resampled.
-    Pass apply_k=None when the fields are already the summands.
+    The summands are fixed; only the random signs are resampled.
     """
-    if apply_k is None:
-        ws = list(u_k)
-    else:
-        if len(apply_k) != len(u_k):
-            raise ValueError("family and fields must share the index set")
-        ws = [t(u) for t, u in zip(apply_k, u_k)]
+    ws = list(u_k)
     if not ws:
         raise ValueError("empty index set")
     stack = np.stack([w.values for w in ws])
@@ -186,7 +179,6 @@ def schur_bound_probe(
     *,
     trials: int = 8,
     p: float = 2.0,
-    samples_band: int | None = None,
     seed: int = 0,
 ) -> SchurProbeResult:
     """max over (t, s) of ||Q_t f(S) Q_s||_est / eta(s/t).
@@ -197,12 +189,7 @@ def schur_bound_probe(
     gs = torus.GridSymbol(pair.total(), grid)
     f_op = torus.matrix_function_multiplier(gs, f)
     qmats = {t: gs.bandpass(t).mats for t in set(t_list) | set(s_list)}
-    rng = np.random.default_rng(seed)
-    fields = [
-        torus.random_band_limited(grid, pair.big_n, seed=int(rng.integers(2**31)),
-                                  band=samples_band)
-        for _ in range(trials)
-    ]
+    fields = torus.random_trials(grid, pair.big_n, trials, seed).members()
     table = []
     worst = 0.0
     for t in t_list:
@@ -252,7 +239,7 @@ def quadratic_estimate(
     else:
         ws = bandpass_fields_variable(op, u, scales)
         two_sided = False
-    est = rademacher_norm(None, ws, p=p, samples=samples, seed=seed)
+    est = rademacher_norm(ws, p=p, samples=samples, seed=seed)
     un = torus.lp_norm(u, p)
     ratio = est.mean / un if un > 0 else 0.0
     if two_sided and ratio > 0:
@@ -277,7 +264,7 @@ def translated_quadratic_estimate(
     z = np.asarray(z, dtype=float).reshape(u.grid.n)
     ws = bandpass_fields_constant(pair, u, scales)
     shifted = [torus.translate(w, (2.0**k) * z) for k, w in zip(scales.ks, ws)]
-    est = rademacher_norm(None, shifted, p=p, samples=samples, seed=seed)
+    est = rademacher_norm(shifted, p=p, samples=samples, seed=seed)
     zmod = float(np.linalg.norm(z))
     log_plus = math.log(zmod) if zmod > 1.0 else 0.0
     un = torus.lp_norm(u, p)

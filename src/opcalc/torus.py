@@ -334,6 +334,15 @@ def random_band_limited(
     return ifft_field(grid, hat)
 
 
+def random_trials(grid: TorusGrid, big_n: int, trials: int, seed: int) -> GridField:
+    """``trials`` random band-limited fields as one stack, each drawn from
+    its own seed out of the generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    return GridField.stack([
+        random_band_limited(grid, big_n, seed=int(rng.integers(2**31))) for _ in range(trials)
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Binary field files.  Layout (little endian):
 #   bytes  0-7   magic "TORUSFLD"

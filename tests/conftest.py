@@ -155,3 +155,39 @@ def dense_by_columns(apply_fn, grid, big_n):
         out[:, j] = apply_fn(torus.GridField.from_flat(grid, big_n, e)).flat()
         e[j] = 0.0
     return out
+
+
+def coefficient_conditions_by_trial(op, *, p=2.0, trials=8, seed=0, floor=1e-6,
+                                    nilpotence_tol=1e-8):
+    """hodge.check_coefficient_conditions one trial field at a time, each
+    drawn from its own seed: the oracle for the batched check."""
+    rng = np.random.default_rng(seed)
+    gt = op.gamma_tilde_op
+    b2_adj = op.coeffs.b2.adjoint()
+    p_dual = p / (p - 1.0)
+    nilp, c_primal, c_dual = 0.0, np.inf, np.inf
+    for _ in range(trials):
+        v = torus.random_band_limited(op.grid, op.big_n, seed=int(rng.integers(2**31)))
+        vn = torus.lp_norm(v, p)
+        if vn == 0:
+            continue
+        w = torus.apply_multiplier(gt, v)
+        chain = torus.apply_multiplier(gt, op.coeffs.b2.apply(op.coeffs.b1.apply(w)))
+        nilp = max(nilp, torus.lp_norm(chain, p) / vn)
+        wn = torus.lp_norm(w, p)
+        if wn > 1e-13 * vn:
+            c_primal = min(c_primal, torus.lp_norm(op.coeffs.b1.apply(w), p) / wn)
+        wd = torus.apply_multiplier(gt.adjoint(), v)
+        wdn = torus.lp_norm(wd, p_dual)
+        if wdn > 1e-13 * vn:
+            c_dual = min(c_dual, torus.lp_norm(b2_adj.apply(wd), p_dual) / wdn)
+    c_primal = float(c_primal) if np.isfinite(c_primal) else 0.0
+    c_dual = float(c_dual) if np.isfinite(c_dual) else 0.0
+    failures = []
+    if nilp > nilpotence_tol:
+        failures.append(hodge.OFFRANGE_NILPOTENCE)
+    if min(c_primal, c_dual) < floor:
+        failures.append(hodge.COERCIVE_MULTIPLIERS)
+    return hodge.CoefficientConditionReport(
+        nilp, c_primal, c_dual, floor, nilpotence_tol, failures
+    )

@@ -106,6 +106,23 @@ NAMED_BAD_VALUES = [
     ("hodge-const", {"grid": {"length": math.inf}}, "hodge-const", "grid"),
     ("hodge-var", {"coefficients": {"b1": "identity+1e999*random(1)"}}, "hodge-var",
      "coefficients"),
+    # integers must be JSON integers: no floats, strings or booleans
+    ("hodge-const", {"trials": 2.9}, "hodge-const", "trials"),
+    ("hodge-const", {"trials": "3"}, "hodge-const", "trials"),
+    ("hodge-const", {"trials": True}, "hodge-const", "trials"),
+    ("hodge-const", {"grid": {"g": 64.7}}, "hodge-const", "grid"),
+    ("quadest", {"k_min": -5.5}, "quadest", "k_min"),
+    ("quadest", {"k_max": "5"}, "quadest", "k_max"),
+    ("block", {"nodes": "96"}, "block", "nodes"),
+    ("holomorphy", {"circle_nodes": 1.5}, "holomorphy", "circle_nodes"),
+    ("reproducing", {"windows": [4, 8.5]}, "reproducing", "windows"),
+    ("lipschitz", {"triple_g": 16.0}, "lipschitz", "triple_g"),
+    ("symbols", {"seed": 1.0}, "symbol", "seed"),
+    # numbers must be JSON numbers: no strings or booleans
+    ("hodge-const", {"tolerance": True}, "hodge-const", "tolerance"),
+    ("block", {"eps": "0.05"}, "block", "eps"),
+    ("perturb", {"deltas": ["0.01"]}, "perturb", "deltas"),
+    ("hodge-const", {"grid": {"length": "6.28"}}, "hodge-const", "grid"),
 ]
 
 

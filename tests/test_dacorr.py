@@ -259,7 +259,7 @@ class TestDenseRoute:
         u = torus.random_band_limited(grid16, 1, seed=12)
         with pytest.raises(ContourTooClose):
             dacorr.contour_calculus(comp.apply, u, f_odd, spec)
-        stack = dacorr.random_trials(grid16, 1, 3, 0)
+        stack = torus.random_trials(grid16, 1, 3, 0)
         with pytest.raises(ContourTooClose):
             dacorr.contour_calculus(comp.apply, stack, f_odd, spec)
 
@@ -305,21 +305,32 @@ class TestStackedCalls:
             one = dacorr.contour_calculus(apply_fn, u, f_odd, contour, precond_for=precond)
             assert rel_err(member.flat(), one.flat()) < 1e-10
 
-    @pytest.mark.parametrize("suite, calls", [("block", 2), ("lipschitz", 8)])
-    def test_contour_calls_per_probe(self, suite, calls, monkeypatch):
-        # the contour-1d benchmark configs: one call per operator, not per trial
-        count = []
-        inner = dacorr.contour_calculus
+    @pytest.mark.parametrize("suite, g, calls, checks", [
+        pytest.param("block", 128, 2, 2, id="block-2"),
+        pytest.param("holomorphy", 32, 33, 32, id="holomorphy-33"),
+        pytest.param("lipschitz", 64, 6, 0, id="lipschitz-6"),
+    ])
+    def test_contour_calls_per_probe(self, suite, g, calls, checks, monkeypatch):
+        # the contour-1d benchmark configs: one contour call per operator, not
+        # per trial, per circle or per sweep member; one coefficient check per
+        # block operator built
+        count = {"contour": 0, "check": 0}
 
-        def counted(*args, **kwargs):
-            count.append(1)
-            return inner(*args, **kwargs)
+        def counted(module, name, key):
+            inner = getattr(module, name)
 
-        monkeypatch.setattr(dacorr, "contour_calculus", counted)
-        grid = {"n": 1, "g": 128 if suite == "block" else 64}
-        _, _, passes = cli.PROBES[suite](**cli.read_config(suite, {"seed": 0, "grid": grid}))
+            def wrapper(*args, **kwargs):
+                count[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(dacorr, "contour_calculus", "contour")
+        counted(hodge, "check_coefficient_conditions", "check")
+        values = cli.read_config(suite, {"seed": 0, "grid": {"n": 1, "g": g}})
+        _, _, passes = cli.PROBES[suite](**values)
         assert all(passes.values())
-        assert len(count) == calls
+        assert count == {"contour": calls, "check": checks}
 
 
 class TestHolomorphy:
@@ -340,24 +351,40 @@ class TestHolomorphy:
             hodge.random_direction(grid32, 1, 71),
         )
         u = torus.random_band_limited(grid32, 1, seed=71)
-        r8 = dacorr.holomorphy_probe(
+        rep = dacorr.holomorphy_probe(
             path, d_scalar, f_odd, u, radius=0.05, nodes=8, calculus_nodes=128
         )
-        r16 = dacorr.holomorphy_probe(
-            path, d_scalar, f_odd, u, radius=0.05, nodes=16, calculus_nodes=128
-        )
-        assert r8.residual <= 1e-4
-        assert r16.residual <= r8.residual / 4.0
+        assert rep.residual <= 1e-4
+        assert rep.residual_refined <= rep.residual / 4.0
 
-    def test_default_radius_estimated(self, d_scalar, grid32):
+    @pytest.mark.parametrize("nodes", [4, 8])
+    def test_residuals_equal_separate_circle_sweeps(self, d_scalar, grid32, nodes):
+        # the old path: the nodes- and 2 nodes-point circles swept one at a
+        # time, each mean summed in node order
         path = dacorr.CoefficientPath(
             hodge.MatrixField.identity(grid32, 1),
-            hodge.random_direction(grid32, 1, 74),
+            hodge.random_direction(grid32, 1, 72),
         )
-        u = torus.random_band_limited(grid32, 1, seed=16)
-        rep = dacorr.holomorphy_probe(path, d_scalar, f_odd, u, calculus_nodes=128)
-        assert 0.0 < rep.radius <= 0.5
-        assert rep.residual <= 1e-4
+        u = torus.random_band_limited(grid32, 1, seed=72)
+        radius = 0.3
+        rep = dacorr.holomorphy_probe(
+            path, d_scalar, f_odd, u, radius=radius, nodes=nodes, calculus_nodes=64
+        )
+        contour = dacorr.discrete_contour(
+            d_scalar.params, grid32, coeff_distance=radius, coeff_sup=1.0 + radius, nodes=64
+        )
+
+        def at(z):
+            comp = dacorr.composition(d_scalar, path.at(z), grid32)
+            return dacorr.composition_calculus(comp, f_odd, u, d_scalar, contour=contour)
+
+        center = at(0.0)
+        for m, got in ((nodes, rep.residual), (2 * nodes, rep.residual_refined)):
+            acc = np.zeros_like(center.values)
+            for z in radius * np.exp(2j * np.pi * np.arange(m) / m):
+                acc += at(z).values
+            mean = torus.GridField(grid32, acc / m)
+            assert got == torus.lp_norm(mean - center, 2.0) / torus.lp_norm(center, 2.0)
 
     def test_coercivity_floor_aborts(self, d_scalar, grid32):
         # direction -I: the node at z = radius = 1 kills the coefficient
@@ -373,7 +400,7 @@ class TestHolomorphy:
 class TestLipschitz:
     def test_equal_coefficients(self, d_scalar, grid32):
         a = hodge.perturbed_identity(grid32, 1, 0.05, 73)
-        rep = dacorr.lipschitz_probe(d_scalar, a, a, f_odd, trials=1)
+        (rep,) = dacorr.lipschitz_probe(d_scalar, a, [a], f_odd, trials=1)
         assert rep.max_ratio == 0.0
 
     def test_scalar_frequency_oracle(self, d_scalar, grid32):
@@ -403,13 +430,26 @@ class TestLipschitz:
     def test_three_scale_stability(self, d_scalar, grid32):
         eye = hodge.MatrixField.identity(grid32, 1)
         e = hodge.random_direction(grid32, 1, 73)
-        ratios = []
-        for eps in (0.04, 0.02, 0.01):
-            rep = dacorr.lipschitz_probe(
-                d_scalar, eye, eye + eps * e, f_odd, trials=2, seed=14
-            )
-            ratios.append(rep.max_ratio)
+        sweep = dacorr.lipschitz_probe(
+            d_scalar, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)], f_odd,
+            trials=2, seed=14,
+        )
+        ratios = [rep.max_ratio for rep in sweep]
         assert max(ratios) <= 4.0 * min(ratios)
+
+    def test_sweep_matches_one_member_sweeps(self, d_scalar, grid32):
+        # the old path: one call, and one contour, per member; the shared
+        # contour moves each ratio by quadrature error only
+        eye = hodge.MatrixField.identity(grid32, 1)
+        e = hodge.random_direction(grid32, 1, 75)
+        members = [eye + eps * e for eps in (0.04, 0.02, 0.01)]
+        sweep = dacorr.lipschitz_probe(d_scalar, eye, members, f_odd, trials=2, seed=15)
+        for k, (rep, a_tilde) in enumerate(zip(sweep, members)):
+            (one,) = dacorr.lipschitz_probe(d_scalar, eye, [a_tilde], f_odd, trials=2, seed=15)
+            assert rep.distance == one.distance and rep.f_sup == one.f_sup
+            assert abs(rep.max_ratio - one.max_ratio) <= 1e-6 * one.max_ratio
+            if k == 0:  # the largest member sets the shared contour
+                assert rep.max_ratio == one.max_ratio
 
     def test_triple_decomposition_identity(self, dirac_pair, grid16):
         params = symbols.verify_hodge_pair(dirac_pair).params

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from opcalc import hodge, krylov, matcalc, symbols, torus
+from opcalc import dacorr, hodge, krylov, matcalc, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
 
 from conftest import (
+    coefficient_conditions_by_trial,
     dense_by_columns,
     diagonal_coefficients,
     random_matrix,
@@ -200,6 +201,25 @@ class TestCoefficientConditions:
         assert not rep.passed
         assert hodge.OFFRANGE_NILPOTENCE in rep.failures
         assert rep.nilpotence_residual > 1e-3
+
+
+    @pytest.mark.parametrize("case", ["block", "graddiv2d"])
+    def test_batched_equals_per_trial_loop(self, case, grad_div_pair):
+        if case == "block":
+            grid = torus.TorusGrid(1, 32)
+            d = dacorr.FirstOrderD.verified(
+                symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]], dtype=complex)})
+            )
+            a = hodge.perturbed_identity(grid, 1, 0.05, 67)
+            op = hodge.VariableOp(dacorr.block_pair(d), dacorr.block_coefficients(a), grid)
+        else:
+            grid = torus.TorusGrid(2, 16)
+            op = hodge.VariableOp(
+                grad_div_pair, diagonal_coefficients(grid, 4, 0.05, 23), grid
+            )
+        for seed in (0, 5):
+            got = hodge.check_coefficient_conditions(op, seed=seed)
+            assert got == coefficient_conditions_by_trial(op, seed=seed)
 
 
 class TestVariableResolvent:
