@@ -413,15 +413,18 @@ def probe_quadest(seed, symbol, grid, samples, k_min, k_max):
 def probe_translated(seed, symbol, grid, samples, k_min, k_max):
     scales = quadest.DyadicScales(k_min, k_max)
     u = torus.random_band_limited(grid, symbol.big_n, seed=seed + 59, kill_zero_mode=True)
+    ws = quadest.bandpass_fields_constant(symbol, u, scales)
     rows = []
     for zm in (0.0, 1.0, 4.0, 16.0):
         z = np.zeros(grid.n)
         z[0] = zm
         if zm == 0.0:
-            rep = quadest.quadratic_estimate(symbol, u, scales, samples=samples, seed=seed)
+            rep = quadest.quadratic_estimate(
+                symbol, u, scales, samples=samples, seed=seed, summands=ws
+            )
         else:
             rep = quadest.translated_quadratic_estimate(
-                symbol, u, z, scales, samples=samples, seed=seed
+                symbol, u, z, scales, samples=samples, seed=seed, summands=ws
             )
         rows.append({"z": zm, "mean": rep.estimate.mean, "ratio": rep.ratio})
     un = torus.lp_norm(u, 2.0)
@@ -445,7 +448,7 @@ def probe_reproducing(seed, symbol, grid, windows, tolerance):
     u = torus.apply_multiplier(p_ran, u)
     rows = []
     for w in windows:
-        res = quadest.reproducing_residual(symbol, u, quadest.DyadicScales(-w, w))
+        res = quadest.reproducing_residual(symbol, u, quadest.DyadicScales(-w, w), p_ran=p_ran)
         rows.append({"window": w, "residual": res})
     monotone = all(
         rows[i + 1]["residual"] <= rows[i]["residual"] * 1.1 for i in range(len(rows) - 1)

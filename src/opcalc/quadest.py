@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -109,13 +110,19 @@ def bandpass_fields_constant(
     u: torus.GridField,
     scales: DyadicScales,
 ) -> list[torus.GridField]:
-    """Q_t u for every dyadic t in the window (constant coefficients)."""
+    """Q_t u for every dyadic t in the window (constant coefficients).
+
+    u is transformed once to the eigen-coordinates of the symbol, where each
+    scale is the scalar t lam / (1 + t^2 lam^2); one scale is formed at a
+    time.
+    """
     gs = torus.GridSymbol(pair.total(), u.grid)
-    hat = torus.fft_field(u)
-    return [
-        torus.ifft_field(u.grid, np.einsum("...ij,...j->...i", gs.bandpass(t).mats, hat))
-        for t in scales.scales()
-    ]
+    hat, w = gs.to_spectral(u)
+    out = []
+    for t in scales.scales():
+        phi, mask = gs.bandpass_spectral(t)
+        out.append(gs.from_spectral(phi, w, hat, mask, functools.partial(gs.bandpass_at, t)))
+    return out
 
 
 def bandpass_fields_variable(
@@ -127,6 +134,17 @@ def bandpass_fields_variable(
     return [hodge.bandpass_apply(op, t, u) for t in scales.scales()]
 
 
+def _telescoped(scales: DyadicScales, term: Callable, mul: Callable):
+    """(3/2) sum_k mul(term(2^k), term(2^{k+1})), one scale at a time."""
+    nxt = term(2.0**scales.k_min)
+    acc = None
+    for k in scales.ks:
+        cur, nxt = nxt, term(2.0 ** (k + 1))
+        prod = mul(cur, nxt)
+        acc = prod if acc is None else acc + prod
+    return 1.5 * acc
+
+
 def reproducing_sum(
     pair: symbols.HodgeDiracSymbolPair,
     u: torus.GridField,
@@ -136,26 +154,34 @@ def reproducing_sum(
 
     Telescopes to the projection onto the closure of the range as the
     window widens; the residual against that projection is the quantity
-    tests track.
+    tests track.  The sum is a scalar function of the symbol, formed on its
+    eigenvalues and applied once.
     """
     gs = torus.GridSymbol(pair.total(), u.grid)
-    q_next = gs.bandpass(2.0**scales.k_min).mats
-    acc = None
-    for k in scales.ks:
-        q, q_next = q_next, gs.bandpass(2.0 ** (k + 1)).mats
-        prod = q @ q_next
-        acc = prod if acc is None else acc + prod
-    op = torus.MultiplierOp(u.grid, 1.5 * acc)
-    return torus.apply_multiplier(op, u)
+    masks = []
+
+    def band(t):
+        phi, mask = gs.bandpass_spectral(t)
+        masks.append(mask)
+        return phi
+
+    coeff = _telescoped(scales, band, np.multiply)
+    hat, w = gs.to_spectral(u)
+    fallback = lambda m: _telescoped(scales, lambda t: gs.bandpass_at(t, m), np.matmul)
+    return gs.from_spectral(coeff, w, hat, np.logical_or.reduce(masks), fallback)
 
 
 def reproducing_residual(
     pair: symbols.HodgeDiracSymbolPair,
     u: torus.GridField,
     scales: DyadicScales,
+    *,
+    p_ran: torus.MultiplierOp | None = None,
 ) -> float:
-    """Relative L2 distance of the reproducing sum from the range projection."""
-    _, p_ran = torus.kernel_range_multipliers(pair.total(), u.grid)
+    """Relative L2 distance of the reproducing sum from the range projection
+    (``p_ran``, built from the pair when not given)."""
+    if p_ran is None:
+        _, p_ran = torus.kernel_range_multipliers(pair.total(), u.grid)
     target = torus.apply_multiplier(p_ran, u)
     got = reproducing_sum(pair, u, scales)
     denom = torus.lp_norm(u, 2.0)
@@ -184,23 +210,28 @@ def schur_bound_probe(
     """max over (t, s) of ||Q_t f(S) Q_s||_est / eta(s/t).
 
     Operator norms are estimated by maximizing over random band-limited
-    inputs; f is applied through the per-frequency matrix calculus.
+    inputs, all on one batch axis; each (t, s) is the scalar
+    q(t lam) f(lam) q(s lam) on the eigen-coordinates of the symbol.
     """
     gs = torus.GridSymbol(pair.total(), grid)
-    f_op = torus.matrix_function_multiplier(gs, f)
-    qmats = {t: gs.bandpass(t).mats for t in set(t_list) | set(s_list)}
-    fields = torus.random_trials(grid, pair.big_n, trials, seed).members()
+    f_lam = gs.spectral_function(f)
+    f_mats = gs.function(f).mats.reshape(-1, pair.big_n, pair.big_n)
+    bands = {t: gs.bandpass_spectral(t) for t in set(t_list) | set(s_list)}
+    fields = torus.random_trials(grid, pair.big_n, trials, seed)
+    norms = [torus.lp_norm(u, p) for u in fields.members()]
+    hat, w = gs.to_spectral(fields)
     table = []
     worst = 0.0
     for t in t_list:
         for s in s_list:
-            op = torus.MultiplierOp(grid, qmats[t] @ f_op.mats @ qmats[s])
+            (phi_t, mask_t), (phi_s, mask_s) = bands[t], bands[s]
+            fallback = lambda m: gs.bandpass_at(t, m) @ f_mats[m] @ gs.bandpass_at(s, m)
+            out = gs.from_spectral(phi_t * f_lam * phi_s, w, hat, mask_t | mask_s, fallback)
             est = 0.0
-            for u in fields:
-                un = torus.lp_norm(u, p)
+            for un, q in zip(norms, out.members()):
                 if un == 0:
                     continue
-                est = max(est, torus.lp_norm(torus.apply_multiplier(op, u), p) / un)
+                est = max(est, torus.lp_norm(q, p) / un)
             ratio = est / eta(s / t)
             table.append({"t": t, "s": s, "norm_est": est, "ratio": ratio})
             worst = max(worst, ratio)
@@ -225,16 +256,19 @@ def quadratic_estimate(
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
+    summands: Sequence[torus.GridField] | None = None,
 ) -> QuadraticEstimateReport:
     """Randomized square-function probe E||sum eps_k Q_{2^k} u||_p / ||u||_p.
 
     For a symbol pair (constant coefficients) the ratio probes both sides
     of the norm equivalence, so the reported constant is
     max(ratio, 1/ratio); for a variable-coefficient operator only the
-    upper bound is meaningful.
+    upper bound is meaningful.  ``summands`` passes the fields
+    :func:`bandpass_fields_constant` gives for a pair, when the caller
+    already has them.
     """
     if isinstance(op, symbols.HodgeDiracSymbolPair):
-        ws = bandpass_fields_constant(op, u, scales)
+        ws = bandpass_fields_constant(op, u, scales) if summands is None else summands
         two_sided = True
     else:
         ws = bandpass_fields_variable(op, u, scales)
@@ -258,11 +292,13 @@ def translated_quadratic_estimate(
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
+    summands: Sequence[torus.GridField] | None = None,
 ) -> QuadraticEstimateReport:
     """Scale-coupled translations: E||sum eps_k tau_{2^k z} Q_{2^k} u||_p,
-    normalized by (1 + log_+ |z|) ||u||_p."""
+    normalized by (1 + log_+ |z|) ||u||_p.  ``summands`` passes the
+    untranslated Q_{2^k} u when the caller already has them."""
     z = np.asarray(z, dtype=float).reshape(u.grid.n)
-    ws = bandpass_fields_constant(pair, u, scales)
+    ws = bandpass_fields_constant(pair, u, scales) if summands is None else summands
     shifted = [torus.translate(w, (2.0**k) * z) for k, w in zip(scales.ks, ws)]
     est = rademacher_norm(shifted, p=p, samples=samples, seed=seed)
     zmod = float(np.linalg.norm(z))

@@ -14,7 +14,7 @@ import dataclasses
 import math
 import struct
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,15 +200,33 @@ def apply_multiplier(m: MultiplierOp, u: GridField) -> GridField:
     return ifft_field(u.grid, out)
 
 
+class SpectralTriple(NamedTuple):
+    """S = V diag(lam) V^{-1} at each frequency, flattened: lam (F, N), v and
+    v_inv (F, N, N), and good (F,), cond(V) <= matcalc.EIG_COND_LIMIT; v and
+    v_inv are zero where good is false."""
+
+    lam: np.ndarray
+    v: np.ndarray
+    v_inv: np.ndarray
+    good: np.ndarray
+
+
+# A denominator 1 + t^2 lam^2 within DENOM_ULPS ulps of zero, relative to
+# 1 + |t^2 lam^2|, takes the inverse formula, which raises where it is singular.
+DENOM_ULPS = 8
+
+
 @dataclasses.dataclass(frozen=True)
 class GridSymbol:
     """One homogeneous symbol S on one grid, and the multipliers built from it.
 
-    ``mats`` holds S(xi) on the lattice, evaluated once and kept; every
-    other multiplier is formed on request from it and is not cached, so a
-    sweep over many scales keeps one stack alive.  The zero frequency
-    carries S(0) = 0 (k >= 1): there the resolvent and smoothing act as the
-    identity and the bandpass as zero.
+    ``mats`` (S on the lattice) and ``spectral`` (its eigendecomposition) are
+    computed once and kept read-only.  Scalar function families act on a field
+    transformed once to V^{-1} u_hat, one product per member; frequencies where
+    V is ill-conditioned or a denominator vanishes to rounding keep the inverse
+    formula.  The preconditioners ``resolvent``, ``smoothing`` and ``shifted``
+    are one batched inverse each, not cached.  S(0) = 0 (k >= 1): there the
+    resolvent and smoothing act as the identity and the bandpass as zero.
     """
 
     symbol: symbols.HomogeneousSymbol
@@ -219,6 +237,23 @@ class GridSymbol:
         mats = self.symbol(self.grid.lattice)
         mats.flags.writeable = False
         return mats
+
+    @property
+    def _flat(self) -> np.ndarray:
+        n = self.symbol.big_n
+        return self.mats.reshape(-1, n, n)
+
+    @cached_property
+    def spectral(self) -> SpectralTriple:
+        """One batched eig of ``mats``, guarded per frequency by cond(V)."""
+        lam, v = np.linalg.eig(self._flat)
+        good = np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT
+        v[~good] = 0.0
+        v_inv = np.zeros_like(v)
+        v_inv[good] = matcalc._batched_inv(v[good], "eigenvector matrix")
+        for a in (lam, v, v_inv, good):
+            a.flags.writeable = False
+        return SpectralTriple(lam, v, v_inv, good)
 
     def _inv(self, mats: np.ndarray, what: str) -> MultiplierOp:
         return MultiplierOp(self.grid, matcalc._batched_inv(mats, what))
@@ -239,35 +274,59 @@ class GridSymbol:
         """(I + t^2 S^2)^{-1}."""
         return self._inv(self._eye + (t * t) * (self.mats @ self.mats), "I + t^2 S^2")
 
-    def bandpass(self, t: complex) -> MultiplierOp:
-        """Q_t = t S (I + t^2 S^2)^{-1}."""
-        return MultiplierOp(self.grid, t * self.mats @ self.smoothing(t).mats)
-
     def shifted(self, z: complex) -> MultiplierOp:
         """(z - S)^{-1}: the exact constant-coefficient inverse that
         preconditions shifted solves."""
         return self._inv(z * self._eye - self.mats, "z - S")
 
+    def spectral_function(self, f: Callable) -> np.ndarray:
+        """f(lam), shape (F, N), where V serves and zero elsewhere."""
+        lam, _, _, good = self.spectral
+        out = np.zeros_like(lam)
+        out[good] = matcalc._feval(f, lam[good].ravel()).reshape(-1, lam.shape[-1])
+        return out
 
-def matrix_function_multiplier(gs: GridSymbol, f: Callable) -> MultiplierOp:
-    """Multiplier with per-frequency matrices f(S(xi)).
+    def function(self, f: Callable) -> MultiplierOp:
+        """f(S(xi)) at every frequency: V f(lam) V^{-1} where V serves, and
+        the contour calculus :func:`matcalc.contour_fc` elsewhere."""
+        _, v, v_inv, good = self.spectral
+        out = v @ (self.spectral_function(f)[..., None] * v_inv)
+        for idx in np.nonzero(~good)[0]:
+            out[idx] = matcalc.contour_fc(self._flat[idx], f)
+        return MultiplierOp(self.grid, out.reshape(self.mats.shape))
 
-    Uses the batched eigendecomposition where well-conditioned and falls
-    back to the contour calculus pointwise otherwise.
-    """
-    n = gs.symbol.big_n
-    flat = gs.mats.reshape(-1, n, n)
-    lam, v = np.linalg.eig(flat)
-    fl = np.vectorize(lambda z: complex(f(z)))(lam)
-    out = np.empty_like(flat)
-    conds = np.linalg.cond(v)
-    good = conds < matcalc.EIG_COND_LIMIT
-    if np.any(good):
-        vg = v[good]
-        out[good] = vg @ (fl[good][:, :, None] * matcalc._batched_inv(vg, "eigenvector matrix"))
-    for idx in np.nonzero(~good)[0]:
-        out[idx] = matcalc.contour_fc(flat[idx], f)
-    return MultiplierOp(gs.grid, out.reshape(gs.mats.shape))
+    def bandpass_spectral(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Q_t = t S (I + t^2 S^2)^{-1} on the eigenvalues, t lam / (1 + t^2
+        lam^2) of shape (F, N), and the mask (F,) of frequencies that take
+        :meth:`bandpass_at` instead: where V does not serve, or where a
+        denominator is zero to within DENOM_ULPS ulps."""
+        lam, _, _, good = self.spectral
+        sq = (t * t) * (lam * lam)
+        den = 1.0 + sq
+        tiny = np.abs(den) <= DENOM_ULPS * np.finfo(float).eps * (1.0 + np.abs(sq))
+        phi = np.divide(t * lam, den, out=np.zeros_like(den), where=~tiny)
+        return phi, ~good | tiny.any(axis=-1)
+
+    def bandpass_at(self, t: float, mask: np.ndarray) -> np.ndarray:
+        """Q_t by the inverse formula at the frequencies of ``mask`` only;
+        NotInvertible where I + t^2 S^2 is singular."""
+        s = self._flat[mask]
+        return t * s @ matcalc._batched_inv(self._eye + (t * t) * (s @ s), "I + t^2 S^2")
+
+    def to_spectral(self, u: GridField) -> tuple[np.ndarray, np.ndarray]:
+        """(u_hat, V^{-1} u_hat) of a field or a batch, frequencies
+        flattened: each of shape ``u.batch + (F, N)``."""
+        hat = fft_field(u).reshape(u.batch + (-1, u.big_n))
+        return hat, np.einsum("fij,...fj->...fi", self.spectral.v_inv, hat)
+
+    def from_spectral(self, coeff, w, hat, mask, fallback: Callable) -> GridField:
+        """The field with coordinates ``coeff * w``, taken back through V and
+        the inverse FFT; at the frequencies of ``mask`` the matrices
+        ``fallback(mask)`` act on ``hat`` instead (called only if any)."""
+        out = np.einsum("fij,...fj->...fi", self.spectral.v, coeff * w)
+        if mask.any():
+            out[..., mask, :] = np.einsum("fij,...fj->...fi", fallback(mask), hat[..., mask, :])
+        return ifft_field(self.grid, out.reshape(hat.shape[:-2] + self.grid.shape + (-1,)))
 
 
 def kernel_range_multipliers(
@@ -282,7 +341,7 @@ def kernel_range_multipliers(
     At the zero frequency the kernel projection is the identity.
     """
     n = s.big_n
-    p_ker, p_ran, why = matcalc.stacked_split(GridSymbol(s, grid).mats.reshape(-1, n, n))
+    p_ker, p_ran, why = matcalc.stacked_split(GridSymbol(s, grid)._flat)
     bad = np.nonzero(why != "")[0]
     if bad.size:
         xi = grid.lattice.reshape(-1, grid.n)[bad[0]]

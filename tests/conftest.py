@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from opcalc import hodge, matcalc, symbols, torus
+from opcalc import hodge, matcalc, quadest, symbols, torus
 from opcalc.errors import EigensolverError
 
 
@@ -103,6 +103,55 @@ def plane_wave(grid, freq, vector):
     xi = 2 * math.pi / grid.length * np.asarray(freq, dtype=float)
     phase = np.exp(1j * np.tensordot(grid.coordinates, xi, axes=([-1], [0])))
     return torus.GridField(grid, phase[..., None] * vec)
+
+
+def bandpass(gs, t):
+    """Q_t = t S (I + t^2 S^2)^{-1} of a GridSymbol at every frequency, by
+    one batched inverse per scale: the oracle for the eigen-coordinate
+    route of the quadest scale families."""
+    return torus.MultiplierOp(gs.grid, t * gs.mats @ gs.smoothing(t).mats)
+
+
+def bandpass_fields_by_inverse(pair, u, scales):
+    """Q_t u for every dyadic t by the inverse route, one multiplier per
+    scale: the oracle for quadest.bandpass_fields_constant."""
+    gs = torus.GridSymbol(pair.total(), u.grid)
+    return [torus.apply_multiplier(bandpass(gs, t), u) for t in scales.scales()]
+
+
+def reproducing_sum_by_inverse(pair, u, scales):
+    """(3/2) sum_k Q_{2^k} Q_{2^{k+1}} u as one matrix per frequency, from
+    the inverse route: the oracle for quadest.reproducing_sum."""
+    gs = torus.GridSymbol(pair.total(), u.grid)
+    acc = sum(bandpass(gs, 2.0**k).mats @ bandpass(gs, 2.0 ** (k + 1)).mats for k in scales.ks)
+    return torus.apply_multiplier(torus.MultiplierOp(u.grid, 1.5 * acc), u)
+
+
+def schur_table_by_inverse(pair, f, t_list, s_list, grid, *, trials, seed, p=2.0):
+    """quadest.schur_bound_probe's table from the matrices Q_t f(S) Q_s,
+    with f(S) by a per-frequency eigendecomposition: the oracle for the
+    eigen-coordinate probe."""
+    gs = torus.GridSymbol(pair.total(), grid)
+    n = pair.big_n
+    f_mats = np.stack([matrix_function_eig(m, f) for m in gs.mats.reshape(-1, n, n)])
+    f_op = f_mats.reshape(gs.mats.shape)
+    fields = torus.random_trials(grid, n, trials, seed).members()
+    table = []
+    for t in t_list:
+        for s in s_list:
+            op = torus.MultiplierOp(grid, bandpass(gs, t).mats @ f_op @ bandpass(gs, s).mats)
+            est = max(
+                torus.lp_norm(torus.apply_multiplier(op, u), p) / torus.lp_norm(u, p)
+                for u in fields
+            )
+            table.append({"t": t, "s": s, "norm_est": est, "ratio": est / quadest.eta(s / t)})
+    return table
+
+
+def defective_pair_1d():
+    """S(xi) = xi [[0, 1], [0, 0]]: a Jordan block at every xi != 0."""
+    jordan = symbols.HomogeneousSymbol(1, 2, 1, {(1,): [[0, 1], [0, 0]]})
+    return symbols.HodgeDiracSymbolPair(jordan, symbols.HomogeneousSymbol(1, 2, 1, {}))
 
 
 def zero_mode(op):

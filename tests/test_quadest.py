@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from opcalc import hodge, quadest, torus
+from opcalc import cli, hodge, quadest, torus
+from opcalc.errors import SplitUndefined
 
-from conftest import diagonal_coefficients, plane_wave, zero_field
+from conftest import (
+    bandpass_fields_by_inverse,
+    defective_pair_1d,
+    diagonal_coefficients,
+    plane_wave,
+    rel_err,
+    reproducing_sum_by_inverse,
+    schur_table_by_inverse,
+    zero_field,
+)
 
 
 def scalar_bandpass(t, x):
@@ -142,6 +152,63 @@ class TestSchurProbe:
         assert max(vals) <= 2.0 * min(vals)
 
 
+SPECTRAL_CASES = {
+    "dirac1d": (lambda: cli.load_symbol_arg("bundled:dirac1d"), torus.TorusGrid(1, 64)),
+    "graddiv2d": (lambda: cli.load_symbol_arg("bundled:graddiv2d"), torus.TorusGrid(2, 16)),
+    "defective": (defective_pair_1d, torus.TorusGrid(1, 32)),
+}
+
+
+class TestSpectralRoute:
+    """The eigen-coordinate scale families against the per-scale inverse
+    route, to 1e-12 relative."""
+
+    @pytest.fixture(params=list(SPECTRAL_CASES))
+    def case(self, request):
+        make, grid = SPECTRAL_CASES[request.param]
+        return make(), grid
+
+    def test_bandpass_fields(self, case):
+        pair, grid = case
+        u = torus.random_trials(grid, pair.big_n, 2, seed=3)
+        scales = quadest.DyadicScales(-6, 6)
+        got = quadest.bandpass_fields_constant(pair, u, scales)
+        want = bandpass_fields_by_inverse(pair, u, scales)
+        for g, w in zip(got, want, strict=True):
+            assert rel_err(g.values, w.values) < 1e-12
+
+    def test_reproducing_sum(self, case):
+        pair, grid = case
+        u = torus.random_band_limited(grid, pair.big_n, seed=4)
+        scales = quadest.DyadicScales(-8, 8)
+        got = quadest.reproducing_sum(pair, u, scales)
+        want = reproducing_sum_by_inverse(pair, u, scales)
+        assert rel_err(got.values, want.values) < 1e-12
+
+    @pytest.mark.parametrize("name", ["dirac1d", "graddiv2d"])
+    def test_schur_table(self, name):
+        make, grid = SPECTRAL_CASES[name]
+        pair, ts, f = make(), [0.25, 1.0, 4.0], lambda z: z / (1 + z * z)
+        got = quadest.schur_bound_probe(pair, f, ts, ts, grid, trials=3, seed=5).table
+        want = schur_table_by_inverse(pair, f, ts, ts, grid, trials=3, seed=5)
+        for g, w in zip(got, want, strict=True):
+            assert (g["t"], g["s"]) == (w["t"], w["s"])
+            assert abs(g["ratio"] - w["ratio"]) <= 1e-12 * w["ratio"]
+
+    def test_defective_symbol_takes_the_fallback(self):
+        make, grid = SPECTRAL_CASES["defective"]
+        pair = make()
+        gs = torus.GridSymbol(pair.total(), grid)
+        # V is used at the zero frequency only
+        assert np.array_equal(np.nonzero(gs.spectral.good)[0], [0])
+        _, mask = gs.bandpass_spectral(1.0)
+        assert np.array_equal(mask, ~gs.spectral.good)
+        # f(S) falls back to the contour calculus, which has no splitting
+        # at a defective zero eigenvalue
+        with pytest.raises(SplitUndefined):
+            quadest.schur_bound_probe(pair, lambda z: z, [1.0], [1.0], grid, trials=1)
+
+
 class TestQuadraticEstimate:
     def test_kernel_input_vanishes(self, dirac_pair, grid64):
         c = torus.GridField(
@@ -183,9 +250,7 @@ class TestQuadraticEstimate:
         # within an order of magnitude of the square of the measured
         # quadratic-estimate constant (no equality claimed)
         f = lambda z: z / (1 + z * z)
-        f_op = torus.matrix_function_multiplier(
-            torus.GridSymbol(dirac_pair.total(), grid64), f
-        )
+        f_op = torus.GridSymbol(dirac_pair.total(), grid64).function(f)
         from opcalc import dacorr
 
         f_sup = dacorr.sup_norm_on_bisector(f, np.pi / 8)

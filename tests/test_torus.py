@@ -4,7 +4,7 @@ import pytest
 from opcalc import cli, hodge, matcalc, quadest, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
-from conftest import plane_wave, rel_err, zero_field, zero_mode
+from conftest import bandpass, plane_wave, rel_err, zero_field, zero_mode
 
 
 def dft_matrix(g):
@@ -43,7 +43,7 @@ class TestApplyMultiplier:
         # bandpass at t=1 on the frequency-1 wave with vector (1, 0):
         # the per-frequency matrix is half the swap, so output (0, 1/2)
         u = plane_wave(grid64, [1], [1.0, 0.0])
-        q = torus.GridSymbol(dirac_pair.total(), grid64).bandpass(1.0)
+        q = bandpass(torus.GridSymbol(dirac_pair.total(), grid64), 1.0)
         out = torus.apply_multiplier(q, u)
         expected = plane_wave(grid64, [1], [0.0, 0.5])
         assert rel_err(out.values, expected.values) < 1e-12
@@ -51,7 +51,7 @@ class TestApplyMultiplier:
     def test_composition_is_pointwise_product(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=5)
         gs = torus.GridSymbol(dirac_pair.total(), grid64)
-        p, q = gs.smoothing(0.7), gs.bandpass(0.7)
+        p, q = gs.smoothing(0.7), bandpass(gs, 0.7)
         once = torus.apply_multiplier(torus.MultiplierOp(grid64, p.mats @ q.mats), u)
         twice = torus.apply_multiplier(p, torus.apply_multiplier(q, u))
         assert rel_err(once.values, twice.values) < 1e-10
@@ -59,7 +59,7 @@ class TestApplyMultiplier:
     def test_linearity(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=6)
         v = torus.random_band_limited(grid64, 2, seed=7)
-        q = torus.GridSymbol(dirac_pair.total(), grid64).bandpass(1.3)
+        q = bandpass(torus.GridSymbol(dirac_pair.total(), grid64), 1.3)
         lhs = torus.apply_multiplier(q, 2.0 * u + 3.0 * v)
         rhs = 2.0 * torus.apply_multiplier(q, u) + 3.0 * torus.apply_multiplier(q, v)
         denom = torus.lp_norm(u, 2.0) + torus.lp_norm(v, 2.0)
@@ -68,7 +68,7 @@ class TestApplyMultiplier:
     def test_dense_oracle_small_grid(self, dirac_pair):
         # multiplier against the explicit DFT conjugation on a tiny grid
         grid = torus.TorusGrid(1, 8)
-        q = torus.GridSymbol(dirac_pair.total(), grid).bandpass(1.0)
+        q = bandpass(torus.GridSymbol(dirac_pair.total(), grid), 1.0)
         u = torus.random_band_limited(grid, 2, seed=8)
         f = dft_matrix(8)
         finv = np.conj(f) / 8
@@ -81,7 +81,7 @@ class TestApplyMultiplier:
 def resolvent_family(pair, grid, t):
     """(r, p, q) = ((I + itS)^{-1}, (I + t^2 S^2)^{-1}, t S p) of the total symbol."""
     gs = torus.GridSymbol(pair.total(), grid)
-    return gs.resolvent(t), gs.smoothing(t), gs.bandpass(t)
+    return gs.resolvent(t), gs.smoothing(t), bandpass(gs, t)
 
 
 class TestBatchAxis:
@@ -102,7 +102,7 @@ class TestBatchAxis:
 
     def test_operators_act_per_member(self, dirac_pair, grid16):
         fields = [torus.random_band_limited(grid16, 2, seed=s) for s in range(3)]
-        q = torus.GridSymbol(dirac_pair.total(), grid16).bandpass(0.7)
+        q = bandpass(torus.GridSymbol(dirac_pair.total(), grid16), 0.7)
         coeff = hodge.perturbed_identity(grid16, 2, 0.3, 5)
         ops = (
             lambda u: torus.apply_multiplier(q, u),
@@ -174,6 +174,28 @@ class TestResolventMultipliers:
         u = torus.random_band_limited(grid, 2, seed=1)
         with pytest.raises(NotInvertible):
             quadest.bandpass_fields_constant(pair, u, quadest.DyadicScales(0, 0))
+
+    def test_near_zero_denominator_takes_the_inverse_route(self):
+        # the same symbol on the eigenvalue route: lam = +-i xi comes out of
+        # eig with 1 + lam^2 a few ulps from zero at xi = +-1, not exactly
+        # zero, so those frequencies are masked and inverted, and raise
+        grid = torus.TorusGrid(1, 16)
+        pair = symbols.HodgeDiracSymbolPair(
+            symbols.HomogeneousSymbol(1, 2, 1, {(1,): [[0, 0], [1, 0]]}),
+            symbols.HomogeneousSymbol(1, 2, 1, {(1,): [[0, -1], [0, 0]]}),
+        )
+        gs = torus.GridSymbol(pair.total(), grid)
+        at_one = np.abs(grid.lattice[:, 0]) == 1.0
+        assert gs.spectral.good.all()
+        assert np.abs(1.0 + gs.spectral.lam[at_one] ** 2).min() < 1e-15
+        phi, mask = gs.bandpass_spectral(1.0)
+        assert np.array_equal(mask, at_one)
+        assert np.all(np.isfinite(phi))
+        u = torus.random_band_limited(grid, 2, seed=1)
+        with pytest.raises(NotInvertible):
+            quadest.bandpass_fields_constant(pair, u, quadest.DyadicScales(-2, 2))
+        # away from t = 1 no denominator vanishes and nothing is masked
+        assert not gs.bandpass_spectral(0.75)[1].any()
 
 
 def per_point_splits(pair, grid):
@@ -315,6 +337,6 @@ class TestProbes:
     def test_matrix_function_multiplier_matches_formula(self, dirac_pair, grid64):
         f = lambda z: z / (1 + z * z)
         gs = torus.GridSymbol(dirac_pair.total(), grid64)
-        op = torus.matrix_function_multiplier(gs, f)
-        q = gs.bandpass(1.0)
+        op = gs.function(f)
+        q = bandpass(gs, 1.0)
         assert np.abs(op.mats - q.mats).max() < 1e-12
