@@ -291,24 +291,22 @@ def probe_hodge_const(seed, symbol, grid, trials, tolerance):
     proj = hodge.constant_hodge_projections(symbol, grid)
     gamma_op = torus.GridSymbol(symbol.gamma, grid).multiplier()
     gt_op = torus.GridSymbol(symbol.gamma_tilde, grid).multiplier()
-    worst_sum = worst_idem = worst_annih = 0.0
-    for trial in range(trials):
-        u = torus.random_band_limited(grid, symbol.big_n, seed=seed + trial)
-        un = torus.lp_norm(u, 2.0)
-        s = proj.p0(u) + proj.p_gamma(u) + proj.p_gamma_tilde(u)
-        worst_sum = max(worst_sum, torus.lp_norm(s - u, 2.0) / un)
-        for p_fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
-            v = p_fn(u)
-            worst_idem = max(worst_idem, torus.lp_norm(p_fn(v) - v, 2.0) / un)
-        gu = torus.apply_multiplier(gamma_op, u)
-        worst_annih = max(
-            worst_annih, torus.lp_norm(gu - proj.p_gamma(gu), 2.0) / max(un, 1e-300)
-        )
-        gtu = torus.apply_multiplier(gt_op, u)
-        worst_annih = max(
-            worst_annih,
-            torus.lp_norm(gtu - proj.p_gamma_tilde(gtu), 2.0) / max(un, 1e-300),
-        )
+    us = torus.GridField.stack([
+        torus.random_band_limited(grid, symbol.big_n, seed=seed + trial) for trial in range(trials)
+    ])
+    un = torus.lp_norms(us, 2.0)
+    s = proj.p0(us) + proj.p_gamma(us) + proj.p_gamma_tilde(us)
+    worst_sum = torus.max_ratio(s - us, 2.0, un)
+    worst_idem = 0.0
+    for p_fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
+        v = p_fn(us)
+        worst_idem = max(worst_idem, torus.max_ratio(p_fn(v) - v, 2.0, un))
+    gu = torus.apply_multiplier(gamma_op, us)
+    gtu = torus.apply_multiplier(gt_op, us)
+    worst_annih = max(
+        torus.max_ratio(gu - proj.p_gamma(gu), 2.0, un),
+        torus.max_ratio(gtu - proj.p_gamma_tilde(gtu), 2.0, un),
+    )
     return (
         "hodge-constant",
         {
@@ -334,13 +332,16 @@ def probe_hodge_var(seed, symbol, grid, coefficients, tolerance):
     passes = {"coefficient_conditions": cond.passed}
     if op.dim <= 4096:
         dense = hodge.dense_hodge_projections(op)
+        us = torus.GridField.stack([
+            torus.random_band_limited(grid, symbol.big_n, seed=seed + 50 + trial)
+            for trial in range(3)
+        ])
+        un = torus.lp_norms(us, 2.0)
+        cols = us.values.reshape(3, -1).T
         worst = 0.0
-        for trial in range(3):
-            u = torus.random_band_limited(grid, symbol.big_n, seed=seed + 50 + trial)
-            un = torus.lp_norm(u, 2.0)
-            for fn, mat in zip((proj.p0, proj.p_gamma, proj.p_gamma_tilde), dense):
-                ref = torus.GridField.from_flat(grid, symbol.big_n, mat @ u.flat())
-                worst = max(worst, torus.lp_norm(fn(u) - ref, 2.0) / un)
+        for fn, mat in zip((proj.p0, proj.p_gamma, proj.p_gamma_tilde), dense):
+            ref = torus.GridField(grid, (mat @ cols).T.reshape(us.values.shape))
+            worst = max(worst, torus.max_ratio(fn(us) - ref, 2.0, un))
         constants["limit_vs_dense"] = worst
         passes["limit_vs_dense"] = worst <= tolerance
     res = hodge.underline_intertwining_residual(op, 2.0, seed=seed)
@@ -654,21 +655,24 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; options: {sorted(SUITES)}")
     suite = SUITES[name]
+    base = _merge(suite["defaults"], config)
+    # per-probe blocks under "overrides" take precedence over suite keys
+    overrides = base.pop("overrides", {})
     jobs = []
     for probe_name in suite["probes"]:
-        cfg = _merge(suite["defaults"], config)
-        # per-probe blocks under "overrides" take precedence over suite keys
-        overrides = cfg.pop("overrides", {})
         with _config_values("overrides"):
             if not isinstance(overrides, dict):
                 raise TypeError(f"expected an object, got {overrides!r}")
             extra = overrides.get(probe_name, {})
             if not isinstance(extra, dict):
                 raise TypeError(f"{probe_name}: expected an object, got {extra!r}")
-        cfg = _merge(cfg, extra)
+        cfg = _merge(base, extra)
         jobs.append((probe_name, cfg, read_config(probe_name, cfg)))
+        for key in sorted(extra.keys() - PROBE_KEYS[probe_name].keys()):
+            print(f"warning: probe {probe_name} does not read override key {key!r}; ignored",
+                  file=sys.stderr)
     read = {key for probe_name in suite["probes"] for key in PROBE_KEYS[probe_name]}
-    for key in sorted({key for _, cfg, _ in jobs for key in cfg} - read):
+    for key in sorted(base.keys() - read):
         print(f"warning: no probe of suite {name} reads config key {key!r}; ignored",
               file=sys.stderr)
 

@@ -35,9 +35,8 @@ def gmres(
     restart: int = 50,
     maxiter: int = 5000,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveInfo]:
-    """Solve A x = b with restarted GMRES, right-preconditioned.
+    """Solve A x = b with restarted GMRES from x = 0, right-preconditioned.
 
     With right preconditioning the minimized residual is the true
     residual of the original system, so convergence means
@@ -50,7 +49,7 @@ def gmres(
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, True)
     apply_m = precond if precond is not None else _identity
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).reshape(-1).copy()
+    x = np.zeros_like(b)
     total = 0
     res = np.inf
     while total < maxiter:

@@ -269,15 +269,16 @@ def split_via_bases(t) -> tuple[np.ndarray, np.ndarray]:
     return p_ker[0], p_ran[0]
 
 
-def spectral_split(t, *, nodes=128, check=True, check_tol=SPLIT_CHECK_TOL):
+def spectral_split(t, *, check=True):
     """Complementary projections (p_ker, p_ran) onto ker(T) and ran(T).
 
     p_ker is computed as the Riesz contour integral of the resolvent
     around the zero eigenvalue only; raises SplitUndefined when 0 is a
     defective eigenvalue (rank T^2 < rank T), in which case no such
     splitting exists, and when the eigenvalues do not separate into a zero
-    cluster of size dim ker(T) and a nonzero rest.  With ``check=True`` the
-    result is cross-checked against the dense invariant-subspace oracle.
+    cluster of size dim ker(T) and a nonzero rest.  The circle carries 128
+    trapezoid nodes.  With ``check=True`` the result is cross-checked
+    against the dense invariant-subspace oracle, to SPLIT_CHECK_TOL.
     """
     a = _as_matrix(t)
     n = a.shape[0]
@@ -301,6 +302,7 @@ def spectral_split(t, *, nodes=128, check=True, check_tol=SPLIT_CHECK_TOL):
         )
     radius = 0.5 * min_nz
     # Trapezoid on a circle is spectrally accurate; dz = i*lambda dtheta.
+    nodes = 128
     theta = 2 * math.pi * np.arange(nodes) / nodes
     zs = radius * np.exp(1j * theta)
     rhs = np.broadcast_to(np.eye(n), (nodes, n, n))
@@ -309,7 +311,7 @@ def spectral_split(t, *, nodes=128, check=True, check_tol=SPLIT_CHECK_TOL):
     p_ran = np.eye(n) - p_ker
     if check:
         pk_oracle, _ = split_via_bases(a)
-        if operator_norm(p_ker - pk_oracle) > check_tol * max(1.0, operator_norm(p_ker)):
+        if operator_norm(p_ker - pk_oracle) > SPLIT_CHECK_TOL * max(1.0, operator_norm(p_ker)):
             raise SplitUndefined("contour and subspace splittings disagree")
     return p_ker, p_ran
 
@@ -367,13 +369,15 @@ def _check_enclosed(nz: np.ndarray, spec: ContourSpec, margin: float):
         )
 
 
-def contour_fc(t, f: Callable, spec: ContourSpec | None = None, *, margin=1e-6):
+def contour_fc(t, f: Callable, spec: ContourSpec | None = None):
     """Matrix function f(T) via the truncated-bisector Dunford integral.
 
     Returns ``f(0) * p_ker + (2 pi i)^{-1} * integral of f(z)(z-T)^{-1} dz``
     over the positively oriented boundary of the truncated bisector.  The
     nonzero spectrum must lie strictly inside the contour; f must be
     holomorphic on a neighbourhood of the enclosed region and defined at 0.
+    ContourTooClose is raised when a nonzero eigenvalue lies within a
+    relative margin of 1e-6 of the contour.
     """
     a = _as_matrix(t)
     n = a.shape[0]
@@ -385,7 +389,7 @@ def contour_fc(t, f: Callable, spec: ContourSpec | None = None, *, margin=1e-6):
         return f0 * p_ker
     if spec is None:
         spec = default_contour(bisector_params(a))
-    _check_enclosed(nz, spec, margin)
+    _check_enclosed(nz, spec, 1e-6)
     z, w = (q.ravel() for q in spec.quadrature)
     eye = np.eye(n)
     res = np.linalg.solve(z[:, None, None] * eye - a, np.broadcast_to(eye, (z.size, n, n)))

@@ -218,7 +218,7 @@ def schur_bound_probe(
     f_mats = gs.function(f).mats.reshape(-1, pair.big_n, pair.big_n)
     bands = {t: gs.bandpass_spectral(t) for t in set(t_list) | set(s_list)}
     fields = torus.random_trials(grid, pair.big_n, trials, seed)
-    norms = [torus.lp_norm(u, p) for u in fields.members()]
+    norms = torus.lp_norms(fields, p)
     hat, w = gs.to_spectral(fields)
     table = []
     worst = 0.0
@@ -227,11 +227,7 @@ def schur_bound_probe(
             (phi_t, mask_t), (phi_s, mask_s) = bands[t], bands[s]
             fallback = lambda m: gs.bandpass_at(t, m) @ f_mats[m] @ gs.bandpass_at(s, m)
             out = gs.from_spectral(phi_t * f_lam * phi_s, w, hat, mask_t | mask_s, fallback)
-            est = 0.0
-            for un, q in zip(norms, out.members()):
-                if un == 0:
-                    continue
-                est = max(est, torus.lp_norm(q, p) / un)
+            est = torus.max_ratio(out, p, norms)
             ratio = est / eta(s / t)
             table.append({"t": t, "s": s, "norm_est": est, "ratio": ratio})
             worst = max(worst, ratio)
@@ -324,18 +320,19 @@ def offdiagonal_probe(
     trials: int = 4,
     p: float = 2.0,
     seed: int = 0,
-    f_fraction: int = 8,
 ) -> OffDiagonalResult:
     """Decay of 1_E Q_t^B 1_F with the separation dist(E, F)/t = rho.
 
-    F is a fixed block of cells; for each rho, E collects the cells at
-    torus distance at least rho * t from F.  The fitted exponent of the
-    ratio against (1 + rho) is reported.
+    F is the block of the first g/8 cells along each axis; for each rho, E
+    collects the cells at torus distance at least rho * t from F.  The
+    ``trials`` fields of ``torus.random_trials``, cut to F, go through
+    Q_t^B once, and every rho cuts the same Q_t^B 1_F u to its E, so the
+    ratios do not increase with rho.  The fitted exponent of the ratio
+    against (1 + rho) is reported.
     """
     grid = op.grid
     mask_f = np.zeros(grid.shape, dtype=bool)
-    block = tuple(slice(0, max(1, grid.g // f_fraction)) for _ in range(grid.n))
-    mask_f[block] = True
+    mask_f[(slice(0, max(1, grid.g // 8)),) * grid.n] = True
     coords = grid.coordinates
     xf = coords[mask_f].reshape(-1, grid.n)
     dist = np.full(grid.shape, np.inf)
@@ -343,27 +340,22 @@ def offdiagonal_probe(
         d = np.abs(coords - pt)
         d = np.minimum(d, grid.length - d)
         dist = np.minimum(dist, np.sqrt((d**2).sum(axis=-1)))
-    rng = np.random.default_rng(seed)
-    rhos, ratios = [], []
+    rhos, masks = [], []
     for rho in rho_list:
         mask_e = dist >= rho * t
         if not mask_e.any():
             continue
         if (mask_e & mask_f).any():
             raise ValueError(f"separated sets overlap at rho={rho}")
-        worst = 0.0
-        for _ in range(trials):
-            u = torus.random_band_limited(grid, op.big_n, seed=int(rng.integers(2**31)))
-            vals = np.where(mask_f[..., None], u.values, 0.0)
-            uf = torus.GridField(grid, vals)
-            denom = torus.lp_norm(uf, p)
-            if denom == 0:
-                continue
-            qu = hodge.bandpass_apply(op, t, uf)
-            cut = np.where(mask_e[..., None], qu.values, 0.0)
-            worst = max(worst, torus.lp_norm(torus.GridField(grid, cut), p) / denom)
         rhos.append(float(rho))
-        ratios.append(worst)
+        masks.append(mask_e[..., None])
+    us = torus.random_trials(grid, op.big_n, trials, seed)
+    uf = torus.GridField(grid, np.where(mask_f[..., None], us.values, 0.0))
+    denom = torus.lp_norms(uf, p)
+    qu = hodge.bandpass_apply(op, t, uf).values
+    ratios = [
+        torus.max_ratio(torus.GridField(grid, np.where(m, qu, 0.0)), p, denom) for m in masks
+    ]
     if len(rhos) >= 2 and all(r > 0 for r in ratios):
         slope = np.polyfit(np.log1p(rhos), np.log(ratios), 1)[0]
         exponent = float(-slope)

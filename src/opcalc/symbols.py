@@ -77,6 +77,17 @@ class HomogeneousSymbol:
             out += mono[..., None, None] * mat
         return out
 
+    def __eq__(self, other) -> bool:
+        """Value equality: the same n, N and k, the same multi-indices, and
+        equal coefficient matrices."""
+        if not isinstance(other, HomogeneousSymbol):
+            return NotImplemented
+        return (
+            (self.n, self.big_n, self.k) == (other.n, other.big_n, other.k)
+            and self.coeffs.keys() == other.coeffs.keys()
+            and all(np.array_equal(m, other.coeffs[th]) for th, m in self.coeffs.items())
+        )
+
     def __add__(self, other: "HomogeneousSymbol") -> "HomogeneousSymbol":
         if (self.n, self.big_n, self.k) != (other.n, other.big_n, other.k):
             raise ValueError("incompatible symbols")

@@ -358,12 +358,28 @@ def translate(u: GridField, z) -> GridField:
     return ifft_field(u.grid, hat)
 
 
-def lp_norm(u: GridField, p: float) -> float:
-    """Midpoint-rule L^p norm with the Euclidean norm on components."""
+def lp_norms(u: GridField, p: float) -> np.ndarray:
+    """Midpoint-rule L^p norm with the Euclidean norm on components, one per
+    field of the stack ``u``: shape ``u.batch``."""
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    mags = np.linalg.norm(u.single().values, axis=-1)
-    return float((np.sum(mags**p) * u.grid.cell_volume) ** (1.0 / p))
+    # rows even for a single field, so that it takes the same array
+    # arithmetic as each member of a stack
+    mags = np.linalg.norm(u.values, axis=-1).reshape(-1, u.grid.size)
+    norms = (np.sum(mags**p, axis=-1) * u.grid.cell_volume) ** (1.0 / p)
+    return norms.reshape(u.batch)
+
+
+def lp_norm(u: GridField, p: float) -> float:
+    """The L^p norm of :func:`lp_norms` of a single field."""
+    return float(lp_norms(u.single(), p))
+
+
+def max_ratio(u: GridField, p: float, scale: np.ndarray) -> float:
+    """The largest ||u_j||_p / scale_j over the fields u_j of the stack ``u``
+    with scale_j > 0, or 0.0 if there is none."""
+    live = scale > 0
+    return float(np.max(lp_norms(u, p)[live] / scale[live], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,22 @@ class TestSuite:
         assert code == 0
         assert len(warnings) == 1 and "'grdi'" in warnings[0]
 
+    def test_unread_override_key_warns(self, tmp_path, monkeypatch, capsys):
+        # smoke's other probes read symbol and samples; block reads neither
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"overrides": {"block": {"symbol": "bundled:graddiv2d", "samples": 99}}}
+        ))
+        monkeypatch.setattr(cli, "PROBES", dict.fromkeys(cli.PROBES, _stub_probe))
+        code = cli.main(["suite", "smoke", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert code == 0
+        assert warnings == [
+            "warning: probe block does not read override key 'samples'; ignored",
+            "warning: probe block does not read override key 'symbol'; ignored",
+        ]
+
     def test_probe_crash_leaves_the_other_reports(self, tmp_path, monkeypatch, capsys):
         def crash(**values):
             raise RuntimeError("injected")

@@ -255,6 +255,13 @@ class TestVariableResolvent:
                 precond=var_op16.total_symbol.resolvent(1.0),
             )
 
+    def test_stack_solves_each_member(self, var_op16, grid16):
+        stack = torus.random_trials(grid16, 2, 3, seed=8)
+        got = hodge.variable_resolvent(var_op16, 1.5, stack)
+        assert got.batch == (3,)
+        for member, u in zip(got.members(), stack.members()):
+            assert np.array_equal(member.values, hodge.variable_resolvent(var_op16, 1.5, u).values)
+
 
 class TestVariableProjections:
     def test_identity_matches_constant(self, dirac_pair, grid16):
@@ -400,6 +407,15 @@ class TestPerturbationReport:
         rep = hodge.hodge_perturbation_report(var_op16, var_op16)
         assert rep.delta == 0.0
         assert rep.ratios is None
+        assert max(rep.diff_p0, rep.diff_p_gamma, rep.diff_p_gamma_tilde) < 1e-10
+
+    def test_pairs_equal_but_not_identical(self):
+        grid = torus.TorusGrid(1, 8)
+        opa = hodge.VariableOp.constant(symbols.dirac_pair_1d(), grid)
+        opb = hodge.VariableOp.constant(symbols.dirac_pair_1d(), grid)
+        assert opa.pair is not opb.pair
+        rep = hodge.hodge_perturbation_report(opa, opb)
+        assert rep.delta == 0.0
         assert max(rep.diff_p0, rep.diff_p_gamma, rep.diff_p_gamma_tilde) < 1e-10
 
     def test_delta_sweep_ratio_band(self, dirac_pair):

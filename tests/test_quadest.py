@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opcalc import cli, hodge, quadest, torus
+from opcalc import cli, hodge, krylov, quadest, torus
 from opcalc.errors import SplitUndefined
 
 from conftest import (
@@ -318,6 +318,21 @@ class TestOffDiagonal:
         assert res.ratios[0] < 1.0
         assert res.ratios[1] < res.ratios[0]
         assert res.decay_exponent >= 1.0
+
+    def test_default_probe_solves_each_trial_once(self, monkeypatch):
+        # Q_t^B 1_F u is solved once per trial (two GMRES solves) and cut
+        # to every E, so the ratios cannot grow with the separation
+        calls = []
+        solve = krylov.solve_or_raise
+        monkeypatch.setattr(
+            krylov, "solve_or_raise", lambda *a, **kw: calls.append(1) or solve(*a, **kw)
+        )
+        values = cli.read_config("offdiag", {"seed": 3})
+        _, constants, passes = cli.probe_offdiag(**values)
+        assert len(calls) == 2 * values["trials"]
+        ratios = constants["ratios"]
+        assert len(ratios) == 4 and passes["decaying"]
+        assert all(b <= a for a, b in zip(ratios, ratios[1:]))
 
     def test_masked_norm_of_annihilated_input_zero(self, dirac_pair, grid64):
         # an input the operator kills contributes zero to the masked ratio

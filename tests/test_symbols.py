@@ -444,3 +444,22 @@ class TestSerialization:
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError):
             symbols.load_symbol_file(path)
+
+
+class TestEquality:
+    def test_equal_values_compare_equal(self, tmp_path):
+        assert symbols.dirac_pair_1d() == symbols.dirac_pair_1d()
+        path = tmp_path / "pair.json"
+        save_symbol_file(path, symbols.dirac_pair_1d())
+        assert symbols.load_symbol_file(path) == symbols.load_symbol_file(path)
+
+    def test_differences_compare_unequal(self):
+        s = symbols.HomogeneousSymbol(2, 2, 1, {(1, 0): np.eye(2), (0, 1): np.eye(2)})
+        changed = symbols.HomogeneousSymbol(2, 2, 1, {(1, 0): np.eye(2), (0, 1): 2 * np.eye(2)})
+        fewer = symbols.HomogeneousSymbol(2, 2, 1, {(1, 0): np.eye(2)})
+        other_k = symbols.HomogeneousSymbol(2, 2, 2, {(2, 0): np.eye(2), (0, 2): np.eye(2)})
+        for other in (changed, fewer, other_k, "not a symbol"):
+            assert s != other
+        assert symbols.dirac_pair_1d() != symbols.HodgeDiracSymbolPair(
+            symbols.dirac_pair_1d().gamma_tilde, symbols.dirac_pair_1d().gamma
+        )

@@ -114,6 +114,23 @@ class TestBatchAxis:
             for member, u in zip(got, fields):
                 assert rel_err(member.values, op(u).values) < 1e-15
 
+    @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
+    def test_norms_of_a_stack_are_the_member_norms(self, p):
+        for grid, big_n in ((torus.TorusGrid(1, 64), 2), (torus.TorusGrid(2, 16), 4)):
+            stack = torus.random_trials(grid, big_n, 6, seed=7)
+            got = torus.lp_norms(stack, p)
+            want = [torus.lp_norm(u, p) for u in stack.members()]
+            assert got.shape == (6,)
+            np.testing.assert_allclose(got, want, rtol=5e-16, atol=0)
+            nested = torus.GridField(grid, stack.values.reshape((2, 3) + stack.values.shape[1:]))
+            assert np.array_equal(torus.lp_norms(nested, p), got.reshape(2, 3))
+
+    def test_max_ratio_skips_zero_scales(self, grid16):
+        stack = torus.random_trials(grid16, 2, 3, seed=1)
+        norms = torus.lp_norms(stack, 2.0)
+        assert torus.max_ratio(stack, 2.0, norms * np.array([1.0, 0.0, 2.0])) == 1.0
+        assert torus.max_ratio(stack, 2.0, np.zeros(3)) == 0.0
+
     @pytest.mark.parametrize("consumer", [
         lambda u, path: torus.lp_norm(u, 2.0),
         lambda u, path: torus.save_field(path, u),
