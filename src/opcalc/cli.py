@@ -197,7 +197,6 @@ READERS = {
     "sphere_samples": _integer(1),
     "samples": _integer(16),
     "trials": _integer(1),
-    "nodes": _integer(8),  # ContourSpec's floor
     "circle_nodes": _integer(1),
     "k_min": _integer(),
     "k_max": lambda raw, got: _scale_window(got["k_min"], _integer()(raw, got)),
@@ -226,10 +225,9 @@ PROBE_KEYS = {
                     "tolerance": 1e-5},
     "schur": {"seed": 0, "symbol": PAIR, "grid": {}, "trials": 4},
     "offdiag": {"seed": 0, "symbol": PAIR, "grid": {}, "coefficients": {}, "trials": 2},
-    "block": {"seed": 0, "grid": {}, "nodes": 128, "eps": 0.05, "trials": 2},
-    "holomorphy": {"seed": 0, "grid": {}, "circle_nodes": 16, "nodes": 128},
-    "lipschitz": {"seed": 0, "grid": {}, "nodes": 128, "deltas": DELTAS, "trials": 2,
-                  "triple_g": 16},
+    "block": {"seed": 0, "grid": {}, "eps": 0.05, "trials": 2},
+    "holomorphy": {"seed": 0, "grid": {}, "circle_nodes": 16},
+    "lipschitz": {"seed": 0, "grid": {}, "deltas": DELTAS, "trials": 2, "triple_g": 16},
 }
 
 
@@ -484,7 +482,7 @@ def probe_offdiag(seed, symbol, grid, coefficients, trials):
     )
 
 
-def probe_block(seed, grid, nodes, eps, trials):
+def probe_block(seed, grid, eps, trials):
     d = dacorr.FirstOrderD.verified(DX)
     a = hodge.perturbed_identity(grid, 1, eps, seed + 67)
     block = dacorr.build_block(d, a, seed=seed)
@@ -500,9 +498,7 @@ def probe_block(seed, grid, nodes, eps, trials):
     lhs = hodge.variable_resolvent(block, t, v, rtol=1e-12)
     rhs = dacorr.block_resolvent_product(d, a, t, v)
     factor = torus.lp_norm(lhs - rhs, 2.0) / torus.lp_norm(v, 2.0)
-    inter = dacorr.intertwine_check(
-        d, a, dacorr.f_rational_odd, trials=trials, nodes=nodes, seed=seed
-    )
+    inter = dacorr.intertwine_check(d, a, dacorr.f_rational_odd, trials=trials, seed=seed)
     return (
         "block-correspondence",
         {"structure_residual": structure, "resolvent_product_residual": factor,
@@ -512,7 +508,7 @@ def probe_block(seed, grid, nodes, eps, trials):
     )
 
 
-def probe_holomorphy(seed, grid, circle_nodes, nodes):
+def probe_holomorphy(seed, grid, circle_nodes):
     d = dacorr.FirstOrderD.verified(DX)
     u = torus.random_band_limited(grid, 1, seed=seed + 71)
     path = dacorr.CoefficientPath(
@@ -520,8 +516,7 @@ def probe_holomorphy(seed, grid, circle_nodes, nodes):
     )
     radius = 0.3
     rep = dacorr.holomorphy_probe(
-        path, d, dacorr.f_rational_odd, u, radius=radius, nodes=circle_nodes,
-        calculus_nodes=nodes,
+        path, d, dacorr.f_rational_odd, u, radius=radius, nodes=circle_nodes
     )
     improves = rep.residual >= 4.0 * rep.residual_refined
     return (
@@ -532,19 +527,17 @@ def probe_holomorphy(seed, grid, circle_nodes, nodes):
     )
 
 
-def probe_lipschitz(seed, grid, nodes, deltas, trials, triple_g):
+def probe_lipschitz(seed, grid, deltas, trials, triple_g):
     d = dacorr.FirstOrderD.verified(DX)
     eye = hodge.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, seed + 73)
     reps = dacorr.lipschitz_probe(
-        d, eye, [eye + eps * e for eps in deltas], dacorr.f_rational_odd,
-        trials=trials, calculus_nodes=nodes, seed=seed,
+        d, eye, [eye + eps * e for eps in deltas], dacorr.f_rational_odd, trials=trials, seed=seed
     )
     ratios = [{"delta": eps, "ratio": rep.max_ratio} for eps, rep in zip(deltas, reps)]
     vals = [r["ratio"] for r in ratios if r["ratio"] > 0]
     spread = max(vals) / min(vals) if vals else math.inf
     pair = symbols.dirac_pair_1d()
-    params = symbols.verify_hodge_pair(pair).params
     ca = hodge.CoefficientPair(
         hodge.perturbed_identity(triple_g, 2, 0.05, seed + 81, diagonal=True),
         hodge.perturbed_identity(triple_g, 2, 0.05, seed + 82, diagonal=True),
@@ -554,9 +547,7 @@ def probe_lipschitz(seed, grid, nodes, deltas, trials, triple_g):
         hodge.perturbed_identity(triple_g, 2, 0.03, seed + 84, diagonal=True),
     )
     u = torus.random_band_limited(triple_g, 2, seed=seed + 85)
-    triple = dacorr.lipschitz_triple_decomposition(
-        pair, ca, cb, dacorr.f_rational_odd, u, params
-    )
+    triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, dacorr.f_rational_odd, u)
     return (
         "lipschitz",
         {"sweep": ratios, "spread": spread,
@@ -595,7 +586,6 @@ SUITES = {
             "windows": [4, 8, 12, 16],
             "tolerance": 1e-5,
             "deltas": [0.04, 0.02],
-            "nodes": 96,
             "circle_nodes": 8,
             "triple_g": 8,
             "overrides": {
@@ -674,6 +664,9 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
     read = {key for probe_name in suite["probes"] for key in PROBE_KEYS[probe_name]}
     for key in sorted(base.keys() - read):
         print(f"warning: no probe of suite {name} reads config key {key!r}; ignored",
+              file=sys.stderr)
+    for key in sorted(overrides.keys() - set(suite["probes"])):
+        print(f"warning: suite {name} has no probe {key!r}; its overrides are ignored",
               file=sys.stderr)
 
     out_dir.mkdir(parents=True, exist_ok=True)

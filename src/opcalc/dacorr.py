@@ -134,8 +134,19 @@ def stack_components(u1: torus.GridField, u2: torus.GridField) -> torus.GridFiel
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free contour calculus.
+# Matrix-free calculus: by partial fractions, and by contour for general f.
 # ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class PartialFractions:
+    """sum_k r_k / (z - p_k): simple ``poles`` p_k, ``residues`` r_k; takes arrays."""
+
+    poles: tuple[complex, ...]
+    residues: tuple[complex, ...]
+
+    def __call__(self, z):
+        return sum(r / (z - p) for p, r in zip(self.poles, self.residues))
 
 
 def discrete_contour(
@@ -163,6 +174,40 @@ def discrete_contour(
 
 
 DENSE_CALCULUS_LIMIT = 1024
+
+
+def _shifted_sum(apply_fn, u, zs, cs, precond_for) -> torus.GridField:
+    """sum_k c_k (z_k - T)^{-1} u by one GMRES solve per node and field, to
+    relative residual 1e-12, preconditioned by ``precond_for(z)`` when given."""
+    acc = np.zeros_like(u.values)
+    for zz, c in zip(zs, cs):
+        precond = None if precond_for is None else precond_for(zz)
+        x = hodge.solve_field(lambda f: zz * f - apply_fn(f), u, rtol=1e-12, precond=precond,
+                              what=f"shifted solve at z={zz:.4g}")
+        acc += c * x.values
+    return torus.GridField(u.grid, acc)
+
+
+def fraction_calculus(
+    apply_fn: Callable[[torus.GridField], torus.GridField],
+    u: torus.GridField,
+    f: PartialFractions,
+    *,
+    precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
+) -> torus.GridField:
+    """f(T)U = sum_k (-r_k) (p_k - T)^{-1} U for a matrix-free T and f given
+    by its partial fractions, on a field or each field of a stack ``u``: one
+    shifted solve per pole, no quadrature.  Up to DENSE_CALCULUS_LIMIT
+    unknowns T is assembled once and each pole is one dense solve for all
+    the fields; past it, one GMRES solve per pole and field."""
+    dim = u.grid.size * u.big_n
+    cs = [-r for r in f.residues]
+    if dim > DENSE_CALCULUS_LIMIT:
+        return _shifted_sum(apply_fn, u, f.poles, cs, precond_for)
+    a = hodge.dense_operator(apply_fn, u.grid, u.big_n)
+    cols = u.values.reshape(-1, dim).T
+    out = sum(c * np.linalg.solve(p * np.eye(dim) - a, cols) for p, c in zip(f.poles, cs))
+    return torus.GridField(u.grid, out.T.reshape(u.values.shape))
 
 
 def contour_calculus(
@@ -205,17 +250,7 @@ def contour_calculus(
             cols = u.values.reshape(-1, dim).T
             out = v @ (scal[:, None] * np.linalg.solve(v, cols))
             return torus.GridField(grid, out.T.reshape(u.values.shape))
-    acc = np.zeros_like(u.values)
-    for zz, c in zip(z.ravel(), fw.ravel()):
-        x = hodge.solve_field(
-            lambda f: zz * f - apply_fn(f),
-            u,
-            what=f"shifted solve at z={zz:.4g}",
-            rtol=1e-12,
-            precond=None if precond_for is None else precond_for(zz),
-        )
-        acc += c * x.values
-    return torus.GridField(grid, acc)
+    return _shifted_sum(apply_fn, u, z.ravel(), fw.ravel(), precond_for)
 
 
 def composition_calculus(
@@ -225,19 +260,15 @@ def composition_calculus(
     d: FirstOrderD,
     *,
     nodes: int = 128,
-    contour: matcalc.ContourSpec | None = None,
 ) -> torus.GridField:
-    """f(D A) u through the contour calculus on the undoubled space.
-
-    Pass an explicit contour when comparing values across a coefficient
-    family: a shared contour makes the quadrature error vary analytically
-    with the coefficient, so it cancels in differences and Cauchy means.
-    """
-    if contour is None:
-        dist = (op.a - hodge.MatrixField.identity(op.grid, op.big_n)).inf_norm
-        contour = discrete_contour(
-            d.params, op.grid, coeff_distance=dist, coeff_sup=op.a.inf_norm, nodes=nodes
-        )
+    """f(D A) u on the undoubled space: by partial fractions when f is
+    given by them, through the contour calculus otherwise."""
+    if isinstance(f, PartialFractions):
+        return fraction_calculus(op.apply, u, f, precond_for=op.symbol.shifted)
+    dist = (op.a - hodge.MatrixField.identity(op.grid, op.big_n)).inf_norm
+    contour = discrete_contour(
+        d.params, op.grid, coeff_distance=dist, coeff_sup=op.a.inf_norm, nodes=nodes
+    )
     return contour_calculus(op.apply, u, f, contour, precond_for=op.symbol.shifted)
 
 
@@ -250,7 +281,11 @@ def block_calculus(
     nodes: int = 128,
 ) -> torus.GridField:
     """f of the doubled-space operator applied to a field of component
-    pairs, or to each field of a stack of them."""
+    pairs, or to each field of a stack of them; by partial fractions when f
+    is given by them, through the contour calculus otherwise."""
+    precond_for = block_op.total_symbol.shifted
+    if isinstance(f, PartialFractions):
+        return fraction_calculus(block_op.apply, v, f, precond_for=precond_for)
     eye = hodge.MatrixField.identity(block_op.grid, block_op.big_n)
     b1 = block_op.coeffs.b1
     dist = min((b1 + block_op.coeffs.b2 - eye).inf_norm, 2.0)
@@ -258,9 +293,7 @@ def block_calculus(
     contour = discrete_contour(
         d.params, block_op.grid, coeff_distance=dist, coeff_sup=sup, nodes=nodes
     )
-    return contour_calculus(
-        block_op.apply, v, f, contour, precond_for=block_op.total_symbol.shifted
-    )
+    return contour_calculus(block_op.apply, v, f, contour, precond_for=precond_for)
 
 
 def intertwine_check(
@@ -429,12 +462,11 @@ class HolomorphyReport:
 def holomorphy_probe(
     path: CoefficientPath,
     d: FirstOrderD,
-    f: Callable,
+    f: PartialFractions,
     u: torus.GridField,
     *,
     radius: float,
     nodes: int = 16,
-    calculus_nodes: int = 128,
 ) -> HolomorphyReport:
     """Mean-value test of analytic dependence on the coefficient.
 
@@ -444,8 +476,10 @@ def holomorphy_probe(
     the even nodes, which are the ``nodes``-point circle, and
     ``residual_refined`` from all of them.  Each node is one coercivity
     check of the block coefficients (ProbeAborted names the first node
-    that fails it) and one contour call, all on one contour for the disc.
+    that fails it) and one :func:`fraction_calculus` call.
     """
+    if not isinstance(f, PartialFractions):
+        raise TypeError("the holomorphy probe takes f as PartialFractions")
     grid = u.grid
     zs = radius * np.exp(2j * math.pi * np.arange(2 * nodes) / (2 * nodes))
     for z in zs:
@@ -453,21 +487,9 @@ def holomorphy_probe(
             build_block(d, path.at(z))
         except CoercivityError as exc:
             raise ProbeAborted(f"{exc} at node {z:.6g}", node=z) from exc
-    # one contour for the whole disc: quadrature error then varies
-    # analytically with z and cancels in the Cauchy mean
-    base_dist = (path.base - hodge.MatrixField.identity(grid, u.big_n)).inf_norm
-    contour = discrete_contour(
-        d.params,
-        grid,
-        coeff_distance=base_dist + radius,
-        coeff_sup=path.base.inf_norm + radius,
-        nodes=calculus_nodes,
-    )
 
     def at(z: complex) -> np.ndarray:
-        return composition_calculus(
-            composition(d, path.at(z), grid), f, u, d, contour=contour
-        ).values
+        return composition_calculus(composition(d, path.at(z), grid), f, u, d).values
 
     center = torus.GridField(grid, at(0.0))
     # summed in node order, so the even-node mean is bitwise the mean over
@@ -492,11 +514,10 @@ def sup_norm_on_bisector(f: Callable, theta: float) -> float:
     """Numerical sup of |f| over the boundary rays of the bisector, sampled
     at 4,000 radii from 1e-6 to 1e6."""
     rr = np.logspace(-6, 6, 4000)
-    worst = 0.0
-    for ang in (theta, -theta, math.pi - theta, math.pi + theta):
-        vals = np.abs([complex(f(r * np.exp(1j * ang))) for r in rr])
-        worst = max(worst, float(vals.max()))
-    return worst
+    return max(
+        float(np.abs(matcalc._feval(f, rr * np.exp(1j * ang))).max())
+        for ang in (theta, -theta, math.pi - theta, math.pi + theta)
+    )
 
 
 @dataclasses.dataclass
@@ -510,43 +531,32 @@ def lipschitz_probe(
     d: FirstOrderD,
     a: hodge.MatrixField,
     a_tildes: Sequence[hodge.MatrixField],
-    f: Callable,
+    f: PartialFractions,
     *,
     trials: int = 3,
     p: float = 2.0,
-    calculus_nodes: int = 128,
     seed: int = 0,
 ) -> list[LipschitzReport]:
     """Observed ratio ||f(DA)u - f(DA~)u||_p / (||A - A~|| ||f||_sup ||u||_p)
     for each A~ of the sweep ``a_tildes``, one report per member.
 
-    The sweep shares one contour, sized by the largest distance from the
-    identity and the largest sup over A and the whole sweep, so f(DA)U on
-    the stack U of random trials and ||f||_sup are computed once.
+    f(DA)U on the stack U of random trials and ||f||_sup are computed once
+    for the whole sweep.
     """
+    if not isinstance(f, PartialFractions):
+        raise TypeError("the Lipschitz probe takes f as PartialFractions")
     grid = a.grid
     theta = 0.5 * (d.params.omega + math.pi / 2)
     f_sup = sup_norm_on_bisector(f, theta)
-    eye = hodge.MatrixField.identity(grid, a.big_n)
-    family = [a, *a_tildes]
-    contour = discrete_contour(
-        d.params,
-        grid,
-        coeff_distance=max((m - eye).inf_norm for m in family),
-        coeff_sup=max(m.inf_norm for m in family),
-        nodes=calculus_nodes,
-    )
     us = torus.random_trials(grid, a.big_n, trials, seed)
-    fa = composition_calculus(composition(d, a, grid), f, us, d, contour=contour)
+    fa = composition_calculus(composition(d, a, grid), f, us, d)
     un = torus.lp_norms(us, p)
     reports = []
     for a_tilde in a_tildes:
         dist = (a - a_tilde).inf_norm
         worst = 0.0
         if dist > 0:
-            fb = composition_calculus(
-                composition(d, a_tilde, grid), f, us, d, contour=contour
-            )
+            fb = composition_calculus(composition(d, a_tilde, grid), f, us, d)
             worst = torus.max_ratio(fa - fb, p, dist * f_sup * un)
         reports.append(LipschitzReport(worst, dist, f_sup))
     return reports
@@ -556,33 +566,24 @@ def lipschitz_triple_decomposition(
     pair: symbols.HodgeDiracSymbolPair,
     coeffs_a: hodge.CoefficientPair,
     coeffs_b: hodge.CoefficientPair,
-    f: Callable,
+    f: PartialFractions,
     u: torus.GridField,
-    params: matcalc.BisectorParams,
-    *,
-    nodes: int = 128,
 ) -> dict:
     """Direct difference of the transported calculi against its three-term
     split (map difference, calculus difference, split difference).
 
-    The identity is algebraically exact; the residual reflects solver and
-    quadrature tolerance only.
+    The identity is algebraically exact; the residual reflects round-off
+    and solver tolerance only.
     """
+    if not isinstance(f, PartialFractions):
+        raise TypeError("the triple decomposition takes f as PartialFractions")
     grid = u.grid
     maps_a = build_similarity(pair, coeffs_a, grid)
     maps_b = build_similarity(pair, coeffs_b, grid)
-    dist = coeffs_a.distance(coeffs_b)
-    sup = max(
-        coeffs_a.b1.inf_norm, coeffs_a.b2.inf_norm,
-        coeffs_b.b1.inf_norm, coeffs_b.b2.inf_norm, 1.0,
-    )
-    contour = discrete_contour(
-        params, grid, coeff_distance=dist, coeff_sup=sup, nodes=nodes
-    )
 
     def fd(maps: SimilarityMaps, v: torus.GridField) -> torus.GridField:
-        return contour_calculus(
-            maps.triple_apply, v, f, contour, precond_for=maps.triple_symbol.shifted
+        return fraction_calculus(
+            maps.triple_apply, v, f, precond_for=maps.triple_symbol.shifted
         )
 
     sa_u = maps_a.split(u)
@@ -600,14 +601,14 @@ def lipschitz_triple_decomposition(
     return {
         "direct_norm": torus.lp_norm(direct, 2.0),
         "identity_residual": torus.lp_norm(direct - recombined, 2.0) / max(un, 1e-300),
-        "distance": dist,
+        "distance": coeffs_a.distance(coeffs_b),
     }
 
 
 # Bundled bounded-holomorphic test family; every member vanishes at 0 and
-# is bounded on any bisector of half-angle < pi/4.
-def f_rational_odd(z):
-    return z / (1.0 + z * z)
+# is bounded on any bisector of half-angle < pi/4.  z / (1 + z^2), by its
+# partial fractions:
+f_rational_odd = PartialFractions((1j, -1j), (0.5, 0.5))
 
 
 def f_rational_even(z):

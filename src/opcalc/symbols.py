@@ -88,6 +88,11 @@ class HomogeneousSymbol:
             and all(np.array_equal(m, other.coeffs[th]) for th, m in self.coeffs.items())
         )
 
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal
+        mats = tuple((th, (self.coeffs[th] + 0.0).tobytes()) for th in sorted(self.coeffs))
+        return hash((self.n, self.big_n, self.k, mats))
+
     def __add__(self, other: "HomogeneousSymbol") -> "HomogeneousSymbol":
         if (self.n, self.big_n, self.k) != (other.n, other.big_n, other.k):
             raise ValueError("incompatible symbols")

@@ -81,7 +81,6 @@ SMALL = {
     "windows": [2, 4],
     "tolerance": 1e-3,
     "deltas": [0.02, 0.01],
-    "nodes": 48,
     "circle_nodes": 4,
     "triple_g": 8,
 }
@@ -98,7 +97,7 @@ NAMED_BAD_VALUES = [
     ("reproducing", {"windows": "x"}, "reproducing", "windows"),
     ("reproducing", {"windows": []}, "reproducing", "windows"),
     ("lipschitz", {"triple_g": 10}, "lipschitz", "triple_g"),
-    ("block", {"nodes": math.inf}, "block", "nodes"),
+    ("block", {"trials": math.inf}, "block", "trials"),
     ("symbols", {"sphere_samples": 0}, "symbol", "sphere_samples"),
     ("hodge-const", {"trials": 0}, "hodge-const", "trials"),
     # only the suite's last probe reads this one
@@ -113,7 +112,7 @@ NAMED_BAD_VALUES = [
     ("hodge-const", {"grid": {"g": 64.7}}, "hodge-const", "grid"),
     ("quadest", {"k_min": -5.5}, "quadest", "k_min"),
     ("quadest", {"k_max": "5"}, "quadest", "k_max"),
-    ("block", {"nodes": "96"}, "block", "nodes"),
+    ("block", {"eps": math.inf}, "block", "eps"),
     ("holomorphy", {"circle_nodes": 1.5}, "holomorphy", "circle_nodes"),
     ("reproducing", {"windows": [4, 8.5]}, "reproducing", "windows"),
     ("lipschitz", {"triple_g": 16.0}, "lipschitz", "triple_g"),
@@ -200,8 +199,8 @@ class TestSuite:
             ("hodge-const", {"grid": 5}),
             ("hodge-const", {"overrides": 3}),
             ("hodge-const", {"symbol": 5}),
-            ("block", {"nodes": 4}),
-            ("holomorphy", {"nodes": 4}),
+            ("block", {"trials": 0}),
+            ("holomorphy", {"circle_nodes": "16"}),
             ("block", {"eps": "x"}),
             ("holomorphy", {"circle_nodes": 0}),
         ] + [case[:2] for case in NAMED_BAD_VALUES],
@@ -246,6 +245,24 @@ class TestSuite:
                     if line.startswith("warning:")]
         assert code == 0
         assert len(warnings) == 1 and "'grdi'" in warnings[0]
+
+    @pytest.mark.parametrize("suite, config, warning", [
+        pytest.param("block", {"nodes": 128},
+                     "warning: no probe of suite block reads config key 'nodes'; ignored",
+                     id="deleted-nodes-key"),
+        pytest.param("hodge-var", {"overrides": {"hodge-vr": {"grid": {"n": 1, "g": 8}}}},
+                     "warning: suite hodge-var has no probe 'hodge-vr'; its overrides are ignored",
+                     id="misspelt-probe-overrides"),
+    ])
+    def test_ignored_config_warns(self, tmp_path, monkeypatch, capsys, suite, config, warning):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setattr(cli, "PROBES", dict.fromkeys(cli.PROBES, _stub_probe))
+        code = cli.main(["suite", suite, "--config", str(cfg), "--out", str(tmp_path / "r")])
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert code == 0
+        assert warnings == [warning]
 
     def test_unread_override_key_warns(self, tmp_path, monkeypatch, capsys):
         # smoke's other probes read symbol and samples; block reads neither
@@ -326,9 +343,9 @@ class TestReadConfig:
             return
         assert values.keys() == cli.PROBE_KEYS[probe].keys()
 
-    def test_sixteen_keys(self):
+    def test_every_key_is_read(self):
         keys = {key for table in cli.PROBE_KEYS.values() for key in table}
-        assert keys == set(cli.READERS) and len(keys) == 16
+        assert keys == set(cli.READERS)
 
 
 # symbol files: any JSON value, and symbol and pair objects whose fields are

@@ -173,12 +173,8 @@ class TestEigOracle:
         a = hodge.perturbed_identity(grid, 1, eps, 67)
         comp = dacorr.composition(d_scalar, a, grid)
         u = torus.random_band_limited(grid, 1, seed=12)
-        got = dacorr.composition_calculus(
-            comp, dacorr.f_rational_odd, u, d_scalar, nodes=128
-        )
-        exact = matrix_function_eig(
-            hodge.dense_operator(comp.apply, grid, 1), dacorr.f_rational_odd
-        ) @ u.flat()
+        got = dacorr.composition_calculus(comp, f_odd, u, d_scalar, nodes=128)
+        exact = matrix_function_eig(hodge.dense_operator(comp.apply, grid, 1), f_odd) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-6
 
 
@@ -187,9 +183,9 @@ class TestGmresPath:
         grid = torus.TorusGrid(1, 16)
         comp = dacorr.composition(d_scalar, hodge.perturbed_identity(grid, 1, 0.3, 67), grid)
         u = torus.random_band_limited(grid, 1, seed=12)
-        dense = dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar, nodes=32)
+        dense = dacorr.composition_calculus(comp, f_odd, u, d_scalar, nodes=32)
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
-        gmres = dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar, nodes=32)
+        gmres = dacorr.composition_calculus(comp, f_odd, u, d_scalar, nodes=32)
         assert rel_err(gmres.flat(), dense.flat()) < 1e-10
 
 
@@ -203,17 +199,19 @@ def lu_contour_oracle(apply_fn, u, f, contour):
     return (matcalc._feval(f, z) * w) @ sols
 
 
+# each case: (apply_fn, field, contour, shifted preconditioner)
 def _composition_case(d, grid16, dirac_pair):
     comp = dacorr.composition(d, hodge.perturbed_identity(grid16, 1, 0.3, 67), grid16)
     contour = dacorr.discrete_contour(d.params, grid16, coeff_distance=0.3, coeff_sup=1.3)
-    return comp.apply, torus.random_band_limited(grid16, 1, seed=12), contour
+    u = torus.random_band_limited(grid16, 1, seed=12)
+    return comp.apply, u, contour, comp.symbol.shifted
 
 
 def _block_case(d, grid16, dirac_pair):
     block = dacorr.build_block(d, hodge.perturbed_identity(grid16, 1, 0.3, 67), seed=0)
     v = torus.random_band_limited(grid16, 2, seed=13)
     contour = dacorr.discrete_contour(d.params, grid16, coeff_distance=0.6, coeff_sup=1.3)
-    return block.apply, v, contour
+    return block.apply, v, contour, block.total_symbol.shifted
 
 
 def _triple_case(d, grid16, dirac_pair):
@@ -221,13 +219,17 @@ def _triple_case(d, grid16, dirac_pair):
     maps = dacorr.build_similarity(dirac_pair, coeffs, grid16)
     params = symbols.verify_hodge_pair(dirac_pair).params
     contour = dacorr.discrete_contour(params, grid16, coeff_distance=0.1, coeff_sup=1.1)
-    return maps.triple_apply, maps.split(torus.random_band_limited(grid16, 2, seed=10)), contour
+    v = maps.split(torus.random_band_limited(grid16, 2, seed=10))
+    return maps.triple_apply, v, contour, maps.triple_symbol.shifted
+
+
+CASES = [_composition_case, _block_case, _triple_case]
 
 
 class TestDenseRoute:
-    @pytest.mark.parametrize("case", [_composition_case, _block_case, _triple_case])
+    @pytest.mark.parametrize("case", CASES)
     def test_eig_route_matches_lu_oracle(self, case, d_scalar, grid16, dirac_pair, monkeypatch):
-        apply_fn, u, contour = case(d_scalar, grid16, dirac_pair)
+        apply_fn, u, contour, _ = case(d_scalar, grid16, dirac_pair)
 
         def no_gmres(*args, **kwargs):
             raise AssertionError("GMRES fallback taken")
@@ -263,28 +265,84 @@ class TestDenseRoute:
         with pytest.raises(ContourTooClose):
             dacorr.contour_calculus(comp.apply, stack, f_odd, spec)
 
-    @pytest.mark.parametrize("case", [_composition_case, _block_case, _triple_case])
+    @pytest.mark.parametrize("case", CASES)
     def test_dense_operator_matches_unit_vector_oracle(self, case, d_scalar, grid16, dirac_pair):
-        apply_fn, u, _ = case(d_scalar, grid16, dirac_pair)
+        apply_fn, u, _, _ = case(d_scalar, grid16, dirac_pair)
         got = hodge.dense_operator(apply_fn, u.grid, u.big_n)
         assert np.array_equal(got, dense_by_columns(apply_fn, u.grid, u.big_n))
 
 
 def _stack_of_three(case, d, grid16, dirac_pair):
-    apply_fn, u, contour = case(d, grid16, dirac_pair)
+    apply_fn, u, contour, precond_for = case(d, grid16, dirac_pair)
     rng = np.random.default_rng(5)
     fields = [u] + [
         torus.GridField(grid16, rng.standard_normal(u.values.shape) + 0j) for _ in range(2)
     ]
-    return apply_fn, fields, contour
+    return apply_fn, fields, contour, precond_for
+
+
+class TestFractionRoute:
+    """f(T)U from the partial fractions of f, against A (I + A^2)^{-1} U."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dense_route_matches_resolvent_formula(self, case, d_scalar, grid16, dirac_pair):
+        apply_fn, fields, _, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        u = torus.GridField.stack(fields)
+        a = dense_by_columns(apply_fn, grid16, u.big_n)
+        cols = u.values.reshape(3, -1).T
+        exact = np.linalg.solve(np.eye(len(a)) + a @ a, a @ cols)
+        got = dacorr.fraction_calculus(apply_fn, u, dacorr.f_rational_odd)
+        assert got.batch == (3,)
+        assert rel_err(got.values.reshape(3, -1).T, exact) < 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gmres_route_matches_dense_route(
+        self, case, d_scalar, grid16, dirac_pair, monkeypatch
+    ):
+        apply_fn, fields, _, precond_for = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        u = torus.GridField.stack(fields)
+        dense = dacorr.fraction_calculus(apply_fn, u, dacorr.f_rational_odd)
+        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
+        gmres = dacorr.fraction_calculus(
+            apply_fn, u, dacorr.f_rational_odd, precond_for=precond_for
+        )
+        assert rel_err(gmres.values, dense.values) < 1e-10
+
+    def test_partial_fractions_reproduce_closed_form(self):
+        x, y = np.meshgrid(np.linspace(-3, 3, 61), np.linspace(-2.95, 2.95, 60))
+        z = x + 1j * y  # no point of the grid is a pole
+        exact = z / (1 + z * z)
+        got = dacorr.f_rational_odd(z)
+        assert got.shape == z.shape
+        assert np.abs(got - exact).max() <= 1e-15 * max(np.abs(exact).max(), 1.0)
+        assert dacorr.f_rational_odd(0.0) == 0.0
+
+    @pytest.mark.parametrize("probe", ["holomorphy", "lipschitz", "triple"])
+    def test_probes_take_only_partial_fractions(self, probe, d_scalar, grid16, dirac_pair):
+        eye = hodge.MatrixField.identity(grid16, 1)
+        u = torus.random_band_limited(grid16, 1, seed=1)
+        calls = {
+            "holomorphy": lambda f: dacorr.holomorphy_probe(
+                dacorr.CoefficientPath(eye, hodge.random_direction(grid16, 1, 1)),
+                d_scalar, f, u, radius=0.1, nodes=4,
+            ),
+            "lipschitz": lambda f: dacorr.lipschitz_probe(d_scalar, eye, [eye], f, trials=1),
+            "triple": lambda f: dacorr.lipschitz_triple_decomposition(
+                dirac_pair, hodge.CoefficientPair.identity(grid16, 2),
+                hodge.CoefficientPair.identity(grid16, 2), f,
+                torus.random_band_limited(grid16, 2, seed=2),
+            ),
+        }
+        with pytest.raises(TypeError):
+            calls[probe](f_odd)
 
 
 class TestStackedCalls:
     """A contour call on a stack of fields equals one call per field."""
 
-    @pytest.mark.parametrize("case", [_composition_case, _block_case, _triple_case])
+    @pytest.mark.parametrize("case", CASES)
     def test_eig_route(self, case, d_scalar, grid16, dirac_pair):
-        apply_fn, fields, contour = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        apply_fn, fields, contour, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         got = dacorr.contour_calculus(apply_fn, torus.GridField.stack(fields), f_odd, contour)
         assert got.batch == (3,)
         for member, u in zip(got.members(), fields):
@@ -293,7 +351,7 @@ class TestStackedCalls:
 
     def test_gmres_route(self, d_scalar, grid16, dirac_pair, monkeypatch):
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
-        apply_fn, fields, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
+        apply_fn, fields, _, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
         contour = dacorr.discrete_contour(
             d_scalar.params, grid16, coeff_distance=0.3, coeff_sup=1.3, nodes=16
         )
@@ -311,10 +369,10 @@ class TestStackedCalls:
         pytest.param("lipschitz", 64, 6, 0, id="lipschitz-6"),
     ])
     def test_contour_calls_per_probe(self, suite, g, calls, checks, monkeypatch):
-        # the contour-1d benchmark configs: one contour call per operator, not
-        # per trial, per circle or per sweep member; one coefficient check per
-        # block operator built
-        count = {"contour": 0, "check": 0}
+        # the contour-1d benchmark configs: one partial-fraction call per
+        # operator, not per trial, per circle or per sweep member, and no
+        # contour; one coefficient check per block operator built
+        count = {"fraction": 0, "contour": 0, "sized": 0, "check": 0}
 
         def counted(module, name, key):
             inner = getattr(module, name)
@@ -325,12 +383,14 @@ class TestStackedCalls:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counted(dacorr, "fraction_calculus", "fraction")
         counted(dacorr, "contour_calculus", "contour")
+        counted(dacorr, "discrete_contour", "sized")
         counted(hodge, "check_coefficient_conditions", "check")
         values = cli.read_config(suite, {"seed": 0, "grid": {"n": 1, "g": g}})
         _, _, passes = cli.PROBES[suite](**values)
         assert all(passes.values())
-        assert count == {"contour": calls, "check": checks}
+        assert count == {"fraction": calls, "contour": 0, "sized": 0, "check": checks}
 
 
 class TestHolomorphy:
@@ -341,7 +401,7 @@ class TestHolomorphy:
         path = dacorr.CoefficientPath(hodge.MatrixField.identity(grid32, 1), zero_dir)
         u = torus.random_band_limited(grid32, 1, seed=11)
         rep = dacorr.holomorphy_probe(
-            path, d_scalar, f_odd, u, radius=0.05, nodes=8, calculus_nodes=64
+            path, d_scalar, dacorr.f_rational_odd, u, radius=0.05, nodes=8
         )
         assert rep.residual <= 1e-12
 
@@ -352,7 +412,7 @@ class TestHolomorphy:
         )
         u = torus.random_band_limited(grid32, 1, seed=71)
         rep = dacorr.holomorphy_probe(
-            path, d_scalar, f_odd, u, radius=0.05, nodes=8, calculus_nodes=128
+            path, d_scalar, dacorr.f_rational_odd, u, radius=0.05, nodes=8
         )
         assert rep.residual <= 1e-4
         assert rep.residual_refined <= rep.residual / 4.0
@@ -368,15 +428,12 @@ class TestHolomorphy:
         u = torus.random_band_limited(grid32, 1, seed=72)
         radius = 0.3
         rep = dacorr.holomorphy_probe(
-            path, d_scalar, f_odd, u, radius=radius, nodes=nodes, calculus_nodes=64
-        )
-        contour = dacorr.discrete_contour(
-            d_scalar.params, grid32, coeff_distance=radius, coeff_sup=1.0 + radius, nodes=64
+            path, d_scalar, dacorr.f_rational_odd, u, radius=radius, nodes=nodes
         )
 
         def at(z):
             comp = dacorr.composition(d_scalar, path.at(z), grid32)
-            return dacorr.composition_calculus(comp, f_odd, u, d_scalar, contour=contour)
+            return dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar)
 
         center = at(0.0)
         for m, got in ((nodes, rep.residual), (2 * nodes, rep.residual_refined)):
@@ -393,14 +450,14 @@ class TestHolomorphy:
         u = torus.random_band_limited(grid32, 1, seed=12)
         with pytest.raises(ProbeAborted):
             dacorr.holomorphy_probe(
-                path, d_scalar, f_odd, u, radius=1.0, nodes=8, calculus_nodes=32
+                path, d_scalar, dacorr.f_rational_odd, u, radius=1.0, nodes=8
             )
 
 
 class TestLipschitz:
     def test_equal_coefficients(self, d_scalar, grid32):
         a = hodge.perturbed_identity(grid32, 1, 0.05, 73)
-        (rep,) = dacorr.lipschitz_probe(d_scalar, a, [a], f_odd, trials=1)
+        (rep,) = dacorr.lipschitz_probe(d_scalar, a, [a], dacorr.f_rational_odd, trials=1)
         assert rep.max_ratio == 0.0
 
     def test_scalar_frequency_oracle(self, d_scalar, grid32):
@@ -431,33 +488,33 @@ class TestLipschitz:
         eye = hodge.MatrixField.identity(grid32, 1)
         e = hodge.random_direction(grid32, 1, 73)
         sweep = dacorr.lipschitz_probe(
-            d_scalar, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)], f_odd,
-            trials=2, seed=14,
+            d_scalar, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)],
+            dacorr.f_rational_odd, trials=2, seed=14,
         )
         ratios = [rep.max_ratio for rep in sweep]
         assert max(ratios) <= 4.0 * min(ratios)
 
     def test_sweep_matches_one_member_sweeps(self, d_scalar, grid32):
-        # the old path: one call, and one contour, per member; the shared
-        # contour moves each ratio by quadrature error only
+        # one call per member: the calculus is exact, so the sweep changes
+        # no ratio
         eye = hodge.MatrixField.identity(grid32, 1)
         e = hodge.random_direction(grid32, 1, 75)
         members = [eye + eps * e for eps in (0.04, 0.02, 0.01)]
-        sweep = dacorr.lipschitz_probe(d_scalar, eye, members, f_odd, trials=2, seed=15)
+        f = dacorr.f_rational_odd
+        sweep = dacorr.lipschitz_probe(d_scalar, eye, members, f, trials=2, seed=15)
         for k, (rep, a_tilde) in enumerate(zip(sweep, members)):
-            (one,) = dacorr.lipschitz_probe(d_scalar, eye, [a_tilde], f_odd, trials=2, seed=15)
+            (one,) = dacorr.lipschitz_probe(d_scalar, eye, [a_tilde], f, trials=2, seed=15)
             assert rep.distance == one.distance and rep.f_sup == one.f_sup
             assert abs(rep.max_ratio - one.max_ratio) <= 1e-6 * one.max_ratio
-            if k == 0:  # the largest member sets the shared contour
+            if k == 0:
                 assert rep.max_ratio == one.max_ratio
 
     def test_triple_decomposition_identity(self, dirac_pair, grid16):
-        params = symbols.verify_hodge_pair(dirac_pair).params
         ca = diagonal_coefficients(grid16, 2, 0.05, 90)
         cb = diagonal_coefficients(grid16, 2, 0.02, 92)
         u = torus.random_band_limited(grid16, 2, seed=15)
         out = dacorr.lipschitz_triple_decomposition(
-            dirac_pair, ca, cb, f_odd, u, params
+            dirac_pair, ca, cb, dacorr.f_rational_odd, u
         )
         assert out["identity_residual"] <= 1e-8
 

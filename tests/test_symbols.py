@@ -453,6 +453,17 @@ class TestEquality:
         save_symbol_file(path, symbols.dirac_pair_1d())
         assert symbols.load_symbol_file(path) == symbols.load_symbol_file(path)
 
+    def test_equal_values_hash_equal(self, tmp_path):
+        path = tmp_path / "pair.json"
+        save_symbol_file(path, symbols.dirac_pair_1d())
+        a, b = symbols.load_symbol_file(path), symbols.load_symbol_file(path)
+        assert a is not b and hash(a) == hash(b)
+        assert hash(a.gamma) == hash(symbols.dirac_pair_1d().gamma)
+        assert len({a: 1, b: 2}) == 1 and len({a.gamma: 1, b.gamma: 2}) == 1
+        minus_zero = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[-0.0]])})
+        zero = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[0.0]])})
+        assert minus_zero == zero and hash(minus_zero) == hash(zero)
+
     def test_differences_compare_unequal(self):
         s = symbols.HomogeneousSymbol(2, 2, 1, {(1, 0): np.eye(2), (0, 1): np.eye(2)})
         changed = symbols.HomogeneousSymbol(2, 2, 1, {(1, 0): np.eye(2), (0, 1): 2 * np.eye(2)})
