@@ -454,9 +454,6 @@ class CoefficientPath:
 class HolomorphyReport:
     residual: float
     residual_refined: float
-    nodes: int
-    radius: float
-    center_norm: float
 
 
 def holomorphy_probe(
@@ -507,7 +504,7 @@ def holomorphy_probe(
         torus.lp_norm(torus.GridField(grid, acc / m) - center, 2.0) / denom
         for acc, m in ((acc_even, nodes), (acc_all, 2 * nodes))
     )
-    return HolomorphyReport(residual, refined, nodes, radius, cn)
+    return HolomorphyReport(residual, refined)
 
 
 def sup_norm_on_bisector(f: Callable, theta: float) -> float:

@@ -388,12 +388,13 @@ def variable_resolvent(
 
 
 def smoothing_apply(op: VariableOp, t: float, u: torus.GridField, **kw) -> torus.GridField:
-    """(I + t^2 Op^2)^{-1} u via the two commuting resolvent factors."""
-    return variable_resolvent(op, -t, variable_resolvent(op, t, u, **kw), **kw)
+    """(I + t^2 Op^2)^{-1} u = (R(t)u + R(-t)u) / 2 with R(t) = (I + i t Op)^{-1}: the even
+    half of the resolvent pair, whose odd half (i/2)(R(t) - R(-t)) is bandpass_apply."""
+    return 0.5 * (variable_resolvent(op, t, u, **kw) + variable_resolvent(op, -t, u, **kw))
 
 
 def bandpass_apply(op: VariableOp, t: float, u: torus.GridField, **kw) -> torus.GridField:
-    """t Op (I + t^2 Op^2)^{-1} u, computed from the two resolvents."""
+    """t Op (I + t^2 Op^2)^{-1} u, the odd half of the resolvent pair."""
     plus = variable_resolvent(op, t, u, **kw)
     minus = variable_resolvent(op, -t, u, **kw)
     return 0.5j * (plus - minus)
@@ -451,7 +452,8 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
     and likewise for the twisted part.  Convergence is accepted when
     successive values along t = 2^10, 2^12, 2^14 agree within 1e-6 on a
     stack of three random probe fields; otherwise
-    HodgeDecompositionUncertain carries the curve.
+    HodgeDecompositionUncertain carries the curve.  The report also keeps
+    the stack ``fields`` and its projections ``final`` at the largest scale.
     """
     # the attainable GMRES residual degrades like eps * t * ||op||; ask only
     # for what floating point can deliver at the largest scales
@@ -464,11 +466,12 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
         return dict(rtol=max(1e-10, floor))
 
     def all_at(t, u):
-        # the three projections from three solves: R(t)u, R(-t)u, R(-t)R(t)u
+        # P_t u and t Q_t u from one resolvent pair, as in smoothing_apply
         plus = variable_resolvent(op, t, u, **kw(t))
-        band = t * (0.5j * (plus - variable_resolvent(op, -t, u, **kw(t))))
+        minus = variable_resolvent(op, -t, u, **kw(t))
+        band = t * (0.5j * (plus - minus))
         return (
-            variable_resolvent(op, -t, plus, **kw(t)),
+            0.5 * (plus + minus),
             torus.apply_multiplier(op.gamma_op, band),
             op.apply_twisted(band),
         )
@@ -490,13 +493,11 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
             f"limit formulas not settled: max successive difference {worst:.3e}",
             curve=curve,
         )
-    t_final = t  # the largest scale
-    band = lambda u: t_final * bandpass_apply(op, t_final, u, **kw(t_final))
     return HodgeProjections(
-        p0=lambda u: smoothing_apply(op, t_final, u, **kw(t_final)),
-        p_gamma=lambda u: torus.apply_multiplier(op.gamma_op, band(u)),
-        p_gamma_tilde=lambda u: op.apply_twisted(band(u)),
-        report={"curve": curve, "t_final": t_final},
+        p0=lambda u: all_at(t, u)[0],
+        p_gamma=lambda u: all_at(t, u)[1],
+        p_gamma_tilde=lambda u: all_at(t, u)[2],
+        report={"curve": curve, "fields": fields, "final": prev},
     )
 
 
@@ -563,7 +564,7 @@ def hodge_perturbation_report(opa: VariableOp, opb: VariableOp) -> PerturbationR
     delta = opb.coeffs.distance(opa.coeffs)
     pa = dense_hodge_projections(opa)
     pb = dense_hodge_projections(opb)
-    diffs = [krylov.operator_norm_power(b - a) for a, b in zip(pa, pb)]
+    diffs = [matcalc.operator_norm(b - a) for a, b in zip(pa, pb)]
     # restricted inverse: basis of range(gamma_tilde) mapped through A1, B1
     gt = dense_operator(
         lambda u: torus.apply_multiplier(opa.gamma_tilde_op, u), opa.grid, opa.big_n
@@ -573,7 +574,7 @@ def hodge_perturbation_report(opa: VariableOp, opb: VariableOp) -> PerturbationR
     wb = dense_operator(opb.coeffs.b1.apply, opb.grid, opb.big_n) @ v
     inv_a = v @ np.linalg.lstsq(wa, pa[2], rcond=None)[0]
     inv_b = v @ np.linalg.lstsq(wb, pb[2], rcond=None)[0]
-    diff_inv = krylov.operator_norm_power(inv_b - inv_a)
+    diff_inv = matcalc.operator_norm(inv_b - inv_a)
     ratios = None
     if delta > 0:
         ratios = {

@@ -1,4 +1,4 @@
-"""Matrix-free linear algebra: restarted GMRES and norm estimators.
+"""Matrix-free linear algebra: restarted GMRES.
 
 The solver is deliberately self-contained (complex arithmetic, right
 preconditioning, Givens-rotation least squares) so that residual
@@ -122,19 +122,3 @@ def solve_or_raise(matvec, b, what: str = "linear system", **kwargs) -> np.ndarr
         )
     return x
 
-
-def operator_norm_power(mat: np.ndarray, *, iters: int = 100, seed: int = 0) -> float:
-    """2-norm by power iteration on A^H A (dense input)."""
-    rng = np.random.default_rng(seed)
-    a = np.asarray(mat)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = a.conj().T @ (a @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        sigma = nw**0.5
-    return float(sigma)

@@ -180,6 +180,13 @@ class TestSuite:
         capsys.readouterr()
         assert code == 2
 
+    def test_non_integer_threads_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPCALC_THREADS", "abc")
+        code = cli.main(["suite", "symbols", "--out", str(tmp_path / "r")])
+        assert "error: OPCALC_THREADS" in capsys.readouterr().err
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "r")
         assert cli.main(["suite", "hodge-const", "--seed", "-1", "--out", out]) == 2
@@ -443,6 +450,14 @@ class TestReportMerge:
 
     def test_merge_missing_dir(self):
         assert cli.main(["report", "--merge", "/nonexistent"]) == 2
+
+    @pytest.mark.parametrize("text", ["{broken", "[1, 2]"])
+    def test_merge_bad_report_is_config_error(self, tmp_path, capsys, text):
+        (tmp_path / "bad.json").write_text(text)
+        code = cli.main(["report", "--merge", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.json" in err
+        assert code == 2
 
 
 class TestCoefficientExpressions:

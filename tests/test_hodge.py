@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opcalc import dacorr, hodge, krylov, matcalc, symbols, torus
+from opcalc import cli, dacorr, hodge, krylov, matcalc, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
 
 from conftest import (
@@ -262,6 +262,21 @@ class TestVariableResolvent:
         for member, u in zip(got.members(), stack.members()):
             assert np.array_equal(member.values, hodge.variable_resolvent(var_op16, 1.5, u).values)
 
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_resolvent_pair_halves_vs_dense(self, var_op16, grid16, t):
+        # P_t and t Op P_t from R(t) and R(-t), against LU of I + t^2 Op^2
+        stack = torus.random_trials(grid16, 2, 3, seed=12)
+        m = hodge.dense_operator(var_op16.apply, grid16, 2)
+        cols = stack.values.reshape(3, -1).T
+        smooth = np.linalg.solve(np.eye(var_op16.dim) + t * t * m @ m, cols)
+        un = torus.lp_norms(stack, 2.0)
+        for got, ref in (
+            (hodge.smoothing_apply(var_op16, t, stack), smooth),
+            (hodge.bandpass_apply(var_op16, t, stack), t * m @ smooth),
+        ):
+            ref = torus.GridField(grid16, ref.T.reshape(stack.values.shape))
+            assert torus.max_ratio(got - ref, 2.0, un) <= 1e-9
+
 
 class TestVariableProjections:
     def test_identity_matches_constant(self, dirac_pair, grid16):
@@ -315,7 +330,7 @@ class TestVariableProjections:
         assert torus.lp_norm(proj.p_gamma(v) - v, 2.0) <= 1e-6 * un
 
     def test_solves_each_resolvent_once(self, var_op16, grid16, monkeypatch):
-        # per probe field and scale: R(t)u, R(-t)u and R(-t)R(t)u
+        # per probe field and scale: the resolvent pair R(t)u, R(-t)u
         calls = []
         solve = krylov.solve_or_raise
 
@@ -325,12 +340,29 @@ class TestVariableProjections:
 
         monkeypatch.setattr(krylov, "solve_or_raise", counted)
         proj = hodge.variable_hodge_projections(var_op16, seed=9)
-        assert len(calls) == 3 * 3 * 3
+        assert len(calls) == 2 * 3 * 3
         u = torus.random_band_limited(grid16, 2, seed=10)
         for fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
             del calls[:]
             fn(u)
             assert len(calls) == 2
+
+    def test_probe_checks_its_curve_against_dense(self, monkeypatch):
+        # the dense check reuses the projections the curve settled on:
+        # 18 curve solves and 4 for the intertwining residual
+        calls = []
+        solve = krylov.solve_or_raise
+
+        def counted(*args, **kw):
+            calls.append(kw["what"])
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(krylov, "solve_or_raise", counted)
+        values = cli.read_config("hodge-var", {"seed": 0, **cli.SUITES["hodge-var"]["defaults"]})
+        _, constants, passes = cli.PROBES["hodge-var"](**values)
+        assert len(calls) == 22
+        assert constants["limit_vs_dense"] <= values["tolerance"]
+        assert passes["limit_vs_dense"]
 
 
 class TestSwapOperator:

@@ -45,9 +45,3 @@ class TestGmres:
         b = np.array([1.0, 1.0, 1.0], dtype=complex)
         with pytest.raises(NotInvertible):
             krylov.solve_or_raise(lambda v: a @ v, b, rtol=1e-12, maxiter=60)
-
-
-class TestNormEstimates:
-    def test_power_matches_svd(self):
-        a = random_matrix(25, 7)
-        assert abs(krylov.operator_norm_power(a) - np.linalg.norm(a, 2)) < 1e-8
