@@ -5,7 +5,7 @@ rerun with the same config and seed produces byte-identical files.
 Timings go to the console summary only.
 
 Exit codes: 0 all probes pass, 1 at least one probe fails, 2 bad
-configuration or unreadable input.
+configuration, unreadable input or unwritable output.
 """
 
 from __future__ import annotations
@@ -380,11 +380,12 @@ def probe_perturb(seed, symbol, grid, deltas):
 
 def probe_quadest(seed, symbol, grid, samples, k_min, k_max):
     scales = quadest.DyadicScales(k_min, k_max)
-    _, p_ran = torus.kernel_range_multipliers(symbol.total(), grid)
+    gs = torus.GridSymbol(symbol.total(), grid)
+    _, p_ran = gs.kernel_range
     u = torus.apply_multiplier(
         p_ran, torus.random_band_limited(grid, symbol.big_n, seed=seed + 5)
     )
-    rep = quadest.quadratic_estimate(symbol, u, scales, samples=samples, seed=seed)
+    rep = quadest.quadratic_estimate(gs, u, scales, samples=samples, seed=seed)
     est = rep.estimate
     exact_sq = quadest.exact_l2_square_expectation(rep.summands)
     sq_err = abs(est.mean_square - exact_sq)
@@ -409,20 +410,12 @@ def probe_quadest(seed, symbol, grid, samples, k_min, k_max):
 def probe_translated(seed, symbol, grid, samples, k_min, k_max):
     scales = quadest.DyadicScales(k_min, k_max)
     u = torus.random_band_limited(grid, symbol.big_n, seed=seed + 59, kill_zero_mode=True)
-    ws = quadest.bandpass_fields_constant(symbol, u, scales)
-    rows = []
-    for zm in (0.0, 1.0, 4.0, 16.0):
-        z = np.zeros(grid.n)
-        z[0] = zm
-        if zm == 0.0:
-            rep = quadest.quadratic_estimate(
-                symbol, u, scales, samples=samples, seed=seed, summands=ws
-            )
-        else:
-            rep = quadest.translated_quadratic_estimate(
-                symbol, u, z, scales, samples=samples, seed=seed, summands=ws
-            )
-        rows.append({"z": zm, "mean": rep.estimate.mean, "ratio": rep.ratio})
+    zms = (0.0, 1.0, 4.0, 16.0)
+    reps = quadest.translated_quadratic_estimate(
+        torus.GridSymbol(symbol.total(), grid), u, np.outer(zms, np.eye(grid.n)[0]), scales,
+        samples=samples, seed=seed,
+    )
+    rows = [{"z": zm, "mean": r.estimate.mean, "ratio": r.ratio} for zm, r in zip(zms, reps)]
     un = torus.lp_norm(u, 2.0)
     pos = [r for r in rows if r["z"] > 1.0]
     slope = float(
@@ -440,12 +433,12 @@ def probe_reproducing(seed, symbol, grid, windows, tolerance):
     u = torus.random_band_limited(
         grid, symbol.big_n, seed=seed + 43, band=grid.g // 4, kill_zero_mode=True
     )
-    _, p_ran = torus.kernel_range_multipliers(symbol.total(), grid)
-    u = torus.apply_multiplier(p_ran, u)
-    rows = []
-    for w in windows:
-        res = quadest.reproducing_residual(symbol, u, quadest.DyadicScales(-w, w), p_ran=p_ran)
-        rows.append({"window": w, "residual": res})
+    gs = torus.GridSymbol(symbol.total(), grid)
+    u = torus.apply_multiplier(gs.kernel_range[1], u)
+    rows = [
+        {"window": w, "residual": quadest.reproducing_residual(gs, u, quadest.DyadicScales(-w, w))}
+        for w in windows
+    ]
     monotone = all(
         rows[i + 1]["residual"] <= rows[i]["residual"] * 1.1 for i in range(len(rows) - 1)
     )
@@ -460,7 +453,8 @@ def probe_reproducing(seed, symbol, grid, windows, tolerance):
 def probe_schur(seed, symbol, grid, trials):
     ts = [2.0**k for k in range(-3, 4, 2)]
     res = quadest.schur_bound_probe(
-        symbol, dacorr.f_rational_odd, ts, ts, grid, trials=trials, seed=seed
+        torus.GridSymbol(symbol.total(), grid), dacorr.f_rational_odd, ts, ts, trials=trials,
+        seed=seed,
     )
     return (
         "schur-bound",
@@ -666,7 +660,8 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
         print(f"warning: suite {name} has no probe {key!r}; its overrides are ignored",
               file=sys.stderr)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _config_values(f"report directory {out_dir}"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_probe, jobs))
@@ -736,7 +731,8 @@ def cmd_analyze_symbol(args) -> int:
     print(json.dumps(_plain(rep.constants), sort_keys=True, indent=2))
     print("PASS" if rep.passed else "FAIL")
     if args.json:
-        Path(args.json).write_text(rep.to_json(), encoding="utf-8")
+        with _config_values(f"output file {args.json}"):
+            Path(args.json).write_text(rep.to_json(), encoding="utf-8")
     return 0 if rep.passed else 1
 
 
@@ -753,9 +749,9 @@ def cmd_suite(args) -> int:
         config["seed"] = args.seed
     config.setdefault("seed", 0)  # so the inputs digest covers the seed
     try:
-        threads = int(os.environ.get("OPCALC_THREADS", "1"))
+        threads = _integer(1)(int(os.environ.get("OPCALC_THREADS", "1")), {})
     except ValueError as exc:
-        raise ConfigError(f"OPCALC_THREADS must be an integer: {exc}") from exc
+        raise ConfigError(f"OPCALC_THREADS must be a positive integer: {exc}") from exc
     out_dir = Path(args.out) if args.out else Path(f"reports-{args.name}")
     reports = run_suite(args.name, config, out_dir, threads=threads, plots=args.plots)
     _print_summary(reports)
@@ -776,7 +772,8 @@ def cmd_report(args) -> int:
             raise ConfigError(f"report {path} must hold a JSON object")
     text = json.dumps(merged, sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _config_values(f"output file {args.out}"):
+            Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     ok = all(item.get("pass", False) for item in merged.values())

@@ -472,18 +472,22 @@ def holomorphy_probe(
     sweep of the 2 * ``nodes`` circle gives both means: ``residual`` from
     the even nodes, which are the ``nodes``-point circle, and
     ``residual_refined`` from all of them.  Each node is one coercivity
-    check of the block coefficients (ProbeAborted names the first node
-    that fails it) and one :func:`fraction_calculus` call.
+    check of the block coefficients, all against one trial stack
+    (ProbeAborted names the first node that fails it), and one
+    :func:`fraction_calculus` call.
     """
     if not isinstance(f, PartialFractions):
         raise TypeError("the holomorphy probe takes f as PartialFractions")
     grid = u.grid
     zs = radius * np.exp(2j * math.pi * np.arange(2 * nodes) / (2 * nodes))
+    check = hodge.coefficient_checks(
+        hodge.VariableOp(block_pair(d), block_coefficients(path.base), grid)
+    )
     for z in zs:
-        try:
-            build_block(d, path.at(z))
-        except CoercivityError as exc:
-            raise ProbeAborted(f"{exc} at node {z:.6g}", node=z) from exc
+        report = check(block_coefficients(path.at(z)))
+        if not report.passed:
+            msg = f"block coefficients fail: {report.describe()} at node {z:.6g}"
+            raise ProbeAborted(msg, node=z)
 
     def at(z: complex) -> np.ndarray:
         return composition_calculus(composition(d, path.at(z), grid), f, u, d).values

@@ -284,7 +284,12 @@ class CoefficientConditionReport:
         )
 
 
-def check_coefficient_conditions(
+def check_coefficient_conditions(op: VariableOp, *, seed: int = 0) -> CoefficientConditionReport:
+    """:func:`coefficient_checks` of op, drawing from ``seed``, on op's own coefficients."""
+    return coefficient_checks(op, seed=seed)(op.coeffs)
+
+
+def coefficient_checks(
     op: VariableOp,
     *,
     p: float = 2.0,
@@ -292,41 +297,43 @@ def check_coefficient_conditions(
     seed: int = 0,
     floor: float = 1e-6,
     nilpotence_tol: float = 1e-8,
-) -> CoefficientConditionReport:
-    """Monte-Carlo check of the two coefficient conditions.
-
-    First, the twisted operator must stay nilpotent:
-    gamma_tilde B2 B1 gamma_tilde annihilates random band-limited fields.
-    Second, B1 must be bounded below on range(gamma_tilde) and B2* on the
-    adjoint range; the observed lower bounds are reported.  The ``trials``
-    fields of ``torus.random_trials`` go through gamma_tilde, its adjoint,
-    B1 and B2 as one stack, and their norms are taken as one stack too.
-    """
-    b1, b2 = op.coeffs.b1, op.coeffs.b2
+) -> Callable[[CoefficientPair], CoefficientConditionReport]:
+    """The Monte-Carlo check of the two coefficient conditions, as a function
+    of a coefficient pair for op's symbol pair on op's grid: the twisted
+    operator stays nilpotent (gamma_tilde B2 B1 gamma_tilde annihilates
+    random band-limited fields), and B1 is bounded below on range(gamma_tilde)
+    and B2* on the adjoint range, with the observed lower bounds reported.
+    The ``trials`` fields of ``torus.random_trials`` and their images under
+    gamma_tilde and its adjoint are drawn once, with their norms; each pair
+    checked pushes them through B1 and B2 as one stack."""
     v = torus.random_trials(op.grid, op.big_n, trials, seed)
     gv = torus.apply_multiplier(op.gamma_tilde_op, v)
-    b1_gv = b1.apply(gv)
-    chain = torus.apply_multiplier(op.gamma_tilde_op, b2.apply(b1_gv))
     adj_v = torus.apply_multiplier(op.gamma_tilde_op.adjoint(), v)
-    b2_adj_v = b2.adjoint().apply(adj_v)
     p_dual = p / (p - 1.0)
     vn = torus.lp_norms(v, p)
     gn = torus.lp_norms(gv, p)
     adj_n = torus.lp_norms(adj_v, p_dual)
-    nilp = torus.max_ratio(chain, p, vn)
     live = vn > 0
     on_range = live & (gn > 1e-13 * vn)
-    primal = torus.lp_norms(b1_gv, p)[on_range] / gn[on_range]
-    c_primal = float(primal.min()) if primal.size else 0.0
     on_adj = live & (adj_n > 1e-13 * vn)
-    dual = torus.lp_norms(b2_adj_v, p_dual)[on_adj] / adj_n[on_adj]
-    c_dual = float(dual.min()) if dual.size else 0.0
-    failures = []
-    if nilp > nilpotence_tol:
-        failures.append(OFFRANGE_NILPOTENCE)
-    if min(c_primal, c_dual) < floor:
-        failures.append(COERCIVE_MULTIPLIERS)
-    return CoefficientConditionReport(nilp, c_primal, c_dual, floor, nilpotence_tol, failures)
+
+    def check(coeffs: CoefficientPair) -> CoefficientConditionReport:
+        b1, b2 = coeffs.b1, coeffs.b2
+        b1_gv = b1.apply(gv)
+        chain = torus.apply_multiplier(op.gamma_tilde_op, b2.apply(b1_gv))
+        nilp = torus.max_ratio(chain, p, vn)
+        primal = torus.lp_norms(b1_gv, p)[on_range] / gn[on_range]
+        c_primal = float(primal.min()) if primal.size else 0.0
+        dual = torus.lp_norms(b2.adjoint().apply(adj_v), p_dual)[on_adj] / adj_n[on_adj]
+        c_dual = float(dual.min()) if dual.size else 0.0
+        failures = []
+        if nilp > nilpotence_tol:
+            failures.append(OFFRANGE_NILPOTENCE)
+        if min(c_primal, c_dual) < floor:
+            failures.append(COERCIVE_MULTIPLIERS)
+        return CoefficientConditionReport(nilp, c_primal, c_dual, floor, nilpotence_tol, failures)
+
+    return check
 
 
 # ---------------------------------------------------------------------------

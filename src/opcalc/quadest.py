@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import hodge, symbols, torus
+from . import hodge, torus
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,10 +89,8 @@ def rademacher_norm(
     )
 
 
-def exact_l2_square_expectation(u_k: Sequence[torus.GridField], p: float = 2.0) -> float:
-    """Closed form E || sum eps_k w_k ||_2^2 = sum ||w_k||_2^2 (p = 2 only)."""
-    if p != 2.0:
-        raise ValueError("closed form only available for p = 2")
+def exact_l2_square_expectation(u_k: Sequence[torus.GridField]) -> float:
+    """Closed form E || sum eps_k w_k ||_2^2 = sum ||w_k||_2^2."""
     return float(sum(torus.lp_norm(w, 2.0) ** 2 for w in u_k))
 
 
@@ -106,17 +104,17 @@ def eta(x: float) -> float:
 
 
 def bandpass_fields_constant(
-    pair: symbols.HodgeDiracSymbolPair,
+    gs: torus.GridSymbol,
     u: torus.GridField,
     scales: DyadicScales,
 ) -> list[torus.GridField]:
-    """Q_t u for every dyadic t in the window (constant coefficients).
+    """Q_t u for every dyadic t in the window (constant coefficients: ``gs``
+    is the total symbol of the pair on u's grid).
 
     u is transformed once to the eigen-coordinates of the symbol, where each
     scale is the scalar t lam / (1 + t^2 lam^2); one scale is formed at a
     time.
     """
-    gs = torus.GridSymbol(pair.total(), u.grid)
     hat, w = gs.to_spectral(u)
     out = []
     for t in scales.scales():
@@ -146,7 +144,7 @@ def _telescoped(scales: DyadicScales, term: Callable, mul: Callable):
 
 
 def reproducing_sum(
-    pair: symbols.HodgeDiracSymbolPair,
+    gs: torus.GridSymbol,
     u: torus.GridField,
     scales: DyadicScales,
 ) -> torus.GridField:
@@ -157,7 +155,6 @@ def reproducing_sum(
     tests track.  The sum is a scalar function of the symbol, formed on its
     eigenvalues and applied once.
     """
-    gs = torus.GridSymbol(pair.total(), u.grid)
     masks = []
 
     def band(t):
@@ -172,18 +169,13 @@ def reproducing_sum(
 
 
 def reproducing_residual(
-    pair: symbols.HodgeDiracSymbolPair,
+    gs: torus.GridSymbol,
     u: torus.GridField,
     scales: DyadicScales,
-    *,
-    p_ran: torus.MultiplierOp | None = None,
 ) -> float:
-    """Relative L2 distance of the reproducing sum from the range projection
-    (``p_ran``, built from the pair when not given)."""
-    if p_ran is None:
-        _, p_ran = torus.kernel_range_multipliers(pair.total(), u.grid)
-    target = torus.apply_multiplier(p_ran, u)
-    got = reproducing_sum(pair, u, scales)
+    """Relative L2 distance of the reproducing sum from the range projection."""
+    target = torus.apply_multiplier(gs.kernel_range[1], u)
+    got = reproducing_sum(gs, u, scales)
     denom = torus.lp_norm(u, 2.0)
     if denom == 0:
         return 0.0
@@ -197,11 +189,10 @@ class SchurProbeResult:
 
 
 def schur_bound_probe(
-    pair: symbols.HodgeDiracSymbolPair,
+    gs: torus.GridSymbol,
     f: Callable,
     t_list: Sequence[float],
     s_list: Sequence[float],
-    grid: torus.TorusGrid,
     *,
     trials: int = 8,
     p: float = 2.0,
@@ -211,13 +202,13 @@ def schur_bound_probe(
 
     Operator norms are estimated by maximizing over random band-limited
     inputs, all on one batch axis; each (t, s) is the scalar
-    q(t lam) f(lam) q(s lam) on the eigen-coordinates of the symbol.
+    q(t lam) f(lam) q(s lam) on the eigen-coordinates of the symbol ``gs``.
     """
-    gs = torus.GridSymbol(pair.total(), grid)
+    n = gs.symbol.big_n
     f_lam = gs.spectral_function(f)
-    f_mats = gs.function(f).mats.reshape(-1, pair.big_n, pair.big_n)
+    f_mats = gs.function(f).mats.reshape(-1, n, n)
     bands = {t: gs.bandpass_spectral(t) for t in set(t_list) | set(s_list)}
-    fields = torus.random_trials(grid, pair.big_n, trials, seed)
+    fields = torus.random_trials(gs.grid, n, trials, seed)
     norms = torus.lp_norms(fields, p)
     hat, w = gs.to_spectral(fields)
     table = []
@@ -239,7 +230,6 @@ class QuadraticEstimateReport:
     estimate: RademacherEstimate
     ratio: float
     constant: float
-    input_norm: float
     # the fields whose Rademacher sum was estimated
     summands: list[torus.GridField]
 
@@ -252,19 +242,16 @@ def quadratic_estimate(
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
-    summands: Sequence[torus.GridField] | None = None,
 ) -> QuadraticEstimateReport:
     """Randomized square-function probe E||sum eps_k Q_{2^k} u||_p / ||u||_p.
 
-    For a symbol pair (constant coefficients) the ratio probes both sides
-    of the norm equivalence, so the reported constant is
-    max(ratio, 1/ratio); for a variable-coefficient operator only the
-    upper bound is meaningful.  ``summands`` passes the fields
-    :func:`bandpass_fields_constant` gives for a pair, when the caller
-    already has them.
+    For constant coefficients, ``op`` the GridSymbol of the pair's total
+    symbol, the ratio probes both sides of the norm equivalence, so the
+    reported constant is max(ratio, 1/ratio); for a variable-coefficient
+    operator only the upper bound is meaningful.
     """
-    if isinstance(op, symbols.HodgeDiracSymbolPair):
-        ws = bandpass_fields_constant(op, u, scales) if summands is None else summands
+    if isinstance(op, torus.GridSymbol):
+        ws = bandpass_fields_constant(op, u, scales)
         two_sided = True
     else:
         ws = bandpass_fields_variable(op, u, scales)
@@ -276,33 +263,38 @@ def quadratic_estimate(
         constant = max(ratio, 1.0 / ratio)
     else:
         constant = ratio
-    return QuadraticEstimateReport(est, ratio, constant, un, ws)
+    return QuadraticEstimateReport(est, ratio, constant, ws)
 
 
 def translated_quadratic_estimate(
-    pair: symbols.HodgeDiracSymbolPair,
+    gs: torus.GridSymbol,
     u: torus.GridField,
-    z,
+    zs,
     scales: DyadicScales,
     *,
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
-    summands: Sequence[torus.GridField] | None = None,
-) -> QuadraticEstimateReport:
+) -> list[QuadraticEstimateReport]:
     """Scale-coupled translations: E||sum eps_k tau_{2^k z} Q_{2^k} u||_p,
-    normalized by (1 + log_+ |z|) ||u||_p.  ``summands`` passes the
-    untranslated Q_{2^k} u when the caller already has them."""
-    z = np.asarray(z, dtype=float).reshape(u.grid.n)
-    ws = bandpass_fields_constant(pair, u, scales) if summands is None else summands
-    shifted = [torus.translate(w, (2.0**k) * z) for k, w in zip(scales.ks, ws)]
-    est = rademacher_norm(shifted, p=p, samples=samples, seed=seed)
-    zmod = float(np.linalg.norm(z))
-    log_plus = math.log(zmod) if zmod > 1.0 else 0.0
+    normalized by (1 + log_+ |z|) ||u||_p, one report per shift z of ``zs``
+    (n numbers each), with the signs drawn from ``seed`` for every shift.
+
+    The Q_{2^k} u are formed once, ``gs`` being the pair's total symbol; a
+    zero shift takes them untranslated.
+    """
+    ws = bandpass_fields_constant(gs, u, scales)
     un = torus.lp_norm(u, p)
-    denom = (1.0 + log_plus) * un
-    ratio = est.mean / denom if denom > 0 else 0.0
-    return QuadraticEstimateReport(est, ratio, ratio, un, shifted)
+    reports = []
+    for z in np.asarray(zs, dtype=float).reshape(-1, u.grid.n):
+        shifted = ws
+        if z.any():
+            shifted = [torus.translate(w, (2.0**k) * z) for k, w in zip(scales.ks, ws)]
+        est = rademacher_norm(shifted, p=p, samples=samples, seed=seed)
+        denom = (1.0 + math.log(max(float(np.linalg.norm(z)), 1.0))) * un
+        ratio = est.mean / denom if denom > 0 else 0.0
+        reports.append(QuadraticEstimateReport(est, ratio, ratio, shifted))
+    return reports
 
 
 @dataclasses.dataclass

@@ -456,7 +456,9 @@ def _object(d, what: str) -> dict:
 def symbol_from_dict(d: dict) -> HomogeneousSymbol:
     if _object(d, "symbol").get("kind") != "homogeneous_symbol":
         raise ValueError(f"not a symbol object: kind={d.get('kind')!r}")
-    n, big_n, k = int(d["n"]), int(d["N"]), int(d["k"])
+    n, big_n, k = d["n"], d["N"], d["k"]
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n, big_n, k)):
+        raise ValueError(f"n, N and k must be JSON integers, got {n!r}, {big_n!r}, {k!r}")
     coeffs = {
         tuple(int(x) for x in key.split(",")): _matrix_from_json(val, big_n)
         for key, val in _object(d["coeffs"], "coeffs").items()

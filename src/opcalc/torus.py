@@ -220,8 +220,9 @@ DENOM_ULPS = 8
 class GridSymbol:
     """One homogeneous symbol S on one grid, and the multipliers built from it.
 
-    ``mats`` (S on the lattice) and ``spectral`` (its eigendecomposition) are
-    computed once and kept read-only.  Scalar function families act on a field
+    ``mats`` (S on the lattice), ``spectral`` (its eigendecomposition) and
+    ``kernel_range`` (its kernel/range split) are computed once and kept
+    read-only.  Scalar function families act on a field
     transformed once to V^{-1} u_hat, one product per member; frequencies where
     V is ill-conditioned or a denominator vanishes to rounding keep the inverse
     formula.  The preconditioners ``resolvent``, ``smoothing`` and ``shifted``
@@ -254,6 +255,23 @@ class GridSymbol:
         for a in (lam, v, v_inv, good):
             a.flags.writeable = False
         return SpectralTriple(lam, v, v_inv, good)
+
+    @cached_property
+    def kernel_range(self) -> tuple[MultiplierOp, MultiplierOp]:
+        """Projections onto ker S(xi) along ran S(xi), and back, at every
+        frequency; the kernel projection is the identity at xi = 0.  Raises
+        SplitUndefined at the first frequency that fails a check of
+        :func:`matcalc.stacked_split`: rank S^2 < rank S (no such splitting), a
+        singular basis matrix, or S P, P S and P^2 - P above SPLIT_CHECK_TOL
+        relative to |S(xi)| (times max(1, |P|))."""
+        p_ker, p_ran, why = matcalc.stacked_split(self._flat)
+        bad = np.nonzero(why != "")[0]
+        if bad.size:
+            xi = self.grid.lattice.reshape(-1, self.grid.n)[bad[0]]
+            raise SplitUndefined(f"{why[bad[0]]} at xi={xi}")
+        p_ker.flags.writeable = p_ran.flags.writeable = False
+        return (MultiplierOp(self.grid, p_ker.reshape(self.mats.shape)),
+                MultiplierOp(self.grid, p_ran.reshape(self.mats.shape)))
 
     def _inv(self, mats: np.ndarray, what: str) -> MultiplierOp:
         return MultiplierOp(self.grid, matcalc._batched_inv(mats, what))
@@ -327,27 +345,6 @@ class GridSymbol:
         if mask.any():
             out[..., mask, :] = np.einsum("fij,...fj->...fi", fallback(mask), hat[..., mask, :])
         return ifft_field(self.grid, out.reshape(hat.shape[:-2] + self.grid.shape + (-1,)))
-
-
-def kernel_range_multipliers(
-    s: symbols.HomogeneousSymbol, grid: TorusGrid
-) -> tuple[MultiplierOp, MultiplierOp]:
-    """Projections onto ker S(xi) along ran S(xi), and back, at every frequency.
-
-    Raises SplitUndefined at the first frequency where the split fails a
-    check of :func:`matcalc.stacked_split`: rank S^2 < rank S (no such
-    splitting), a singular basis matrix, or S P, P S and P^2 - P not
-    vanishing to SPLIT_CHECK_TOL relative to |S(xi)| (times max(1, |P|)).
-    At the zero frequency the kernel projection is the identity.
-    """
-    n = s.big_n
-    p_ker, p_ran, why = matcalc.stacked_split(GridSymbol(s, grid)._flat)
-    bad = np.nonzero(why != "")[0]
-    if bad.size:
-        xi = grid.lattice.reshape(-1, grid.n)[bad[0]]
-        raise SplitUndefined(f"{why[bad[0]]} at xi={xi}")
-    shape = grid.shape + (n, n)
-    return MultiplierOp(grid, p_ker.reshape(shape)), MultiplierOp(grid, p_ran.reshape(shape))
 
 
 def translate(u: GridField, z) -> GridField:

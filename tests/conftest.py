@@ -28,6 +28,12 @@ def grid16():
     return torus.TorusGrid(1, 16)
 
 
+@pytest.fixture(scope="session")
+def dirac64(dirac_pair, grid64):
+    """The total symbol of the Dirac pair on grid64."""
+    return torus.GridSymbol(dirac_pair.total(), grid64)
+
+
 def random_matrix(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

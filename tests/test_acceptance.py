@@ -105,14 +105,15 @@ def test_04_reproducing_formula():
     grid = torus.TorusGrid(1, 256)
     u = torus.random_band_limited(grid, 2, seed=404, band=grid.g // 4,
                                   kill_zero_mode=True)
-    _, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
+    gs = torus.GridSymbol(pair.total(), grid)
+    _, p_ran = gs.kernel_range
     u = torus.apply_multiplier(p_ran, u)
     t0 = time.perf_counter()
-    resid = quadest.reproducing_residual(pair, u, quadest.DyadicScales(-20, 20))
+    resid = quadest.reproducing_residual(gs, u, quadest.DyadicScales(-20, 20))
     elapsed = time.perf_counter() - t0
     assert resid <= 1e-5, f"residual {resid:.3e}"
     curve = [
-        quadest.reproducing_residual(pair, u, quadest.DyadicScales(-w, w))
+        quadest.reproducing_residual(gs, u, quadest.DyadicScales(-w, w))
         for w in (4, 8, 12, 16, 20)
     ]
     assert all(curve[i + 1] <= curve[i] * 1.1 for i in range(len(curve) - 1)), curve
@@ -195,11 +196,12 @@ def test_07_quadratic_estimates():
     pair = symbols.dirac_pair_1d()
     grid = torus.TorusGrid(1, 64)
     scales = quadest.DyadicScales(-6, 6)
-    _, p_ran = torus.kernel_range_multipliers(pair.total(), grid)
+    gs = torus.GridSymbol(pair.total(), grid)
+    _, p_ran = gs.kernel_range
     u = torus.apply_multiplier(
         p_ran, torus.random_band_limited(grid, 2, seed=707, kill_zero_mode=True)
     )
-    fields = quadest.bandpass_fields_constant(pair, u, scales)
+    fields = quadest.bandpass_fields_constant(gs, u, scales)
     est = quadest.rademacher_norm(fields, p=2.0, samples=128, seed=7)
     exact_sq = quadest.exact_l2_square_expectation(fields)
     assert abs(est.mean_square - exact_sq) <= 3.0 * est.std_error_square, (
@@ -207,23 +209,19 @@ def test_07_quadratic_estimates():
     )
     constants = []
     for g, samples in ((64, 64), (128, 64), (64, 256)):
-        gg = torus.TorusGrid(1, g)
-        _, pr = torus.kernel_range_multipliers(pair.total(), gg)
+        gsg = torus.GridSymbol(pair.total(), torus.TorusGrid(1, g))
+        _, pr = gsg.kernel_range
         v = torus.apply_multiplier(
-            pr, torus.random_band_limited(gg, 2, seed=708, kill_zero_mode=True)
+            pr, torus.random_band_limited(gsg.grid, 2, seed=708, kill_zero_mode=True)
         )
-        rep = quadest.quadratic_estimate(pair, v, scales, samples=samples, seed=8)
+        rep = quadest.quadratic_estimate(gsg, v, scales, samples=samples, seed=8)
         assert 1.0 <= rep.constant
         constants.append(rep.constant)
     assert max(constants) <= 2.0 * min(constants), constants
     zs = [1.0, 4.0, 16.0]
-    means = []
-    for zm in zs:
-        rep = quadest.translated_quadratic_estimate(
-            pair, u, [zm], scales, samples=64, seed=9
-        )
-        means.append(rep.estimate.mean)
-    base = quadest.quadratic_estimate(pair, u, scales, samples=64, seed=9)
+    reps = quadest.translated_quadratic_estimate(gs, u, zs, scales, samples=64, seed=9)
+    means = [rep.estimate.mean for rep in reps]
+    base = quadest.quadratic_estimate(gs, u, scales, samples=64, seed=9)
     slope = float(np.polyfit(np.log(zs), means, 1)[0])
     assert slope <= base.estimate.mean, (slope, base.estimate.mean)
     announce(7, f"p=2 closed form within 3 SE; two-sided constants {constants} "

@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from opcalc import cli, hodge, torus
+
+from conftest import symbol_to_dict
 
 
 class TestAnalyzeSymbol:
@@ -68,6 +72,20 @@ class TestAnalyzeSymbol:
         data = json.loads(out.read_text())
         assert data["pass"] is True
         assert data["constants"]["kappa"] == 1.0
+
+    def test_unwritable_json_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert cli.main(["analyze-symbol", "bundled:dirac1d", "--json", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
+    @pytest.mark.parametrize("key, value", [("n", 1.9), ("k", True), ("N", "1")])
+    def test_sizes_must_be_json_integers(self, tmp_path, capsys, key, value):
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps({**symbol_to_dict(cli.DX), key: value}))
+        assert cli.main(["analyze-symbol", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n, N and k must be JSON integers" in err
 
 
 SMALL = {
@@ -186,6 +204,33 @@ class TestSuite:
         assert "error: OPCALC_THREADS" in capsys.readouterr().err
         assert code == 2
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_are_config_errors(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("OPCALC_THREADS", threads)
+        code = cli.main(["suite", "symbols", "--out", str(tmp_path / "r")])
+        assert "error: OPCALC_THREADS" in capsys.readouterr().err
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_file_as_out_is_config_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        monkeypatch.setattr(cli, "_run_probe", mock.Mock(side_effect=AssertionError))
+        assert cli.main(["suite", "symbols", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        cli._run_probe.assert_not_called()
+
+    @pytest.mark.skipif(importlib.util.find_spec("matplotlib") is not None,
+                        reason="matplotlib is installed")
+    def test_plots_without_matplotlib(self, tmp_path, capsys):
+        assert cli.main(["suite", "symbols", "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert cli.main(["suite", "symbols", "--plots", "--out", str(tmp_path / "b")]) == 0
+        assert "matplotlib is unavailable" in capsys.readouterr().err
+        plain = {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()}
+        assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == plain
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "r")
@@ -451,6 +496,13 @@ class TestReportMerge:
     def test_merge_missing_dir(self):
         assert cli.main(["report", "--merge", "/nonexistent"]) == 2
 
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "a.json").write_text('{"pass": true}')
+        out = str(tmp_path / "missing" / "m.json")
+        assert cli.main(["report", "--merge", str(tmp_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
     @pytest.mark.parametrize("text", ["{broken", "[1, 2]"])
     def test_merge_bad_report_is_config_error(self, tmp_path, capsys, text):
         (tmp_path / "bad.json").write_text(text)
@@ -458,6 +510,40 @@ class TestReportMerge:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.json" in err
         assert code == 2
+
+
+class TestOneGridSymbolPerProbe:
+    """A constant-coefficient probe builds the GridSymbol of its pair once
+    and decomposes it once; the holomorphy probe draws the trial stack of
+    its coefficient checks once for the whole circle."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        count = collections.Counter()
+
+        def counted(owner, name, key):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                count[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.linalg, "eig", "eig")
+        counted(torus.GridSymbol, "__init__", "grid_symbol")
+        counted(torus, "random_trials", "trial_stack")
+        return count
+
+    @pytest.mark.parametrize("probe, config, want", [
+        ("reproducing", {}, {"eig": 1, "grid_symbol": 1}),
+        ("quadest", {}, {"eig": 1, "grid_symbol": 1}),
+        ("holomorphy", {"grid": {"n": 1, "g": 32}}, {"trial_stack": 1}),
+    ])
+    def test_counts(self, count, probe, config, want):
+        _, _, passes = cli.PROBES[probe](**cli.read_config(probe, {"seed": 0, **config}))
+        assert all(passes.values())
+        assert {key: count[key] for key in want} == want
 
 
 class TestCoefficientExpressions:

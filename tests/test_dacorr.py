@@ -365,13 +365,14 @@ class TestStackedCalls:
 
     @pytest.mark.parametrize("suite, g, calls, checks", [
         pytest.param("block", 128, 2, 2, id="block-2"),
-        pytest.param("holomorphy", 32, 33, 32, id="holomorphy-33"),
+        pytest.param("holomorphy", 32, 33, 1, id="holomorphy-33"),
         pytest.param("lipschitz", 64, 6, 0, id="lipschitz-6"),
     ])
     def test_contour_calls_per_probe(self, suite, g, calls, checks, monkeypatch):
         # the contour-1d benchmark configs: one partial-fraction call per
         # operator, not per trial, per circle or per sweep member, and no
-        # contour; one coefficient check per block operator built
+        # contour; one coefficient-check trial stack per block operator
+        # built, and one for the whole holomorphy circle
         count = {"fraction": 0, "contour": 0, "sized": 0, "check": 0}
 
         def counted(module, name, key):
@@ -386,7 +387,7 @@ class TestStackedCalls:
         counted(dacorr, "fraction_calculus", "fraction")
         counted(dacorr, "contour_calculus", "contour")
         counted(dacorr, "discrete_contour", "sized")
-        counted(hodge, "check_coefficient_conditions", "check")
+        counted(hodge, "coefficient_checks", "check")
         values = cli.read_config(suite, {"seed": 0, "grid": {"n": 1, "g": g}})
         _, _, passes = cli.PROBES[suite](**values)
         assert all(passes.values())

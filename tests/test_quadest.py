@@ -48,10 +48,10 @@ class TestRademacherNorm:
         assert est.std_error <= 1e-12
         assert abs(est.mean**2 - exact_sq) <= 1e-10 * exact_sq
 
-    def test_closed_form_within_three_se(self, dirac_pair, grid64):
+    def test_closed_form_within_three_se(self, dirac64, grid64):
         u = torus.random_band_limited(grid64, 2, seed=4, kill_zero_mode=True)
         fields = quadest.bandpass_fields_constant(
-            dirac_pair, u, quadest.DyadicScales(-5, 5)
+            dirac64, u, quadest.DyadicScales(-5, 5)
         )
         est = quadest.rademacher_norm(fields, p=2.0, samples=128, seed=5)
         exact_sq = quadest.exact_l2_square_expectation(fields)
@@ -81,17 +81,17 @@ class TestEta:
 
 
 class TestReproducingSum:
-    def test_kernel_field_maps_to_zero(self, dirac_pair, grid64):
+    def test_kernel_field_maps_to_zero(self, dirac64, grid64):
         c = torus.GridField(
             grid64, np.broadcast_to([1.0, 2.0], grid64.shape + (2,)).astype(complex)
         )
-        out = quadest.reproducing_sum(dirac_pair, c, quadest.DyadicScales(-8, 8))
+        out = quadest.reproducing_sum(dirac64, c, quadest.DyadicScales(-8, 8))
         assert torus.lp_norm(out, 2.0) <= 1e-12 * torus.lp_norm(c, 2.0)
 
-    def test_single_wave_telescoping_oracle(self, dirac_pair, grid64):
+    def test_single_wave_telescoping_oracle(self, dirac64, grid64):
         u = plane_wave(grid64, [1], [1.0, 0.5])
         scales = quadest.DyadicScales(-20, 20)
-        out = quadest.reproducing_sum(dirac_pair, u, scales)
+        out = quadest.reproducing_sum(dirac64, u, scales)
         resid = torus.lp_norm(out - u, 2.0) / torus.lp_norm(u, 2.0)
         # telescoping oracle at xi = 1: sum collapses to p(2^-20) - p(2^21)
         oracle = abs(scalar_smoothing(2.0**-20, 1.0) - scalar_smoothing(2.0**21, 1.0) - 0.0)
@@ -99,10 +99,10 @@ class TestReproducingSum:
         assert resid <= 1e-6
         assert abs(resid - abs(1.0 - oracle)) <= 1e-8 + 0.1 * max(resid, gap)
 
-    def test_window_doubling_improves(self, dirac_pair, grid64):
+    def test_window_doubling_improves(self, dirac64, grid64):
         u = torus.random_band_limited(grid64, 2, seed=43, kill_zero_mode=True, band=8)
-        r1 = quadest.reproducing_residual(dirac_pair, u, quadest.DyadicScales(-6, 6))
-        r2 = quadest.reproducing_residual(dirac_pair, u, quadest.DyadicScales(-12, 12))
+        r1 = quadest.reproducing_residual(dirac64, u, quadest.DyadicScales(-6, 6))
+        r2 = quadest.reproducing_residual(dirac64, u, quadest.DyadicScales(-12, 12))
         assert r2 <= 0.5 * r1
 
     def test_scalar_identity_on_lattice(self, dirac_pair, grid64):
@@ -117,23 +117,24 @@ class TestReproducingSum:
         grid = torus.TorusGrid(1, 64)
         u = torus.random_band_limited(grid, 2, seed=44, band=grid.g // 4,
                                       kill_zero_mode=True)
-        resid = quadest.reproducing_residual(dirac_pair, u, quadest.DyadicScales(-20, 20))
+        gs = torus.GridSymbol(dirac_pair.total(), grid)
+        resid = quadest.reproducing_residual(gs, u, quadest.DyadicScales(-20, 20))
         assert resid <= 1e-5
 
 
 class TestSchurProbe:
-    def test_zero_function(self, dirac_pair, grid64):
+    def test_zero_function(self, dirac64):
         res = quadest.schur_bound_probe(
-            dirac_pair, lambda z: 0.0 * z, [1.0], [1.0], grid64, trials=2, seed=0
+            dirac64, lambda z: 0.0 * z, [1.0], [1.0], trials=2, seed=0
         )
         assert res.max_ratio == 0.0
 
-    def test_equal_scales_scalar_oracle(self, dirac_pair, grid64):
+    def test_equal_scales_scalar_oracle(self, dirac64, grid64):
         # f = 1: the probe estimates ||Q_t^2|| <= max over lattice of
         # |q(t xi)|^2 <= 1/4
         t = 1.0
         res = quadest.schur_bound_probe(
-            dirac_pair, lambda z: 1.0 + 0.0 * z, [t], [t], grid64, trials=6, seed=1
+            dirac64, lambda z: 1.0 + 0.0 * z, [t], [t], trials=6, seed=1
         )
         xs = np.abs(grid64.lattice[..., 0])
         oracle = (scalar_bandpass(t, xs) ** 2).max()
@@ -146,7 +147,8 @@ class TestSchurProbe:
         for g in (64, 128):
             grid = torus.TorusGrid(1, g)
             res = quadest.schur_bound_probe(
-                dirac_pair, lambda z: z / (1 + z * z), ts, ts, grid, trials=4, seed=47
+                torus.GridSymbol(dirac_pair.total(), grid), lambda z: z / (1 + z * z), ts, ts,
+                trials=4, seed=47,
             )
             vals.append(res.max_ratio)
         assert max(vals) <= 2.0 * min(vals)
@@ -172,7 +174,7 @@ class TestSpectralRoute:
         pair, grid = case
         u = torus.random_trials(grid, pair.big_n, 2, seed=3)
         scales = quadest.DyadicScales(-6, 6)
-        got = quadest.bandpass_fields_constant(pair, u, scales)
+        got = quadest.bandpass_fields_constant(torus.GridSymbol(pair.total(), grid), u, scales)
         want = bandpass_fields_by_inverse(pair, u, scales)
         for g, w in zip(got, want, strict=True):
             assert rel_err(g.values, w.values) < 1e-12
@@ -181,7 +183,7 @@ class TestSpectralRoute:
         pair, grid = case
         u = torus.random_band_limited(grid, pair.big_n, seed=4)
         scales = quadest.DyadicScales(-8, 8)
-        got = quadest.reproducing_sum(pair, u, scales)
+        got = quadest.reproducing_sum(torus.GridSymbol(pair.total(), grid), u, scales)
         want = reproducing_sum_by_inverse(pair, u, scales)
         assert rel_err(got.values, want.values) < 1e-12
 
@@ -189,7 +191,8 @@ class TestSpectralRoute:
     def test_schur_table(self, name):
         make, grid = SPECTRAL_CASES[name]
         pair, ts, f = make(), [0.25, 1.0, 4.0], lambda z: z / (1 + z * z)
-        got = quadest.schur_bound_probe(pair, f, ts, ts, grid, trials=3, seed=5).table
+        gs = torus.GridSymbol(pair.total(), grid)
+        got = quadest.schur_bound_probe(gs, f, ts, ts, trials=3, seed=5).table
         want = schur_table_by_inverse(pair, f, ts, ts, grid, trials=3, seed=5)
         for g, w in zip(got, want, strict=True):
             assert (g["t"], g["s"]) == (w["t"], w["s"])
@@ -206,34 +209,34 @@ class TestSpectralRoute:
         # f(S) falls back to the contour calculus, which has no splitting
         # at a defective zero eigenvalue
         with pytest.raises(SplitUndefined):
-            quadest.schur_bound_probe(pair, lambda z: z, [1.0], [1.0], grid, trials=1)
+            quadest.schur_bound_probe(gs, lambda z: z, [1.0], [1.0], trials=1)
 
 
 class TestQuadraticEstimate:
-    def test_kernel_input_vanishes(self, dirac_pair, grid64):
+    def test_kernel_input_vanishes(self, dirac64, grid64):
         c = torus.GridField(
             grid64, np.broadcast_to([1.0, 0.0], grid64.shape + (2,)).astype(complex)
         )
         rep = quadest.quadratic_estimate(
-            dirac_pair, c, quadest.DyadicScales(-5, 5), samples=16, seed=0
+            dirac64, c, quadest.DyadicScales(-5, 5), samples=16, seed=0
         )
         assert rep.estimate.mean <= 1e-12 * torus.lp_norm(c, 2.0)
 
-    def test_plane_wave_frequency_oracle(self, dirac_pair, grid64):
+    def test_plane_wave_frequency_oracle(self, dirac64, grid64):
         u = plane_wave(grid64, [2], [1.0, 1.0])
         scales = quadest.DyadicScales(-6, 6)
-        rep = quadest.quadratic_estimate(dirac_pair, u, scales, samples=256, seed=53)
+        rep = quadest.quadratic_estimate(dirac64, u, scales, samples=256, seed=53)
         # frequency-wise exact second moment: per-scale norms of q(t S) on
         # the single excited frequency
-        fields = quadest.bandpass_fields_constant(dirac_pair, u, scales)
+        fields = quadest.bandpass_fields_constant(dirac64, u, scales)
         exact = quadest.exact_l2_square_expectation(fields)
         assert abs(rep.estimate.mean_square - exact) <= 3.0 * rep.estimate.std_error_square
 
-    def test_sample_count_stability(self, dirac_pair, grid64):
+    def test_sample_count_stability(self, dirac64, grid64):
         u = torus.random_band_limited(grid64, 2, seed=53, kill_zero_mode=True)
         scales = quadest.DyadicScales(-5, 5)
-        r1 = quadest.quadratic_estimate(dirac_pair, u, scales, samples=64, seed=1)
-        r2 = quadest.quadratic_estimate(dirac_pair, u, scales, samples=256, seed=2)
+        r1 = quadest.quadratic_estimate(dirac64, u, scales, samples=64, seed=1)
+        r2 = quadest.quadratic_estimate(dirac64, u, scales, samples=256, seed=2)
         assert max(r1.ratio, r2.ratio) <= 2.0 * min(r1.ratio, r2.ratio)
 
     def test_variable_upper_probe(self, dirac_pair, grid16):
@@ -245,16 +248,16 @@ class TestQuadraticEstimate:
         )
         assert 0.0 < rep.ratio < 10.0
 
-    def test_calculus_constant_couples_to_square_function(self, dirac_pair, grid64):
+    def test_calculus_constant_couples_to_square_function(self, dirac64, grid64):
         # sanity coupling: the measured bounded-calculus constant stays
         # within an order of magnitude of the square of the measured
         # quadratic-estimate constant (no equality claimed)
         f = lambda z: z / (1 + z * z)
-        f_op = torus.GridSymbol(dirac_pair.total(), grid64).function(f)
+        f_op = dirac64.function(f)
         from opcalc import dacorr
 
         f_sup = dacorr.sup_norm_on_bisector(f, np.pi / 8)
-        _, p_ran = torus.kernel_range_multipliers(dirac_pair.total(), grid64)
+        _, p_ran = dirac64.kernel_range
         scales = quadest.DyadicScales(-6, 6)
         c_f = 0.0
         c_q = 1.0
@@ -267,7 +270,7 @@ class TestQuadraticEstimate:
                 c_f,
                 torus.lp_norm(torus.apply_multiplier(f_op, u), 2.0) / (f_sup * un),
             )
-            rep = quadest.quadratic_estimate(dirac_pair, u, scales, samples=64,
+            rep = quadest.quadratic_estimate(dirac64, u, scales, samples=64,
                                              seed=seed)
             c_q = max(c_q, rep.constant)
         assert np.isfinite(c_f) and c_f > 0
@@ -275,35 +278,31 @@ class TestQuadraticEstimate:
 
 
 class TestTranslatedEstimate:
-    def test_zero_shift_reduces(self, dirac_pair, grid64):
+    def test_zero_shift_reduces(self, dirac64, grid64):
         u = torus.random_band_limited(grid64, 2, seed=59, kill_zero_mode=True)
         scales = quadest.DyadicScales(-4, 4)
-        plain = quadest.quadratic_estimate(dirac_pair, u, scales, samples=32, seed=6)
-        shifted = quadest.translated_quadratic_estimate(
-            dirac_pair, u, [0.0], scales, samples=32, seed=6
+        plain = quadest.quadratic_estimate(dirac64, u, scales, samples=32, seed=6)
+        (shifted,) = quadest.translated_quadratic_estimate(
+            dirac64, u, [0.0], scales, samples=32, seed=6
         )
         assert abs(plain.estimate.mean - shifted.estimate.mean) < 1e-12
 
-    def test_log_plus_inside_unit_ball(self, dirac_pair, grid64):
+    def test_log_plus_inside_unit_ball(self, dirac64, grid64):
         u = torus.random_band_limited(grid64, 2, seed=60, kill_zero_mode=True)
         scales = quadest.DyadicScales(-4, 4)
-        r = quadest.translated_quadratic_estimate(
-            dirac_pair, u, [0.5], scales, samples=32, seed=7
+        (r,) = quadest.translated_quadratic_estimate(
+            dirac64, u, [0.5], scales, samples=32, seed=7
         )
         # |z| <= 1: normalization is exactly ||u||_p
         assert abs(r.ratio - r.estimate.mean / torus.lp_norm(u, 2.0)) < 1e-12
 
-    def test_growth_at_most_logarithmic(self, dirac_pair, grid64):
+    def test_growth_at_most_logarithmic(self, dirac64, grid64):
         u = torus.random_band_limited(grid64, 2, seed=59, kill_zero_mode=True)
         scales = quadest.DyadicScales(-4, 4)
-        means = []
         zs = [1.0, 4.0, 16.0]
-        for zm in zs:
-            rep = quadest.translated_quadratic_estimate(
-                dirac_pair, u, [zm], scales, samples=64, seed=8
-            )
-            means.append(rep.estimate.mean)
-        base = quadest.quadratic_estimate(dirac_pair, u, scales, samples=64, seed=8)
+        reps = quadest.translated_quadratic_estimate(dirac64, u, zs, scales, samples=64, seed=8)
+        means = [rep.estimate.mean for rep in reps]
+        base = quadest.quadratic_estimate(dirac64, u, scales, samples=64, seed=8)
         slope = np.polyfit(np.log(zs), means, 1)[0]
         assert slope <= base.estimate.mean
 
