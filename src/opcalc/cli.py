@@ -662,6 +662,11 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
 
     with _config_values(f"report directory {out_dir}"):
         out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {probe_name: out_dir / f"{name}__{probe_name}.json" for probe_name in suite["probes"]}
+    for path in paths.values():
+        # caught before any probe spends its work; other write errors at the write
+        if path.is_dir() or (path.exists() and not os.access(path, os.W_OK)):
+            raise ConfigError(f"bad report file {path}: not a writable file")
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_probe, jobs))
@@ -669,8 +674,8 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
         results = [_run_probe(j) for j in jobs]
     reports = []
     for probe_name, rep in sorted(zip(suite["probes"], results), key=lambda r: r[0]):
-        path = out_dir / f"{name}__{probe_name}.json"
-        path.write_text(rep.to_json(), encoding="utf-8")
+        with _config_values(f"report file {paths[probe_name]}"):
+            paths[probe_name].write_text(rep.to_json(), encoding="utf-8")
         reports.append(rep)
     if plots:
         _write_plots(reports, out_dir)

@@ -50,24 +50,25 @@ def gmres(
         return np.zeros_like(b), SolveInfo(0, 0.0, True)
     apply_m = precond if precond is not None else _identity
     x = np.zeros_like(b)
+    r = b  # the residual b - A x, carried from one restart cycle to the next
     total = 0
-    res = np.inf
-    while total < maxiter:
-        r = b - matvec(x)
+    prev_res = math.inf
+    while True:
         beta = float(np.linalg.norm(r))
         res = beta / bnorm
         if res <= rtol:
             return x, SolveInfo(total, res, True)
-        if not math.isfinite(res):
+        # out of iterations, not finite, or under 1% progress over a whole
+        # restart cycle: stagnated
+        if total >= maxiter or not math.isfinite(res) or res > prev_res * 0.99:
             break
         prev_res = res
         m = min(restart, maxiter - total, n)
-        v = np.zeros((m + 1, n), dtype=complex)
+        v = [r / beta]  # the Krylov basis, grown one row per iteration
         h = np.zeros((m + 1, m), dtype=complex)
         cs = np.zeros(m, dtype=complex)
         sn = np.zeros(m, dtype=complex)
         g = np.zeros(m + 1, dtype=complex)
-        v[0] = r / beta
         g[0] = beta
         cols = 0
         for j in range(m):
@@ -97,17 +98,12 @@ def gmres(
                 return x, SolveInfo(total, res, False)
             if res <= rtol or hnext < 1e-300:
                 break
-            v[j + 1] = w / hnext
+            v.append(w / hnext)
         if cols == 0:
             break
         y = np.linalg.solve(h[:cols, :cols], g[:cols])
-        x = x + apply_m(y @ v[:cols])
+        x = x + apply_m(y @ np.array(v[:cols]))
         r = b - matvec(x)
-        res = float(np.linalg.norm(r)) / bnorm
-        if res <= rtol:
-            return x, SolveInfo(total, res, True)
-        if res > prev_res * 0.99:
-            break  # under 1% progress over a whole restart cycle: stagnated
     return x, SolveInfo(total, res, False)
 
 

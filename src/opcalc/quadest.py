@@ -173,13 +173,13 @@ def reproducing_residual(
     u: torus.GridField,
     scales: DyadicScales,
 ) -> float:
-    """Relative L2 distance of the reproducing sum from the range projection."""
-    target = torus.apply_multiplier(gs.kernel_range[1], u)
-    got = reproducing_sum(gs, u, scales)
+    """Relative L2 distance of the reproducing sum of u from u, for u in the
+    closure of the range, where the sum telescopes to u.  Project a general
+    field onto the range first, with ``gs.kernel_range[1]``."""
     denom = torus.lp_norm(u, 2.0)
     if denom == 0:
         return 0.0
-    return torus.lp_norm(got - target, 2.0) / denom
+    return torus.lp_norm(reproducing_sum(gs, u, scales) - u, 2.0) / denom
 
 
 @dataclasses.dataclass

@@ -158,9 +158,23 @@ def ifft_field(grid: TorusGrid, hat: np.ndarray) -> GridField:
     return GridField(grid, np.fft.ifftn(hat, axes=_grid_axes(grid)))
 
 
+class Support(NamedTuple):
+    """Where a multiplier acts: the components ``rows`` it writes and ``cols``
+    it reads (those in which some frequency's matrix has a nonzero row or
+    column, ascending), and ``mats`` restricted to them, of shape
+    grid.shape + (len(rows), len(cols)).  At full support ``mats`` is the
+    multiplier's own array."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mats: np.ndarray
+
+
 @dataclasses.dataclass(frozen=True)
 class MultiplierOp:
-    """Frequency-diagonal operator: one N x N matrix per lattice frequency."""
+    """Frequency-diagonal operator: one N x N matrix per lattice frequency.
+
+    ``mats`` is read-only, so that the cached ``support`` stays valid."""
 
     grid: TorusGrid
     mats: np.ndarray
@@ -171,11 +185,23 @@ class MultiplierOp:
             raise ValueError(f"mats shape {m.shape} incompatible with grid")
         if m.shape[-1] != m.shape[-2]:
             raise ValueError("per-frequency entries must be square")
+        m.flags.writeable = False
         object.__setattr__(self, "mats", m)
 
     @property
     def big_n(self) -> int:
         return self.mats.shape[-1]
+
+    @cached_property
+    def support(self) -> Support:
+        nonzero = (self.mats != 0).reshape(-1, self.big_n, self.big_n)
+        rows = np.flatnonzero(nonzero.any(axis=(0, 2)))
+        cols = np.flatnonzero(nonzero.any(axis=(0, 1)))
+        full = rows.size == cols.size == self.big_n
+        support = Support(rows, cols, self.mats if full else self.mats[..., rows[:, None], cols])
+        for a in support:
+            a.flags.writeable = False
+        return support
 
     @classmethod
     def identity(cls, grid: TorusGrid, big_n: int) -> "MultiplierOp":
@@ -192,12 +218,22 @@ class MultiplierOp:
 
 
 def apply_multiplier(m: MultiplierOp, u: GridField) -> GridField:
-    """FFT, per-frequency matrix multiply, inverse FFT."""
+    """FFT of the components m reads, per-frequency product with its
+    restricted matrices, inverse FFT of the components it writes; the other
+    components of the result are zero, whatever u holds where m does not
+    read.  Exactly the full N x N product wherever u is finite."""
     if m.grid != u.grid or m.big_n != u.big_n:
         raise ValueError("grid or component mismatch between operator and field")
-    hat = fft_field(u)
-    out = np.einsum("...ij,...j->...i", m.mats, hat)
-    return ifft_field(u.grid, out)
+    rows, cols, mats = m.support
+    if not rows.size:
+        return GridField(u.grid, np.zeros_like(u.values))
+    read = u if cols.size == m.big_n else GridField(u.grid, u.values.take(cols, axis=-1))
+    out = ifft_field(u.grid, np.einsum("...ij,...j->...i", mats, fft_field(read)))
+    if rows.size == m.big_n:
+        return out
+    values = np.zeros_like(u.values)
+    values[..., rows] = out.values
+    return GridField(u.grid, values)
 
 
 class SpectralTriple(NamedTuple):

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,21 @@ class TestSuite:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         cli._run_probe.assert_not_called()
+
+    def test_directory_as_report_is_config_error(self, tmp_path, monkeypatch, capsys):
+        report = tmp_path / "symbols__symbol.json"
+        report.mkdir()
+        monkeypatch.setattr(cli, "_run_probe", mock.Mock(side_effect=AssertionError))
+        assert cli.main(["suite", "symbols", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad report file ") and str(report) in err
+        cli._run_probe.assert_not_called()
+
+    def test_failed_report_write_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(Path, "write_text", mock.Mock(side_effect=OSError("disk full")))
+        assert cli.main(["suite", "symbols", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad report file ") and "disk full" in err
 
     @pytest.mark.skipif(importlib.util.find_spec("matplotlib") is not None,
                         reason="matplotlib is installed")

@@ -1,3 +1,6 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,27 @@ class TestGmres:
         x, info = krylov.gmres(lambda v: a @ v, b, rtol=1e-11, restart=10)
         assert info.converged
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("precond", [False, True])
+    def test_one_matvec_per_iteration_and_per_cycle(self, precond):
+        # the residual is carried across restarts, never recomputed
+        a = np.eye(60) + random_matrix(60, 4, scale=0.05)
+        b = random_matrix(60, 5)[:, 0]
+        calls = collections.Counter()
+
+        def counted(key, fn):
+            def call(v):
+                calls[key] += 1
+                return fn(v)
+            return call
+
+        m = counted("precond", lambda v: v / 1.01) if precond else None
+        _, info = krylov.gmres(counted("matvec", lambda v: a @ v), b, rtol=1e-11, restart=4,
+                               precond=m)
+        cycles = math.ceil(info.iterations / 4)
+        assert info.converged and cycles >= 2
+        assert calls["matvec"] == info.iterations + cycles
+        assert calls["precond"] == (info.iterations + cycles if precond else 0)
 
     def test_zero_rhs(self):
         x, info = krylov.gmres(lambda v: v, np.zeros(5, dtype=complex))

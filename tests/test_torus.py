@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from opcalc import cli, hodge, matcalc, quadest, symbols, torus
+from opcalc import cli, hodge, krylov, matcalc, quadest, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
 from conftest import bandpass, plane_wave, rel_err, zero_field, zero_mode
@@ -76,6 +78,110 @@ class TestApplyMultiplier:
         expected = finv @ hats
         got = torus.apply_multiplier(q, u).values
         assert rel_err(got, expected) < 1e-12
+
+
+def full_product(m, u):
+    """The multiplier by the full N x N product at every frequency."""
+    hat = torus.fft_field(u)
+    return torus.ifft_field(u.grid, np.einsum("...ij,...j->...i", m.mats, hat)).values
+
+
+def support_cases(pair, grid):
+    """Gamma, gamma_tilde, their adjoints and the three Hodge projections."""
+    op = hodge.VariableOp.constant(pair, grid)
+    cases = {"gamma": op.gamma_op, "gamma_tilde": op.gamma_tilde_op}
+    cases.update({f"{k}*": m.adjoint() for k, m in cases.items()})
+    return {**cases, **hodge.constant_hodge_projections(pair, grid).multipliers}
+
+
+class TestSupport:
+    @pytest.mark.parametrize("name", ["graddiv2d", "dirac1d"])
+    def test_equals_full_product_bitwise(self, name, dirac_pair, grad_div_pair):
+        pair, grid = {"graddiv2d": (grad_div_pair, torus.TorusGrid(2, 16)),
+                      "dirac1d": (dirac_pair, torus.TorusGrid(1, 64))}[name]
+        single = torus.random_band_limited(grid, pair.big_n, seed=3)
+        stack = torus.random_trials(grid, pair.big_n, 3, seed=4)
+        partial = 0
+        for m in support_cases(pair, grid).values():
+            rows, cols, _ = m.support
+            partial += rows.size < pair.big_n or cols.size < pair.big_n
+            for u in (single, stack):
+                assert np.array_equal(torus.apply_multiplier(m, u).values, full_product(m, u))
+        assert partial >= 5
+
+    def test_graddiv_gamma_reads_and_writes_few(self, grad_div_pair):
+        op = hodge.VariableOp.constant(grad_div_pair, torus.TorusGrid(2, 16))
+        for m, rows, cols in ((op.gamma_op, [1, 2], [0]), (op.gamma_tilde_op, [0], [1, 2])):
+            assert m.support.rows.tolist() == rows and m.support.cols.tolist() == cols
+            assert m.support.mats.shape == (16, 16, len(rows), len(cols))
+
+    def test_one_sided_supports(self, grid16):
+        rng = np.random.default_rng(0)
+        mats = rng.standard_normal((16, 3, 3)) + 1j * rng.standard_normal((16, 3, 3))
+        u = torus.random_trials(grid16, 3, 2, seed=1)
+        for zero_col in (True, False):
+            m = mats.copy()
+            if zero_col:
+                m[..., 1] = 0.0  # reads components 0 and 2, writes all three
+            else:
+                m[..., 1, :] = 0.0  # reads all three, writes 0 and 2
+            op = torus.MultiplierOp(grid16, m)
+            assert (op.support.cols if zero_col else op.support.rows).tolist() == [0, 2]
+            assert np.array_equal(torus.apply_multiplier(op, u).values, full_product(op, u))
+
+    def test_full_support_is_the_array_itself(self, dirac64):
+        m = dirac64.resolvent(0.5)
+        assert m.support.mats is m.mats
+
+    def test_zero_multiplier_returns_zeros_without_fft(self, grid16, monkeypatch):
+        m = torus.MultiplierOp(grid16, np.zeros((16, 2, 2)))
+        u = torus.random_trials(grid16, 2, 2, seed=2)
+        monkeypatch.setattr(torus, "fft_field", None)
+        out = torus.apply_multiplier(m, u)
+        assert out.values.shape == u.values.shape and not out.values.any()
+
+    def test_unread_components_do_not_reach_the_output(self, grad_div_pair):
+        gamma = hodge.VariableOp.constant(grad_div_pair, torus.TorusGrid(2, 16)).gamma_op
+        u = torus.random_band_limited(gamma.grid, 4, seed=5)
+        u.values[..., 3] = np.nan
+        assert np.isfinite(torus.apply_multiplier(gamma, u).values).all()
+
+    def test_mats_are_read_only(self, dirac64):
+        m = dirac64.multiplier()
+        assert m.support is m.support
+        reads_one = torus.MultiplierOp(dirac64.grid, np.ones((64, 2, 2)) * [1.0, 0.0])
+        for op in (m, reads_one):
+            for a in (op.mats, *op.support):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_fft_volume_of_a_variable_resolvent(self, grad_div_pair, monkeypatch):
+        # per preconditioned GMRES iteration: the resolvent preconditioner
+        # transforms all 4 components both ways (8), gamma reads {0} and
+        # writes {1, 2} (3), gamma_tilde reads {1, 2} and writes {0} (3):
+        # 14 component transforms, not the 3 * 2 * 4 = 24 of full products
+        grid = torus.TorusGrid(2, 16)
+        coeffs = hodge.CoefficientPair(*(
+            hodge.perturbed_identity(grid, 4, 0.1, s, diagonal=True) for s in (1, 2)))
+        op = hodge.VariableOp(grad_div_pair, coeffs, grid)
+        u = torus.random_band_limited(grid, 4, seed=6)
+        counts = collections.Counter()
+
+        def counted(fn, key, weight):
+            def call(a, *args, **kwargs):
+                counts[key] += weight(a)
+                return fn(a, *args, **kwargs)
+            return call
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "values", np.size))
+        gmres = krylov.gmres
+        monkeypatch.setattr(krylov, "gmres", lambda matvec, b, **kw: gmres(
+            counted(matvec, "matvecs", lambda v: 1), b, **kw))
+        hodge.variable_resolvent(op, 0.7, u)
+        assert counts["matvecs"] > 2
+        # one preconditioner application per matvec, none elsewhere
+        assert counts["values"] == 14 * grid.size * counts["matvecs"]
 
 
 def resolvent_family(pair, grid, t):
