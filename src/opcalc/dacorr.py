@@ -134,19 +134,33 @@ def stack_components(u1: torus.GridField, u2: torus.GridField) -> torus.GridFiel
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free calculus: by partial fractions, and by contour for general f.
+# Matrix-free calculus by partial fractions; a contour quadrature is one.
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class PartialFractions:
-    """sum_k r_k / (z - p_k): simple ``poles`` p_k, ``residues`` r_k; takes arrays."""
+    """sum_k r_k / (z - p_k): simple ``poles`` p_k, ``residues`` r_k; takes
+    arrays.  ``contour`` is the path whose quadrature gave them, if any."""
 
     poles: tuple[complex, ...]
     residues: tuple[complex, ...]
+    contour: matcalc.ContourSpec | None = None
 
     def __call__(self, z):
         return sum(r / (z - p) for p, r in zip(self.poles, self.residues))
+
+
+def contour_fractions(contour: matcalc.ContourSpec, f: Callable) -> PartialFractions:
+    """The quadrature sum_k w_k f(z_k) / (z_k - z) of the Cauchy integral of
+    f over ``contour``, as partial fractions: poles z_k, residues -w_k f(z_k).
+    Requires f(0) = 0 (every member of the bundled test family vanishes at
+    the origin), so no kernel-projection term is needed."""
+    if abs(complex(f(0.0))) > 1e-13:
+        raise ValueError("contour fractions require f(0) = 0")
+    z, w = (q.ravel() for q in contour.quadrature)
+    r = -w * matcalc._feval(f, z)
+    return PartialFractions(tuple(z.tolist()), tuple(r.tolist()), contour)
 
 
 def discrete_contour(
@@ -175,17 +189,14 @@ def discrete_contour(
 
 DENSE_CALCULUS_LIMIT = 1024
 
-
-def _shifted_sum(apply_fn, u, zs, cs, precond_for) -> torus.GridField:
-    """sum_k c_k (z_k - T)^{-1} u by one GMRES solve per node and field, to
-    relative residual 1e-12, preconditioned by ``precond_for(z)`` when given."""
-    acc = np.zeros_like(u.values)
-    for zz, c in zip(zs, cs):
-        precond = None if precond_for is None else precond_for(zz)
-        x = hodge.solve_field(lambda f: zz * f - apply_fn(f), u, rtol=1e-12, precond=precond,
-                              what=f"shifted solve at z={zz:.4g}")
-        acc += c * x.values
-    return torus.GridField(u.grid, acc)
+# From this many poles up, the dense route diagonalizes the operator once
+# instead of one LU solve per pole.  One eig, cond(V) and solve with V cost
+# as much as this many LU solves with 3 fields (min of 7, one thread):
+#   dim       64    128    256    512   1024
+#   LU ms   0.14   0.73   3.55   18.5    104
+#   eig ms   9.6   52.0    159   1061   4296
+#   poles     71     72     45     57     41
+EIG_ROUTE_POLES = 64
 
 
 def fraction_calculus(
@@ -196,104 +207,49 @@ def fraction_calculus(
     precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
 ) -> torus.GridField:
     """f(T)U = sum_k (-r_k) (p_k - T)^{-1} U for a matrix-free T and f given
-    by its partial fractions, on a field or each field of a stack ``u``: one
-    shifted solve per pole, no quadrature.  Up to DENSE_CALCULUS_LIMIT
-    unknowns T is assembled once and each pole is one dense solve for all
-    the fields; past it, one GMRES solve per pole and field."""
+    by its partial fractions, on a field or each field of a stack ``u``;
+    ``apply_fn`` must act on stacks of fields.
+
+    Past DENSE_CALCULUS_LIMIT unknowns each pole is one GMRES solve per
+    field, to relative residual 1e-12, preconditioned by ``precond_for(p)``
+    when given.  Up to it T is assembled once.  With at least
+    EIG_ROUTE_POLES poles it is diagonalized, T = V diag(lam) V^{-1}, and
+    f(T)U = V f(lam) V^{-1} U, taken only when cond(V) <=
+    matcalc.EIG_COND_LIMIT (its error grows with cond(V)); for fractions
+    from a contour it raises ContourTooClose when a nonzero eigenvalue is
+    not enclosed.  Otherwise each pole is one dense solve for all fields.
+    """
     dim = u.grid.size * u.big_n
     cs = [-r for r in f.residues]
     if dim > DENSE_CALCULUS_LIMIT:
-        return _shifted_sum(apply_fn, u, f.poles, cs, precond_for)
+        acc = np.zeros_like(u.values)
+        for p, c in zip(f.poles, cs):
+            precond = None if precond_for is None else precond_for(p)
+            x = hodge.solve_field(lambda y: p * y - apply_fn(y), u, rtol=1e-12,
+                                  precond=precond, what=f"shifted solve at z={p:.4g}")
+            acc += c * x.values
+        return torus.GridField(u.grid, acc)
     a = hodge.dense_operator(apply_fn, u.grid, u.big_n)
     cols = u.values.reshape(-1, dim).T
-    out = sum(c * np.linalg.solve(p * np.eye(dim) - a, cols) for p, c in zip(f.poles, cs))
+    out = None
+    if len(f.poles) >= EIG_ROUTE_POLES:
+        lam, v = np.linalg.eig(a)
+        if np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT:
+            if f.contour is not None:
+                nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
+                matcalc._check_enclosed(nz, f.contour, 1e-6)
+            f_lam = np.asarray(cs) @ (1 / (np.asarray(f.poles)[:, None] - lam))
+            out = v @ (f_lam[:, None] * np.linalg.solve(v, cols))
+    if out is None:
+        out = sum(c * np.linalg.solve(p * np.eye(dim) - a, cols) for p, c in zip(f.poles, cs))
     return torus.GridField(u.grid, out.T.reshape(u.values.shape))
 
 
-def contour_calculus(
-    apply_fn: Callable[[torus.GridField], torus.GridField],
-    u: torus.GridField,
-    f: Callable,
-    contour: matcalc.ContourSpec,
-    *,
-    precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
-) -> torus.GridField:
-    """f of a matrix-free operator applied to a field, or to each field of
-    a stack ``u``, via the contour.
-
-    ``apply_fn`` must act on stacks of fields.  Requires f(0) = 0 (all
-    members of the bundled test family vanish at the origin, so no
-    kernel-projection term is needed).  The quadrature is
-    ``contour.quadrature``; the size picks how its shifted solves are
-    done.  Up to DENSE_CALCULUS_LIMIT unknowns the operator is assembled
-    and diagonalized once, A = V diag(lam) V^{-1}, and the sum over nodes
-    becomes V (sum_k w_k f(z_k) / (z_k - lam)) V^{-1} U, one solve with V
-    for all the fields.  That route is taken only when cond(V) <=
-    matcalc.EIG_COND_LIMIT (its error grows with cond(V)), and it raises
-    ContourTooClose when a nonzero eigenvalue is not enclosed by the
-    contour.  Past the size limit, or with V too ill-conditioned or
-    singular, each node runs a GMRES solve per field to relative residual
-    1e-12, preconditioned by ``precond_for(z)`` when given.
-    """
-    if abs(complex(f(0.0))) > 1e-13:
-        raise ValueError("contour calculus requires f(0) = 0")
-    grid, big_n = u.grid, u.big_n
-    dim = grid.size * big_n
-    z, w = contour.quadrature
-    fw = matcalc._feval(f, z.ravel()).reshape(z.shape) * w
-    if dim <= DENSE_CALCULUS_LIMIT:
-        lam, v = np.linalg.eig(hodge.dense_operator(apply_fn, grid, big_n))
-        if np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT:
-            nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
-            matcalc._check_enclosed(nz, contour, 1e-6)
-            scal = fw.ravel() @ (1 / (z.ravel()[:, None] - lam))
-            cols = u.values.reshape(-1, dim).T
-            out = v @ (scal[:, None] * np.linalg.solve(v, cols))
-            return torus.GridField(grid, out.T.reshape(u.values.shape))
-    return _shifted_sum(apply_fn, u, z.ravel(), fw.ravel(), precond_for)
-
-
 def composition_calculus(
-    op: CompositionOp,
-    f: Callable,
-    u: torus.GridField,
-    d: FirstOrderD,
-    *,
-    nodes: int = 128,
+    op: CompositionOp, f: PartialFractions, u: torus.GridField
 ) -> torus.GridField:
-    """f(D A) u on the undoubled space: by partial fractions when f is
-    given by them, through the contour calculus otherwise."""
-    if isinstance(f, PartialFractions):
-        return fraction_calculus(op.apply, u, f, precond_for=op.symbol.shifted)
-    dist = (op.a - hodge.MatrixField.identity(op.grid, op.big_n)).inf_norm
-    contour = discrete_contour(
-        d.params, op.grid, coeff_distance=dist, coeff_sup=op.a.inf_norm, nodes=nodes
-    )
-    return contour_calculus(op.apply, u, f, contour, precond_for=op.symbol.shifted)
-
-
-def block_calculus(
-    block_op: hodge.VariableOp,
-    f: Callable,
-    v: torus.GridField,
-    d: FirstOrderD,
-    *,
-    nodes: int = 128,
-) -> torus.GridField:
-    """f of the doubled-space operator applied to a field of component
-    pairs, or to each field of a stack of them; by partial fractions when f
-    is given by them, through the contour calculus otherwise."""
-    precond_for = block_op.total_symbol.shifted
-    if isinstance(f, PartialFractions):
-        return fraction_calculus(block_op.apply, v, f, precond_for=precond_for)
-    eye = hodge.MatrixField.identity(block_op.grid, block_op.big_n)
-    b1 = block_op.coeffs.b1
-    dist = min((b1 + block_op.coeffs.b2 - eye).inf_norm, 2.0)
-    sup = max(b1.inf_norm, block_op.coeffs.b2.inf_norm, 1.0)
-    contour = discrete_contour(
-        d.params, block_op.grid, coeff_distance=dist, coeff_sup=sup, nodes=nodes
-    )
-    return contour_calculus(block_op.apply, v, f, contour, precond_for=precond_for)
+    """f(D A) u, preconditioned by the shifted symbol of D."""
+    return fraction_calculus(op.apply, u, f, precond_for=op.symbol.shifted)
 
 
 def intertwine_check(
@@ -305,14 +261,35 @@ def intertwine_check(
     nodes: int = 128,
     seed: int = 0,
 ) -> float:
-    """Max relative residual of f(block)(Au, u) = (A f(DA) u, f(DA) u)."""
+    """Max relative residual of f(block)(Au, u) = (A f(DA) u, f(DA) u).
+
+    A general f is taken by its contour fractions, on a ``nodes``-point
+    contour sized for each side's coefficients; PartialFractions as given.
+    """
     grid = a.grid
     block_op = build_block(d, a, seed=seed)
     comp = composition(d, a, grid)
+    f_block = f_comp = f
+    if not isinstance(f, PartialFractions):
+
+        def sized(dist, sup):
+            contour = discrete_contour(
+                d.params, grid, coeff_distance=dist, coeff_sup=sup, nodes=nodes
+            )
+            return contour_fractions(contour, f)
+
+        b1, b2 = block_op.coeffs.b1, block_op.coeffs.b2
+        eye = hodge.MatrixField.identity(grid, block_op.big_n)
+        f_block = sized(
+            min((b1 + b2 - eye).inf_norm, 2.0), max(b1.inf_norm, b2.inf_norm, 1.0)
+        )
+        f_comp = sized((a - hodge.MatrixField.identity(grid, comp.big_n)).inf_norm, a.inf_norm)
     us = torus.random_trials(grid, comp.big_n, trials, seed)
     vs = stack_components(a.apply(us), us)
-    lhs = block_calculus(block_op, f, vs, d, nodes=nodes)
-    x = composition_calculus(comp, f, us, d, nodes=nodes)
+    lhs = fraction_calculus(
+        block_op.apply, vs, f_block, precond_for=block_op.total_symbol.shifted
+    )
+    x = composition_calculus(comp, f_comp, us)
     rhs = stack_components(a.apply(x), x)
     return torus.max_ratio(lhs - rhs, 2.0, torus.lp_norms(vs, 2.0))
 
@@ -490,7 +467,7 @@ def holomorphy_probe(
             raise ProbeAborted(msg, node=z)
 
     def at(z: complex) -> np.ndarray:
-        return composition_calculus(composition(d, path.at(z), grid), f, u, d).values
+        return composition_calculus(composition(d, path.at(z), grid), f, u).values
 
     center = torus.GridField(grid, at(0.0))
     # summed in node order, so the even-node mean is bitwise the mean over
@@ -550,14 +527,14 @@ def lipschitz_probe(
     theta = 0.5 * (d.params.omega + math.pi / 2)
     f_sup = sup_norm_on_bisector(f, theta)
     us = torus.random_trials(grid, a.big_n, trials, seed)
-    fa = composition_calculus(composition(d, a, grid), f, us, d)
+    fa = composition_calculus(composition(d, a, grid), f, us)
     un = torus.lp_norms(us, p)
     reports = []
     for a_tilde in a_tildes:
         dist = (a - a_tilde).inf_norm
         worst = 0.0
         if dist > 0:
-            fb = composition_calculus(composition(d, a_tilde, grid), f, us, d)
+            fb = composition_calculus(composition(d, a_tilde, grid), f, us)
             worst = torus.max_ratio(fa - fb, p, dist * f_sup * un)
         reports.append(LipschitzReport(worst, dist, f_sup))
     return reports

@@ -394,21 +394,19 @@ def variable_resolvent(
     )
 
 
-def smoothing_apply(op: VariableOp, t: float, u: torus.GridField, **kw) -> torus.GridField:
-    """(I + t^2 Op^2)^{-1} u = (R(t)u + R(-t)u) / 2 with R(t) = (I + i t Op)^{-1}: the even
-    half of the resolvent pair, whose odd half (i/2)(R(t) - R(-t)) is bandpass_apply."""
-    return 0.5 * (variable_resolvent(op, t, u, **kw) + variable_resolvent(op, -t, u, **kw))
-
-
-def bandpass_apply(op: VariableOp, t: float, u: torus.GridField, **kw) -> torus.GridField:
-    """t Op (I + t^2 Op^2)^{-1} u, the odd half of the resolvent pair."""
+def resolvent_halves(
+    op: VariableOp, t: float, u: torus.GridField, **kw
+) -> tuple[torus.GridField, torus.GridField]:
+    """The even and odd halves of the resolvent pair R(+-t) = (I +- i t Op)^{-1}:
+    (R(t)u + R(-t)u) / 2 = (I + t^2 Op^2)^{-1} u and
+    (i/2)(R(t)u - R(-t)u) = t Op (I + t^2 Op^2)^{-1} u, from two solves."""
     plus = variable_resolvent(op, t, u, **kw)
     minus = variable_resolvent(op, -t, u, **kw)
-    return 0.5j * (plus - minus)
+    return 0.5 * (plus + minus), 0.5j * (plus - minus)
 
 
 # ---------------------------------------------------------------------------
-# Dense assembly (small grids: the oracles and the dense contour route).
+# Dense assembly (small grids: the oracles and the dense calculus route).
 # ---------------------------------------------------------------------------
 
 
@@ -473,15 +471,10 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
         return dict(rtol=max(1e-10, floor))
 
     def all_at(t, u):
-        # P_t u and t Q_t u from one resolvent pair, as in smoothing_apply
-        plus = variable_resolvent(op, t, u, **kw(t))
-        minus = variable_resolvent(op, -t, u, **kw(t))
-        band = t * (0.5j * (plus - minus))
-        return (
-            0.5 * (plus + minus),
-            torus.apply_multiplier(op.gamma_op, band),
-            op.apply_twisted(band),
-        )
+        # P_t u and t Q_t u from one resolvent pair
+        smooth, odd = resolvent_halves(op, t, u, **kw(t))
+        band = t * odd
+        return smooth, torus.apply_multiplier(op.gamma_op, band), op.apply_twisted(band)
 
     fields = torus.random_trials(op.grid, op.big_n, 3, seed)
     inv_norms = 1.0 / torus.lp_norms(fields, 2.0)
@@ -607,9 +600,9 @@ def underline_intertwining_residual(op: VariableOp, t: float, *, seed: int = 0) 
     if vn == 0:
         return 0.0
     lhs = torus.apply_multiplier(
-        op.gamma_op, op.coeffs.b1.apply(smoothing_apply(swapped, t, v, rtol=1e-11))
+        op.gamma_op, op.coeffs.b1.apply(resolvent_halves(swapped, t, v, rtol=1e-11)[0])
     )
     rhs = torus.apply_multiplier(
-        op.gamma_op, smoothing_apply(op, t, op.coeffs.b1.apply(v), rtol=1e-11)
+        op.gamma_op, resolvent_halves(op, t, op.coeffs.b1.apply(v), rtol=1e-11)[0]
     )
     return torus.lp_norm(lhs - rhs, 2.0) / vn

@@ -129,7 +129,7 @@ def bandpass_fields_variable(
     scales: DyadicScales,
 ) -> list[torus.GridField]:
     """Q_t^B u for every dyadic t, via the two resolvent solves per scale."""
-    return [hodge.bandpass_apply(op, t, u) for t in scales.scales()]
+    return [hodge.resolvent_halves(op, t, u)[1] for t in scales.scales()]
 
 
 def _telescoped(scales: DyadicScales, term: Callable, mul: Callable):
@@ -344,7 +344,7 @@ def offdiagonal_probe(
     us = torus.random_trials(grid, op.big_n, trials, seed)
     uf = torus.GridField(grid, np.where(mask_f[..., None], us.values, 0.0))
     denom = torus.lp_norms(uf, p)
-    qu = hodge.bandpass_apply(op, t, uf).values
+    qu = hodge.resolvent_halves(op, t, uf)[1].values
     ratios = [
         torus.max_ratio(torus.GridField(grid, np.where(m, qu, 0.0)), p, denom) for m in masks
     ]

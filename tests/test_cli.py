@@ -385,6 +385,25 @@ class TestSuite:
             assert fa.read_bytes() == (tmp_path / "parallel" / fa.name).read_bytes()
 
 
+class TestSeedSweep:
+    """What `perfbench/run.py` checks of every pass: each probe of the ten default
+    suites passes at seeds 0-9, and a second run_suite call in the same
+    process writes the same bytes (no state is carried between calls)."""
+
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_default_suite_passes_at_every_seed(self, suite, tmp_path, capsys):
+        for seed in range(10):
+            reps = cli.run_suite(suite, {"seed": seed}, tmp_path / str(seed))
+            failed = [(rep.probe, rep.passes) for rep in reps if not rep.passed]
+            assert not failed, (seed, failed)
+        cli.run_suite(suite, {"seed": 0}, tmp_path / "again")
+        capsys.readouterr()
+        paths = sorted((tmp_path / "0").iterdir())
+        assert [p.name for p in paths] == sorted(p.name for p in (tmp_path / "again").iterdir())
+        for path in paths:
+            assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes()
+
+
 # JSON values, small enough that no drawn grid or coefficient field is large
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-8, 64) | st.floats(-8, 64)

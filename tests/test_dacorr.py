@@ -28,6 +28,15 @@ def f_odd(z):
     return z / (1 + z * z)
 
 
+def composition_fractions(comp, d, f=f_odd, nodes=128):
+    """f by its fractions on the contour sized for the coefficient of comp."""
+    dist = (comp.a - hodge.MatrixField.identity(comp.grid, comp.big_n)).inf_norm
+    contour = dacorr.discrete_contour(
+        d.params, comp.grid, coeff_distance=dist, coeff_sup=comp.a.inf_norm, nodes=nodes
+    )
+    return dacorr.contour_fractions(contour, f)
+
+
 class TestBuildBlock:
     def test_identity_recovers_model_pair(self, d_scalar, grid32, dirac_pair):
         a = hodge.MatrixField.identity(grid32, 1)
@@ -154,13 +163,12 @@ class TestSimilarity:
         u = torus.random_band_limited(grid16, 2, seed=10)
         contour = dacorr.discrete_contour(params, grid16, coeff_distance=0.1,
                                           coeff_sup=1.1)
-        via_maps = maps.assemble(dacorr.contour_calculus(
-            maps.triple_apply, maps.split(u), f_odd, contour,
-            precond_for=maps.triple_symbol.shifted,
+        f = dacorr.contour_fractions(contour, f_odd)
+        via_maps = maps.assemble(dacorr.fraction_calculus(
+            maps.triple_apply, maps.split(u), f, precond_for=maps.triple_symbol.shifted,
         ))
-        direct = dacorr.contour_calculus(
-            op.apply, u, f_odd, contour,
-            precond_for=torus.GridSymbol(dirac_pair.total(), grid16).shifted,
+        direct = dacorr.fraction_calculus(
+            op.apply, u, f, precond_for=torus.GridSymbol(dirac_pair.total(), grid16).shifted,
         )
         assert torus.lp_norm(via_maps - direct, 2.0) <= 1e-6 * torus.lp_norm(u, 2.0)
 
@@ -173,9 +181,41 @@ class TestEigOracle:
         a = hodge.perturbed_identity(grid, 1, eps, 67)
         comp = dacorr.composition(d_scalar, a, grid)
         u = torus.random_band_limited(grid, 1, seed=12)
-        got = dacorr.composition_calculus(comp, f_odd, u, d_scalar, nodes=128)
+        got = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar), u)
         exact = matrix_function_eig(hodge.dense_operator(comp.apply, grid, 1), f_odd) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-6
+
+
+class TestContourFractions:
+    """A contour quadrature of the Cauchy integral as partial fractions."""
+
+    @pytest.mark.parametrize("route", ["eig", "per-pole"])
+    @pytest.mark.parametrize("name", sorted(dacorr.TEST_FAMILY))
+    def test_family_matches_eigendecomposition(self, d_scalar, name, route, monkeypatch):
+        # the general-f route, against V f(lam) V^{-1} u of the assembled operator
+        grid = torus.TorusGrid(1, 64)
+        comp = dacorr.composition(d_scalar, hodge.perturbed_identity(grid, 1, 0.3, 67), grid)
+        u = torus.random_band_limited(grid, 1, seed=12)
+        f = dacorr.TEST_FAMILY[name]
+        if route == "per-pole":
+            monkeypatch.setattr(dacorr, "EIG_ROUTE_POLES", np.inf)
+        got = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar, f), u)
+        exact = matrix_function_eig(hodge.dense_operator(comp.apply, grid, 1), f) @ u.flat()
+        assert rel_err(got.flat(), exact) < 1e-10
+
+    def test_log_rays_resolve_wide_spectrum(self, d_scalar):
+        # at g=256 the nonzero spectrum of DA spans over two decades of modulus
+        grid = torus.TorusGrid(1, 256)
+        comp = dacorr.composition(d_scalar, hodge.perturbed_identity(grid, 1, 0.9, 67), grid)
+        lam = np.linalg.eigvals(hodge.dense_operator(comp.apply, grid, 1))
+        fractions = composition_fractions(comp, d_scalar)
+        assert len(fractions.poles) == 8 * 128
+        assert np.abs(fractions(lam) - f_odd(lam)).max() <= 1e-10
+
+    def test_requires_f_vanishing_at_zero(self, d_scalar, grid16):
+        contour = dacorr.discrete_contour(d_scalar.params, grid16)
+        with pytest.raises(ValueError):
+            dacorr.contour_fractions(contour, lambda z: 1.0 + z)
 
 
 class TestGmresPath:
@@ -183,9 +223,10 @@ class TestGmresPath:
         grid = torus.TorusGrid(1, 16)
         comp = dacorr.composition(d_scalar, hodge.perturbed_identity(grid, 1, 0.3, 67), grid)
         u = torus.random_band_limited(grid, 1, seed=12)
-        dense = dacorr.composition_calculus(comp, f_odd, u, d_scalar, nodes=32)
+        f = composition_fractions(comp, d_scalar, nodes=32)
+        dense = dacorr.composition_calculus(comp, f, u)
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
-        gmres = dacorr.composition_calculus(comp, f_odd, u, d_scalar, nodes=32)
+        gmres = dacorr.composition_calculus(comp, f, u)
         assert rel_err(gmres.flat(), dense.flat()) < 1e-10
 
 
@@ -230,15 +271,16 @@ class TestDenseRoute:
     @pytest.mark.parametrize("case", CASES)
     def test_eig_route_matches_lu_oracle(self, case, d_scalar, grid16, dirac_pair, monkeypatch):
         apply_fn, u, contour, _ = case(d_scalar, grid16, dirac_pair)
-
-        def no_gmres(*args, **kwargs):
-            raise AssertionError("GMRES fallback taken")
-
-        monkeypatch.setattr(hodge, "solve_field", no_gmres)
-        got = dacorr.contour_calculus(apply_fn, u, f_odd, contour)
+        solves = []
+        solve = np.linalg.solve
+        # the eig route solves once, with V; the per-pole route once per pole
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        got = dacorr.fraction_calculus(apply_fn, u, dacorr.contour_fractions(contour, f_odd))
+        monkeypatch.undo()
+        assert len(solves) == 1
         assert rel_err(got.flat(), lu_contour_oracle(apply_fn, u, f_odd, contour)) < 1e-12
 
-    def test_jordan_block_falls_back_to_gmres(self, grid16):
+    def test_jordan_block_takes_per_pole_route(self, grid16):
         # 2 I plus the lower shift: one Jordan block, so V is singular
         def apply_fn(v):
             x = v.values
@@ -250,7 +292,7 @@ class TestDenseRoute:
         assert not np.linalg.cond(np.linalg.eig(dense)[1]) <= matcalc.EIG_COND_LIMIT
         spec = matcalc.ContourSpec(1.0, 0.1, 10.0, 64)
         u = torus.random_band_limited(grid16, 1, seed=3)
-        got = dacorr.contour_calculus(apply_fn, u, f_odd, spec)
+        got = dacorr.fraction_calculus(apply_fn, u, dacorr.contour_fractions(spec, f_odd))
         exact = matcalc.contour_fc(dense, f_odd, spec) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-10
 
@@ -259,11 +301,12 @@ class TestDenseRoute:
         lam = np.linalg.eigvals(hodge.dense_operator(comp.apply, grid16, 1))
         spec = matcalc.ContourSpec(1.0, 0.1, 0.5 * np.abs(lam).max(), 32)
         u = torus.random_band_limited(grid16, 1, seed=12)
+        f = dacorr.contour_fractions(spec, f_odd)
         with pytest.raises(ContourTooClose):
-            dacorr.contour_calculus(comp.apply, u, f_odd, spec)
+            dacorr.fraction_calculus(comp.apply, u, f)
         stack = torus.random_trials(grid16, 1, 3, 0)
         with pytest.raises(ContourTooClose):
-            dacorr.contour_calculus(comp.apply, stack, f_odd, spec)
+            dacorr.fraction_calculus(comp.apply, stack, f)
 
     @pytest.mark.parametrize("case", CASES)
     def test_dense_operator_matches_unit_vector_oracle(self, case, d_scalar, grid16, dirac_pair):
@@ -343,10 +386,11 @@ class TestStackedCalls:
     @pytest.mark.parametrize("case", CASES)
     def test_eig_route(self, case, d_scalar, grid16, dirac_pair):
         apply_fn, fields, contour, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
-        got = dacorr.contour_calculus(apply_fn, torus.GridField.stack(fields), f_odd, contour)
+        f = dacorr.contour_fractions(contour, f_odd)
+        got = dacorr.fraction_calculus(apply_fn, torus.GridField.stack(fields), f)
         assert got.batch == (3,)
         for member, u in zip(got.members(), fields):
-            one = dacorr.contour_calculus(apply_fn, u, f_odd, contour)
+            one = dacorr.fraction_calculus(apply_fn, u, f)
             assert rel_err(member.flat(), one.flat()) < 1e-13
 
     def test_gmres_route(self, d_scalar, grid16, dirac_pair, monkeypatch):
@@ -356,11 +400,12 @@ class TestStackedCalls:
             d_scalar.params, grid16, coeff_distance=0.3, coeff_sup=1.3, nodes=16
         )
         precond = torus.GridSymbol(d_scalar.symbol, grid16).shifted
-        got = dacorr.contour_calculus(
-            apply_fn, torus.GridField.stack(fields), f_odd, contour, precond_for=precond
+        f = dacorr.contour_fractions(contour, f_odd)
+        got = dacorr.fraction_calculus(
+            apply_fn, torus.GridField.stack(fields), f, precond_for=precond
         )
         for member, u in zip(got.members(), fields):
-            one = dacorr.contour_calculus(apply_fn, u, f_odd, contour, precond_for=precond)
+            one = dacorr.fraction_calculus(apply_fn, u, f, precond_for=precond)
             assert rel_err(member.flat(), one.flat()) < 1e-10
 
     @pytest.mark.parametrize("suite, g, calls, checks", [
@@ -385,7 +430,7 @@ class TestStackedCalls:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(dacorr, "fraction_calculus", "fraction")
-        counted(dacorr, "contour_calculus", "contour")
+        counted(dacorr, "contour_fractions", "contour")
         counted(dacorr, "discrete_contour", "sized")
         counted(hodge, "coefficient_checks", "check")
         values = cli.read_config(suite, {"seed": 0, "grid": {"n": 1, "g": g}})
@@ -434,7 +479,7 @@ class TestHolomorphy:
 
         def at(z):
             comp = dacorr.composition(d_scalar, path.at(z), grid32)
-            return dacorr.composition_calculus(comp, dacorr.f_rational_odd, u, d_scalar)
+            return dacorr.composition_calculus(comp, dacorr.f_rational_odd, u)
 
         center = at(0.0)
         for m, got in ((nodes, rep.residual), (2 * nodes, rep.residual_refined)):
@@ -468,16 +513,14 @@ class TestLipschitz:
         a = hodge.MatrixField(grid32, np.full(grid32.shape + (1, 1), c, dtype=complex))
         a2 = hodge.MatrixField(grid32, np.full(grid32.shape + (1, 1), c2, dtype=complex))
         u = torus.random_band_limited(grid32, 1, seed=13)
-        fa = dacorr.composition_calculus(
-            dacorr.composition(d_scalar, a, grid32), f_odd, u, d_scalar
-        )
+        comp = dacorr.composition(d_scalar, a, grid32)
+        fa = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar), u)
         xs = grid32.lattice[..., 0]
         hat = torus.fft_field(u)
         exact = torus.ifft_field(grid32, f_odd(c * xs)[..., None] * hat)
         assert torus.lp_norm(fa - exact, 2.0) <= 1e-8 * torus.lp_norm(u, 2.0)
-        fa2 = dacorr.composition_calculus(
-            dacorr.composition(d_scalar, a2, grid32), f_odd, u, d_scalar
-        )
+        comp2 = dacorr.composition(d_scalar, a2, grid32)
+        fa2 = dacorr.composition_calculus(comp2, composition_fractions(comp2, d_scalar), u)
         exact2 = torus.ifft_field(grid32, f_odd(c2 * xs)[..., None] * hat)
         diff_exact = torus.lp_norm(exact - exact2, 2.0)
         diff_got = torus.lp_norm(fa - fa2, 2.0)

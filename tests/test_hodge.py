@@ -270,10 +270,7 @@ class TestVariableResolvent:
         cols = stack.values.reshape(3, -1).T
         smooth = np.linalg.solve(np.eye(var_op16.dim) + t * t * m @ m, cols)
         un = torus.lp_norms(stack, 2.0)
-        for got, ref in (
-            (hodge.smoothing_apply(var_op16, t, stack), smooth),
-            (hodge.bandpass_apply(var_op16, t, stack), t * m @ smooth),
-        ):
+        for got, ref in zip(hodge.resolvent_halves(var_op16, t, stack), (smooth, t * m @ smooth)):
             ref = torus.GridField(grid16, ref.T.reshape(stack.values.shape))
             assert torus.max_ratio(got - ref, 2.0, un) <= 1e-9
 
