@@ -320,6 +320,8 @@ def probe_hodge_const(seed, symbol, grid, trials, tolerance):
 def probe_hodge_var(seed, symbol, grid, coefficients, tolerance):
     op = hodge.VariableOp(symbol, coefficients, grid)
     cond = hodge.check_coefficient_conditions(op, seed=seed)
+    # first, so that its solves do not overlap the stacks the projections keep
+    res = hodge.underline_intertwining_residual(op, 2.0, seed=seed)
     proj = hodge.variable_hodge_projections(op, seed=seed)
     constants = {
         "nilpotence_residual": cond.nilpotence_residual,
@@ -339,7 +341,6 @@ def probe_hodge_var(seed, symbol, grid, coefficients, tolerance):
             worst = max(worst, torus.max_ratio(val - ref, 2.0, un))
         constants["limit_vs_dense"] = worst
         passes["limit_vs_dense"] = worst <= tolerance
-    res = hodge.underline_intertwining_residual(op, 2.0, seed=seed)
     constants["swap_intertwining"] = res
     passes["swap_intertwining"] = res <= 1e-8
     return "hodge-variable", constants, passes
@@ -349,7 +350,7 @@ def probe_perturb(seed, symbol, grid, deltas):
     e1 = hodge.diagonal_direction(grid, symbol.big_n, seed + 41)
     e2 = hodge.diagonal_direction(grid, symbol.big_n, seed + 42)
     base = hodge.VariableOp.constant(symbol, grid)
-    eye = hodge.MatrixField.identity(grid, symbol.big_n)
+    eye = torus.MatrixField.identity(grid, symbol.big_n)
     ratio_rows = []
     for d in deltas:
         coeffs = hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2)
@@ -503,7 +504,7 @@ def probe_holomorphy(seed, grid, circle_nodes):
     d = dacorr.FirstOrderD.verified(DX)
     u = torus.random_band_limited(grid, 1, seed=seed + 71)
     path = dacorr.CoefficientPath(
-        hodge.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, seed + 71)
+        torus.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, seed + 71)
     )
     radius = 0.3
     rep = dacorr.holomorphy_probe(
@@ -520,7 +521,7 @@ def probe_holomorphy(seed, grid, circle_nodes):
 
 def probe_lipschitz(seed, grid, deltas, trials, triple_g):
     d = dacorr.FirstOrderD.verified(DX)
-    eye = hodge.MatrixField.identity(grid, 1)
+    eye = torus.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, seed + 73)
     reps = dacorr.lipschitz_probe(
         d, eye, [eye + eps * e for eps in deltas], dacorr.f_rational_odd, trials=trials, seed=seed

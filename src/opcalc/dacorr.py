@@ -48,7 +48,7 @@ class CompositionOp:
     """The operator u -> D(A u): multiplier after pointwise multiplication."""
 
     d: FirstOrderD
-    a: hodge.MatrixField
+    a: torus.MatrixField
     grid: torus.TorusGrid
 
     @cached_property
@@ -67,7 +67,7 @@ class CompositionOp:
         return torus.apply_multiplier(self.d_op, self.a.apply(u))
 
 
-def composition(d: FirstOrderD, a: hodge.MatrixField, grid: torus.TorusGrid) -> CompositionOp:
+def composition(d: FirstOrderD, a: torus.MatrixField, grid: torus.TorusGrid) -> CompositionOp:
     return CompositionOp(d, a, grid)
 
 
@@ -92,20 +92,17 @@ def block_pair(d: FirstOrderD) -> symbols.HodgeDiracSymbolPair:
     )
 
 
-def block_coefficients(a: hodge.MatrixField) -> hodge.CoefficientPair:
+def block_coefficients(a: torus.MatrixField) -> hodge.CoefficientPair:
     """B1 = diag(A, 0), B2 = diag(0, A) on the doubled component space."""
     grid, size = a.grid, a.big_n
-    zeros = np.zeros(grid.shape + (2 * size, 2 * size), dtype=complex)
-    b1 = zeros.copy()
-    b1[..., :size, :size] = a.values
-    b2 = zeros.copy()
-    b2[..., size:, size:] = a.values
-    return hodge.CoefficientPair(
-        hodge.MatrixField(grid, b1), hodge.MatrixField(grid, b2)
-    )
+    b1 = np.zeros(grid.shape + (2 * size, 2 * size), dtype=complex)
+    b2 = np.zeros_like(b1)
+    b1[..., :size, :size] = a.mats
+    b2[..., size:, size:] = a.mats
+    return hodge.CoefficientPair(torus.MatrixField(grid, b1), torus.MatrixField(grid, b2))
 
 
-def build_block(d: FirstOrderD, a: hodge.MatrixField, *, seed: int = 0) -> hodge.VariableOp:
+def build_block(d: FirstOrderD, a: torus.MatrixField, *, seed: int = 0) -> hodge.VariableOp:
     """Assemble the doubled-space twisted operator for u -> D(A u).
 
     The result acts as [[0, A D A], [D, 0]] on component pairs.  The
@@ -254,7 +251,7 @@ def composition_calculus(
 
 def intertwine_check(
     d: FirstOrderD,
-    a: hodge.MatrixField,
+    a: torus.MatrixField,
     f: Callable,
     *,
     trials: int = 3,
@@ -279,11 +276,11 @@ def intertwine_check(
             return contour_fractions(contour, f)
 
         b1, b2 = block_op.coeffs.b1, block_op.coeffs.b2
-        eye = hodge.MatrixField.identity(grid, block_op.big_n)
+        eye = torus.MatrixField.identity(grid, block_op.big_n)
         f_block = sized(
             min((b1 + b2 - eye).inf_norm, 2.0), max(b1.inf_norm, b2.inf_norm, 1.0)
         )
-        f_comp = sized((a - hodge.MatrixField.identity(grid, comp.big_n)).inf_norm, a.inf_norm)
+        f_comp = sized((a - torus.MatrixField.identity(grid, comp.big_n)).inf_norm, a.inf_norm)
     us = torus.random_trials(grid, comp.big_n, trials, seed)
     vs = stack_components(a.apply(us), us)
     lhs = fraction_calculus(
@@ -296,7 +293,7 @@ def intertwine_check(
 
 def block_resolvent_product(
     d: FirstOrderD,
-    a: hodge.MatrixField,
+    a: torus.MatrixField,
     t: float,
     v: torus.GridField,
 ) -> torus.GridField:
@@ -350,9 +347,7 @@ def build_similarity(
     op = hodge.VariableOp(pair, coeffs, grid)
     size = pair.big_n
     p0, pg, pgt = hodge.dense_hodge_projections(op)
-    gt = hodge.dense_operator(
-        lambda u: torus.apply_multiplier(op.gamma_tilde_op, u), grid, size
-    )
+    gt = hodge.dense_operator(op.gamma_tilde_op.apply, grid, size)
     v_basis = matcalc.range_basis(gt)
     b1_dense = hodge.dense_operator(coeffs.b1.apply, grid, size)
     w = b1_dense @ v_basis
@@ -413,18 +408,16 @@ class CoefficientPath:
     direction (a constant path) is also accepted.
     """
 
-    base: hodge.MatrixField
-    direction: hodge.MatrixField
+    base: torus.MatrixField
+    direction: torus.MatrixField
 
     def __post_init__(self):
         nrm = self.direction.inf_norm
         if nrm != 0.0 and abs(nrm - 1.0) > 1e-8:
             raise ValueError("direction must have sup norm 1 (or be zero)")
 
-    def at(self, z: complex) -> hodge.MatrixField:
-        return hodge.MatrixField(
-            self.base.grid, self.base.values + z * self.direction.values
-        )
+    def at(self, z: complex) -> torus.MatrixField:
+        return self.base + z * self.direction
 
 
 @dataclasses.dataclass
@@ -507,8 +500,8 @@ class LipschitzReport:
 
 def lipschitz_probe(
     d: FirstOrderD,
-    a: hodge.MatrixField,
-    a_tildes: Sequence[hodge.MatrixField],
+    a: torus.MatrixField,
+    a_tildes: Sequence[torus.MatrixField],
     f: PartialFractions,
     *,
     trials: int = 3,

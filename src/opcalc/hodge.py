@@ -28,64 +28,15 @@ OFFRANGE_NILPOTENCE = "offrange_nilpotence"
 COERCIVE_MULTIPLIERS = "coercive_multipliers"
 
 
-@dataclasses.dataclass(frozen=True)
-class MatrixField:
-    """Pointwise N x N multiplication operator on grid fields."""
-
-    grid: torus.TorusGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != self.grid.shape + v.shape[-2:] or v.shape[-1] != v.shape[-2]:
-            raise ValueError(f"matrix field shape {v.shape} incompatible with grid")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def big_n(self) -> int:
-        return self.values.shape[-1]
-
-    @cached_property
-    def inf_norm(self) -> float:
-        """Essential sup of the pointwise operator norm."""
-        flat = self.values.reshape(-1, self.big_n, self.big_n)
-        return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
-
-    def apply(self, u: torus.GridField) -> torus.GridField:
-        return torus.GridField(
-            u.grid, np.einsum("...ij,...j->...i", self.values, u.values)
-        )
-
-    def adjoint(self) -> "MatrixField":
-        return MatrixField(self.grid, np.conj(np.swapaxes(self.values, -1, -2)))
-
-    def __add__(self, other: "MatrixField") -> "MatrixField":
-        return MatrixField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "MatrixField") -> "MatrixField":
-        return MatrixField(self.grid, self.values - other.values)
-
-    def __mul__(self, c) -> "MatrixField":
-        return MatrixField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def identity(cls, grid: torus.TorusGrid, big_n: int) -> "MatrixField":
-        eye = np.broadcast_to(np.eye(big_n, dtype=complex), grid.shape + (big_n, big_n))
-        return cls(grid, eye.copy())
-
-
-def random_direction(grid: torus.TorusGrid, big_n: int, seed: int) -> MatrixField:
+def random_direction(grid: torus.TorusGrid, big_n: int, seed: int) -> torus.MatrixField:
     """Random matrix field normalized to sup norm one."""
     rng = np.random.default_rng(seed)
     shape = grid.shape + (big_n, big_n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    e = MatrixField(grid, vals)
-    return MatrixField(grid, vals / e.inf_norm)
+    return torus.MatrixField(grid, vals / torus.MatrixField(grid, vals).inf_norm)
 
 
-def diagonal_direction(grid: torus.TorusGrid, big_n: int, seed: int) -> MatrixField:
+def diagonal_direction(grid: torus.TorusGrid, big_n: int, seed: int) -> torus.MatrixField:
     """Random pointwise-diagonal matrix field with sup norm one.
 
     Diagonal coefficients commute with coordinate-aligned kernels and
@@ -98,27 +49,26 @@ def diagonal_direction(grid: torus.TorusGrid, big_n: int, seed: int) -> MatrixFi
     vals = np.zeros(grid.shape + (big_n, big_n), dtype=complex)
     idx = np.arange(big_n)
     vals[..., idx, idx] = diag
-    e = MatrixField(grid, vals)
-    return MatrixField(grid, vals / e.inf_norm)
+    return torus.MatrixField(grid, vals / torus.MatrixField(grid, vals).inf_norm)
 
 
 def perturbed_identity(
     grid: torus.TorusGrid, big_n: int, eps: float, seed: int, *, diagonal: bool = False
-) -> MatrixField:
+) -> torus.MatrixField:
     direction = diagonal_direction if diagonal else random_direction
-    return MatrixField.identity(grid, big_n) + eps * direction(grid, big_n, seed)
+    return torus.MatrixField.identity(grid, big_n) + eps * direction(grid, big_n, seed)
 
 
 _EXPR_RE = re.compile(r"^identity\+([0-9.eE+-]+)\*(random|diagrandom)\((\d+)\)$")
 
 
-def parse_coefficient(expr: str, grid: torus.TorusGrid, big_n: int) -> MatrixField:
+def parse_coefficient(expr: str, grid: torus.TorusGrid, big_n: int) -> torus.MatrixField:
     """CLI coefficient syntax: 'identity', 'identity+eps*random(seed)',
     'identity+eps*diagrandom(seed)', or a path to a binary matrix-field
     file.  The diagonal form stays inside the admissible class for the
     bundled pairs (twisted nilpotence is preserved)."""
     if expr == "identity":
-        return MatrixField.identity(grid, big_n)
+        return torus.MatrixField.identity(grid, big_n)
     m = _EXPR_RE.match(expr.replace(" ", ""))
     if m:
         eps = float(m.group(1))
@@ -127,16 +77,19 @@ def parse_coefficient(expr: str, grid: torus.TorusGrid, big_n: int) -> MatrixFie
         return perturbed_identity(
             grid, big_n, eps, int(m.group(3)), diagonal=m.group(2) == "diagrandom"
         )
-    loaded_grid, values = torus.load_field(expr)
-    if loaded_grid != grid or values.shape[-1] != big_n:
+    field = torus.load_field(expr)
+    if not isinstance(field, torus.MatrixField):
+        raise ValueError(f"{expr}: holds a vector field (layout {torus.LAYOUT_VECTOR}); "
+                         f"a coefficient file holds a matrix field (layout {torus.LAYOUT_MATRIX})")
+    if field.grid != grid or field.big_n != big_n:
         raise ValueError(f"{expr}: coefficient file does not match grid/N")
-    return MatrixField(grid, values)
+    return field
 
 
 @dataclasses.dataclass(frozen=True)
 class CoefficientPair:
-    b1: MatrixField
-    b2: MatrixField
+    b1: torus.MatrixField
+    b2: torus.MatrixField
 
     def __post_init__(self):
         if self.b1.grid != self.b2.grid or self.b1.big_n != self.b2.big_n:
@@ -144,7 +97,7 @@ class CoefficientPair:
 
     @classmethod
     def identity(cls, grid: torus.TorusGrid, big_n: int) -> "CoefficientPair":
-        eye = MatrixField.identity(grid, big_n)
+        eye = torus.MatrixField.identity(grid, big_n)
         return cls(eye, eye)
 
     def distance(self, other: "CoefficientPair") -> float:
@@ -187,11 +140,21 @@ class VariableOp:
     def gamma_tilde_op(self) -> torus.MultiplierOp:
         return torus.GridSymbol(self.pair.gamma_tilde, self.grid).multiplier()
 
+    @cached_property
+    def twisted_coeffs(self) -> CoefficientPair:
+        """B1 with the columns gamma_tilde does not write set to zero, and B2
+        with the rows it does not read: the same twisted product, on supports
+        that skip what gamma_tilde would discard or leave zero."""
+        rows, cols, _ = self.gamma_tilde_op.support
+        b1, b2 = np.zeros_like(self.coeffs.b1.mats), np.zeros_like(self.coeffs.b2.mats)
+        b1[..., rows] = self.coeffs.b1.mats[..., rows]
+        b2[..., cols, :] = self.coeffs.b2.mats[..., cols, :]
+        return CoefficientPair(torus.MatrixField(self.grid, b1), torus.MatrixField(self.grid, b2))
+
     def apply_twisted(self, u: torus.GridField) -> torus.GridField:
         """B1 gamma_tilde (B2 u)."""
-        return self.coeffs.b1.apply(
-            torus.apply_multiplier(self.gamma_tilde_op, self.coeffs.b2.apply(u))
-        )
+        b1, b2 = self.twisted_coeffs.b1, self.twisted_coeffs.b2
+        return b1.apply(torus.apply_multiplier(self.gamma_tilde_op, b2.apply(u)))
 
     def apply(self, u: torus.GridField) -> torus.GridField:
         return torus.apply_multiplier(self.gamma_op, u) + self.apply_twisted(u)
@@ -204,9 +167,12 @@ class VariableOp:
 
 
 def swap_operator(op: VariableOp) -> VariableOp:
-    """The companion operator with the two parts and coefficients exchanged."""
-    swapped = symbols.HodgeDiracSymbolPair(op.pair.gamma_tilde, op.pair.gamma)
-    return VariableOp(swapped, CoefficientPair(op.coeffs.b2, op.coeffs.b1), op.grid)
+    """The companion operator with the two parts and coefficients exchanged;
+    it takes op's two multipliers, exchanged, rather than evaluating them again."""
+    pair = symbols.HodgeDiracSymbolPair(op.pair.gamma_tilde, op.pair.gamma)
+    swapped = VariableOp(pair, CoefficientPair(op.coeffs.b2, op.coeffs.b1), op.grid)
+    vars(swapped).update(gamma_op=op.gamma_tilde_op, gamma_tilde_op=op.gamma_op)
+    return swapped
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +217,7 @@ def constant_hodge_projections(
         "p_gamma_tilde": torus.MultiplierOp(grid, pgt.reshape(shape)),
     }
     return HodgeProjections(
-        p0=lambda u: torus.apply_multiplier(ops["p0"], u),
-        p_gamma=lambda u: torus.apply_multiplier(ops["p_gamma"], u),
-        p_gamma_tilde=lambda u: torus.apply_multiplier(ops["p_gamma_tilde"], u),
-        multipliers=ops,
+        ops["p0"].apply, ops["p_gamma"].apply, ops["p_gamma_tilde"].apply, multipliers=ops
     )
 
 
@@ -363,7 +326,7 @@ def solve_field(
         return lambda vec: fn(torus.GridField.from_flat(grid, big_n, vec)).flat()
 
     matvec = on_flat(apply_fn)
-    apply_m = None if precond is None else on_flat(lambda f: torus.apply_multiplier(precond, f))
+    apply_m = None if precond is None else on_flat(precond.apply)
     xs = [
         krylov.solve_or_raise(matvec, field.flat(), what=what, rtol=rtol, precond=apply_m)
         for field in rhs.members()
@@ -434,9 +397,7 @@ def dense_operator(apply_fn, grid: torus.TorusGrid, big_n: int) -> np.ndarray:
 def dense_hodge_projections(op: VariableOp):
     """Dense subspace oracle: projections from explicit kernel/range bases."""
     m = dense_operator(op.apply, op.grid, op.big_n)
-    g = dense_operator(
-        lambda u: torus.apply_multiplier(op.gamma_op, u), op.grid, op.big_n
-    )
+    g = dense_operator(op.gamma_op.apply, op.grid, op.big_n)
     gt_b = dense_operator(op.apply_twisted, op.grid, op.big_n)
     p0, pg, pgt = matcalc.subspace_projections(
         [(m[None], "ker"), (g[None], "ran"), (gt_b[None], "ran")],
@@ -462,8 +423,7 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
     """
     # the attainable GMRES residual degrades like eps * t * ||op||; ask only
     # for what floating point can deliver at the largest scales
-    mats = op.total_symbol.mats.reshape(-1, op.big_n, op.big_n)
-    big = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
+    big = op.total_symbol.multiplier().inf_norm
     big *= max(1.0, op.coeffs.b1.inf_norm * op.coeffs.b2.inf_norm)
 
     def kw(t):
@@ -566,9 +526,7 @@ def hodge_perturbation_report(opa: VariableOp, opb: VariableOp) -> PerturbationR
     pb = dense_hodge_projections(opb)
     diffs = [matcalc.operator_norm(b - a) for a, b in zip(pa, pb)]
     # restricted inverse: basis of range(gamma_tilde) mapped through A1, B1
-    gt = dense_operator(
-        lambda u: torus.apply_multiplier(opa.gamma_tilde_op, u), opa.grid, opa.big_n
-    )
+    gt = dense_operator(opa.gamma_tilde_op.apply, opa.grid, opa.big_n)
     v = matcalc.range_basis(gt)
     wa = dense_operator(opa.coeffs.b1.apply, opa.grid, opa.big_n) @ v
     wb = dense_operator(opb.coeffs.b1.apply, opb.grid, opb.big_n) @ v

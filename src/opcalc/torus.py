@@ -159,11 +159,11 @@ def ifft_field(grid: TorusGrid, hat: np.ndarray) -> GridField:
 
 
 class Support(NamedTuple):
-    """Where a multiplier acts: the components ``rows`` it writes and ``cols``
-    it reads (those in which some frequency's matrix has a nonzero row or
-    column, ascending), and ``mats`` restricted to them, of shape
-    grid.shape + (len(rows), len(cols)).  At full support ``mats`` is the
-    multiplier's own array."""
+    """Where a pointwise-matrix operator acts: the components ``rows`` it
+    writes and ``cols`` it reads (those in which some point's matrix has a
+    nonzero row or column, ascending), and ``mats`` restricted to them, of
+    shape grid.shape + (len(rows), len(cols)).  At full support ``mats`` is
+    the operator's own array."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -171,8 +171,9 @@ class Support(NamedTuple):
 
 
 @dataclasses.dataclass(frozen=True)
-class MultiplierOp:
-    """Frequency-diagonal operator: one N x N matrix per lattice frequency.
+class MatrixField:
+    """One N x N matrix per grid point, acting on fields by the pointwise
+    product on its support.
 
     ``mats`` is read-only, so that the cached ``support`` stays valid."""
 
@@ -184,7 +185,7 @@ class MultiplierOp:
         if m.shape[: self.grid.n] != self.grid.shape or m.ndim != self.grid.n + 2:
             raise ValueError(f"mats shape {m.shape} incompatible with grid")
         if m.shape[-1] != m.shape[-2]:
-            raise ValueError("per-frequency entries must be square")
+            raise ValueError("per-point entries must be square")
         m.flags.writeable = False
         object.__setattr__(self, "mats", m)
 
@@ -194,46 +195,93 @@ class MultiplierOp:
 
     @cached_property
     def support(self) -> Support:
-        nonzero = (self.mats != 0).reshape(-1, self.big_n, self.big_n)
-        rows = np.flatnonzero(nonzero.any(axis=(0, 2)))
-        cols = np.flatnonzero(nonzero.any(axis=(0, 1)))
+        nonzero = (self.mats != 0).any(axis=tuple(range(self.grid.n)))
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        cols = np.flatnonzero(nonzero.any(axis=0))
         full = rows.size == cols.size == self.big_n
         support = Support(rows, cols, self.mats if full else self.mats[..., rows[:, None], cols])
         for a in support:
             a.flags.writeable = False
         return support
 
+    @cached_property
+    def _components(self) -> tuple:
+        """The support's (rows, cols) as component indices: None for all of
+        them, a slice where contiguous, so that products take views."""
+        def index(c):
+            if c.size == self.big_n:
+                return None
+            return slice(c[0], c[-1] + 1) if c[-1] - c[0] + 1 == c.size else c
+        return index(self.support.rows), index(self.support.cols)
+
+    @cached_property
+    def inf_norm(self) -> float:
+        """Sup over the points of the matrices' operator norm."""
+        flat = self.mats.reshape(-1, self.big_n, self.big_n)
+        return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
+
     @classmethod
-    def identity(cls, grid: TorusGrid, big_n: int) -> "MultiplierOp":
+    def identity(cls, grid: TorusGrid, big_n: int):
         eye = np.broadcast_to(np.eye(big_n, dtype=complex), grid.shape + (big_n, big_n))
         return cls(grid, eye.copy())
 
-    def __mul__(self, c) -> "MultiplierOp":
-        return MultiplierOp(self.grid, self.mats * c)
+    def adjoint(self):
+        return type(self)(self.grid, np.conj(np.swapaxes(self.mats, -1, -2)))
 
-    __rmul__ = __mul__
+    def __add__(self, other):
+        return type(self)(self.grid, self.mats + other.mats)
 
-    def adjoint(self) -> "MultiplierOp":
-        return MultiplierOp(self.grid, np.conj(np.swapaxes(self.mats, -1, -2)))
+    def __sub__(self, other):
+        return type(self)(self.grid, self.mats - other.mats)
+
+    def __mul__(self, c):
+        return type(self)(self.grid, self.mats * c)
+
+    def __rmul__(self, c):
+        # c * mats, not mats * c: numpy's complex products differ in the last bit
+        return type(self)(self.grid, c * self.mats)
+
+    def apply(self, u: GridField) -> GridField:
+        return _pointwise(self, u, in_frequency=False)
+
+
+class MultiplierOp(MatrixField):
+    """Frequency-diagonal operator: one N x N matrix per lattice frequency,
+    applied by :func:`apply_multiplier`."""
+
+    def apply(self, u: GridField) -> GridField:
+        return apply_multiplier(self, u)
+
+
+def _pointwise(m: MatrixField, u: GridField, *, in_frequency: bool) -> GridField:
+    """m's support matrices times the components of u that m reads (in
+    frequency: transformed before the product, and back after it), scattered
+    to the components m writes; the other components are zero whatever u
+    holds where m does not read.  Exactly the full product where u is finite."""
+    if m.grid != u.grid or m.big_n != u.big_n:
+        raise ValueError("grid or component mismatch between operator and field")
+    values = u.values
+    if not m.support.rows.size:
+        return GridField(u.grid, np.zeros_like(values))
+    write, read = m._components
+    x = values if read is None else values[..., read]
+    if in_frequency:
+        x = fft_field(u if read is None else GridField(u.grid, x))
+    out = np.einsum("...ij,...j->...i", m.support.mats, x)
+    if in_frequency:
+        if write is None:
+            return ifft_field(u.grid, out)
+        out = ifft_field(u.grid, out).values
+    if write is not None:
+        out, part = np.zeros_like(values), out
+        out[..., write] = part
+    return GridField(u.grid, out)
 
 
 def apply_multiplier(m: MultiplierOp, u: GridField) -> GridField:
-    """FFT of the components m reads, per-frequency product with its
-    restricted matrices, inverse FFT of the components it writes; the other
-    components of the result are zero, whatever u holds where m does not
-    read.  Exactly the full N x N product wherever u is finite."""
-    if m.grid != u.grid or m.big_n != u.big_n:
-        raise ValueError("grid or component mismatch between operator and field")
-    rows, cols, mats = m.support
-    if not rows.size:
-        return GridField(u.grid, np.zeros_like(u.values))
-    read = u if cols.size == m.big_n else GridField(u.grid, u.values.take(cols, axis=-1))
-    out = ifft_field(u.grid, np.einsum("...ij,...j->...i", mats, fft_field(read)))
-    if rows.size == m.big_n:
-        return out
-    values = np.zeros_like(u.values)
-    values[..., rows] = out.values
-    return GridField(u.grid, values)
+    """The product of :func:`_pointwise` in frequency: FFT of the components
+    m reads, product with its support matrices, inverse FFT of those written."""
+    return _pointwise(m, u, in_frequency=True)
 
 
 class SpectralTriple(NamedTuple):
@@ -467,7 +515,7 @@ def random_trials(grid: TorusGrid, big_n: int, trials: int, seed: int) -> GridFi
 def save_field(path, u) -> None:
     """Write a single GridField (tag 1) or a matrix field (tag 2)."""
     vector = isinstance(u, GridField)
-    values = u.single().values if vector else u.values
+    values = u.single().values if vector else u.mats
     tag = LAYOUT_VECTOR if vector else LAYOUT_MATRIX
     header = FIELD_MAGIC + struct.pack(
         "<IIIId", tag, u.grid.n, u.grid.g, values.shape[-1], u.grid.length
@@ -479,7 +527,7 @@ def save_field(path, u) -> None:
 
 
 def load_field(path):
-    """Load a vector field (GridField) or matrix field values from disk."""
+    """Load a vector field (GridField) or a matrix field (MatrixField) from disk."""
     with open(path, "rb") as fh:
         header = fh.read(32)
         if len(header) != 32 or header[:8] != FIELD_MAGIC:
@@ -495,7 +543,5 @@ def load_field(path):
         data = np.frombuffer(fh.read(), dtype=np.complex64).reshape(shape)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite values")
-    values = data.astype(complex)
-    if tag == LAYOUT_VECTOR:
-        return GridField(grid, values)
-    return grid, values
+    field = GridField if tag == LAYOUT_VECTOR else MatrixField
+    return field(grid, data.astype(complex))

@@ -163,7 +163,7 @@ def test_06_perturbation_scaling():
     pair = symbols.dirac_pair_1d()
     grid = torus.TorusGrid(1, 8)
     base = hodge.VariableOp.constant(pair, grid)
-    eye = hodge.MatrixField.identity(grid, 2)
+    eye = torus.MatrixField.identity(grid, 2)
     e1 = hodge.diagonal_direction(grid, 2, 606)
     e2 = hodge.diagonal_direction(grid, 2, 607)
     ratios = {k: [] for k in ("p0", "p_gamma", "p_gamma_tilde", "restricted_inverse")}
@@ -232,7 +232,7 @@ def test_08_block_correspondence():
     grid = torus.TorusGrid(1, 64)
     dsym = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]], dtype=complex)})
     d = dacorr.FirstOrderD.verified(dsym)
-    a = hodge.MatrixField.identity(grid, 1) + 0.05 * hodge.random_direction(grid, 1, 808)
+    a = torus.MatrixField.identity(grid, 1) + 0.05 * hodge.random_direction(grid, 1, 808)
     worst = 0.0
     for f in dacorr.TEST_FAMILY.values():
         worst = max(
@@ -256,14 +256,14 @@ def test_09_holomorphy_and_lipschitz():
     dsym = symbols.HomogeneousSymbol(1, 1, 1, {(1,): np.array([[1.0]], dtype=complex)})
     d = dacorr.FirstOrderD.verified(dsym)
     path = dacorr.CoefficientPath(
-        hodge.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, 909)
+        torus.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, 909)
     )
     u = torus.random_band_limited(grid, 1, seed=909)
     rep = dacorr.holomorphy_probe(path, d, dacorr.f_rational_odd, u, radius=0.3, nodes=16)
     r16, r32 = rep.residual, rep.residual_refined
     assert r16 <= 1e-4, f"residual {r16:.3e}"
     assert r32 <= r16 / 4.0, (r16, r32)
-    eye = hodge.MatrixField.identity(grid, 1)
+    eye = torus.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, 910)
     sweep = dacorr.lipschitz_probe(
         d, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)], dacorr.f_rational_odd,

@@ -291,12 +291,24 @@ class TestSuite:
         assert code == 2
         assert not (tmp_path / "r").exists()
 
+    def test_vector_field_coefficient_file_names_the_layout(self, tmp_path, capsys):
+        grid = torus.TorusGrid(1, 16)  # the hodge-var suite's grid
+        field = tmp_path / "b2.bin"
+        torus.save_field(field, torus.random_band_limited(grid, 2, seed=1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coefficients": {"b2": str(field)}}))
+        code = cli.main(["suite", "hodge-var", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert "error: bad coefficients for probe hodge-var:" in err
+        assert "holds a vector field (layout 1)" in err and "matrix field (layout 2)" in err
+        assert code == 2 and not (tmp_path / "r").exists()
+
     def test_non_finite_coefficient_file_is_named(self, tmp_path, capsys):
         grid = torus.TorusGrid(1, 16)  # the hodge-var suite's grid
-        values = hodge.MatrixField.identity(grid, 2).values.copy()
+        values = torus.MatrixField.identity(grid, 2).mats.copy()
         values[7, 0, 1] = np.nan
         field = tmp_path / "b1.bin"
-        torus.save_field(field, hodge.MatrixField(grid, values))
+        torus.save_field(field, torus.MatrixField(grid, values))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"coefficients": {"b1": str(field)}}))
         code = cli.main(["suite", "hodge-var", "--config", str(cfg), "--out", str(tmp_path / "r")])
@@ -584,23 +596,23 @@ class TestOneGridSymbolPerProbe:
 class TestCoefficientExpressions:
     def test_identity(self, grid16):
         mf = hodge.parse_coefficient("identity", grid16, 2)
-        assert np.allclose(mf.values, np.eye(2))
+        assert np.allclose(mf.mats, np.eye(2))
 
     def test_random_expression(self, grid16):
         mf = hodge.parse_coefficient("identity+0.05*random(7)", grid16, 2)
-        dist = (mf - hodge.MatrixField.identity(grid16, 2)).inf_norm
+        dist = (mf - torus.MatrixField.identity(grid16, 2)).inf_norm
         assert abs(dist - 0.05) < 1e-12
 
     def test_diag_expression_keeps_structure(self, grid16):
         mf = hodge.parse_coefficient("identity+0.1*diagrandom(7)", grid16, 2)
-        off = mf.values.copy()
+        off = mf.mats.copy()
         off[..., np.arange(2), np.arange(2)] = 0.0
         assert np.abs(off).max() == 0.0
 
     def test_file_round_trip(self, grid16, tmp_path):
         mf = hodge.perturbed_identity(grid16, 2, 0.2, 9)
         path = tmp_path / "coef.bin"
-        torus.save_field(path, hodge.MatrixField(grid16, mf.values))
+        torus.save_field(path, mf)
         loaded = hodge.parse_coefficient(str(path), grid16, 2)
         assert (loaded - mf).inf_norm < 1e-6
 

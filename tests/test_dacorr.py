@@ -30,7 +30,7 @@ def f_odd(z):
 
 def composition_fractions(comp, d, f=f_odd, nodes=128):
     """f by its fractions on the contour sized for the coefficient of comp."""
-    dist = (comp.a - hodge.MatrixField.identity(comp.grid, comp.big_n)).inf_norm
+    dist = (comp.a - torus.MatrixField.identity(comp.grid, comp.big_n)).inf_norm
     contour = dacorr.discrete_contour(
         d.params, comp.grid, coeff_distance=dist, coeff_sup=comp.a.inf_norm, nodes=nodes
     )
@@ -39,7 +39,7 @@ def composition_fractions(comp, d, f=f_odd, nodes=128):
 
 class TestBuildBlock:
     def test_identity_recovers_model_pair(self, d_scalar, grid32, dirac_pair):
-        a = hodge.MatrixField.identity(grid32, 1)
+        a = torus.MatrixField.identity(grid32, 1)
         block = dacorr.build_block(d_scalar, a, seed=0)
         ref = hodge.VariableOp.constant(dirac_pair, grid32)
         u = torus.random_band_limited(grid32, 2, seed=1)
@@ -61,7 +61,7 @@ class TestBuildBlock:
         )
 
     def test_zero_coefficient_rejected(self, d_scalar, grid32):
-        zero = hodge.MatrixField(grid32, np.zeros(grid32.shape + (1, 1), dtype=complex))
+        zero = torus.MatrixField(grid32, np.zeros(grid32.shape + (1, 1), dtype=complex))
         with pytest.raises(CoercivityError):
             dacorr.build_block(d_scalar, zero, seed=0)
 
@@ -97,7 +97,7 @@ class TestIntertwine:
 
     def test_identity_coefficient(self, d_scalar, grid32):
         res = dacorr.intertwine_check(
-            d_scalar, hodge.MatrixField.identity(grid32, 1), f_odd,
+            d_scalar, torus.MatrixField.identity(grid32, 1), f_odd,
             trials=1, nodes=128, seed=1,
         )
         assert res <= 1e-8
@@ -362,7 +362,7 @@ class TestFractionRoute:
 
     @pytest.mark.parametrize("probe", ["holomorphy", "lipschitz", "triple"])
     def test_probes_take_only_partial_fractions(self, probe, d_scalar, grid16, dirac_pair):
-        eye = hodge.MatrixField.identity(grid16, 1)
+        eye = torus.MatrixField.identity(grid16, 1)
         u = torus.random_band_limited(grid16, 1, seed=1)
         calls = {
             "holomorphy": lambda f: dacorr.holomorphy_probe(
@@ -441,10 +441,10 @@ class TestStackedCalls:
 
 class TestHolomorphy:
     def test_zero_direction(self, d_scalar, grid32):
-        zero_dir = hodge.MatrixField(
+        zero_dir = torus.MatrixField(
             grid32, np.zeros(grid32.shape + (1, 1), dtype=complex)
         )
-        path = dacorr.CoefficientPath(hodge.MatrixField.identity(grid32, 1), zero_dir)
+        path = dacorr.CoefficientPath(torus.MatrixField.identity(grid32, 1), zero_dir)
         u = torus.random_band_limited(grid32, 1, seed=11)
         rep = dacorr.holomorphy_probe(
             path, d_scalar, dacorr.f_rational_odd, u, radius=0.05, nodes=8
@@ -453,7 +453,7 @@ class TestHolomorphy:
 
     def test_quadrature_order(self, d_scalar, grid32):
         path = dacorr.CoefficientPath(
-            hodge.MatrixField.identity(grid32, 1),
+            torus.MatrixField.identity(grid32, 1),
             hodge.random_direction(grid32, 1, 71),
         )
         u = torus.random_band_limited(grid32, 1, seed=71)
@@ -468,7 +468,7 @@ class TestHolomorphy:
         # the old path: the nodes- and 2 nodes-point circles swept one at a
         # time, each mean summed in node order
         path = dacorr.CoefficientPath(
-            hodge.MatrixField.identity(grid32, 1),
+            torus.MatrixField.identity(grid32, 1),
             hodge.random_direction(grid32, 1, 72),
         )
         u = torus.random_band_limited(grid32, 1, seed=72)
@@ -491,8 +491,8 @@ class TestHolomorphy:
 
     def test_coercivity_floor_aborts(self, d_scalar, grid32):
         # direction -I: the node at z = radius = 1 kills the coefficient
-        minus_eye = -1.0 * hodge.MatrixField.identity(grid32, 1)
-        path = dacorr.CoefficientPath(hodge.MatrixField.identity(grid32, 1), minus_eye)
+        minus_eye = -1.0 * torus.MatrixField.identity(grid32, 1)
+        path = dacorr.CoefficientPath(torus.MatrixField.identity(grid32, 1), minus_eye)
         u = torus.random_band_limited(grid32, 1, seed=12)
         with pytest.raises(ProbeAborted):
             dacorr.holomorphy_probe(
@@ -510,8 +510,8 @@ class TestLipschitz:
         # constant scalar coefficients: the calculus acts frequency-wise as
         # f(c xi), so the difference norm has a closed form
         c, c2 = 1.0, 1.05
-        a = hodge.MatrixField(grid32, np.full(grid32.shape + (1, 1), c, dtype=complex))
-        a2 = hodge.MatrixField(grid32, np.full(grid32.shape + (1, 1), c2, dtype=complex))
+        a = torus.MatrixField(grid32, np.full(grid32.shape + (1, 1), c, dtype=complex))
+        a2 = torus.MatrixField(grid32, np.full(grid32.shape + (1, 1), c2, dtype=complex))
         u = torus.random_band_limited(grid32, 1, seed=13)
         comp = dacorr.composition(d_scalar, a, grid32)
         fa = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar), u)
@@ -529,7 +529,7 @@ class TestLipschitz:
         assert abs(diff_got - diff_exact) <= 1e-2 * diff_exact
 
     def test_three_scale_stability(self, d_scalar, grid32):
-        eye = hodge.MatrixField.identity(grid32, 1)
+        eye = torus.MatrixField.identity(grid32, 1)
         e = hodge.random_direction(grid32, 1, 73)
         sweep = dacorr.lipschitz_probe(
             d_scalar, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)],
@@ -541,7 +541,7 @@ class TestLipschitz:
     def test_sweep_matches_one_member_sweeps(self, d_scalar, grid32):
         # one call per member: the calculus is exact, so the sweep changes
         # no ratio
-        eye = hodge.MatrixField.identity(grid32, 1)
+        eye = torus.MatrixField.identity(grid32, 1)
         e = hodge.random_direction(grid32, 1, 75)
         members = [eye + eps * e for eps in (0.04, 0.02, 0.01)]
         f = dacorr.f_rational_odd

@@ -53,7 +53,7 @@ def dense_via_dft(op):
     def pointwise_dense(mf):
         out = np.zeros((g * n_comp, g * n_comp), dtype=complex)
         for x in range(g):
-            out[x * n_comp:(x + 1) * n_comp, x * n_comp:(x + 1) * n_comp] = mf.values[x]
+            out[x * n_comp:(x + 1) * n_comp, x * n_comp:(x + 1) * n_comp] = mf.mats[x]
         return out
 
     # reorder to match GridField.flat(): component fastest == same layout
@@ -120,7 +120,7 @@ class TestApply:
         # derivative acts)
         coeffs = hodge.CoefficientPair(
             hodge.perturbed_identity(grid16, 2, 0.3, 21, diagonal=True),
-            hodge.MatrixField.identity(grid16, 2),
+            torus.MatrixField.identity(grid16, 2),
         )
         op = hodge.VariableOp(dirac_pair, coeffs, grid16)
         c = torus.GridField(
@@ -164,7 +164,7 @@ class TestDenseOperator:
 
     def test_pointwise_field_is_block_diagonal(self, grid16):
         mf = hodge.perturbed_identity(grid16, 2, 0.3, 22)
-        blocks = mf.values.reshape(-1, 2, 2)
+        blocks = mf.mats.reshape(-1, 2, 2)
         expected = np.zeros((32, 32), dtype=complex)
         for i, b in enumerate(blocks):
             expected[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = b
@@ -180,9 +180,9 @@ class TestCoefficientConditions:
         assert abs(rep.coercivity_primal - 1.0) < 1e-12
 
     def test_scalar_scaling(self, dirac_pair, grid16):
-        two = hodge.MatrixField.identity(grid16, 2) * 2.0
+        two = torus.MatrixField.identity(grid16, 2) * 2.0
         op = hodge.VariableOp(
-            dirac_pair, hodge.CoefficientPair(two, hodge.MatrixField.identity(grid16, 2)),
+            dirac_pair, hodge.CoefficientPair(two, torus.MatrixField.identity(grid16, 2)),
             grid16,
         )
         rep = hodge.check_coefficient_conditions(op, seed=2)
@@ -193,7 +193,7 @@ class TestCoefficientConditions:
         vals = np.broadcast_to(np.eye(2), grid16.shape + (2, 2)).copy().astype(complex)
         vals[..., 1, 0] = 0.3
         bad = hodge.CoefficientPair(
-            hodge.MatrixField(grid16, vals), hodge.MatrixField.identity(grid16, 2)
+            torus.MatrixField(grid16, vals), torus.MatrixField.identity(grid16, 2)
         )
         rep = hodge.check_coefficient_conditions(
             hodge.VariableOp(dirac_pair, bad, grid16), seed=3
@@ -293,7 +293,7 @@ class TestVariableProjections:
         # see TestApply.test_constant_field_annihilated: constant B2 regime
         coeffs = hodge.CoefficientPair(
             hodge.perturbed_identity(grid16, 2, 0.1, 22, diagonal=True),
-            hodge.MatrixField.identity(grid16, 2),
+            torus.MatrixField.identity(grid16, 2),
         )
         op = hodge.VariableOp(dirac_pair, coeffs, grid16)
         c = torus.GridField(
@@ -369,10 +369,17 @@ class TestSwapOperator:
         u = torus.random_band_limited(grid16, 2, seed=11)
         assert rel_err(sw.apply(u).values, op.apply(u).values) < 1e-12
 
+    def test_swap_takes_the_multipliers_exchanged(self, var_op16):
+        swapped = hodge.swap_operator(var_op16)
+        assert swapped.gamma_op is var_op16.gamma_tilde_op
+        assert swapped.gamma_tilde_op is var_op16.gamma_op
+        fresh = torus.GridSymbol(swapped.pair.gamma, swapped.grid).multiplier()
+        assert np.array_equal(swapped.gamma_op.mats, fresh.mats)
+
     def test_double_swap_restores(self, var_op16):
         back = hodge.swap_operator(hodge.swap_operator(var_op16))
         assert back.pair == var_op16.pair
-        assert np.array_equal(back.coeffs.b1.values, var_op16.coeffs.b1.values)
+        assert np.array_equal(back.coeffs.b1.mats, var_op16.coeffs.b1.mats)
 
     def test_nonzero_spectra_agree(self, dirac_pair):
         grid = torus.TorusGrid(1, 8)
@@ -452,7 +459,7 @@ class TestPerturbationReport:
         base = hodge.VariableOp.constant(dirac_pair, grid)
         e1 = hodge.diagonal_direction(grid, 2, 41)
         e2 = hodge.diagonal_direction(grid, 2, 42)
-        eye = hodge.MatrixField.identity(grid, 2)
+        eye = torus.MatrixField.identity(grid, 2)
         ratios = []
         for d in (0.02, 0.01, 0.005):
             coeffs = hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2)

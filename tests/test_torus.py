@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from opcalc import cli, hodge, krylov, matcalc, quadest, symbols, torus
+from opcalc import cli, dacorr, hodge, krylov, matcalc, quadest, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
 from conftest import bandpass, plane_wave, rel_err, zero_field, zero_mode
@@ -182,6 +182,82 @@ class TestSupport:
         assert counts["matvecs"] > 2
         # one preconditioner application per matvec, none elsewhere
         assert counts["values"] == 14 * grid.size * counts["matvecs"]
+
+
+def default_op(pair, grid):
+    """The VariableOp of the suites' default coefficients at seed 0."""
+    b1, b2 = (hodge.parse_coefficient(f"identity+0.05*diagrandom({s})", grid, pair.big_n)
+              for s in (23, 24))
+    return hodge.VariableOp(pair, hodge.CoefficientPair(b1, b2), grid)
+
+
+class TestCoefficientSupport:
+    @pytest.mark.parametrize("name", ["graddiv2d", "dirac1d"])
+    def test_equals_full_product_bitwise(self, name, dirac_pair, grad_div_pair):
+        pair, grid = {"graddiv2d": (grad_div_pair, torus.TorusGrid(2, 16)),
+                      "dirac1d": (dirac_pair, torus.TorusGrid(1, 16))}[name]
+        op = default_op(pair, grid)
+        a = hodge.perturbed_identity(grid, 1, 0.05, 7)
+        block = dacorr.block_coefficients(a)
+        fields = (op.coeffs.b1, op.coeffs.b2, op.twisted_coeffs.b1, op.twisted_coeffs.b2,
+                  block.b1, block.b2, hodge.perturbed_identity(grid, pair.big_n, 0.05, 8))
+        partial = 0
+        for m in fields:
+            rows, cols, _ = m.support
+            partial += rows.size < m.big_n or cols.size < m.big_n
+            # a single field and a stack of one dense_operator chunk
+            for u in (torus.random_band_limited(grid, m.big_n, seed=3),
+                      torus.random_trials(grid, m.big_n, hodge.DENSE_CHUNK, seed=4)):
+                want = np.einsum("...ij,...j->...i", m.mats, u.values)
+                assert np.array_equal(m.apply(u).values, want)
+        assert partial == 4
+
+    @pytest.mark.parametrize("name", ["graddiv2d", "dirac1d"])
+    def test_twisted_product_equals_full_coefficients_bitwise(
+        self, name, dirac_pair, grad_div_pair
+    ):
+        pair, grid = {"graddiv2d": (grad_div_pair, torus.TorusGrid(2, 16)),
+                      "dirac1d": (dirac_pair, torus.TorusGrid(1, 16))}[name]
+        for op in (default_op(pair, grid), hodge.VariableOp(pair, hodge.CoefficientPair(
+                *(hodge.perturbed_identity(grid, pair.big_n, 0.05, s) for s in (5, 6))), grid)):
+            for u in (torus.random_band_limited(grid, op.big_n, seed=3),
+                      torus.random_trials(grid, op.big_n, hodge.DENSE_CHUNK, seed=4)):
+                b2u = np.einsum("...ij,...j->...i", op.coeffs.b2.mats, u.values)
+                mid = torus.apply_multiplier(op.gamma_tilde_op, torus.GridField(grid, b2u))
+                want = np.einsum("...ij,...j->...i", op.coeffs.b1.mats, mid.values)
+                assert np.array_equal(op.apply_twisted(u).values, want)
+
+    def test_graddiv_twisted_coeffs_act_on_gamma_tilde_support(self, grad_div_pair):
+        op = default_op(grad_div_pair, torus.TorusGrid(2, 16))
+        b1, b2 = op.twisted_coeffs.b1, op.twisted_coeffs.b2
+        assert b2.support.rows.tolist() == [1, 2] and b1.support.cols.tolist() == [0]
+        # the diagonal defaults: B2 reads what it writes, B1 writes component 0 only
+        assert b2.support.cols.tolist() == [1, 2] and b1.support.rows.tolist() == [0]
+        assert b2.support.mats.shape == (16, 16, 2, 2) and b1.support.mats.shape == (16, 16, 1, 1)
+
+    def test_twisted_coeffs_are_cached_per_operator(self, grad_div_pair):
+        grid = torus.TorusGrid(2, 16)
+        op, again = default_op(grad_div_pair, grid), default_op(grad_div_pair, grid)
+        assert op.twisted_coeffs is op.twisted_coeffs
+        assert "twisted_coeffs" not in vars(again)
+        assert op.twisted_coeffs is not again.twisted_coeffs
+
+    def test_mats_are_read_only(self, dirac_pair, grid16, tmp_path):
+        coeff = hodge.parse_coefficient("identity+0.05*diagrandom(3)", grid16, 2)
+        path = tmp_path / "coeff.bin"
+        torus.save_field(path, coeff)
+        op = default_op(dirac_pair, grid16)
+        for m in (coeff, torus.load_field(path), op.twisted_coeffs.b1, coeff + coeff):
+            for a in (m.mats, *m.support):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_multiplier_is_a_matrix_field_applied_in_frequency(self, dirac64):
+        m = dirac64.multiplier()
+        u = torus.random_band_limited(dirac64.grid, 2, seed=9)
+        assert isinstance(m, torus.MatrixField) and not hasattr(hodge, "MatrixField")
+        assert type(m.adjoint()) is type(2.0 * m) is torus.MultiplierOp
+        assert np.array_equal(m.apply(u).values, torus.apply_multiplier(m, u).values)
 
 
 def resolvent_family(pair, grid, t):
@@ -427,11 +503,11 @@ class TestFieldIO:
 
         mf = hodge.perturbed_identity(grid16, 2, 0.2, 18)
         path = tmp_path / "coeff.bin"
-        torus.save_field(path, hodge.MatrixField(grid16, mf.values))
-        grid, values = torus.load_field(path)
-        assert grid == grid16
-        assert values.shape == grid16.shape + (2, 2)
-        assert rel_err(values, mf.values) < 1e-6
+        torus.save_field(path, mf)
+        loaded = torus.load_field(path)
+        assert isinstance(loaded, torus.MatrixField) and loaded.grid == grid16
+        assert loaded.mats.shape == grid16.shape + (2, 2)
+        assert rel_err(loaded.mats, mf.mats) < 1e-6
 
     def test_header_layout(self, grid16, tmp_path):
         u = zero_field(grid16, 2)
@@ -452,7 +528,7 @@ class TestFieldIO:
         values = np.ones(grid16.shape + shape, dtype=complex)
         values[3, ..., 0] = np.nan
         path = tmp_path / "field.bin"
-        field = torus.GridField if len(shape) == 1 else hodge.MatrixField
+        field = torus.GridField if len(shape) == 1 else torus.MatrixField
         torus.save_field(path, field(grid16, values))
         with pytest.raises(ValueError, match="non-finite"):
             torus.load_field(path)
