@@ -478,7 +478,7 @@ def probe_block(seed, grid, eps, trials):
     d = dacorr.FirstOrderD.verified(DX)
     a = hodge.perturbed_identity(grid, 1, eps, seed + 67)
     block = dacorr.build_block(d, a, seed=seed)
-    comp = dacorr.composition(d, a, grid)
+    comp = dacorr.CompositionOp(d, a)
     u2 = torus.random_band_limited(grid, 2, seed=seed + 2)
     u1c, u2c = dacorr.split_components(u2, 1)
     direct = dacorr.stack_components(
@@ -542,10 +542,8 @@ def probe_lipschitz(seed, grid, deltas, trials, triple_g):
     triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, dacorr.f_rational_odd, u)
     return (
         "lipschitz",
-        {"sweep": ratios, "spread": spread,
-         "triple_identity_residual": triple["identity_residual"]},
-        {"stable_band": spread <= 4.0,
-         "triple_identity": triple["identity_residual"] <= 1e-8},
+        {"sweep": ratios, "spread": spread, "triple_identity_residual": triple},
+        {"stable_band": spread <= 4.0, "triple_identity": triple <= 1e-8},
     )
 
 

@@ -191,14 +191,19 @@ class HodgeProjections:
     report: dict | None = None
 
 
+# Largest condition number of the joined kernel/range basis matrix that the
+# constant Hodge projections accept.
+HODGE_COND_LIMIT = 1e12
+
+
 def constant_hodge_projections(
-    pair: symbols.HodgeDiracSymbolPair, grid: torus.TorusGrid, *, cond_limit=1e12
+    pair: symbols.HodgeDiracSymbolPair, grid: torus.TorusGrid
 ) -> HodgeProjections:
     """Frequency-wise projections onto kernel / range(gamma) / range(gamma_tilde).
 
     At each frequency the three subspace bases are joined into a basis
     matrix which is inverted; failure to span, or a condition number above
-    cond_limit, raises DecompositionFailure at the first such frequency.
+    HODGE_COND_LIMIT, raises DecompositionFailure at the first such frequency.
     The zero frequency carries p0 = I.
     """
     n_comp = pair.big_n
@@ -207,7 +212,7 @@ def constant_hodge_projections(
     gt = torus.GridSymbol(pair.gamma_tilde, grid).mats.reshape(-1, n_comp, n_comp)
     p0, pg, pgt = matcalc.subspace_projections(
         [(g + gt, "ker"), (g, "ran"), (gt, "ran")],
-        cond_limit=cond_limit,
+        cond_limit=HODGE_COND_LIMIT,
         fail=lambda msg, i: DecompositionFailure(msg, xi=lattice[i]),
     )
     shape = grid.shape + (n_comp, n_comp)

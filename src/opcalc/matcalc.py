@@ -274,7 +274,7 @@ def split_via_bases(t) -> tuple[np.ndarray, np.ndarray]:
     return p_ker[0], p_ran[0]
 
 
-def spectral_split(t, *, check=True):
+def spectral_split(t):
     """Complementary projections (p_ker, p_ran) onto ker(T) and ran(T).
 
     p_ker is computed as the Riesz contour integral of the resolvent
@@ -282,8 +282,8 @@ def spectral_split(t, *, check=True):
     defective eigenvalue (rank T^2 < rank T), in which case no such
     splitting exists, and when the eigenvalues do not separate into a zero
     cluster of size dim ker(T) and a nonzero rest.  The circle carries 128
-    trapezoid nodes.  With ``check=True`` the result is cross-checked
-    against the dense invariant-subspace oracle, to SPLIT_CHECK_TOL.
+    trapezoid nodes.  The result is cross-checked against the dense
+    invariant-subspace oracle, to SPLIT_CHECK_TOL.
     """
     a = _as_matrix(t)
     n = a.shape[0]
@@ -314,10 +314,9 @@ def spectral_split(t, *, check=True):
     res = np.linalg.solve(zs[:, None, None] * np.eye(n) - a, rhs)
     p_ker = np.einsum("k,kij->ij", zs, res) / nodes
     p_ran = np.eye(n) - p_ker
-    if check:
-        pk_oracle, _ = split_via_bases(a)
-        if operator_norm(p_ker - pk_oracle) > SPLIT_CHECK_TOL * max(1.0, operator_norm(p_ker)):
-            raise SplitUndefined("contour and subspace splittings disagree")
+    pk_oracle, _ = split_via_bases(a)
+    if operator_norm(p_ker - pk_oracle) > SPLIT_CHECK_TOL * max(1.0, operator_norm(p_ker)):
+        raise SplitUndefined("contour and subspace splittings disagree")
     return p_ker, p_ran
 
 

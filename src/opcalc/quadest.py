@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,18 +111,9 @@ def bandpass_fields_constant(
     scales: DyadicScales,
 ) -> list[torus.GridField]:
     """Q_t u for every dyadic t in the window (constant coefficients: ``gs``
-    is the total symbol of the pair on u's grid).
-
-    u is transformed once to the eigen-coordinates of the symbol, where each
-    scale is the scalar t lam / (1 + t^2 lam^2); one scale is formed at a
-    time.
-    """
-    hat, w = gs.to_spectral(u)
-    out = []
-    for t in scales.scales():
-        phi, mask = gs.bandpass_spectral(t)
-        out.append(gs.from_spectral(phi, w, hat, mask, functools.partial(gs.bandpass_at, t)))
-    return out
+    is the total symbol of the pair on u's grid), one scale formed at a time
+    on u's eigen-coordinates."""
+    return list(gs.apply((gs.bandpass(t) for t in scales.scales()), u))
 
 
 def bandpass_fields_variable(
@@ -132,17 +125,6 @@ def bandpass_fields_variable(
     return [hodge.resolvent_halves(op, t, u)[1] for t in scales.scales()]
 
 
-def _telescoped(scales: DyadicScales, term: Callable, mul: Callable):
-    """(3/2) sum_k mul(term(2^k), term(2^{k+1})), one scale at a time."""
-    nxt = term(2.0**scales.k_min)
-    acc = None
-    for k in scales.ks:
-        cur, nxt = nxt, term(2.0 ** (k + 1))
-        prod = mul(cur, nxt)
-        acc = prod if acc is None else acc + prod
-    return 1.5 * acc
-
-
 def reproducing_sum(
     gs: torus.GridSymbol,
     u: torus.GridField,
@@ -152,20 +134,12 @@ def reproducing_sum(
 
     Telescopes to the projection onto the closure of the range as the
     window widens; the residual against that projection is the quantity
-    tests track.  The sum is a scalar function of the symbol, formed on its
-    eigenvalues and applied once.
+    tests track.  The sum is one function of the symbol, built two scales
+    at a time and applied once.
     """
-    masks = []
-
-    def band(t):
-        phi, mask = gs.bandpass_spectral(t)
-        masks.append(mask)
-        return phi
-
-    coeff = _telescoped(scales, band, np.multiply)
-    hat, w = gs.to_spectral(u)
-    fallback = lambda m: _telescoped(scales, lambda t: gs.bandpass_at(t, m), np.matmul)
-    return gs.from_spectral(coeff, w, hat, np.logical_or.reduce(masks), fallback)
+    bands = (gs.bandpass(2.0**k) for k in range(scales.k_min, scales.k_max + 2))
+    total = 1.5 * functools.reduce(operator.add, (a * b for a, b in itertools.pairwise(bands)))
+    return next(gs.apply([total], u))
 
 
 def reproducing_residual(
@@ -201,27 +175,22 @@ def schur_bound_probe(
     """max over (t, s) of ||Q_t f(S) Q_s||_est / eta(s/t).
 
     Operator norms are estimated by maximizing over random band-limited
-    inputs, all on one batch axis; each (t, s) is the scalar
-    q(t lam) f(lam) q(s lam) on the eigen-coordinates of the symbol ``gs``.
+    inputs, all on one batch axis; each (t, s) is the product of functions
+    of the symbol ``gs``, applied on its eigen-coordinates one at a time.
     """
-    n = gs.symbol.big_n
-    f_lam = gs.spectral_function(f)
-    f_mats = gs.function(f).mats.reshape(-1, n, n)
-    bands = {t: gs.bandpass_spectral(t) for t in set(t_list) | set(s_list)}
-    fields = torus.random_trials(gs.grid, n, trials, seed)
+    f_s = gs.scalar(f)
+    bands = {t: gs.bandpass(t) for t in set(t_list) | set(s_list)}
+    fields = torus.random_trials(gs.grid, gs.symbol.big_n, trials, seed)
     norms = torus.lp_norms(fields, p)
-    hat, w = gs.to_spectral(fields)
+    pairs = [(t, s) for t in t_list for s in s_list]
+    outs = gs.apply((bands[t] * f_s * bands[s] for t, s in pairs), fields)
     table = []
     worst = 0.0
-    for t in t_list:
-        for s in s_list:
-            (phi_t, mask_t), (phi_s, mask_s) = bands[t], bands[s]
-            fallback = lambda m: gs.bandpass_at(t, m) @ f_mats[m] @ gs.bandpass_at(s, m)
-            out = gs.from_spectral(phi_t * f_lam * phi_s, w, hat, mask_t | mask_s, fallback)
-            est = torus.max_ratio(out, p, norms)
-            ratio = est / eta(s / t)
-            table.append({"t": t, "s": s, "norm_est": est, "ratio": ratio})
-            worst = max(worst, ratio)
+    for (t, s), out in zip(pairs, outs):
+        est = torus.max_ratio(out, p, norms)
+        ratio = est / eta(s / t)
+        table.append({"t": t, "s": s, "norm_est": est, "ratio": ratio})
+        worst = max(worst, ratio)
     return SchurProbeResult(worst, table)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -295,6 +295,34 @@ class SpectralTriple(NamedTuple):
     good: np.ndarray
 
 
+class SpectralFunction(NamedTuple):
+    """A function of S at every frequency: ``coeff`` (F, N), its values on
+    the eigenvalues, and ``at(m)``, its matrices at the frequencies of a
+    mask m, which act instead wherever ``mask`` (F,) is set.
+
+    ``a * b`` and ``a + b`` act on the values and on the matrices alike,
+    with the union of the masks; ``c * a`` scales both.  The composite's
+    ``at`` keeps only the factors' ``at``, not their values."""
+
+    coeff: np.ndarray
+    mask: np.ndarray
+    at: Callable[[np.ndarray], np.ndarray]
+
+    def __mul__(self, other: "SpectralFunction") -> "SpectralFunction":
+        a, b = self.at, other.at
+        mask = self.mask | other.mask
+        return SpectralFunction(self.coeff * other.coeff, mask, lambda m: a(m) @ b(m))
+
+    def __rmul__(self, c: complex) -> "SpectralFunction":
+        at = self.at
+        return SpectralFunction(c * self.coeff, self.mask, lambda m: c * at(m))
+
+    def __add__(self, other: "SpectralFunction") -> "SpectralFunction":
+        a, b = self.at, other.at
+        mask = self.mask | other.mask
+        return SpectralFunction(self.coeff + other.coeff, mask, lambda m: a(m) + b(m))
+
+
 # A denominator 1 + t^2 lam^2 within DENOM_ULPS ulps of zero, relative to
 # 1 + |t^2 lam^2|, takes the inverse formula, which raises where it is singular.
 DENOM_ULPS = 8
@@ -306,11 +334,12 @@ class GridSymbol:
 
     ``mats`` (S on the lattice), ``spectral`` (its eigendecomposition) and
     ``kernel_range`` (its kernel/range split) are computed once and kept
-    read-only.  Scalar function families act on a field
-    transformed once to V^{-1} u_hat, one product per member; frequencies where
-    V is ill-conditioned or a denominator vanishes to rounding keep the inverse
-    formula.  The preconditioners ``resolvent``, ``smoothing`` and ``shifted``
-    are one batched inverse each, not cached.  S(0) = 0 (k >= 1): there the
+    read-only.  ``scalar`` and ``bandpass`` give functions of S as
+    SpectralFunctions, which ``apply`` takes to a field transformed once to
+    V^{-1} u_hat, one product each; frequencies where V is ill-conditioned or
+    a denominator vanishes to rounding keep the matrix formula.  The
+    preconditioners ``resolvent``, ``smoothing`` and ``shifted`` are one
+    batched inverse each, not cached.  S(0) = 0 (k >= 1): there the
     resolvent and smoothing act as the identity and the bandpass as zero.
     """
 
@@ -381,54 +410,55 @@ class GridSymbol:
         preconditions shifted solves."""
         return self._inv(z * self._eye - self.mats, "z - S")
 
-    def spectral_function(self, f: Callable) -> np.ndarray:
-        """f(lam), shape (F, N), where V serves and zero elsewhere."""
+    def scalar(self, f: Callable) -> SpectralFunction:
+        """f(S): f(lam) on the eigenvalues where V serves; ``at`` takes the
+        matrices of :meth:`function`, formed on first use, since a product's
+        mask can take in frequencies where V serves."""
         lam, _, _, good = self.spectral
-        out = np.zeros_like(lam)
-        out[good] = matcalc._feval(f, lam[good].ravel()).reshape(-1, lam.shape[-1])
-        return out
+        coeff = np.zeros_like(lam)
+        coeff[good] = matcalc._feval(f, lam[good].ravel()).reshape(-1, lam.shape[-1])
+        mats = cache(lambda: self.function(f).mats.reshape(self._flat.shape))
+        return SpectralFunction(coeff, ~good, lambda mask: mats()[mask])
 
     def function(self, f: Callable) -> MultiplierOp:
         """f(S(xi)) at every frequency: V f(lam) V^{-1} where V serves, and
         the contour calculus :func:`matcalc.contour_fc` elsewhere."""
         _, v, v_inv, good = self.spectral
-        out = v @ (self.spectral_function(f)[..., None] * v_inv)
+        out = v @ (self.scalar(f).coeff[..., None] * v_inv)
         for idx in np.nonzero(~good)[0]:
             out[idx] = matcalc.contour_fc(self._flat[idx], f)
         return MultiplierOp(self.grid, out.reshape(self.mats.shape))
 
-    def bandpass_spectral(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Q_t = t S (I + t^2 S^2)^{-1} on the eigenvalues, t lam / (1 + t^2
-        lam^2) of shape (F, N), and the mask (F,) of frequencies that take
-        :meth:`bandpass_at` instead: where V does not serve, or where a
-        denominator is zero to within DENOM_ULPS ulps."""
+    def bandpass(self, t: float) -> SpectralFunction:
+        """Q_t = t S (I + t^2 S^2)^{-1}: t lam / (1 + t^2 lam^2) on the
+        eigenvalues, and the inverse formula where V does not serve or a
+        denominator is zero to within DENOM_ULPS ulps, which raises
+        NotInvertible where I + t^2 S^2 is singular."""
         lam, _, _, good = self.spectral
         sq = (t * t) * (lam * lam)
         den = 1.0 + sq
         tiny = np.abs(den) <= DENOM_ULPS * np.finfo(float).eps * (1.0 + np.abs(sq))
         phi = np.divide(t * lam, den, out=np.zeros_like(den), where=~tiny)
-        return phi, ~good | tiny.any(axis=-1)
 
-    def bandpass_at(self, t: float, mask: np.ndarray) -> np.ndarray:
-        """Q_t by the inverse formula at the frequencies of ``mask`` only;
-        NotInvertible where I + t^2 S^2 is singular."""
-        s = self._flat[mask]
-        return t * s @ matcalc._batched_inv(self._eye + (t * t) * (s @ s), "I + t^2 S^2")
+        def at(mask):
+            s = self._flat[mask]
+            return t * s @ matcalc._batched_inv(self._eye + (t * t) * (s @ s), "I + t^2 S^2")
 
-    def to_spectral(self, u: GridField) -> tuple[np.ndarray, np.ndarray]:
-        """(u_hat, V^{-1} u_hat) of a field or a batch, frequencies
-        flattened: each of shape ``u.batch + (F, N)``."""
+        return SpectralFunction(phi, ~good | tiny.any(axis=-1), at)
+
+    def apply(self, fns: Iterable[SpectralFunction], u: GridField) -> Iterator[GridField]:
+        """f(S) u for each f of ``fns`` in turn, u a field or a batch.  u is
+        transformed once to V^{-1} u_hat, and each output is formed only when
+        asked for; at the frequencies of f's mask, f's matrices act on u_hat."""
         hat = fft_field(u).reshape(u.batch + (-1, u.big_n))
-        return hat, np.einsum("fij,...fj->...fi", self.spectral.v_inv, hat)
-
-    def from_spectral(self, coeff, w, hat, mask, fallback: Callable) -> GridField:
-        """The field with coordinates ``coeff * w``, taken back through V and
-        the inverse FFT; at the frequencies of ``mask`` the matrices
-        ``fallback(mask)`` act on ``hat`` instead (called only if any)."""
-        out = np.einsum("fij,...fj->...fi", self.spectral.v, coeff * w)
-        if mask.any():
-            out[..., mask, :] = np.einsum("fij,...fj->...fi", fallback(mask), hat[..., mask, :])
-        return ifft_field(self.grid, out.reshape(hat.shape[:-2] + self.grid.shape + (-1,)))
+        w = np.einsum("fij,...fj->...fi", self.spectral.v_inv, hat)
+        for fn in fns:
+            out = np.einsum("fij,...fj->...fi", self.spectral.v, fn.coeff * w)
+            if fn.mask.any():
+                out[..., fn.mask, :] = np.einsum(
+                    "fij,...fj->...fi", fn.at(fn.mask), hat[..., fn.mask, :]
+                )
+            yield ifft_field(self.grid, out.reshape(hat.shape[:-2] + self.grid.shape + (-1,)))
 
 
 def translate(u: GridField, z) -> GridField:

@@ -160,6 +160,17 @@ def defective_pair_1d():
     return symbols.HodgeDiracSymbolPair(jordan, symbols.HomogeneousSymbol(1, 2, 1, {}))
 
 
+def jordan_symbol_2d():
+    """S(xi) = xi_1 [[1, 1], [0, 1]] (+) xi_2: a Jordan block at the nonzero
+    eigenvalue xi_1 wherever xi_1 != 0.  So V serves only where xi_1 = 0;
+    elsewhere functions of S take their matrix formulas, which exist there
+    (the contour calculus included: no zero eigenvalue is defective)."""
+    return symbols.HomogeneousSymbol(2, 3, 1, {
+        (1, 0): [[1, 1, 0], [0, 1, 0], [0, 0, 0]],
+        (0, 1): [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+    })
+
+
 def zero_mode(op):
     """The matrix of a multiplier at the zero frequency."""
     return op.mats[(0,) * op.grid.n]

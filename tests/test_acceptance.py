@@ -277,10 +277,10 @@ def test_09_holomorphy_and_lipschitz():
     cb = diagonal_coefficients(grid16, 2, 0.02, 913)
     w = torus.random_band_limited(grid16, 2, seed=914)
     triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, dacorr.f_rational_odd, w)
-    assert triple["identity_residual"] <= 1e-8
+    assert triple <= 1e-8
     announce(9, f"holomorphy {r16:.2e} -> {r32:.2e} "
                 f"(16 -> 32 nodes); Lipschitz ratios {['%.3g' % r for r in ratios]}; "
-                f"triple identity {triple['identity_residual']:.2e}")
+                f"triple identity {triple:.2e}")
 
 
 def test_10_smoke_suite_runtime_and_determinism(tmp_path):

@@ -107,7 +107,7 @@ class TestSpectralSplit:
         lam, v = np.linalg.eig(t)
         lam[1] = 0.0
         t = v @ np.diag(lam) @ np.linalg.inv(v)
-        pk, _ = matcalc.spectral_split(t, check=False)
+        pk, _ = matcalc.spectral_split(t)
         pk2, _ = matcalc.split_via_bases(t)
         assert np.linalg.norm(pk - pk2) < 1e-9
 

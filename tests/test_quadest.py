@@ -1,4 +1,8 @@
+import importlib.util
+import inspect
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,11 @@ from opcalc import cli, hodge, krylov, quadest, torus
 from opcalc.errors import SplitUndefined
 
 from conftest import (
+    bandpass,
     bandpass_fields_by_inverse,
     defective_pair_1d,
     diagonal_coefficients,
+    jordan_symbol_2d,
     plane_wave,
     rel_err,
     reproducing_sum_by_inverse,
@@ -204,12 +210,61 @@ class TestSpectralRoute:
         gs = torus.GridSymbol(pair.total(), grid)
         # V is used at the zero frequency only
         assert np.array_equal(np.nonzero(gs.spectral.good)[0], [0])
-        _, mask = gs.bandpass_spectral(1.0)
-        assert np.array_equal(mask, ~gs.spectral.good)
+        assert np.array_equal(gs.bandpass(1.0).mask, ~gs.spectral.good)
         # f(S) falls back to the contour calculus, which has no splitting
         # at a defective zero eigenvalue
         with pytest.raises(SplitUndefined):
             quadest.schur_bound_probe(gs, lambda z: z, [1.0], [1.0], trials=1)
+
+
+    def test_masked_schur_table_takes_the_composed_matrices(self):
+        # V serves only where xi_1 = 0: elsewhere every Q_t f(S) Q_s is the
+        # product of the inverse formulas and f(S) by the contour calculus
+        grid = torus.TorusGrid(2, 4)
+        gs = torus.GridSymbol(jordan_symbol_2d(), grid)
+        assert 0 < gs.bandpass(1.0).mask.sum() < grid.size
+        ts = [0.5, 2.0]
+        got = quadest.schur_bound_probe(gs, lambda z: z / (1 + z * z), ts, ts, trials=3, seed=5)
+        # f(z) = z / (1 + z^2) is Q_1
+        fields = torus.random_trials(grid, 3, 3, 5)
+        norms = torus.lp_norms(fields, 2.0)
+        for row in got.table:
+            mats = bandpass(gs, row["t"]).mats @ bandpass(gs, 1.0).mats @ bandpass(gs, row["s"]).mats
+            want = torus.max_ratio(torus.MultiplierOp(grid, mats).apply(fields), 2.0, norms)
+            assert abs(row["norm_est"] - want) <= 1e-12 * want
+
+    def test_reproducing_sum_holds_two_scales_at_a_time(self):
+        pair = cli.load_symbol_arg("bundled:graddiv2d")
+        gs = torus.GridSymbol(pair.total(), torus.TorusGrid(2, 64))
+        u = torus.random_band_limited(gs.grid, pair.big_n, seed=1)
+        one = gs.spectral.lam.nbytes  # one scale's values, (F, N) complex
+        tracemalloc.start()
+        try:
+            quadest.reproducing_sum(gs, u, quadest.DyadicScales(-16, 17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 9 arrays of that size: a bandpass's temporaries, the pair in
+        # hand, the running sum and the transformed field.  The 35 scales
+        # kept alive at once would take 35.
+        assert peak < 16 * one
+
+
+def test_the_benchmark_tracer_finds_its_quadest_stages():
+    # perfbench/tracing.py wraps these public functions by name and skips a
+    # name that no longer resolves without a word
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = {n for stage in tracing.STAGES.values() for n in stage if n.startswith("quadest.")}
+    assert names >= {
+        "quadest.bandpass_fields_constant", "quadest.bandpass_fields_variable",
+        "quadest.reproducing_sum", "quadest.reproducing_residual",
+    }
+    for name in names:
+        fn = getattr(quadest, name.split(".", 1)[1], None)
+        assert inspect.isfunction(fn) and fn.__module__ == quadest.__name__, name
 
 
 class TestQuadraticEstimate:

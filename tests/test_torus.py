@@ -6,7 +6,7 @@ import pytest
 from opcalc import cli, dacorr, hodge, krylov, matcalc, quadest, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
-from conftest import bandpass, plane_wave, rel_err, zero_field, zero_mode
+from conftest import bandpass, jordan_symbol_2d, plane_wave, rel_err, zero_field, zero_mode
 
 
 def dft_matrix(g):
@@ -389,14 +389,65 @@ class TestResolventMultipliers:
         at_one = np.abs(grid.lattice[:, 0]) == 1.0
         assert gs.spectral.good.all()
         assert np.abs(1.0 + gs.spectral.lam[at_one] ** 2).min() < 1e-15
-        phi, mask = gs.bandpass_spectral(1.0)
-        assert np.array_equal(mask, at_one)
-        assert np.all(np.isfinite(phi))
+        q = gs.bandpass(1.0)
+        assert np.array_equal(q.mask, at_one)
+        assert np.all(np.isfinite(q.coeff))
         u = torus.random_band_limited(grid, 2, seed=1)
         with pytest.raises(NotInvertible):
             quadest.bandpass_fields_constant(gs, u, quadest.DyadicScales(-2, 2))
         # away from t = 1 no denominator vanishes and nothing is masked
-        assert not gs.bandpass_spectral(0.75)[1].any()
+        assert not gs.bandpass(0.75).mask.any()
+
+
+class TestSpectralFunction:
+    """Functions of S carry their matrix formulas through products, sums and
+    scalings, for the frequencies where the eigenvalue route does not serve."""
+
+    def test_composites_equal_the_matrix_formulas_bitwise(self):
+        grid = torus.TorusGrid(2, 4)
+        gs = torus.GridSymbol(jordan_symbol_2d(), grid)
+        f = lambda z: z / (1 + z * z)
+        a, b, fs = gs.bandpass(0.5), gs.bandpass(2.0), gs.scalar(f)
+        m = a.mask
+        assert np.array_equal(m, grid.lattice[..., 0].ravel() != 0)
+        qa, qb = (bandpass(gs, t).mats.reshape(-1, 3, 3)[m] for t in (0.5, 2.0))
+        f_mats = gs.function(f).mats.reshape(-1, 3, 3)[m]
+        assert np.array_equal(a.at(m), qa) and np.array_equal(fs.at(m), f_mats)
+        for got, want in [
+            (a * b, qa @ qb),
+            (a + b, qa + qb),
+            (1.5 * a, 1.5 * qa),
+            (a * fs * b, qa @ f_mats @ qb),
+        ]:
+            assert np.array_equal(got.mask, m)
+            assert np.array_equal(got.at(m), want)
+        # a factor masked on part of m only: products and sums take the union
+        part = torus.SpectralFunction(b.coeff, m & (np.arange(m.size) % 2 == 0), b.at)
+        assert np.array_equal((part * a).mask, m) and np.array_equal((part + a).mask, m)
+
+    def test_apply_transforms_once_and_forms_each_output_when_asked(self, monkeypatch):
+        grid = torus.TorusGrid(2, 4)
+        gs = torus.GridSymbol(jordan_symbol_2d(), grid)
+        u = torus.random_trials(grid, 3, 2, seed=7)
+        ts = (0.5, 1.0, 2.0)
+        alone = [next(gs.apply([gs.bandpass(t)], u)) for t in ts]
+        ffts, made = [], []
+        fft = torus.fft_field
+        monkeypatch.setattr(torus, "fft_field", lambda v: ffts.append(1) or fft(v))
+
+        def bands():
+            for t in ts:
+                made.append(t)
+                yield gs.bandpass(t)
+
+        outs = gs.apply(bands(), u)
+        assert not ffts and not made
+        first = next(outs)
+        assert len(ffts) == 1 and made == [0.5]
+        got = [first, *outs]
+        assert len(ffts) == 1 and made == list(ts)
+        for g, w in zip(got, alone, strict=True):
+            assert np.array_equal(g.values, w.values)
 
 
 def per_point_splits(pair, grid):
@@ -410,7 +461,7 @@ def per_point_splits(pair, grid):
     gt = pair.gamma_tilde(grid.lattice).reshape(-1, n, n)
     out = {k: np.empty_like(g) for k in ("p_ker", "p_ran", "p_gamma", "p_gamma_tilde")}
     for i, (a, b) in enumerate(zip(g, gt)):
-        pk, pr = matcalc.spectral_split(a + b, check=False)
+        pk, pr = matcalc.spectral_split(a + b)
         inv_on_range = np.linalg.inv(a + b + pk) @ pr
         out["p_ker"][i], out["p_ran"][i] = pk, pr
         out["p_gamma"][i], out["p_gamma_tilde"][i] = a @ inv_on_range, b @ inv_on_range
