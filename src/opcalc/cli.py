@@ -70,7 +70,7 @@ class ProbeReport:
 def _plain(obj):
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -454,7 +454,7 @@ def probe_reproducing(seed, symbol, grid, windows, tolerance):
 def probe_schur(seed, symbol, grid, trials):
     ts = [2.0**k for k in range(-3, 4, 2)]
     res = quadest.schur_bound_probe(
-        torus.GridSymbol(symbol.total(), grid), dacorr.f_rational_odd, ts, ts, trials=trials,
+        torus.GridSymbol(symbol.total(), grid), matcalc.f_rational_odd, ts, ts, trials=trials,
         seed=seed,
     )
     return (
@@ -490,7 +490,7 @@ def probe_block(seed, grid, eps, trials):
     lhs = hodge.variable_resolvent(block, t, v, rtol=1e-12)
     rhs = dacorr.block_resolvent_product(d, a, t, v)
     factor = torus.lp_norm(lhs - rhs, 2.0) / torus.lp_norm(v, 2.0)
-    inter = dacorr.intertwine_check(d, a, dacorr.f_rational_odd, trials=trials, seed=seed)
+    inter = dacorr.intertwine_check(d, a, matcalc.f_rational_odd, trials=trials, seed=seed)
     return (
         "block-correspondence",
         {"structure_residual": structure, "resolvent_product_residual": factor,
@@ -508,7 +508,7 @@ def probe_holomorphy(seed, grid, circle_nodes):
     )
     radius = 0.3
     rep = dacorr.holomorphy_probe(
-        path, d, dacorr.f_rational_odd, u, radius=radius, nodes=circle_nodes
+        path, d, matcalc.f_rational_odd, u, radius=radius, nodes=circle_nodes
     )
     improves = rep.residual >= 4.0 * rep.residual_refined
     return (
@@ -524,7 +524,7 @@ def probe_lipschitz(seed, grid, deltas, trials, triple_g):
     eye = torus.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, seed + 73)
     reps = dacorr.lipschitz_probe(
-        d, eye, [eye + eps * e for eps in deltas], dacorr.f_rational_odd, trials=trials, seed=seed
+        d, eye, [eye + eps * e for eps in deltas], matcalc.f_rational_odd, trials=trials, seed=seed
     )
     ratios = [{"delta": eps, "ratio": rep.max_ratio} for eps, rep in zip(deltas, reps)]
     vals = [r["ratio"] for r in ratios if r["ratio"] > 0]
@@ -539,7 +539,7 @@ def probe_lipschitz(seed, grid, deltas, trials, triple_g):
         hodge.perturbed_identity(triple_g, 2, 0.03, seed + 84, diagonal=True),
     )
     u = torus.random_band_limited(triple_g, 2, seed=seed + 85)
-    triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, dacorr.f_rational_odd, u)
+    triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, matcalc.f_rational_odd, u)
     return (
         "lipschitz",
         {"sweep": ratios, "spread": spread, "triple_identity_residual": triple},
@@ -614,6 +614,10 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+# the data an OpcalcError may carry, kept beside "error" in a failed report
+ERROR_FIELDS = ("residual", "iterations", "curve", "node", "xi")
+
+
 def _run_probe(job) -> ProbeReport:
     """Run one probe on its read values; an exception becomes a failed report."""
     probe_name, cfg, values = job
@@ -621,11 +625,12 @@ def _run_probe(job) -> ProbeReport:
     try:
         name, constants, passes = PROBES[probe_name](**values)
     except Exception as exc:  # one probe's crash must not take down the suite
-        if not isinstance(exc, OpcalcError):  # a defect, not a numerical verdict
+        constants = {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, OpcalcError):
+            constants |= {k: v for k in ERROR_FIELDS if (v := getattr(exc, k, None)) is not None}
+        else:  # a defect, not a numerical verdict
             traceback.print_exc(file=sys.stderr)
-        name, constants, passes = (
-            probe_name, {"error": f"{type(exc).__name__}: {exc}"}, {"completed": False}
-        )
+        name, passes = probe_name, {"completed": False}
     rep = ProbeReport(name, values["seed"], canonical_digest(cfg), constants, passes)
     rep.timing_s = time.perf_counter() - t0
     return rep

@@ -66,24 +66,21 @@ class CompositionOp:
         return torus.apply_multiplier(self.d_op, self.a.apply(u))
 
 
-def _embed_block(mat: np.ndarray, row: int, col: int, size: int) -> np.ndarray:
-    out = np.zeros((2 * size, 2 * size), dtype=complex)
-    out[row * size : (row + 1) * size, col * size : (col + 1) * size] = mat
-    return out
+def _embed_block(
+    symbol: symbols.HomogeneousSymbol, row: int, col: int, blocks: int
+) -> symbols.HomogeneousSymbol:
+    """``symbol`` as block (row, col) of a blocks x blocks block symbol."""
+    unit = np.zeros((blocks, blocks))
+    unit[row, col] = 1.0
+    coeffs = {theta: np.kron(unit, mat) for theta, mat in symbol.coeffs.items()}
+    return symbols.HomogeneousSymbol(symbol.n, blocks * symbol.big_n, symbol.k, coeffs)
 
 
 def block_pair(d: FirstOrderD) -> symbols.HodgeDiracSymbolPair:
     """Two-component pair with the first-order coefficients in off-diagonal
     blocks: the plain part lowers, the twisted part raises."""
-    n, size = d.symbol.n, d.symbol.big_n
-    g_coeffs = {}
-    gt_coeffs = {}
-    for theta, mat in d.symbol.coeffs.items():
-        g_coeffs[theta] = _embed_block(mat, 1, 0, size)
-        gt_coeffs[theta] = _embed_block(mat, 0, 1, size)
     return symbols.HodgeDiracSymbolPair(
-        symbols.HomogeneousSymbol(n, 2 * size, 1, g_coeffs),
-        symbols.HomogeneousSymbol(n, 2 * size, 1, gt_coeffs),
+        _embed_block(d.symbol, 1, 0, 2), _embed_block(d.symbol, 0, 1, 2)
     )
 
 
@@ -130,20 +127,7 @@ def stack_components(u1: torus.GridField, u2: torus.GridField) -> torus.GridFiel
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class PartialFractions:
-    """sum_k r_k / (z - p_k): simple ``poles`` p_k, ``residues`` r_k; takes
-    arrays.  ``contour`` is the path whose quadrature gave them, if any."""
-
-    poles: tuple[complex, ...]
-    residues: tuple[complex, ...]
-    contour: matcalc.ContourSpec | None = None
-
-    def __call__(self, z):
-        return sum(r / (z - p) for p, r in zip(self.poles, self.residues))
-
-
-def contour_fractions(contour: matcalc.ContourSpec, f: Callable) -> PartialFractions:
+def contour_fractions(contour: matcalc.ContourSpec, f: Callable) -> matcalc.PartialFractions:
     """The quadrature sum_k w_k f(z_k) / (z_k - z) of the Cauchy integral of
     f over ``contour``, as partial fractions: poles z_k, residues -w_k f(z_k).
     Requires f(0) = 0 (every member of the bundled test family vanishes at
@@ -152,7 +136,7 @@ def contour_fractions(contour: matcalc.ContourSpec, f: Callable) -> PartialFract
         raise ValueError("contour fractions require f(0) = 0")
     z, w = (q.ravel() for q in contour.quadrature)
     r = -w * matcalc._feval(f, z)
-    return PartialFractions(tuple(z.tolist()), tuple(r.tolist()), contour)
+    return matcalc.PartialFractions(tuple(z.tolist()), tuple(r.tolist()), contour)
 
 
 def discrete_contour(
@@ -194,7 +178,7 @@ EIG_ROUTE_POLES = 64
 def fraction_calculus(
     apply_fn: Callable[[torus.GridField], torus.GridField],
     u: torus.GridField,
-    f: PartialFractions,
+    f: matcalc.PartialFractions,
     *,
     precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
 ) -> torus.GridField:
@@ -230,15 +214,14 @@ def fraction_calculus(
             if f.contour is not None:
                 nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
                 matcalc._check_enclosed(nz, f.contour, 1e-6)
-            f_lam = np.asarray(cs) @ (1 / (np.asarray(f.poles)[:, None] - lam))
-            out = v @ (f_lam[:, None] * np.linalg.solve(v, cols))
+            out = v @ (f(lam)[:, None] * np.linalg.solve(v, cols))
     if out is None:
         out = sum(c * np.linalg.solve(p * np.eye(dim) - a, cols) for p, c in zip(f.poles, cs))
     return torus.GridField(u.grid, out.T.reshape(u.values.shape))
 
 
 def composition_calculus(
-    op: CompositionOp, f: PartialFractions, u: torus.GridField
+    op: CompositionOp, f: matcalc.PartialFractions, u: torus.GridField
 ) -> torus.GridField:
     """f(D A) u, preconditioned by the shifted symbol of D."""
     return fraction_calculus(op.apply, u, f, precond_for=op.symbol.shifted)
@@ -262,7 +245,7 @@ def intertwine_check(
     block_op = build_block(d, a, seed=seed)
     comp = CompositionOp(d, a)
     f_block = f_comp = f
-    if not isinstance(f, PartialFractions):
+    if not isinstance(f, matcalc.PartialFractions):
 
         def sized(dist, sup):
             contour = discrete_contour(
@@ -376,16 +359,8 @@ def build_similarity(
         )
 
     # constant-coefficient symbol of the tripled operator, for preconditioning
-    tri_coeffs = {}
-    for theta in set(pair.gamma.coeffs) | set(pair.gamma_tilde.coeffs):
-        g = pair.gamma.coeffs.get(theta, np.zeros((size, size)))
-        gtm = pair.gamma_tilde.coeffs.get(theta, np.zeros((size, size)))
-        block = np.zeros((3 * size, 3 * size), dtype=complex)
-        block[size : 2 * size, 2 * size :] = gtm
-        block[2 * size :, size : 2 * size] = g
-        tri_coeffs[theta] = block
     tri_symbol = torus.GridSymbol(
-        symbols.HomogeneousSymbol(pair.n, 3 * size, 1, tri_coeffs), grid
+        _embed_block(pair.gamma_tilde, 1, 2, 3) + _embed_block(pair.gamma, 2, 1, 3), grid
     )
     return SimilarityMaps(split, assemble, triple_apply, tri_symbol, size)
 
@@ -424,7 +399,7 @@ class HolomorphyReport:
 def holomorphy_probe(
     path: CoefficientPath,
     d: FirstOrderD,
-    f: PartialFractions,
+    f: matcalc.PartialFractions,
     u: torus.GridField,
     *,
     radius: float,
@@ -441,7 +416,7 @@ def holomorphy_probe(
     (ProbeAborted names the first node that fails it), and one
     :func:`fraction_calculus` call.
     """
-    if not isinstance(f, PartialFractions):
+    if not isinstance(f, matcalc.PartialFractions):
         raise TypeError("the holomorphy probe takes f as PartialFractions")
     grid = u.grid
     zs = radius * np.exp(2j * math.pi * np.arange(2 * nodes) / (2 * nodes))
@@ -497,7 +472,7 @@ def lipschitz_probe(
     d: FirstOrderD,
     a: torus.MatrixField,
     a_tildes: Sequence[torus.MatrixField],
-    f: PartialFractions,
+    f: matcalc.PartialFractions,
     *,
     trials: int = 3,
     p: float = 2.0,
@@ -509,7 +484,7 @@ def lipschitz_probe(
     f(DA)U on the stack U of random trials and ||f||_sup are computed once
     for the whole sweep.
     """
-    if not isinstance(f, PartialFractions):
+    if not isinstance(f, matcalc.PartialFractions):
         raise TypeError("the Lipschitz probe takes f as PartialFractions")
     theta = 0.5 * (d.params.omega + math.pi / 2)
     f_sup = sup_norm_on_bisector(f, theta)
@@ -531,7 +506,7 @@ def lipschitz_triple_decomposition(
     pair: symbols.HodgeDiracSymbolPair,
     coeffs_a: hodge.CoefficientPair,
     coeffs_b: hodge.CoefficientPair,
-    f: PartialFractions,
+    f: matcalc.PartialFractions,
     u: torus.GridField,
 ) -> float:
     """Residual of the direct difference of the transported calculi against
@@ -541,7 +516,7 @@ def lipschitz_triple_decomposition(
     The identity is algebraically exact; the residual reflects round-off
     and solver tolerance only.
     """
-    if not isinstance(f, PartialFractions):
+    if not isinstance(f, matcalc.PartialFractions):
         raise TypeError("the triple decomposition takes f as PartialFractions")
     grid = u.grid
     maps_a = build_similarity(pair, coeffs_a, grid)
@@ -566,12 +541,9 @@ def lipschitz_triple_decomposition(
     return torus.lp_norm(direct - recombined, 2.0) / max(torus.lp_norm(u, 2.0), 1e-300)
 
 
-# Bundled bounded-holomorphic test family; every member vanishes at 0 and
-# is bounded on any bisector of half-angle < pi/4.  z / (1 + z^2), by its
-# partial fractions:
-f_rational_odd = PartialFractions((1j, -1j), (0.5, 0.5))
-
-
+# Bundled bounded-holomorphic test family, with matcalc.f_rational_odd;
+# every member vanishes at 0 and is bounded on any bisector of half-angle
+# < pi/4.
 def f_rational_even(z):
     z2 = z * z
     return z2 / (1.0 + z2) ** 2
@@ -582,7 +554,7 @@ def f_sign_approx(z, eps: float = 0.1):
 
 
 TEST_FAMILY = {
-    "rational_odd": f_rational_odd,
+    "rational_odd": matcalc.f_rational_odd,
     "rational_even": f_rational_even,
     "sign_approx": f_sign_approx,
 }

@@ -14,11 +14,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import hodge, torus
+from . import hodge, matcalc, torus
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,7 +164,7 @@ class SchurProbeResult:
 
 def schur_bound_probe(
     gs: torus.GridSymbol,
-    f: Callable,
+    f: matcalc.PartialFractions,
     t_list: Sequence[float],
     s_list: Sequence[float],
     *,
@@ -176,9 +176,10 @@ def schur_bound_probe(
 
     Operator norms are estimated by maximizing over random band-limited
     inputs, all on one batch axis; each (t, s) is the product of functions
-    of the symbol ``gs``, applied on its eigen-coordinates one at a time.
+    of the symbol ``gs``, f by its partial fractions, applied on its
+    eigen-coordinates one at a time.
     """
-    f_s = gs.scalar(f)
+    f_s = gs.fractions(f)
     bands = {t: gs.bandpass(t) for t in set(t_list) | set(s_list)}
     fields = torus.random_trials(gs.grid, gs.symbol.big_n, trials, seed)
     norms = torus.lp_norms(fields, p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -323,8 +323,8 @@ class SpectralFunction(NamedTuple):
         return SpectralFunction(self.coeff + other.coeff, mask, lambda m: a(m) + b(m))
 
 
-# A denominator 1 + t^2 lam^2 within DENOM_ULPS ulps of zero, relative to
-# 1 + |t^2 lam^2|, takes the inverse formula, which raises where it is singular.
+# An eigenvalue within DENOM_ULPS ulps of a pole p, relative to |lam| + |p|,
+# takes the resolvent sum, which raises where S - p is singular.
 DENOM_ULPS = 8
 
 
@@ -334,10 +334,10 @@ class GridSymbol:
 
     ``mats`` (S on the lattice), ``spectral`` (its eigendecomposition) and
     ``kernel_range`` (its kernel/range split) are computed once and kept
-    read-only.  ``scalar`` and ``bandpass`` give functions of S as
-    SpectralFunctions, which ``apply`` takes to a field transformed once to
-    V^{-1} u_hat, one product each; frequencies where V is ill-conditioned or
-    a denominator vanishes to rounding keep the matrix formula.  The
+    read-only.  ``fractions`` gives a function of S by its partial fractions
+    as a SpectralFunction, which ``apply`` takes to a field transformed once
+    to V^{-1} u_hat, one product each; frequencies where V is ill-conditioned
+    or an eigenvalue is a pole to rounding take the resolvent sum.  The
     preconditioners ``resolvent``, ``smoothing`` and ``shifted`` are one
     batched inverse each, not cached.  S(0) = 0 (k >= 1): there the
     resolvent and smoothing act as the identity and the bandpass as zero.
@@ -410,41 +410,26 @@ class GridSymbol:
         preconditions shifted solves."""
         return self._inv(z * self._eye - self.mats, "z - S")
 
-    def scalar(self, f: Callable) -> SpectralFunction:
-        """f(S): f(lam) on the eigenvalues where V serves; ``at`` takes the
-        matrices of :meth:`function`, formed on first use, since a product's
-        mask can take in frequencies where V serves."""
+    def fractions(self, f: matcalc.PartialFractions) -> SpectralFunction:
+        """f(S): f(lam) on the eigenvalues where V serves and no eigenvalue
+        lies within DENOM_ULPS ulps of a pole of f; ``at`` is the resolvent
+        sum ``f.of(S)``, which a product's mask can take to any frequency."""
         lam, _, _, good = self.spectral
-        coeff = np.zeros_like(lam)
-        coeff[good] = matcalc._feval(f, lam[good].ravel()).reshape(-1, lam.shape[-1])
-        mats = cache(lambda: self.function(f).mats.reshape(self._flat.shape))
-        return SpectralFunction(coeff, ~good, lambda mask: mats()[mask])
-
-    def function(self, f: Callable) -> MultiplierOp:
-        """f(S(xi)) at every frequency: V f(lam) V^{-1} where V serves, and
-        the contour calculus :func:`matcalc.contour_fc` elsewhere."""
-        _, v, v_inv, good = self.spectral
-        out = v @ (self.scalar(f).coeff[..., None] * v_inv)
-        for idx in np.nonzero(~good)[0]:
-            out[idx] = matcalc.contour_fc(self._flat[idx], f)
-        return MultiplierOp(self.grid, out.reshape(self.mats.shape))
+        size, tol = np.abs(lam), DENOM_ULPS * np.finfo(float).eps
+        near = np.zeros(lam.shape, dtype=bool)
+        for p in f.poles:
+            near |= np.abs(lam - p) <= tol * (size + abs(p))
+        mask = ~good | near.any(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeff = f(lam)
+        coeff[mask] = 0.0
+        return SpectralFunction(coeff, mask, lambda m: f.of(self._flat[m]))
 
     def bandpass(self, t: float) -> SpectralFunction:
-        """Q_t = t S (I + t^2 S^2)^{-1}: t lam / (1 + t^2 lam^2) on the
-        eigenvalues, and the inverse formula where V does not serve or a
-        denominator is zero to within DENOM_ULPS ulps, which raises
-        NotInvertible where I + t^2 S^2 is singular."""
-        lam, _, _, good = self.spectral
-        sq = (t * t) * (lam * lam)
-        den = 1.0 + sq
-        tiny = np.abs(den) <= DENOM_ULPS * np.finfo(float).eps * (1.0 + np.abs(sq))
-        phi = np.divide(t * lam, den, out=np.zeros_like(den), where=~tiny)
-
-        def at(mask):
-            s = self._flat[mask]
-            return t * s @ matcalc._batched_inv(self._eye + (t * t) * (s @ s), "I + t^2 S^2")
-
-        return SpectralFunction(phi, ~good | tiny.any(axis=-1), at)
+        """Q_t = t S (I + t^2 S^2)^{-1} = psi(t S), psi = matcalc.f_rational_odd
+        = z / (1 + z^2); its ``at`` raises NotInvertible where I + t^2 S^2 is
+        singular."""
+        return self.fractions(matcalc.f_rational_odd.scaled(t))
 
     def apply(self, fns: Iterable[SpectralFunction], u: GridField) -> Iterator[GridField]:
         """f(S) u for each f of ``fns`` in turn, u a field or a batch.  u is

@@ -163,8 +163,8 @@ def defective_pair_1d():
 def jordan_symbol_2d():
     """S(xi) = xi_1 [[1, 1], [0, 1]] (+) xi_2: a Jordan block at the nonzero
     eigenvalue xi_1 wherever xi_1 != 0.  So V serves only where xi_1 = 0;
-    elsewhere functions of S take their matrix formulas, which exist there
-    (the contour calculus included: no zero eigenvalue is defective)."""
+    elsewhere a function of S takes its resolvent sum, sum_k r_k (S - p_k)^{-1}
+    over its partial fractions, which exists wherever no eigenvalue is a pole."""
     return symbols.HomogeneousSymbol(2, 3, 1, {
         (1, 0): [[1, 1, 0], [0, 1, 0], [0, 0, 0]],
         (0, 1): [[0, 0, 0], [0, 0, 0], [0, 0, 1]],

@@ -259,14 +259,14 @@ def test_09_holomorphy_and_lipschitz():
         torus.MatrixField.identity(grid, 1), hodge.random_direction(grid, 1, 909)
     )
     u = torus.random_band_limited(grid, 1, seed=909)
-    rep = dacorr.holomorphy_probe(path, d, dacorr.f_rational_odd, u, radius=0.3, nodes=16)
+    rep = dacorr.holomorphy_probe(path, d, matcalc.f_rational_odd, u, radius=0.3, nodes=16)
     r16, r32 = rep.residual, rep.residual_refined
     assert r16 <= 1e-4, f"residual {r16:.3e}"
     assert r32 <= r16 / 4.0, (r16, r32)
     eye = torus.MatrixField.identity(grid, 1)
     e = hodge.random_direction(grid, 1, 910)
     sweep = dacorr.lipschitz_probe(
-        d, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)], dacorr.f_rational_odd,
+        d, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)], matcalc.f_rational_odd,
         trials=2, seed=91,
     )
     ratios = [r.max_ratio for r in sweep]
@@ -276,7 +276,7 @@ def test_09_holomorphy_and_lipschitz():
     ca = diagonal_coefficients(grid16, 2, 0.05, 911)
     cb = diagonal_coefficients(grid16, 2, 0.02, 913)
     w = torus.random_band_limited(grid16, 2, seed=914)
-    triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, dacorr.f_rational_odd, w)
+    triple = dacorr.lipschitz_triple_decomposition(pair, ca, cb, matcalc.f_rational_odd, w)
     assert triple <= 1e-8
     announce(9, f"holomorphy {r16:.2e} -> {r32:.2e} "
                 f"(16 -> 32 nodes); Lipschitz ratios {['%.3g' % r for r in ratios]}; "

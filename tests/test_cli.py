@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from opcalc import cli, hodge, torus
+from opcalc.errors import DecompositionFailure, NotInvertible
 
 from conftest import symbol_to_dict
 
@@ -373,6 +374,26 @@ class TestSuite:
         assert crashed["constants"]["error"].startswith("RuntimeError")
         assert sorted(data) == ["quadest__offdiag", "quadest__quadest", "quadest__translated"]
         assert all(d["pass"] for d in data.values())
+
+    def test_failed_report_keeps_the_error_data(self, tmp_path, monkeypatch, capsys):
+        def stall(**values):
+            raise NotInvertible("injected stall", residual=np.float64(0.25), iterations=40)
+
+        def off_lattice(**values):
+            raise DecompositionFailure("injected split", xi=np.array([1.0, -2.0]))
+
+        monkeypatch.setitem(cli.PROBES, "schur", stall)
+        monkeypatch.setitem(cli.PROBES, "translated", off_lattice)
+        cli.run_suite("quadest", dict(SMALL), tmp_path / "r")
+        capsys.readouterr()
+        read = lambda probe: json.loads((tmp_path / "r" / f"quadest__{probe}.json").read_text())
+        assert read("schur")["constants"] == {
+            "error": "NotInvertible: injected stall", "residual": 0.25, "iterations": 40,
+        }
+        assert read("translated")["constants"] == {
+            "error": "DecompositionFailure: injected split", "xi": [1.0, -2.0],
+        }
+        assert read("schur")["passes"] == {"completed": False}
 
     def test_perturb_suite_emits_ratio_table(self, tmp_path, capsys):
         code = cli.main(

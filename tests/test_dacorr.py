@@ -334,7 +334,7 @@ class TestFractionRoute:
         a = dense_by_columns(apply_fn, grid16, u.big_n)
         cols = u.values.reshape(3, -1).T
         exact = np.linalg.solve(np.eye(len(a)) + a @ a, a @ cols)
-        got = dacorr.fraction_calculus(apply_fn, u, dacorr.f_rational_odd)
+        got = dacorr.fraction_calculus(apply_fn, u, matcalc.f_rational_odd)
         assert got.batch == (3,)
         assert rel_err(got.values.reshape(3, -1).T, exact) < 1e-12
 
@@ -344,10 +344,10 @@ class TestFractionRoute:
     ):
         apply_fn, fields, _, precond_for = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         u = torus.GridField.stack(fields)
-        dense = dacorr.fraction_calculus(apply_fn, u, dacorr.f_rational_odd)
+        dense = dacorr.fraction_calculus(apply_fn, u, matcalc.f_rational_odd)
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
         gmres = dacorr.fraction_calculus(
-            apply_fn, u, dacorr.f_rational_odd, precond_for=precond_for
+            apply_fn, u, matcalc.f_rational_odd, precond_for=precond_for
         )
         assert rel_err(gmres.values, dense.values) < 1e-10
 
@@ -355,10 +355,10 @@ class TestFractionRoute:
         x, y = np.meshgrid(np.linspace(-3, 3, 61), np.linspace(-2.95, 2.95, 60))
         z = x + 1j * y  # no point of the grid is a pole
         exact = z / (1 + z * z)
-        got = dacorr.f_rational_odd(z)
+        got = matcalc.f_rational_odd(z)
         assert got.shape == z.shape
         assert np.abs(got - exact).max() <= 1e-15 * max(np.abs(exact).max(), 1.0)
-        assert dacorr.f_rational_odd(0.0) == 0.0
+        assert matcalc.f_rational_odd(0.0) == 0.0
 
     @pytest.mark.parametrize("probe", ["holomorphy", "lipschitz", "triple"])
     def test_probes_take_only_partial_fractions(self, probe, d_scalar, grid16, dirac_pair):
@@ -447,7 +447,7 @@ class TestHolomorphy:
         path = dacorr.CoefficientPath(torus.MatrixField.identity(grid32, 1), zero_dir)
         u = torus.random_band_limited(grid32, 1, seed=11)
         rep = dacorr.holomorphy_probe(
-            path, d_scalar, dacorr.f_rational_odd, u, radius=0.05, nodes=8
+            path, d_scalar, matcalc.f_rational_odd, u, radius=0.05, nodes=8
         )
         assert rep.residual <= 1e-12
 
@@ -458,7 +458,7 @@ class TestHolomorphy:
         )
         u = torus.random_band_limited(grid32, 1, seed=71)
         rep = dacorr.holomorphy_probe(
-            path, d_scalar, dacorr.f_rational_odd, u, radius=0.05, nodes=8
+            path, d_scalar, matcalc.f_rational_odd, u, radius=0.05, nodes=8
         )
         assert rep.residual <= 1e-4
         assert rep.residual_refined <= rep.residual / 4.0
@@ -474,12 +474,12 @@ class TestHolomorphy:
         u = torus.random_band_limited(grid32, 1, seed=72)
         radius = 0.3
         rep = dacorr.holomorphy_probe(
-            path, d_scalar, dacorr.f_rational_odd, u, radius=radius, nodes=nodes
+            path, d_scalar, matcalc.f_rational_odd, u, radius=radius, nodes=nodes
         )
 
         def at(z):
             comp = dacorr.CompositionOp(d_scalar, path.at(z))
-            return dacorr.composition_calculus(comp, dacorr.f_rational_odd, u)
+            return dacorr.composition_calculus(comp, matcalc.f_rational_odd, u)
 
         center = at(0.0)
         for m, got in ((nodes, rep.residual), (2 * nodes, rep.residual_refined)):
@@ -496,14 +496,14 @@ class TestHolomorphy:
         u = torus.random_band_limited(grid32, 1, seed=12)
         with pytest.raises(ProbeAborted):
             dacorr.holomorphy_probe(
-                path, d_scalar, dacorr.f_rational_odd, u, radius=1.0, nodes=8
+                path, d_scalar, matcalc.f_rational_odd, u, radius=1.0, nodes=8
             )
 
 
 class TestLipschitz:
     def test_equal_coefficients(self, d_scalar, grid32):
         a = hodge.perturbed_identity(grid32, 1, 0.05, 73)
-        (rep,) = dacorr.lipschitz_probe(d_scalar, a, [a], dacorr.f_rational_odd, trials=1)
+        (rep,) = dacorr.lipschitz_probe(d_scalar, a, [a], matcalc.f_rational_odd, trials=1)
         assert rep.max_ratio == 0.0
 
     def test_scalar_frequency_oracle(self, d_scalar, grid32):
@@ -533,7 +533,7 @@ class TestLipschitz:
         e = hodge.random_direction(grid32, 1, 73)
         sweep = dacorr.lipschitz_probe(
             d_scalar, eye, [eye + eps * e for eps in (0.04, 0.02, 0.01)],
-            dacorr.f_rational_odd, trials=2, seed=14,
+            matcalc.f_rational_odd, trials=2, seed=14,
         )
         ratios = [rep.max_ratio for rep in sweep]
         assert max(ratios) <= 4.0 * min(ratios)
@@ -544,7 +544,7 @@ class TestLipschitz:
         eye = torus.MatrixField.identity(grid32, 1)
         e = hodge.random_direction(grid32, 1, 75)
         members = [eye + eps * e for eps in (0.04, 0.02, 0.01)]
-        f = dacorr.f_rational_odd
+        f = matcalc.f_rational_odd
         sweep = dacorr.lipschitz_probe(d_scalar, eye, members, f, trials=2, seed=15)
         for k, (rep, a_tilde) in enumerate(zip(sweep, members)):
             (one,) = dacorr.lipschitz_probe(d_scalar, eye, [a_tilde], f, trials=2, seed=15)
@@ -558,7 +558,7 @@ class TestLipschitz:
         cb = diagonal_coefficients(grid16, 2, 0.02, 92)
         u = torus.random_band_limited(grid16, 2, seed=15)
         residual = dacorr.lipschitz_triple_decomposition(
-            dirac_pair, ca, cb, dacorr.f_rational_odd, u
+            dirac_pair, ca, cb, matcalc.f_rational_odd, u
         )
         assert residual <= 1e-8
 

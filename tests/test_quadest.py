@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opcalc import cli, hodge, krylov, quadest, torus
-from opcalc.errors import SplitUndefined
+from opcalc import cli, hodge, krylov, matcalc, quadest, torus
 
 from conftest import (
     bandpass,
@@ -131,19 +130,18 @@ class TestReproducingSum:
 class TestSchurProbe:
     def test_zero_function(self, dirac64):
         res = quadest.schur_bound_probe(
-            dirac64, lambda z: 0.0 * z, [1.0], [1.0], trials=2, seed=0
+            dirac64, matcalc.PartialFractions((), ()), [1.0], [1.0], trials=2, seed=0
         )
         assert res.max_ratio == 0.0
 
     def test_equal_scales_scalar_oracle(self, dirac64, grid64):
-        # f = 1: the probe estimates ||Q_t^2|| <= max over lattice of
-        # |q(t xi)|^2 <= 1/4
+        # f = 1 / (1 + z^2): the probe estimates ||Q_t f(S) Q_t|| <= max
+        # over the lattice of |q(t xi)|^2 / (1 + xi^2) <= 1/4
         t = 1.0
-        res = quadest.schur_bound_probe(
-            dirac64, lambda z: 1.0 + 0.0 * z, [t], [t], trials=6, seed=1
-        )
+        f = matcalc.PartialFractions((1j, -1j), (-0.5j, 0.5j))
+        res = quadest.schur_bound_probe(dirac64, f, [t], [t], trials=6, seed=1)
         xs = np.abs(grid64.lattice[..., 0])
-        oracle = (scalar_bandpass(t, xs) ** 2).max()
+        oracle = (scalar_bandpass(t, xs) ** 2 * scalar_smoothing(1.0, xs)).max()
         assert res.max_ratio <= oracle + 1e-12
         assert oracle <= 0.25 + 1e-12
 
@@ -153,7 +151,7 @@ class TestSchurProbe:
         for g in (64, 128):
             grid = torus.TorusGrid(1, g)
             res = quadest.schur_bound_probe(
-                torus.GridSymbol(dirac_pair.total(), grid), lambda z: z / (1 + z * z), ts, ts,
+                torus.GridSymbol(dirac_pair.total(), grid), matcalc.f_rational_odd, ts, ts,
                 trials=4, seed=47,
             )
             vals.append(res.max_ratio)
@@ -196,7 +194,7 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("name", ["dirac1d", "graddiv2d"])
     def test_schur_table(self, name):
         make, grid = SPECTRAL_CASES[name]
-        pair, ts, f = make(), [0.25, 1.0, 4.0], lambda z: z / (1 + z * z)
+        pair, ts, f = make(), [0.25, 1.0, 4.0], matcalc.f_rational_odd
         gs = torus.GridSymbol(pair.total(), grid)
         got = quadest.schur_bound_probe(gs, f, ts, ts, trials=3, seed=5).table
         want = schur_table_by_inverse(pair, f, ts, ts, grid, trials=3, seed=5)
@@ -211,20 +209,24 @@ class TestSpectralRoute:
         # V is used at the zero frequency only
         assert np.array_equal(np.nonzero(gs.spectral.good)[0], [0])
         assert np.array_equal(gs.bandpass(1.0).mask, ~gs.spectral.good)
-        # f(S) falls back to the contour calculus, which has no splitting
-        # at a defective zero eigenvalue
-        with pytest.raises(SplitUndefined):
-            quadest.schur_bound_probe(gs, lambda z: z, [1.0], [1.0], trials=1)
+        # elsewhere f(S) is the resolvent sum, which exists at a defective
+        # zero eigenvalue: S^2 = 0, so Q_1 f(S) Q_1 = S^3 = 0
+        fs = gs.fractions(matcalc.f_rational_odd)
+        s = gs.mats.reshape(-1, 2, 2)[fs.mask]
+        assert rel_err(fs.at(fs.mask), s) < 1e-14
+        res = quadest.schur_bound_probe(gs, matcalc.f_rational_odd, [1.0], [1.0], trials=1)
+        (row,) = res.table
+        assert row["norm_est"] == 0.0
 
 
     def test_masked_schur_table_takes_the_composed_matrices(self):
         # V serves only where xi_1 = 0: elsewhere every Q_t f(S) Q_s is the
-        # product of the inverse formulas and f(S) by the contour calculus
+        # product of the resolvent sums
         grid = torus.TorusGrid(2, 4)
         gs = torus.GridSymbol(jordan_symbol_2d(), grid)
         assert 0 < gs.bandpass(1.0).mask.sum() < grid.size
         ts = [0.5, 2.0]
-        got = quadest.schur_bound_probe(gs, lambda z: z / (1 + z * z), ts, ts, trials=3, seed=5)
+        got = quadest.schur_bound_probe(gs, matcalc.f_rational_odd, ts, ts, trials=3, seed=5)
         # f(z) = z / (1 + z^2) is Q_1
         fields = torus.random_trials(grid, 3, 3, 5)
         norms = torus.lp_norms(fields, 2.0)
@@ -307,8 +309,8 @@ class TestQuadraticEstimate:
         # sanity coupling: the measured bounded-calculus constant stays
         # within an order of magnitude of the square of the measured
         # quadratic-estimate constant (no equality claimed)
-        f = lambda z: z / (1 + z * z)
-        f_op = dirac64.function(f)
+        f = matcalc.f_rational_odd
+        f_s = dirac64.fractions(f)
         from opcalc import dacorr
 
         f_sup = dacorr.sup_norm_on_bisector(f, np.pi / 8)
@@ -323,7 +325,7 @@ class TestQuadraticEstimate:
             un = torus.lp_norm(u, 2.0)
             c_f = max(
                 c_f,
-                torus.lp_norm(torus.apply_multiplier(f_op, u), 2.0) / (f_sup * un),
+                torus.lp_norm(next(dirac64.apply([f_s], u)), 2.0) / (f_sup * un),
             )
             rep = quadest.quadratic_estimate(dirac64, u, scales, samples=64,
                                              seed=seed)

@@ -399,6 +399,42 @@ class TestResolventMultipliers:
         assert not gs.bandpass(0.75).mask.any()
 
 
+class TestFractions:
+    """GridSymbol.fractions: f(S) for f given by its partial fractions."""
+
+    @pytest.mark.parametrize("t", [2.0**-20, 0.3, 1.0, 2.0**21])
+    def test_scaled_is_f_of_t_z(self, t):
+        f = matcalc.f_rational_odd
+        z = np.linspace(-3.0, 3.0, 61) + 0.25j
+        if np.log2(t).is_integer():  # a power of two scales without rounding
+            assert np.array_equal(f.scaled(t)(z), f(t * z))
+        assert np.abs(f.scaled(t)(z) - f(t * z)).max() <= 1e-15 * np.abs(f(t * z)).max()
+
+    @pytest.mark.parametrize("name, grid", [
+        ("dirac1d", torus.TorusGrid(1, 64)), ("graddiv2d", torus.TorusGrid(2, 16)),
+    ])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    def test_agrees_with_the_inverse_oracle(self, name, grid, t):
+        gs = torus.GridSymbol(cli.load_symbol_arg(f"bundled:{name}").total(), grid)
+        fn = gs.fractions(matcalc.f_rational_odd.scaled(t))
+        _, v, v_inv, _ = gs.spectral
+        mats = v @ (fn.coeff[..., None] * v_inv)
+        mats[fn.mask] = fn.at(fn.mask)
+        assert rel_err(mats, bandpass(gs, t).mats.reshape(mats.shape)) < 1e-12
+
+    def test_masked_frequencies_take_the_resolvent_sum(self):
+        gs = torus.GridSymbol(jordan_symbol_2d(), torus.TorusGrid(2, 4))
+        f = matcalc.f_rational_odd
+        fn = gs.fractions(f)
+        m = fn.mask
+        assert m.sum() == 12 and not fn.coeff[m].any()
+        s = gs.mats.reshape(-1, 3, 3)[m]
+        assert np.array_equal(fn.at(m), f.of(s))
+        # the contour calculus of the same function, to its quadrature error
+        for got, one in zip(fn.at(m), s):
+            assert rel_err(got, matcalc.contour_fc(one, f)) < 1e-12
+
+
 class TestSpectralFunction:
     """Functions of S carry their matrix formulas through products, sums and
     scalings, for the frequencies where the eigenvalue route does not serve."""
@@ -406,13 +442,13 @@ class TestSpectralFunction:
     def test_composites_equal_the_matrix_formulas_bitwise(self):
         grid = torus.TorusGrid(2, 4)
         gs = torus.GridSymbol(jordan_symbol_2d(), grid)
-        f = lambda z: z / (1 + z * z)
-        a, b, fs = gs.bandpass(0.5), gs.bandpass(2.0), gs.scalar(f)
+        a, b, fs = gs.bandpass(0.5), gs.bandpass(2.0), gs.fractions(matcalc.f_rational_odd)
         m = a.mask
         assert np.array_equal(m, grid.lattice[..., 0].ravel() != 0)
-        qa, qb = (bandpass(gs, t).mats.reshape(-1, 3, 3)[m] for t in (0.5, 2.0))
-        f_mats = gs.function(f).mats.reshape(-1, 3, 3)[m]
-        assert np.array_equal(a.at(m), qa) and np.array_equal(fs.at(m), f_mats)
+        qa, qb, f_mats = a.at(m), b.at(m), fs.at(m)
+        # the factors' resolvent sums are the closed form to rounding
+        for q, t in ((qa, 0.5), (qb, 2.0)):
+            assert rel_err(q, bandpass(gs, t).mats.reshape(-1, 3, 3)[m]) < 1e-13
         for got, want in [
             (a * b, qa @ qb),
             (a + b, qa + qb),
@@ -587,8 +623,14 @@ class TestFieldIO:
 
 class TestProbes:
     def test_matrix_function_multiplier_matches_formula(self, dirac_pair, grid64):
+        # a general f reaches the symbol by the fractions of a contour
+        # enclosing the spectrum, |lam| in [1, 32]
         f = lambda z: z / (1 + z * z)
         gs = torus.GridSymbol(dirac_pair.total(), grid64)
-        op = gs.function(f)
+        contour = matcalc.ContourSpec(np.pi / 4, 0.5, 64.0)
+        fn = gs.fractions(dacorr.contour_fractions(contour, f))
+        assert not fn.mask.any()
+        _, v, v_inv, _ = gs.spectral
+        mats = v @ (fn.coeff[..., None] * v_inv)
         q = bandpass(gs, 1.0)
-        assert np.abs(op.mats - q.mats).max() < 1e-12
+        assert np.abs(mats - q.mats.reshape(mats.shape)).max() < 1e-12
