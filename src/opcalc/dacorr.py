@@ -186,14 +186,17 @@ def fraction_calculus(
     by its partial fractions, on a field or each field of a stack ``u``;
     ``apply_fn`` must act on stacks of fields.
 
-    Past DENSE_CALCULUS_LIMIT unknowns each pole is one GMRES solve per
-    field, to relative residual 1e-12, preconditioned by ``precond_for(p)``
-    when given.  Up to it T is assembled once.  With at least
+    Past DENSE_CALCULUS_LIMIT unknowns each pole is one
+    :func:`hodge.solve_field` call (a GMRES solve per field at those sizes),
+    to relative residual 1e-12, preconditioned by ``precond_for(p)`` when
+    given.  Up to it T is assembled once.  With at least
     EIG_ROUTE_POLES poles it is diagonalized, T = V diag(lam) V^{-1}, and
     f(T)U = V f(lam) V^{-1} U, taken only when cond(V) <=
     matcalc.EIG_COND_LIMIT (its error grows with cond(V)); for fractions
     from a contour it raises ContourTooClose when a nonzero eigenvalue is
     not enclosed.  Otherwise each pole is one dense solve for all fields.
+    A singular shifted operator raises NotInvertible naming the pole, on
+    every route.
     """
     dim = u.grid.size * u.big_n
     cs = [-r for r in f.residues]
@@ -214,9 +217,12 @@ def fraction_calculus(
             if f.contour is not None:
                 nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
                 matcalc._check_enclosed(nz, f.contour, 1e-6)
-            out = v @ (f(lam)[:, None] * np.linalg.solve(v, cols))
+            out = v @ (f(lam)[:, None] * hodge.lu_solve(v, cols, "eigenvector matrix"))
     if out is None:
-        out = sum(c * np.linalg.solve(p * np.eye(dim) - a, cols) for p, c in zip(f.poles, cs))
+        out = sum(
+            c * hodge.lu_solve(p * np.eye(dim) - a, cols, f"shifted solve at z={p:.4g}")
+            for p, c in zip(f.poles, cs)
+        )
     return torus.GridField(u.grid, out.T.reshape(u.values.shape))
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from opcalc import hodge, matcalc, quadest, symbols, torus
+from opcalc import hodge, krylov, matcalc, quadest, symbols, torus
 from opcalc.errors import EigensolverError
 
 
@@ -16,6 +16,31 @@ def dirac_pair():
 @pytest.fixture(scope="session")
 def grad_div_pair():
     return grad_div_pair_2d()
+
+
+# the DENSE_SOLVE_LIMIT that sends hodge.solve_field down each route at desk sizes
+SOLVE_ROUTES = {"gmres": 0, "dense": hodge.DENSE_SOLVE_LIMIT}
+
+
+@pytest.fixture
+def field_solves(monkeypatch):
+    """The route of every field solve, in call order: "gmres" for each
+    krylov.gmres run and "dense" for each column of a hodge.lu_solve call,
+    so that "one solve per field" reads the same on either route."""
+    routes = []
+    gmres, lu_solve = krylov.gmres, hodge.lu_solve
+
+    def counted_gmres(*args, **kw):
+        routes.append("gmres")
+        return gmres(*args, **kw)
+
+    def counted_lu(mat, cols, what):
+        routes.extend(["dense"] * cols.shape[1])
+        return lu_solve(mat, cols, what)
+
+    monkeypatch.setattr(krylov, "gmres", counted_gmres)
+    monkeypatch.setattr(hodge, "lu_solve", counted_lu)
+    return routes
 
 
 @pytest.fixture(scope="session")
@@ -208,6 +233,15 @@ def matrix_function_eig(t, f):
         raise EigensolverError(f"eigenvector matrix too ill-conditioned: {cond:.2e}")
     fl = np.asarray([complex(f(z)) for z in lam])
     return v @ (fl[:, None] * np.linalg.inv(v))
+
+
+def dense_resolvent(op, t, u):
+    """LU oracle for the resolvent (I + i t Op)^{-1} u on a field or a stack;
+    small grids only."""
+    m = hodge.dense_operator(op.apply, op.grid, op.big_n)
+    cols = u.values.reshape(-1, op.dim).T
+    x = np.linalg.solve(np.eye(op.dim) + 1j * t * m, cols)
+    return torus.GridField(op.grid, x.T.reshape(u.values.shape))
 
 
 def dense_by_columns(apply_fn, grid, big_n):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from opcalc import cli, dacorr, hodge, matcalc, symbols, torus
-from opcalc.errors import CoercivityError, ContourTooClose, ProbeAborted
+from opcalc.errors import CoercivityError, ContourTooClose, NotInvertible, ProbeAborted
 
 from conftest import (
     dense_by_columns,
+    dense_resolvent,
     diagonal_coefficients,
     matrix_function_eig,
     rel_err,
@@ -73,6 +74,23 @@ class TestBuildBlock:
         lhs = hodge.variable_resolvent(block, t, v, rtol=1e-12)
         rhs = dacorr.block_resolvent_product(d_scalar, a, t, v)
         assert torus.lp_norm(lhs - rhs, 2.0) <= 1e-9 * torus.lp_norm(v, 2.0)
+
+    @pytest.mark.parametrize("g", [16, 256])
+    def test_resolvent_product_routes(self, d_scalar, g, field_solves, monkeypatch):
+        # the central solve has g unknowns: at g=256, DENSE_SOLVE_LIMIT
+        grid = torus.TorusGrid(1, g)
+        a = hodge.perturbed_identity(grid, 1, 0.05, 68)
+        v = torus.random_trials(grid, 2, 3, seed=3)
+        dense = dacorr.block_resolvent_product(d_scalar, a, 0.7, v)
+        assert field_solves == ["dense"] * 3
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
+        gmres = dacorr.block_resolvent_product(d_scalar, a, 0.7, v)
+        assert field_solves[3:] == ["gmres"] * 3
+        ref = dense_resolvent(dacorr.build_block(d_scalar, a, seed=0), 0.7, v)
+        vn = torus.lp_norms(v, 2.0)
+        for got in (dense, gmres):
+            assert torus.max_ratio(got - ref, 2.0, vn) <= 1e-10
+        assert torus.max_ratio(dense - gmres, 2.0, vn) <= 1e-10
 
     def test_block_square_second_component(self, d_scalar, grid32):
         a = hodge.perturbed_identity(grid32, 1, 0.05, 69)
@@ -219,14 +237,17 @@ class TestContourFractions:
 
 
 class TestGmresPath:
-    def test_matches_dense_path(self, d_scalar, monkeypatch):
+    def test_matches_dense_path(self, d_scalar, field_solves, monkeypatch):
         grid = torus.TorusGrid(1, 16)
         comp = dacorr.CompositionOp(d_scalar, hodge.perturbed_identity(grid, 1, 0.3, 67))
         u = torus.random_band_limited(grid, 1, seed=12)
         f = composition_fractions(comp, d_scalar, nodes=32)
         dense = dacorr.composition_calculus(comp, f, u)
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
+        del field_solves[:]
         gmres = dacorr.composition_calculus(comp, f, u)
+        assert field_solves == ["gmres"] * len(f.poles)
         assert rel_err(gmres.flat(), dense.flat()) < 1e-10
 
 
@@ -296,6 +317,21 @@ class TestDenseRoute:
         exact = matcalc.contour_fc(dense, f_odd, spec) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-10
 
+    @pytest.mark.parametrize("calculus_limit, solve_limit", [
+        pytest.param(dacorr.DENSE_CALCULUS_LIMIT, hodge.DENSE_SOLVE_LIMIT, id="per-pole"),
+        pytest.param(0, hodge.DENSE_SOLVE_LIMIT, id="solve-dense"),
+        pytest.param(0, 0, id="gmres"),
+    ])
+    def test_singular_shift_is_not_invertible(self, grid16, calculus_limit, solve_limit,
+                                              monkeypatch):
+        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", calculus_limit)
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", solve_limit)
+        u = torus.random_band_limited(grid16, 1, seed=1)
+        f = matcalc.PartialFractions((0.0,), (1.0,))
+        with pytest.raises(NotInvertible, match="z=0") as info:
+            dacorr.fraction_calculus(lambda v: 0 * v, u, f)
+        assert info.value.residual is not None
+
     def test_spectrum_outside_contour_raises(self, d_scalar, grid16):
         comp = dacorr.CompositionOp(d_scalar, hodge.perturbed_identity(grid16, 1, 0.3, 67))
         lam = np.linalg.eigvals(hodge.dense_operator(comp.apply, grid16, 1))
@@ -340,15 +376,18 @@ class TestFractionRoute:
 
     @pytest.mark.parametrize("case", CASES)
     def test_gmres_route_matches_dense_route(
-        self, case, d_scalar, grid16, dirac_pair, monkeypatch
+        self, case, d_scalar, grid16, dirac_pair, field_solves, monkeypatch
     ):
         apply_fn, fields, _, precond_for = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         u = torus.GridField.stack(fields)
         dense = dacorr.fraction_calculus(apply_fn, u, matcalc.f_rational_odd)
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
+        del field_solves[:]
         gmres = dacorr.fraction_calculus(
             apply_fn, u, matcalc.f_rational_odd, precond_for=precond_for
         )
+        assert field_solves == ["gmres"] * 2 * 3
         assert rel_err(gmres.values, dense.values) < 1e-10
 
     def test_partial_fractions_reproduce_closed_form(self):
@@ -393,8 +432,9 @@ class TestStackedCalls:
             one = dacorr.fraction_calculus(apply_fn, u, f)
             assert rel_err(member.flat(), one.flat()) < 1e-13
 
-    def test_gmres_route(self, d_scalar, grid16, dirac_pair, monkeypatch):
+    def test_gmres_route(self, d_scalar, grid16, dirac_pair, field_solves, monkeypatch):
         monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         apply_fn, fields, _, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
         contour = dacorr.discrete_contour(
             d_scalar.params, grid16, coeff_distance=0.3, coeff_sup=1.3, nodes=16
@@ -404,6 +444,7 @@ class TestStackedCalls:
         got = dacorr.fraction_calculus(
             apply_fn, torus.GridField.stack(fields), f, precond_for=precond
         )
+        assert set(field_solves) == {"gmres"}
         for member, u in zip(got.members(), fields):
             one = dacorr.fraction_calculus(apply_fn, u, f, precond_for=precond)
             assert rel_err(member.flat(), one.flat()) < 1e-10

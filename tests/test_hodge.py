@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from opcalc import cli, dacorr, hodge, krylov, matcalc, symbols, torus
+from opcalc import cli, dacorr, hodge, matcalc, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
 
 from conftest import (
+    SOLVE_ROUTES,
     coefficient_conditions_by_trial,
     dense_by_columns,
+    dense_resolvent,
     diagonal_coefficients,
+    grad_div_pair_2d,
     random_matrix,
     rel_err,
     zero_mode,
@@ -17,13 +20,6 @@ from conftest import (
 @pytest.fixture(scope="module")
 def var_op16(dirac_pair, grid16):
     return hodge.VariableOp(dirac_pair, diagonal_coefficients(grid16, 2, 0.05, 23), grid16)
-
-
-def dense_resolvent(op, t, u):
-    """LU oracle for the resolvent (I + i t Op)^{-1} u; small grids only."""
-    m = hodge.dense_operator(op.apply, op.grid, op.big_n)
-    x = np.linalg.solve(np.eye(op.dim) + 1j * t * m, u.flat())
-    return torus.GridField.from_flat(op.grid, op.big_n, x)
 
 
 def dft_matrix(g):
@@ -235,15 +231,18 @@ class TestVariableResolvent:
         ref = torus.apply_multiplier(r, u)
         assert torus.lp_norm(got - ref, 2.0) <= 1e-10 * torus.lp_norm(u, 2.0)
 
-    def test_krylov_vs_dense_lu(self, dirac_pair, grid16):
+    def test_krylov_vs_dense_lu(self, dirac_pair, grid16, field_solves, monkeypatch):
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         coeffs = diagonal_coefficients(grid16, 2, 0.01, 23)
         op = hodge.VariableOp(dirac_pair, coeffs, grid16)
         u = torus.random_band_limited(grid16, 2, seed=23)
         got = hodge.variable_resolvent(op, 2.0, u, rtol=1e-12)
+        assert field_solves == ["gmres"]
         ref = dense_resolvent(op, 2.0, u)
         assert torus.lp_norm(got - ref, 2.0) <= 1e-9 * torus.lp_norm(u, 2.0)
 
-    def test_nan_rhs_is_not_invertible(self, var_op16, grid16):
+    def test_nan_rhs_is_not_invertible(self, var_op16, grid16, field_solves, monkeypatch):
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         values = torus.random_band_limited(grid16, 2, seed=6).values.copy()
         values[5, 1] = np.nan
         with pytest.raises(NotInvertible):
@@ -254,6 +253,7 @@ class TestVariableResolvent:
                 rtol=1e-10,
                 precond=var_op16.total_symbol.resolvent(1.0),
             )
+        assert field_solves == ["gmres"]
 
     def test_stack_solves_each_member(self, var_op16, grid16):
         stack = torus.random_trials(grid16, 2, 3, seed=8)
@@ -273,6 +273,85 @@ class TestVariableResolvent:
         for got, ref in zip(hodge.resolvent_halves(var_op16, t, stack), (smooth, t * m @ smooth)):
             ref = torus.GridField(grid16, ref.T.reshape(stack.values.shape))
             assert torus.max_ratio(got - ref, 2.0, un) <= 1e-9
+
+
+def route_case(name):
+    """A variable operator at desk size: dirac1d at g=16 (32 unknowns) and
+    graddiv2d at g=8 (256 unknowns, DENSE_SOLVE_LIMIT)."""
+    if name == "dirac1d":
+        pair, grid = symbols.dirac_pair_1d(), torus.TorusGrid(1, 16)
+    else:
+        pair, grid = grad_div_pair_2d(), torus.TorusGrid(2, 8)
+    return hodge.VariableOp(pair, diagonal_coefficients(grid, pair.big_n, 0.05, 31), grid)
+
+
+class TestDenseSolveRoute:
+    """solve_field's dense route against its GMRES route and the LU oracle."""
+
+    @pytest.mark.parametrize("case", ["dirac1d", "graddiv2d"])
+    def test_resolvents_match_gmres_and_lu(self, case, field_solves, monkeypatch):
+        op = route_case(case)
+        stack = torus.random_trials(op.grid, op.big_n, 3, seed=14)
+        un = torus.lp_norms(stack, 2.0)
+        t = 2.0
+
+        def resolvents():
+            return (hodge.variable_resolvent(op, t, stack, rtol=1e-12),
+                    *hodge.resolvent_halves(op, t, stack, rtol=1e-12))
+
+        dense = resolvents()
+        assert field_solves == ["dense"] * 9
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
+        gmres = resolvents()
+        assert field_solves[9:] == ["gmres"] * 9
+        plus, minus = dense_resolvent(op, t, stack), dense_resolvent(op, -t, stack)
+        refs = (plus, 0.5 * (plus + minus), 0.5j * (plus - minus))
+        for d, g, ref in zip(dense, gmres, refs):
+            assert torus.max_ratio(d - ref, 2.0, un) <= 1e-10
+            assert torus.max_ratio(g - ref, 2.0, un) <= 1e-10
+            assert torus.max_ratio(d - g, 2.0, un) <= 1e-10
+
+    @pytest.mark.parametrize("big_n, route", [
+        pytest.param(hodge.DENSE_SOLVE_LIMIT // 4, "dense", id="at-limit"),
+        pytest.param(hodge.DENSE_SOLVE_LIMIT // 4 + 1, "gmres", id="past-limit"),
+    ])
+    def test_route_by_size(self, big_n, route, field_solves):
+        # 3I plus a cyclic shift of the components, at the limit and at the
+        # next size a field on 4 points can have; both meet rtol
+        grid = torus.TorusGrid(1, 4)
+
+        def apply_fn(f):
+            return 3.0 * f + torus.GridField(grid, np.roll(f.values, 1, axis=-1))
+
+        rhs = torus.random_trials(grid, big_n, 2, seed=3)
+        x = hodge.solve_field(apply_fn, rhs, what="shifted", rtol=1e-12)
+        assert field_solves == [route] * 2
+        assert torus.max_ratio(apply_fn(x) - rhs, 2.0, torus.lp_norms(rhs, 2.0)) <= 1e-12
+
+    def test_nan_rhs_is_not_invertible(self, var_op16, grid16, field_solves):
+        values = torus.random_band_limited(grid16, 2, seed=6).values.copy()
+        values[5, 1] = np.nan
+        with pytest.raises(NotInvertible, match="resolvent at t=1") as info:
+            hodge.solve_field(
+                lambda f: f + 1j * var_op16.apply(f),
+                torus.GridField(grid16, values),
+                what="resolvent at t=1",
+                rtol=1e-10,
+            )
+        assert field_solves == ["dense"]
+        assert np.isnan(info.value.residual)
+
+    def test_singular_operator_is_not_invertible(self, grid16):
+        stack = torus.random_trials(grid16, 2, 2, seed=6)
+        with pytest.raises(NotInvertible, match="zero map") as info:
+            hodge.solve_field(lambda f: 0 * f, stack, what="zero map", rtol=1e-10)
+        assert info.value.residual == np.inf
+
+    def test_residual_above_rtol_is_not_invertible(self, var_op16, grid16):
+        u = torus.random_band_limited(grid16, 2, seed=6)
+        with pytest.raises(NotInvertible, match="above") as info:
+            hodge.solve_field(lambda f: f + 1j * var_op16.apply(f), u, what="r", rtol=1e-30)
+        assert 1e-30 < info.value.residual < 1e-12
 
 
 class TestVariableProjections:
@@ -326,40 +405,35 @@ class TestVariableProjections:
         v = proj.p_gamma(u)
         assert torus.lp_norm(proj.p_gamma(v) - v, 2.0) <= 1e-6 * un
 
-    def test_solves_each_resolvent_once(self, var_op16, grid16, monkeypatch):
-        # per probe field and scale: the resolvent pair R(t)u, R(-t)u
-        calls = []
-        solve = krylov.solve_or_raise
-
-        def counted(*args, **kw):
-            calls.append(kw["what"])
-            return solve(*args, **kw)
-
-        monkeypatch.setattr(krylov, "solve_or_raise", counted)
-        proj = hodge.variable_hodge_projections(var_op16, seed=9)
-        assert len(calls) == 2 * 3 * 3
-        u = torus.random_band_limited(grid16, 2, seed=10)
-        for fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
+    def test_solves_each_resolvent_once(self, var_op16, grid16, field_solves, monkeypatch):
+        # per probe field and scale: the resolvent pair R(t)u, R(-t)u, on either route
+        calls = field_solves
+        for route, limit in SOLVE_ROUTES.items():
+            monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", limit)
             del calls[:]
-            fn(u)
-            assert len(calls) == 2
+            proj = hodge.variable_hodge_projections(var_op16, seed=9)
+            assert len(calls) == 2 * 3 * 3
+            assert set(calls) == {route}
+            u = torus.random_band_limited(grid16, 2, seed=10)
+            for fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
+                del calls[:]
+                fn(u)
+                assert len(calls) == 2
 
-    def test_probe_checks_its_curve_against_dense(self, monkeypatch):
+    def test_probe_checks_its_curve_against_dense(self, field_solves, monkeypatch):
         # the dense check reuses the projections the curve settled on:
-        # 18 curve solves and 4 for the intertwining residual
-        calls = []
-        solve = krylov.solve_or_raise
-
-        def counted(*args, **kw):
-            calls.append(kw["what"])
-            return solve(*args, **kw)
-
-        monkeypatch.setattr(krylov, "solve_or_raise", counted)
+        # 18 curve solves and 4 for the intertwining residual, on either
+        # route; at the default limit the probe runs no GMRES
+        calls = field_solves
         values = cli.read_config("hodge-var", {"seed": 0, **cli.SUITES["hodge-var"]["defaults"]})
-        _, constants, passes = cli.PROBES["hodge-var"](**values)
-        assert len(calls) == 22
-        assert constants["limit_vs_dense"] <= values["tolerance"]
-        assert passes["limit_vs_dense"]
+        for route, limit in SOLVE_ROUTES.items():
+            monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", limit)
+            del calls[:]
+            _, constants, passes = cli.PROBES["hodge-var"](**values)
+            assert len(calls) == 22
+            assert set(calls) == {route}
+            assert constants["limit_vs_dense"] <= values["tolerance"]
+            assert passes["limit_vs_dense"]
 
 
 class TestSwapOperator:

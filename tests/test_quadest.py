@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opcalc import cli, hodge, krylov, matcalc, quadest, torus
+from opcalc import cli, hodge, matcalc, quadest, torus
 
 from conftest import (
+    SOLVE_ROUTES,
     bandpass,
     bandpass_fields_by_inverse,
     defective_pair_1d,
@@ -375,20 +376,20 @@ class TestOffDiagonal:
         assert res.ratios[1] < res.ratios[0]
         assert res.decay_exponent >= 1.0
 
-    def test_default_probe_solves_each_trial_once(self, monkeypatch):
-        # Q_t^B 1_F u is solved once per trial (two GMRES solves) and cut
-        # to every E, so the ratios cannot grow with the separation
-        calls = []
-        solve = krylov.solve_or_raise
-        monkeypatch.setattr(
-            krylov, "solve_or_raise", lambda *a, **kw: calls.append(1) or solve(*a, **kw)
-        )
+    def test_default_probe_solves_each_trial_once(self, field_solves, monkeypatch):
+        # Q_t^B 1_F u is solved once per trial (two field solves, on either
+        # route) and cut to every E, so the ratios cannot grow with the separation
+        calls = field_solves
         values = cli.read_config("offdiag", {"seed": 3})
-        _, constants, passes = cli.probe_offdiag(**values)
-        assert len(calls) == 2 * values["trials"]
-        ratios = constants["ratios"]
-        assert len(ratios) == 4 and passes["decaying"]
-        assert all(b <= a for a, b in zip(ratios, ratios[1:]))
+        for route, limit in SOLVE_ROUTES.items():
+            monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", limit)
+            del calls[:]
+            _, constants, passes = cli.probe_offdiag(**values)
+            assert len(calls) == 2 * values["trials"]
+            assert set(calls) == {route}
+            ratios = constants["ratios"]
+            assert len(ratios) == 4 and passes["decaying"]
+            assert all(b <= a for a, b in zip(ratios, ratios[1:]))
 
     def test_masked_norm_of_annihilated_input_zero(self, dirac_pair, grid64):
         # an input the operator kills contributes zero to the masked ratio
