@@ -163,18 +163,6 @@ def discrete_contour(
     return matcalc.ContourSpec(theta, kappa_est / 4.0, 4.0 * m_est * (1.0 + coeff_sup**2), nodes)
 
 
-DENSE_CALCULUS_LIMIT = 1024
-
-# From this many poles up, the dense route diagonalizes the operator once
-# instead of one LU solve per pole.  One eig, cond(V) and solve with V cost
-# as much as this many LU solves with 3 fields (min of 7, one thread):
-#   dim       64    128    256    512   1024
-#   LU ms   0.14   0.73   3.55   18.5    104
-#   eig ms   9.6   52.0    159   1061   4296
-#   poles     71     72     45     57     41
-EIG_ROUTE_POLES = 64
-
-
 def fraction_calculus(
     apply_fn: Callable[[torus.GridField], torus.GridField],
     u: torus.GridField,
@@ -183,47 +171,15 @@ def fraction_calculus(
     precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
 ) -> torus.GridField:
     """f(T)U = sum_k (-r_k) (p_k - T)^{-1} U for a matrix-free T and f given
-    by its partial fractions, on a field or each field of a stack ``u``;
-    ``apply_fn`` must act on stacks of fields.
-
-    Past DENSE_CALCULUS_LIMIT unknowns each pole is one
-    :func:`hodge.solve_field` call (a GMRES solve per field at those sizes),
-    to relative residual 1e-12, preconditioned by ``precond_for(p)`` when
-    given.  Up to it T is assembled once.  With at least
-    EIG_ROUTE_POLES poles it is diagonalized, T = V diag(lam) V^{-1}, and
-    f(T)U = V f(lam) V^{-1} U, taken only when cond(V) <=
-    matcalc.EIG_COND_LIMIT (its error grows with cond(V)); for fractions
-    from a contour it raises ContourTooClose when a nonzero eigenvalue is
-    not enclosed.  Otherwise each pole is one dense solve for all fields.
-    A singular shifted operator raises NotInvertible naming the pole, on
-    every route.
-    """
-    dim = u.grid.size * u.big_n
-    cs = [-r for r in f.residues]
-    if dim > DENSE_CALCULUS_LIMIT:
-        acc = np.zeros_like(u.values)
-        for p, c in zip(f.poles, cs):
-            precond = None if precond_for is None else precond_for(p)
-            x = hodge.solve_field(lambda y: p * y - apply_fn(y), u, rtol=1e-12,
-                                  precond=precond, what=f"shifted solve at z={p:.4g}")
-            acc += c * x.values
-        return torus.GridField(u.grid, acc)
-    a = hodge.dense_operator(apply_fn, u.grid, u.big_n)
-    cols = u.values.reshape(-1, dim).T
-    out = None
-    if len(f.poles) >= EIG_ROUTE_POLES:
-        lam, v = np.linalg.eig(a)
-        if np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT:
-            if f.contour is not None:
-                nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
-                matcalc._check_enclosed(nz, f.contour, 1e-6)
-            out = v @ (f(lam)[:, None] * hodge.lu_solve(v, cols, "eigenvector matrix"))
-    if out is None:
-        out = sum(
-            c * hodge.lu_solve(p * np.eye(dim) - a, cols, f"shifted solve at z={p:.4g}")
-            for p, c in zip(f.poles, cs)
-        )
-    return torus.GridField(u.grid, out.T.reshape(u.values.shape))
+    by its partial fractions, on a field or each field of a stack ``u``:
+    one :func:`hodge.solve_shifts` call over the poles, each solve to
+    relative residual 1e-12, preconditioned on the GMRES route by
+    ``precond_for(p)`` when given; fractions from a contour take its
+    enclosure check on the eig route."""
+    return hodge.solve_shifts(
+        apply_fn, u, f.poles, [[-r for r in f.residues]], rtol=1e-12,
+        what="shifted solve", precond_for=precond_for, contour=f.contour,
+    )[0]
 
 
 def composition_calculus(
@@ -290,13 +246,13 @@ def block_resolvent_product(
     size = comp.big_n
     u1, u2 = split_components(v, size)
     d_u1 = torus.apply_multiplier(comp.d_op, u1)
-    y2 = hodge.solve_field(
-        lambda f: f + (t * t) * comp.apply(comp.apply(f)),
-        u2 - 1j * t * d_u1,
-        what="central block solve",
-        rtol=1e-12,
-        precond=comp.symbol.smoothing(t),
-    )
+    # (I + t^2 (DA)^2)^{-1} is the even half of DA's resolvent pair:
+    # (R(t) + R(-t)) / 2 with R(+-t) = (+-p)(+-p - DA)^{-1}, p = i/t
+    p = 1j / t
+    y2 = hodge.solve_shifts(
+        comp.apply, u2 - 1j * t * d_u1, [p, -p], [[p / 2, -p / 2]], rtol=1e-12,
+        what="central block solve", precond_for=comp.symbol.shifted,
+    )[0]
     ada_y2 = a.apply(torus.apply_multiplier(comp.d_op, a.apply(y2)))
     return stack_components(u1 - 1j * t * ada_y2, y2)
 

@@ -3,9 +3,12 @@
 The central object is the perturbed operator ``gamma + B1 gamma_tilde B2``
 with bounded matrix-valued coefficient fields B1, B2.  Constant
 coefficients are handled frequency by frequency; variable coefficients
-go through resolvent solves, by one dense LU on small grids and by
-preconditioned GMRES past them, with dense assembly as the oracle on small
-grids.
+go through shifted solves.  Every resolvent, resolvent pair, limit-formula
+ladder and partial-fraction calculus is a weighted sum of solves
+(p_k - T)^{-1} u of one operator T, and :func:`solve_shifts` is the one
+layer that takes them: on small grids by one dense assembly of T per call,
+past DENSE_SOLVE_LIMIT by preconditioned GMRES.  Dense assembly is also the
+oracle on small grids.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import dataclasses
 import math
 import re
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -307,19 +310,28 @@ def coefficient_checks(
 
 
 # ---------------------------------------------------------------------------
-# Resolvents.
+# Shifted solves: resolvents, their halves and the calculus.
 # ---------------------------------------------------------------------------
 
 
-# Largest field dimension (grid.size * big_n) that solve_field solves by one
-# dense LU for the whole stack instead of one preconditioned GMRES run per
-# field.  Measured on dirac1d with diagonal coefficients: resolvent_halves
-# at t = 2^10, 2^12, 2^14 on 3 fields (18 field solves), assembly per call,
-# min of 3, ms with 1 / 2 OpenBLAS threads on a 2-core VM:
-#   dim         32       64      128      256      512     1024
-#   GMRES    56/35    58/31    54/32    62/36    59/41    83/76
-#   dense  2.5/1.4  3.7/2.2    12/11    42/35  167/132  691/496
+# Largest field dimension (grid.size * big_n) that solve_shifts takes by
+# dense linear algebra (one assembly and a checked LU per shift) instead of
+# GMRES (shifts x fields x iterations).  ms, dense / GMRES, 3 fields, the
+# suites' default coefficients, the lower of two runs of min of 5, default
+# OpenBLAS threads on a 2-core VM:
+#   dim                                     128      256      512      1024
+#   six-shift ladder, dirac1d VariableOp   6 / 44  21 / 46  95 / 61  396 / 70
+#   two-pole f_rational_odd, CompositionOp 2 / 8    8 / 12  33 / 15  144 / 13
 DENSE_SOLVE_LIMIT = 256
+
+# From this many shifts up, the dense route diagonalizes the operator once
+# instead of one LU solve per shift.  One eig, cond(V) and solve with V cost
+# as much as this many LU solves with 3 fields (min of 7, one thread):
+#   dim       64    128    256    512   1024
+#   LU ms   0.14   0.73   3.55   18.5    104
+#   eig ms   9.6   52.0    159   1061   4296
+#   poles     71     72     45     57     41
+EIG_ROUTE_POLES = 64
 
 
 def lu_solve(mat: np.ndarray, cols: np.ndarray, what: str) -> np.ndarray:
@@ -331,86 +343,116 @@ def lu_solve(mat: np.ndarray, cols: np.ndarray, what: str) -> np.ndarray:
         raise NotInvertible(f"{what}: singular matrix", residual=math.inf) from exc
 
 
-def solve_field(
+def solve_shifts(
     apply_fn: Callable[[torus.GridField], torus.GridField],
-    rhs: torus.GridField,
+    u: torus.GridField,
+    shifts: Sequence[complex],
+    weights,
     *,
+    rtol,
     what: str,
-    rtol: float,
-    precond: torus.MultiplierOp | None = None,
-) -> torus.GridField:
-    """Solve apply_fn(x) = rhs for the field x, or for each field of a stack
-    ``rhs``, to relative residual ||rhs - apply_fn(x)|| / ||rhs|| <= rtol.
+    precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
+    contour: matcalc.ContourSpec | None = None,
+) -> list[torus.GridField]:
+    """sum_k weights[j][k] (p_k - T)^{-1} u for each row j of ``weights``, with
+    T = ``apply_fn`` (acting on stacks) and p_k = ``shifts[k]``, on a field or
+    a stack ``u``.  Each solve meets ||u - (p_k - T) x|| <= rtol ||u||, with
+    one rtol or one per shift.
 
-    Up to DENSE_SOLVE_LIMIT unknowns ``apply_fn`` is assembled once by
-    :func:`dense_operator` (so it must act on stacks), every field is solved
-    by one LU, and each field's true residual is checked against the
-    assembled matrix; ``precond`` is not used.  Past the limit each field is
-    one GMRES solve, in C order, right-preconditioned by the multiplier
-    ``precond`` when given; ``apply_fn`` sees single fields.  Raises
-    NotInvertible, naming ``what`` and carrying the residual, when the
-    residual is above rtol or not finite, or the matrix is singular.
+    Up to DENSE_SOLVE_LIMIT unknowns T is assembled once.  From
+    EIG_ROUTE_POLES shifts up, when cond(V) <= matcalc.EIG_COND_LIMIT, row j
+    is V g_j(lam) V^{-1} u, g_j(z) = sum_k weights[j][k] / (p_k - z), and a
+    nonzero eigenvalue the ``contour`` of the shifts does not enclose raises
+    ContourTooClose.  Otherwise each shift is one LU for all fields, each
+    field's true residual checked.  Past the limit each shift and field is
+    one GMRES solve, in that order, right-preconditioned by
+    ``precond_for(p_k)`` when given.  A residual above rtol or not finite,
+    or a singular matrix, raises NotInvertible naming ``what`` and the
+    shift, with the residual.
     """
-    grid, big_n = rhs.grid, rhs.big_n
+    grid, big_n, shape = u.grid, u.big_n, u.values.shape
     dim = grid.size * big_n
+    weights = np.asarray(weights, dtype=complex)
+    rtols = rtol if np.ndim(rtol) else [rtol] * len(shifts)
     if dim <= DENSE_SOLVE_LIMIT:
         mat = dense_operator(apply_fn, grid, big_n)
-        cols = rhs.values.reshape(-1, dim).T
-        x = lu_solve(mat, cols, what)
-        bn = np.linalg.norm(cols, axis=0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = np.linalg.norm(cols - mat @ x, axis=0) / np.where(bn > 0, bn, 1.0)
-        worst = float(res.max())
-        if not worst <= rtol:
-            raise NotInvertible(
-                f"{what}: dense solve residual {worst:.3e} above {rtol:.1e}", residual=worst
-            )
-        return torus.GridField(grid, x.T.reshape(rhs.values.shape))
+        cols = u.values.reshape(-1, dim).T
+        if len(shifts) >= EIG_ROUTE_POLES:
+            lam, v = np.linalg.eig(mat)
+            if np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT:
+                if contour is not None:
+                    nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
+                    matcalc._check_enclosed(nz, contour, 1e-6)
+                y = lu_solve(v, cols, "eigenvector matrix")
+                out = []
+                for row in weights:
+                    g = sum((w / (p - lam) for p, w in zip(shifts, row)), np.zeros(dim, complex))
+                    out.append(torus.GridField(grid, (v @ (g[:, None] * y)).T.reshape(shape)))
+                return out
+        layout, to_field = cols.shape, lambda a: a.T.reshape(shape)
+        eye, bn = np.eye(dim), np.linalg.norm(cols, axis=0)
+        bn[bn == 0] = 1.0
 
-    def on_flat(fn):
-        return lambda vec: fn(torus.GridField.from_flat(grid, big_n, vec)).flat()
+        def pieces(k, p, name):
+            shifted = p * eye - mat
+            x = lu_solve(shifted, cols, name)
+            with np.errstate(invalid="ignore", over="ignore"):
+                worst = float((np.linalg.norm(cols - shifted @ x, axis=0) / bn).max())
+            if not worst <= rtols[k]:
+                msg = f"{name}: dense solve residual {worst:.3e} above {rtols[k]:.1e}"
+                raise NotInvertible(msg, residual=worst)
+            yield ..., x
+    else:
+        rhs = u.values.reshape(-1, dim)
+        layout, to_field = rhs.shape, lambda a: a.reshape(shape)
 
-    matvec = on_flat(apply_fn)
-    apply_m = None if precond is None else on_flat(precond.apply)
-    xs = [
-        krylov.solve_or_raise(matvec, field.flat(), what=what, rtol=rtol, precond=apply_m)
-        for field in rhs.members()
-    ]
-    return torus.GridField(grid, np.reshape(xs, rhs.values.shape))
+        def on_flat(fn):
+            return lambda vec: fn(torus.GridField.from_flat(grid, big_n, vec)).flat()
+
+        def pieces(k, p, name):
+            # one field at a time, so one solution is held beside the rows
+            matvec = on_flat(lambda y: p * y - apply_fn(y))
+            apply_m = None if precond_for is None else on_flat(precond_for(p).apply)
+            for i, b in enumerate(rhs):
+                yield i, krylov.solve_or_raise(matvec, b, what=name, rtol=rtols[k], precond=apply_m)
+
+    acc = [np.zeros(layout, dtype=complex) for _ in weights]
+    for k, p in enumerate(shifts):
+        for at, x in pieces(k, p, f"{what}, z={p:.4g}"):
+            for j in np.flatnonzero(weights[:, k]):
+                acc[j][at] += weights[j, k] * x
+    return [torus.GridField(grid, to_field(a)) for a in acc]
 
 
 def variable_resolvent(
-    op: VariableOp,
-    t: float,
-    u: torus.GridField,
-    *,
-    rtol: float = 1e-10,
+    op: VariableOp, t: float, u: torus.GridField, *, rtol: float = 1e-10
 ) -> torus.GridField:
-    """Solve (I + i t Op) x = u by :func:`solve_field`.
-
-    On the GMRES route the preconditioner is the exact constant-coefficient
-    resolvent multiplier, which inverts the system exactly at B = I.
-    """
+    """(I + i t Op)^{-1} u = p (p - Op)^{-1} u with p = i/t: one shift of
+    :func:`solve_shifts`, preconditioned on the GMRES route by (p - S)^{-1},
+    exact at B = I."""
     if t == 0:
         return u
-    return solve_field(
-        lambda f: f + 1j * t * op.apply(f),
-        u,
-        what=f"resolvent at t={t}",
-        rtol=rtol,
-        precond=op.total_symbol.resolvent(t),
-    )
+    p = 1j / t
+    return solve_shifts(op.apply, u, [p], [[p]], rtol=rtol, what=f"resolvent at t={t}",
+                        precond_for=op.total_symbol.shifted)[0]
 
 
 def resolvent_halves(
-    op: VariableOp, t: float, u: torus.GridField, **kw
-) -> tuple[torus.GridField, torus.GridField]:
-    """The even and odd halves of the resolvent pair R(+-t) = (I +- i t Op)^{-1}:
+    op: VariableOp, scales: Sequence[float], u: torus.GridField, *, rtol=1e-10
+) -> list[torus.GridField]:
+    """For each t of ``scales`` in turn, the even and odd halves of the pair
+    R(+-t) = (I +- i t Op)^{-1} = (+-p)(+-p - Op)^{-1}, p = i/t:
     (R(t)u + R(-t)u) / 2 = (I + t^2 Op^2)^{-1} u and
-    (i/2)(R(t)u - R(-t)u) = t Op (I + t^2 Op^2)^{-1} u, from two solves."""
-    plus = variable_resolvent(op, t, u, **kw)
-    minus = variable_resolvent(op, -t, u, **kw)
-    return 0.5 * (plus + minus), 0.5j * (plus - minus)
+    (i/2)(R(t)u - R(-t)u) = t Op (I + t^2 Op^2)^{-1} u; every scale's pair
+    in one :func:`solve_shifts` call, with one rtol or one per scale."""
+    n = len(scales)
+    shifts, weights = [], np.zeros((2 * n, 2 * n), dtype=complex)
+    for k, t in enumerate(scales):
+        p = 1j / t
+        shifts += [p, -p]
+        weights[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[p / 2, -p / 2], [-0.5 / t, -0.5 / t]]
+    return solve_shifts(op.apply, u, shifts, weights, rtol=np.repeat(np.broadcast_to(rtol, n), 2),
+                        what="resolvent pair", precond_for=op.total_symbol.shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +504,8 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
     p0 ~ (I + t^2 Op^2)^{-1}, p_gamma ~ gamma . t^2 Op (I + t^2 Op^2)^{-1},
     and likewise for the twisted part.  Convergence is accepted when
     successive values along t = 2^10, 2^12, 2^14 agree within 1e-6 on a
-    stack of three random probe fields; otherwise
+    stack of three random probe fields, all six shifts +-i/t of the ladder
+    taken by one :func:`resolvent_halves` call; otherwise
     HodgeDecompositionUncertain carries the curve.  The report also keeps
     the stack ``fields`` and its projections ``final`` at the largest scale.
     """
@@ -471,23 +514,22 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
     big = op.total_symbol.multiplier().inf_norm
     big *= max(1.0, op.coeffs.b1.inf_norm * op.coeffs.b2.inf_norm)
 
-    def kw(t):
-        floor = 30.0 * np.finfo(float).eps * (1.0 + abs(t) * big)
-        return dict(rtol=max(1e-10, floor))
-
-    def all_at(t, u):
-        # P_t u and t Q_t u from one resolvent pair
-        smooth, odd = resolvent_halves(op, t, u, **kw(t))
-        band = t * odd
-        return smooth, torus.apply_multiplier(op.gamma_op, band), op.apply_twisted(band)
+    def all_at(scales, u):
+        # P_t u and the two parts of t Q_t u, from one resolvent pair per
+        # scale, every scale's pair in one call
+        floors = [max(1e-10, 30.0 * np.finfo(float).eps * (1.0 + t * big)) for t in scales]
+        halves = resolvent_halves(op, scales, u, rtol=floors)
+        for t in scales:
+            smooth, band = halves.pop(0), t * halves.pop(0)
+            yield smooth, torus.apply_multiplier(op.gamma_op, band), op.apply_twisted(band)
 
     fields = torus.random_trials(op.grid, op.big_n, 3, seed)
     inv_norms = 1.0 / torus.lp_norms(fields, 2.0)
     fields = fields * inv_norms.reshape(fields.batch + (1,) * (op.grid.n + 1))
+    scales = (2.0**10, 2.0**12, 2.0**14)
     curve = []
     prev = None
-    for t in (2.0**10, 2.0**12, 2.0**14):
-        vals = all_at(t, fields)
+    for t, vals in zip(scales, all_at(scales, fields)):
         if prev is not None:
             diff = max(float(torus.lp_norms(a - b, 2.0).max()) for a, b in zip(vals, prev))
             curve.append({"t": t, "max_diff": diff})
@@ -499,9 +541,9 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
             curve=curve,
         )
     return HodgeProjections(
-        p0=lambda u: all_at(t, u)[0],
-        p_gamma=lambda u: all_at(t, u)[1],
-        p_gamma_tilde=lambda u: all_at(t, u)[2],
+        p0=lambda u: next(all_at([t], u))[0],
+        p_gamma=lambda u: next(all_at([t], u))[1],
+        p_gamma_tilde=lambda u: next(all_at([t], u))[2],
         report={"curve": curve, "fields": fields, "final": prev},
     )
 
@@ -603,9 +645,9 @@ def underline_intertwining_residual(op: VariableOp, t: float, *, seed: int = 0) 
     if vn == 0:
         return 0.0
     lhs = torus.apply_multiplier(
-        op.gamma_op, op.coeffs.b1.apply(resolvent_halves(swapped, t, v, rtol=1e-11)[0])
+        op.gamma_op, op.coeffs.b1.apply(resolvent_halves(swapped, [t], v, rtol=1e-11)[0])
     )
     rhs = torus.apply_multiplier(
-        op.gamma_op, resolvent_halves(op, t, op.coeffs.b1.apply(v), rtol=1e-11)[0]
+        op.gamma_op, resolvent_halves(op, [t], op.coeffs.b1.apply(v), rtol=1e-11)[0]
     )
     return torus.lp_norm(lhs - rhs, 2.0) / vn

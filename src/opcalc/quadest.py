@@ -121,8 +121,9 @@ def bandpass_fields_variable(
     u: torus.GridField,
     scales: DyadicScales,
 ) -> list[torus.GridField]:
-    """Q_t^B u for every dyadic t, via the two resolvent solves per scale."""
-    return [hodge.resolvent_halves(op, t, u)[1] for t in scales.scales()]
+    """Q_t^B u for every dyadic t: the odd halves of the resolvent pairs of
+    all scales, from one :func:`hodge.resolvent_halves` call."""
+    return hodge.resolvent_halves(op, scales.scales(), u)[1::2]
 
 
 def reproducing_sum(
@@ -314,7 +315,7 @@ def offdiagonal_probe(
     us = torus.random_trials(grid, op.big_n, trials, seed)
     uf = torus.GridField(grid, np.where(mask_f[..., None], us.values, 0.0))
     denom = torus.lp_norms(uf, p)
-    qu = hodge.resolvent_halves(op, t, uf)[1].values
+    qu = hodge.resolvent_halves(op, [t], uf)[1].values
     ratios = [
         torus.max_ratio(torus.GridField(grid, np.where(m, qu, 0.0)), p, denom) for m in masks
     ]

@@ -338,9 +338,8 @@ class GridSymbol:
     as a SpectralFunction, which ``apply`` takes to a field transformed once
     to V^{-1} u_hat, one product each; frequencies where V is ill-conditioned
     or an eigenvalue is a pole to rounding take the resolvent sum.  The
-    preconditioners ``resolvent``, ``smoothing`` and ``shifted`` are one
-    batched inverse each, not cached.  S(0) = 0 (k >= 1): there the
-    resolvent and smoothing act as the identity and the bandpass as zero.
+    preconditioner ``shifted`` is one batched inverse, not cached.  S(0) = 0
+    (k >= 1): there the bandpass acts as zero.
     """
 
     symbol: symbols.HomogeneousSymbol
@@ -386,29 +385,15 @@ class GridSymbol:
         return (MultiplierOp(self.grid, p_ker.reshape(self.mats.shape)),
                 MultiplierOp(self.grid, p_ran.reshape(self.mats.shape)))
 
-    def _inv(self, mats: np.ndarray, what: str) -> MultiplierOp:
-        return MultiplierOp(self.grid, matcalc._batched_inv(mats, what))
-
-    @property
-    def _eye(self) -> np.ndarray:
-        return np.eye(self.symbol.big_n, dtype=complex)
-
     def multiplier(self) -> MultiplierOp:
         """S itself."""
         return MultiplierOp(self.grid, self.mats)
 
-    def resolvent(self, t: complex) -> MultiplierOp:
-        """(I + i t S)^{-1}."""
-        return self._inv(self._eye + 1j * t * self.mats, "I + i t S")
-
-    def smoothing(self, t: complex) -> MultiplierOp:
-        """(I + t^2 S^2)^{-1}."""
-        return self._inv(self._eye + (t * t) * (self.mats @ self.mats), "I + t^2 S^2")
-
     def shifted(self, z: complex) -> MultiplierOp:
-        """(z - S)^{-1}: the exact constant-coefficient inverse that
-        preconditions shifted solves."""
-        return self._inv(z * self._eye - self.mats, "z - S")
+        """(z - S)^{-1}, by one batched inverse: the exact constant-coefficient
+        inverse that preconditions shifted solves."""
+        eye = np.eye(self.symbol.big_n, dtype=complex)
+        return MultiplierOp(self.grid, matcalc._batched_inv(z * eye - self.mats, "z - S"))
 
     def fractions(self, f: matcalc.PartialFractions) -> SpectralFunction:
         """f(S): f(lam) on the eigenvalues where V serves and no eigenvalue

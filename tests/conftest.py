@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,17 +20,27 @@ def grad_div_pair():
     return grad_div_pair_2d()
 
 
-# the DENSE_SOLVE_LIMIT that sends hodge.solve_field down each route at desk sizes
+# the DENSE_SOLVE_LIMIT that sends hodge.solve_shifts down each route at desk sizes
 SOLVE_ROUTES = {"gmres": 0, "dense": hodge.DENSE_SOLVE_LIMIT}
+
+
+class FieldSolves(list):
+    """Routes of field solves in call order, and ``assemblies``: the count
+    of hodge.dense_operator calls by the name of the calling function."""
+
+    def __init__(self):
+        super().__init__()
+        self.assemblies = collections.Counter()
 
 
 @pytest.fixture
 def field_solves(monkeypatch):
     """The route of every field solve, in call order: "gmres" for each
     krylov.gmres run and "dense" for each column of a hodge.lu_solve call,
-    so that "one solve per field" reads the same on either route."""
-    routes = []
-    gmres, lu_solve = krylov.gmres, hodge.lu_solve
+    so that "one solve per field" reads the same on either route; and the
+    dense assemblies, by caller."""
+    routes = FieldSolves()
+    gmres, lu_solve, dense_operator = krylov.gmres, hodge.lu_solve, hodge.dense_operator
 
     def counted_gmres(*args, **kw):
         routes.append("gmres")
@@ -38,8 +50,13 @@ def field_solves(monkeypatch):
         routes.extend(["dense"] * cols.shape[1])
         return lu_solve(mat, cols, what)
 
+    def counted_dense(apply_fn, grid, big_n):
+        routes.assemblies[sys._getframe(1).f_code.co_name] += 1
+        return dense_operator(apply_fn, grid, big_n)
+
     monkeypatch.setattr(krylov, "gmres", counted_gmres)
     monkeypatch.setattr(hodge, "lu_solve", counted_lu)
+    monkeypatch.setattr(hodge, "dense_operator", counted_dense)
     return routes
 
 
@@ -136,11 +153,26 @@ def plane_wave(grid, freq, vector):
     return torus.GridField(grid, phase[..., None] * vec)
 
 
+def resolvent(gs, t):
+    """(I + i t S)^{-1} of a GridSymbol at every frequency, by one batched
+    inverse: the oracle for the variable resolvent at B = I."""
+    eye = np.eye(gs.symbol.big_n)
+    return torus.MultiplierOp(gs.grid, matcalc._batched_inv(eye + 1j * t * gs.mats, "I + i t S"))
+
+
+def smoothing(gs, t):
+    """(I + t^2 S^2)^{-1} of a GridSymbol at every frequency, by one batched
+    inverse; NotInvertible where some I + t^2 S(xi)^2 is singular."""
+    eye = np.eye(gs.symbol.big_n)
+    mats = eye + (t * t) * (gs.mats @ gs.mats)
+    return torus.MultiplierOp(gs.grid, matcalc._batched_inv(mats, "I + t^2 S^2"))
+
+
 def bandpass(gs, t):
     """Q_t = t S (I + t^2 S^2)^{-1} of a GridSymbol at every frequency, by
     one batched inverse per scale: the oracle for the eigen-coordinate
     route of the quadest scale families."""
-    return torus.MultiplierOp(gs.grid, t * gs.mats @ gs.smoothing(t).mats)
+    return torus.MultiplierOp(gs.grid, t * gs.mats @ smoothing(gs, t).mats)
 
 
 def bandpass_fields_by_inverse(pair, u, scales):

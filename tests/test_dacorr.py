@@ -77,15 +77,16 @@ class TestBuildBlock:
 
     @pytest.mark.parametrize("g", [16, 256])
     def test_resolvent_product_routes(self, d_scalar, g, field_solves, monkeypatch):
-        # the central solve has g unknowns: at g=256, DENSE_SOLVE_LIMIT
+        # the central solve has g unknowns, and takes the two shifts +-i/t
+        # of DA's resolvent pair for each of the 3 fields
         grid = torus.TorusGrid(1, g)
         a = hodge.perturbed_identity(grid, 1, 0.05, 68)
         v = torus.random_trials(grid, 2, 3, seed=3)
         dense = dacorr.block_resolvent_product(d_scalar, a, 0.7, v)
-        assert field_solves == ["dense"] * 3
+        assert field_solves == ["dense"] * 2 * 3
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         gmres = dacorr.block_resolvent_product(d_scalar, a, 0.7, v)
-        assert field_solves[3:] == ["gmres"] * 3
+        assert field_solves[6:] == ["gmres"] * 2 * 3
         ref = dense_resolvent(dacorr.build_block(d_scalar, a, seed=0), 0.7, v)
         vn = torus.lp_norms(v, 2.0)
         for got in (dense, gmres):
@@ -216,7 +217,7 @@ class TestContourFractions:
         u = torus.random_band_limited(grid, 1, seed=12)
         f = dacorr.TEST_FAMILY[name]
         if route == "per-pole":
-            monkeypatch.setattr(dacorr, "EIG_ROUTE_POLES", np.inf)
+            monkeypatch.setattr(hodge, "EIG_ROUTE_POLES", np.inf)
         got = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar, f), u)
         exact = matrix_function_eig(hodge.dense_operator(comp.apply, grid, 1), f) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-10
@@ -243,7 +244,6 @@ class TestGmresPath:
         u = torus.random_band_limited(grid, 1, seed=12)
         f = composition_fractions(comp, d_scalar, nodes=32)
         dense = dacorr.composition_calculus(comp, f, u)
-        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         del field_solves[:]
         gmres = dacorr.composition_calculus(comp, f, u)
@@ -288,6 +288,18 @@ def _triple_case(d, grid16, dirac_pair):
 CASES = [_composition_case, _block_case, _triple_case]
 
 
+def jordan_block(grid):
+    """T = 2 I plus the lower shift N of the grid points: one Jordan block
+    at the eigenvalue 2."""
+    def apply_fn(v):
+        x = v.values
+        out = 2 * x
+        out[..., 1:, :] += x[..., :-1, :]
+        return torus.GridField(grid, out)
+
+    return apply_fn
+
+
 class TestDenseRoute:
     @pytest.mark.parametrize("case", CASES)
     def test_eig_route_matches_lu_oracle(self, case, d_scalar, grid16, dirac_pair, monkeypatch):
@@ -302,13 +314,8 @@ class TestDenseRoute:
         assert rel_err(got.flat(), lu_contour_oracle(apply_fn, u, f_odd, contour)) < 1e-12
 
     def test_jordan_block_takes_per_pole_route(self, grid16):
-        # 2 I plus the lower shift: one Jordan block, so V is singular
-        def apply_fn(v):
-            x = v.values
-            out = 2 * x
-            out[..., 1:, :] += x[..., :-1, :]
-            return torus.GridField(grid16, out)
-
+        # one Jordan block, so V is singular
+        apply_fn = jordan_block(grid16)
         dense = hodge.dense_operator(apply_fn, grid16, 1)
         assert not np.linalg.cond(np.linalg.eig(dense)[1]) <= matcalc.EIG_COND_LIMIT
         spec = matcalc.ContourSpec(1.0, 0.1, 10.0, 64)
@@ -317,20 +324,26 @@ class TestDenseRoute:
         exact = matcalc.contour_fc(dense, f_odd, spec) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-10
 
-    @pytest.mark.parametrize("calculus_limit, solve_limit", [
-        pytest.param(dacorr.DENSE_CALCULUS_LIMIT, hodge.DENSE_SOLVE_LIMIT, id="per-pole"),
-        pytest.param(0, hodge.DENSE_SOLVE_LIMIT, id="solve-dense"),
-        pytest.param(0, 0, id="gmres"),
+    @pytest.mark.parametrize("solve_limit", [
+        pytest.param(hodge.DENSE_SOLVE_LIMIT, id="per-pole"),
+        pytest.param(0, id="gmres"),
     ])
-    def test_singular_shift_is_not_invertible(self, grid16, calculus_limit, solve_limit,
-                                              monkeypatch):
-        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", calculus_limit)
+    def test_singular_shift_is_not_invertible(self, grid16, solve_limit, monkeypatch):
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", solve_limit)
         u = torus.random_band_limited(grid16, 1, seed=1)
         f = matcalc.PartialFractions((0.0,), (1.0,))
         with pytest.raises(NotInvertible, match="z=0") as info:
             dacorr.fraction_calculus(lambda v: 0 * v, u, f)
         assert info.value.residual is not None
+
+    def test_near_singular_pole_fails_its_residual_check(self, grid16):
+        # at the pole 2.1, (p - T)^{-1} = (0.1 I - N)^{-1} has entries up to
+        # 1e15: LU returns without complaint, but far from the solution
+        u = torus.random_band_limited(grid16, 1, seed=1)
+        f = matcalc.PartialFractions((2.1,), (1.0,))
+        with pytest.raises(NotInvertible, match="z=2.1: dense solve residual") as info:
+            dacorr.fraction_calculus(jordan_block(grid16), u, f)
+        assert 1e-12 < info.value.residual < np.inf
 
     def test_spectrum_outside_contour_raises(self, d_scalar, grid16):
         comp = dacorr.CompositionOp(d_scalar, hodge.perturbed_identity(grid16, 1, 0.3, 67))
@@ -381,7 +394,6 @@ class TestFractionRoute:
         apply_fn, fields, _, precond_for = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         u = torus.GridField.stack(fields)
         dense = dacorr.fraction_calculus(apply_fn, u, matcalc.f_rational_odd)
-        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         del field_solves[:]
         gmres = dacorr.fraction_calculus(
@@ -433,7 +445,6 @@ class TestStackedCalls:
             assert rel_err(member.flat(), one.flat()) < 1e-13
 
     def test_gmres_route(self, d_scalar, grid16, dirac_pair, field_solves, monkeypatch):
-        monkeypatch.setattr(dacorr, "DENSE_CALCULUS_LIMIT", 0)
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         apply_fn, fields, _, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
         contour = dacorr.discrete_contour(

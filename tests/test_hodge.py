@@ -1,6 +1,10 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+import opcalc
 from opcalc import cli, dacorr, hodge, matcalc, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
 
@@ -13,6 +17,7 @@ from conftest import (
     grad_div_pair_2d,
     random_matrix,
     rel_err,
+    resolvent,
     zero_mode,
 )
 
@@ -227,7 +232,7 @@ class TestVariableResolvent:
         op = hodge.VariableOp.constant(dirac_pair, grid64)
         u = torus.random_band_limited(grid64, 2, seed=5)
         got = hodge.variable_resolvent(op, 1.3, u, rtol=1e-12)
-        r = torus.GridSymbol(dirac_pair.total(), grid64).resolvent(1.3)
+        r = resolvent(torus.GridSymbol(dirac_pair.total(), grid64), 1.3)
         ref = torus.apply_multiplier(r, u)
         assert torus.lp_norm(got - ref, 2.0) <= 1e-10 * torus.lp_norm(u, 2.0)
 
@@ -246,12 +251,14 @@ class TestVariableResolvent:
         values = torus.random_band_limited(grid16, 2, seed=6).values.copy()
         values[5, 1] = np.nan
         with pytest.raises(NotInvertible):
-            hodge.solve_field(
-                lambda f: f + 1j * var_op16.apply(f),
+            hodge.solve_shifts(
+                var_op16.apply,
                 torus.GridField(grid16, values),
+                [1j],
+                [[1j]],
                 what="resolvent at t=1",
                 rtol=1e-10,
-                precond=var_op16.total_symbol.resolvent(1.0),
+                precond_for=var_op16.total_symbol.shifted,
             )
         assert field_solves == ["gmres"]
 
@@ -270,7 +277,7 @@ class TestVariableResolvent:
         cols = stack.values.reshape(3, -1).T
         smooth = np.linalg.solve(np.eye(var_op16.dim) + t * t * m @ m, cols)
         un = torus.lp_norms(stack, 2.0)
-        for got, ref in zip(hodge.resolvent_halves(var_op16, t, stack), (smooth, t * m @ smooth)):
+        for got, ref in zip(hodge.resolvent_halves(var_op16, [t], stack), (smooth, t * m @ smooth)):
             ref = torus.GridField(grid16, ref.T.reshape(stack.values.shape))
             assert torus.max_ratio(got - ref, 2.0, un) <= 1e-9
 
@@ -286,7 +293,7 @@ def route_case(name):
 
 
 class TestDenseSolveRoute:
-    """solve_field's dense route against its GMRES route and the LU oracle."""
+    """solve_shifts's dense route against its GMRES route and the LU oracle."""
 
     @pytest.mark.parametrize("case", ["dirac1d", "graddiv2d"])
     def test_resolvents_match_gmres_and_lu(self, case, field_solves, monkeypatch):
@@ -297,7 +304,7 @@ class TestDenseSolveRoute:
 
         def resolvents():
             return (hodge.variable_resolvent(op, t, stack, rtol=1e-12),
-                    *hodge.resolvent_halves(op, t, stack, rtol=1e-12))
+                    *hodge.resolvent_halves(op, [t], stack, rtol=1e-12))
 
         dense = resolvents()
         assert field_solves == ["dense"] * 9
@@ -316,15 +323,19 @@ class TestDenseSolveRoute:
         pytest.param(hodge.DENSE_SOLVE_LIMIT // 4 + 1, "gmres", id="past-limit"),
     ])
     def test_route_by_size(self, big_n, route, field_solves):
-        # 3I plus a cyclic shift of the components, at the limit and at the
-        # next size a field on 4 points can have; both meet rtol
+        # 3I plus a cyclic shift of the components, the shift 3 of minus the
+        # cyclic shift, at the limit and at the next size a field on 4 points
+        # can have; both meet rtol
         grid = torus.TorusGrid(1, 4)
 
         def apply_fn(f):
             return 3.0 * f + torus.GridField(grid, np.roll(f.values, 1, axis=-1))
 
+        def minus_shift(f):
+            return torus.GridField(grid, -np.roll(f.values, 1, axis=-1))
+
         rhs = torus.random_trials(grid, big_n, 2, seed=3)
-        x = hodge.solve_field(apply_fn, rhs, what="shifted", rtol=1e-12)
+        x, = hodge.solve_shifts(minus_shift, rhs, [3.0], [[1.0]], what="shifted", rtol=1e-12)
         assert field_solves == [route] * 2
         assert torus.max_ratio(apply_fn(x) - rhs, 2.0, torus.lp_norms(rhs, 2.0)) <= 1e-12
 
@@ -332,9 +343,11 @@ class TestDenseSolveRoute:
         values = torus.random_band_limited(grid16, 2, seed=6).values.copy()
         values[5, 1] = np.nan
         with pytest.raises(NotInvertible, match="resolvent at t=1") as info:
-            hodge.solve_field(
-                lambda f: f + 1j * var_op16.apply(f),
+            hodge.solve_shifts(
+                var_op16.apply,
                 torus.GridField(grid16, values),
+                [1j],
+                [[1j]],
                 what="resolvent at t=1",
                 rtol=1e-10,
             )
@@ -344,14 +357,57 @@ class TestDenseSolveRoute:
     def test_singular_operator_is_not_invertible(self, grid16):
         stack = torus.random_trials(grid16, 2, 2, seed=6)
         with pytest.raises(NotInvertible, match="zero map") as info:
-            hodge.solve_field(lambda f: 0 * f, stack, what="zero map", rtol=1e-10)
+            hodge.solve_shifts(lambda f: 0 * f, stack, [0.0], [[1.0]], what="zero map", rtol=1e-10)
         assert info.value.residual == np.inf
 
     def test_residual_above_rtol_is_not_invertible(self, var_op16, grid16):
         u = torus.random_band_limited(grid16, 2, seed=6)
         with pytest.raises(NotInvertible, match="above") as info:
-            hodge.solve_field(lambda f: f + 1j * var_op16.apply(f), u, what="r", rtol=1e-30)
+            hodge.solve_shifts(var_op16.apply, u, [1j], [[1j]], what="r", rtol=1e-30)
         assert 1e-30 < info.value.residual < 1e-12
+
+
+class TestSolveShifts:
+    """solve_shifts on each of its routes against the LU oracle, on stacks,
+    with one rtol per shift."""
+
+    @pytest.mark.parametrize("route", ["lu", "eig", "gmres"])
+    @pytest.mark.parametrize("case", ["dirac1d", "graddiv2d"])
+    def test_resolvents_match_lu_oracle(self, case, route, field_solves, monkeypatch):
+        # R(t) = p (p - Op)^{-1} with p = i/t, one row per shift
+        op = route_case(case)
+        stack = torus.random_trials(op.grid, op.big_n, 3, seed=15)
+        ts = [0.5, -0.5, 2.0, -2.0]
+        shifts = [1j / t for t in ts]
+        if route == "eig":
+            monkeypatch.setattr(hodge, "EIG_ROUTE_POLES", len(shifts))
+        if route == "gmres":
+            monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
+        got = hodge.solve_shifts(
+            op.apply, stack, shifts, np.diag(shifts), what="resolvent",
+            rtol=[1e-12, 1e-12, 1e-11, 1e-11], precond_for=op.total_symbol.shifted,
+        )
+        # the eig route solves once with V, for all shifts
+        routes = {"lu": ["dense"] * 4 * 3, "eig": ["dense"] * 3, "gmres": ["gmres"] * 4 * 3}
+        assert field_solves == routes[route]
+        un = torus.lp_norms(stack, 2.0)
+        for x, t in zip(got, ts):
+            assert torus.max_ratio(x - dense_resolvent(op, t, stack), 2.0, un) <= 1e-10
+
+    def test_rtol_per_shift(self, var_op16):
+        # the second shift's rtol is out of reach, and the error names it
+        u = torus.random_band_limited(var_op16.grid, 2, seed=6)
+        with pytest.raises(NotInvertible, match=r"pair, z=-0-0\.5j") as info:
+            hodge.solve_shifts(var_op16.apply, u, [0.5j, -0.5j], [[1.0, 1.0]], what="pair",
+                               rtol=[1e-10, 1e-30])
+        assert 1e-30 < info.value.residual < 1e-12
+
+
+def test_one_dense_size_limit():
+    # every route between dense linear algebra and GMRES reads one limit
+    limits = [f"{name}.{attr}" for name, mod in vars(opcalc).items() if inspect.ismodule(mod)
+              for attr in vars(mod) if re.fullmatch(r"DENSE_\w*_LIMIT", attr)]
+    assert limits == ["hodge.DENSE_SOLVE_LIMIT"]
 
 
 class TestVariableProjections:
@@ -423,15 +479,19 @@ class TestVariableProjections:
     def test_probe_checks_its_curve_against_dense(self, field_solves, monkeypatch):
         # the dense check reuses the projections the curve settled on:
         # 18 curve solves and 4 for the intertwining residual, on either
-        # route; at the default limit the probe runs no GMRES
+        # route; at the default limit the probe runs no GMRES, and its solves
+        # assemble 3 operators: one for the six-shift ladder and one for each
+        # resolvent pair of the intertwining residual
         calls = field_solves
         values = cli.read_config("hodge-var", {"seed": 0, **cli.SUITES["hodge-var"]["defaults"]})
         for route, limit in SOLVE_ROUTES.items():
             monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", limit)
             del calls[:]
+            calls.assemblies.clear()
             _, constants, passes = cli.PROBES["hodge-var"](**values)
             assert len(calls) == 22
             assert set(calls) == {route}
+            assert calls.assemblies["solve_shifts"] == {"dense": 3, "gmres": 0}[route]
             assert constants["limit_vs_dense"] <= values["tolerance"]
             assert passes["limit_vs_dense"]
 

@@ -397,7 +397,7 @@ class TestOffDiagonal:
         c = torus.GridField(
             grid64, np.broadcast_to([2.0, 1.0], grid64.shape + (2,)).astype(complex)
         )
-        out = hodge.resolvent_halves(op, 0.5, c)[1]
+        out = hodge.resolvent_halves(op, [0.5], c)[1]
         assert torus.lp_norm(out, 2.0) <= 1e-12 * torus.lp_norm(c, 2.0)
 
     def test_scales_metadata(self):

@@ -6,7 +6,9 @@ import pytest
 from opcalc import cli, dacorr, hodge, krylov, matcalc, quadest, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
-from conftest import bandpass, jordan_symbol_2d, plane_wave, rel_err, zero_field, zero_mode
+from conftest import (
+    bandpass, jordan_symbol_2d, plane_wave, rel_err, resolvent, smoothing, zero_field, zero_mode,
+)
 
 
 def dft_matrix(g):
@@ -53,7 +55,7 @@ class TestApplyMultiplier:
     def test_composition_is_pointwise_product(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=5)
         gs = torus.GridSymbol(dirac_pair.total(), grid64)
-        p, q = gs.smoothing(0.7), bandpass(gs, 0.7)
+        p, q = smoothing(gs, 0.7), bandpass(gs, 0.7)
         once = torus.apply_multiplier(torus.MultiplierOp(grid64, p.mats @ q.mats), u)
         twice = torus.apply_multiplier(p, torus.apply_multiplier(q, u))
         assert rel_err(once.values, twice.values) < 1e-10
@@ -130,7 +132,7 @@ class TestSupport:
             assert np.array_equal(torus.apply_multiplier(op, u).values, full_product(op, u))
 
     def test_full_support_is_the_array_itself(self, dirac64):
-        m = dirac64.resolvent(0.5)
+        m = resolvent(dirac64, 0.5)
         assert m.support.mats is m.mats
 
     def test_zero_multiplier_returns_zeros_without_fft(self, grid16, monkeypatch):
@@ -156,7 +158,7 @@ class TestSupport:
                     a[0] = 0
 
     def test_fft_volume_of_a_variable_resolvent(self, grad_div_pair, monkeypatch):
-        # per preconditioned GMRES iteration: the resolvent preconditioner
+        # per preconditioned GMRES iteration: the shifted preconditioner
         # transforms all 4 components both ways (8), gamma reads {0} and
         # writes {1, 2} (3), gamma_tilde reads {1, 2} and writes {0} (3):
         # 14 component transforms, not the 3 * 2 * 4 = 24 of full products
@@ -263,7 +265,7 @@ class TestCoefficientSupport:
 def resolvent_family(pair, grid, t):
     """(r, p, q) = ((I + itS)^{-1}, (I + t^2 S^2)^{-1}, t S p) of the total symbol."""
     gs = torus.GridSymbol(pair.total(), grid)
-    return gs.resolvent(t), gs.smoothing(t), bandpass(gs, t)
+    return resolvent(gs, t), smoothing(gs, t), bandpass(gs, t)
 
 
 class TestBatchAxis:
@@ -369,7 +371,7 @@ class TestResolventMultipliers:
             symbols.HomogeneousSymbol(1, 2, 1, {(1,): [[0, -1], [0, 0]]}),
         )
         with pytest.raises(NotInvertible):
-            torus.GridSymbol(pair.total(), grid).smoothing(1.0)
+            smoothing(torus.GridSymbol(pair.total(), grid), 1.0)
         u = torus.random_band_limited(grid, 2, seed=1)
         with pytest.raises(NotInvertible):
             quadest.bandpass_fields_constant(
