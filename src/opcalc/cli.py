@@ -351,11 +351,10 @@ def probe_perturb(seed, symbol, grid, deltas):
     e2 = hodge.diagonal_direction(grid, symbol.big_n, seed + 42)
     base = hodge.VariableOp.constant(symbol, grid)
     eye = torus.MatrixField.identity(grid, symbol.big_n)
-    ratio_rows = []
-    for d in deltas:
-        coeffs = hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2)
-        rep = hodge.hodge_perturbation_report(base, hodge.VariableOp(symbol, coeffs, grid))
-        ratio_rows.append({"delta": rep.delta, **rep.ratios})
+    pairs = [hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2) for d in deltas]
+    others = [hodge.VariableOp(symbol, coeffs, grid) for coeffs in pairs]
+    ratio_rows = [{"delta": rep.delta, **rep.ratios}
+                  for rep in hodge.hodge_perturbation_report(base, others)]
     spread = 0.0
     for key in ("p0", "p_gamma", "p_gamma_tilde"):
         vals = [r[key] for r in ratio_rows if r[key] > 0]

@@ -128,15 +128,12 @@ def stack_components(u1: torus.GridField, u2: torus.GridField) -> torus.GridFiel
 
 
 def contour_fractions(contour: matcalc.ContourSpec, f: Callable) -> matcalc.PartialFractions:
-    """The quadrature sum_k w_k f(z_k) / (z_k - z) of the Cauchy integral of
-    f over ``contour``, as partial fractions: poles z_k, residues -w_k f(z_k).
-    Requires f(0) = 0 (every member of the bundled test family vanishes at
-    the origin), so no kernel-projection term is needed."""
+    """``contour.fractions(f)``, the quadrature of f's Cauchy integral as
+    partial fractions.  Requires f(0) = 0 (every member of the bundled test
+    family vanishes at the origin), so no kernel-projection term is needed."""
     if abs(complex(f(0.0))) > 1e-13:
         raise ValueError("contour fractions require f(0) = 0")
-    z, w = (q.ravel() for q in contour.quadrature)
-    r = -w * matcalc._feval(f, z)
-    return matcalc.PartialFractions(tuple(z.tolist()), tuple(r.tolist()), contour)
+    return contour.fractions(f)
 
 
 def discrete_contour(
@@ -163,30 +160,15 @@ def discrete_contour(
     return matcalc.ContourSpec(theta, kappa_est / 4.0, 4.0 * m_est * (1.0 + coeff_sup**2), nodes)
 
 
-def fraction_calculus(
-    apply_fn: Callable[[torus.GridField], torus.GridField],
-    u: torus.GridField,
-    f: matcalc.PartialFractions,
-    *,
-    precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
-) -> torus.GridField:
-    """f(T)U = sum_k (-r_k) (p_k - T)^{-1} U for a matrix-free T and f given
-    by its partial fractions, on a field or each field of a stack ``u``:
-    one :func:`hodge.solve_shifts` call over the poles, each solve to
-    relative residual 1e-12, preconditioned on the GMRES route by
-    ``precond_for(p)`` when given; fractions from a contour take its
-    enclosure check on the eig route."""
-    return hodge.solve_shifts(
-        apply_fn, u, f.poles, [[-r for r in f.residues]], rtol=1e-12,
-        what="shifted solve", precond_for=precond_for, contour=f.contour,
-    )[0]
-
-
-def composition_calculus(
-    op: CompositionOp, f: matcalc.PartialFractions, u: torus.GridField
-) -> torus.GridField:
-    """f(D A) u, preconditioned by the shifted symbol of D."""
-    return fraction_calculus(op.apply, u, f, precond_for=op.symbol.shifted)
+def fraction_calculus(op, u: torus.GridField, f: matcalc.PartialFractions) -> torus.GridField:
+    """f(T)U = sum_k (-r_k) (p_k - T)^{-1} U for the operator T = ``op``, with
+    ``apply`` and ``symbol`` as :func:`hodge.solve_shifts` takes it, and f
+    given by its partial fractions, on a field or each field of a stack
+    ``u``: one solve_shifts call over the poles, each solve to relative
+    residual 1e-12; fractions from a contour take its enclosure check on the
+    eig route."""
+    return hodge.solve_shifts(op, u, f.poles, [[-r for r in f.residues]], rtol=1e-12,
+                              what="shifted solve", contour=f.contour)[0]
 
 
 def intertwine_check(
@@ -223,10 +205,8 @@ def intertwine_check(
         f_comp = sized((a - torus.MatrixField.identity(grid, comp.big_n)).inf_norm, a.inf_norm)
     us = torus.random_trials(grid, comp.big_n, trials, seed)
     vs = stack_components(a.apply(us), us)
-    lhs = fraction_calculus(
-        block_op.apply, vs, f_block, precond_for=block_op.total_symbol.shifted
-    )
-    x = composition_calculus(comp, f_comp, us)
+    lhs = fraction_calculus(block_op, vs, f_block)
+    x = fraction_calculus(comp, us, f_comp)
     rhs = stack_components(a.apply(x), x)
     return torus.max_ratio(lhs - rhs, 2.0, torus.lp_norms(vs, 2.0))
 
@@ -246,13 +226,8 @@ def block_resolvent_product(
     size = comp.big_n
     u1, u2 = split_components(v, size)
     d_u1 = torus.apply_multiplier(comp.d_op, u1)
-    # (I + t^2 (DA)^2)^{-1} is the even half of DA's resolvent pair:
-    # (R(t) + R(-t)) / 2 with R(+-t) = (+-p)(+-p - DA)^{-1}, p = i/t
-    p = 1j / t
-    y2 = hodge.solve_shifts(
-        comp.apply, u2 - 1j * t * d_u1, [p, -p], [[p / 2, -p / 2]], rtol=1e-12,
-        what="central block solve", precond_for=comp.symbol.shifted,
-    )[0]
+    # (I + t^2 (DA)^2)^{-1} is the even half of DA's resolvent pair
+    y2 = hodge.resolvent_halves(comp, [t], u2 - 1j * t * d_u1, rtol=1e-12)[0]
     ada_y2 = a.apply(torus.apply_multiplier(comp.d_op, a.apply(y2)))
     return stack_components(u1 - 1j * t * ada_y2, y2)
 
@@ -265,12 +240,14 @@ def block_resolvent_product(
 @dataclasses.dataclass
 class SimilarityMaps:
     """split : u -> (kernel part, untwisted twisted-range part, plain-range
-    part) on the tripled space; assemble is its left inverse."""
+    part) on the tripled space; assemble is its left inverse.  The maps are
+    also the tripled operator: ``apply`` acts on the tripled space, and
+    ``symbol`` is its constant-coefficient symbol."""
 
     split: Callable[[torus.GridField], torus.GridField]
     assemble: Callable[[torus.GridField], torus.GridField]
-    triple_apply: Callable[[torus.GridField], torus.GridField]
-    triple_symbol: torus.GridSymbol
+    apply: Callable[[torus.GridField], torus.GridField]
+    symbol: torus.GridSymbol
     size: int
 
 
@@ -309,7 +286,7 @@ def build_similarity(
         out = p0 @ x0 + pg @ x2 + pgt @ (b1_dense @ x1)
         return torus.GridField.from_flat(grid, size, out)
 
-    def triple_apply(v3: torus.GridField) -> torus.GridField:
+    def apply(v3: torus.GridField) -> torus.GridField:
         vals = v3.values
         u1 = torus.GridField(grid, vals[..., size : 2 * size])
         u2 = torus.GridField(grid, vals[..., 2 * size :])
@@ -320,11 +297,10 @@ def build_similarity(
             grid, np.concatenate([zeros, mid.values, last.values], axis=-1)
         )
 
-    # constant-coefficient symbol of the tripled operator, for preconditioning
     tri_symbol = torus.GridSymbol(
         _embed_block(pair.gamma_tilde, 1, 2, 3) + _embed_block(pair.gamma, 2, 1, 3), grid
     )
-    return SimilarityMaps(split, assemble, triple_apply, tri_symbol, size)
+    return SimilarityMaps(split, assemble, apply, tri_symbol, size)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +368,7 @@ def holomorphy_probe(
             raise ProbeAborted(msg, node=z)
 
     def at(z: complex) -> np.ndarray:
-        return composition_calculus(CompositionOp(d, path.at(z)), f, u).values
+        return fraction_calculus(CompositionOp(d, path.at(z)), u, f).values
 
     center = torus.GridField(grid, at(0.0))
     # summed in node order, so the even-node mean is bitwise the mean over
@@ -418,7 +394,7 @@ def sup_norm_on_bisector(f: Callable, theta: float) -> float:
     at 4,000 radii from 1e-6 to 1e6."""
     rr = np.logspace(-6, 6, 4000)
     return max(
-        float(np.abs(matcalc._feval(f, rr * np.exp(1j * ang))).max())
+        float(np.abs(matcalc.feval(f, rr * np.exp(1j * ang))).max())
         for ang in (theta, -theta, math.pi - theta, math.pi + theta)
     )
 
@@ -451,14 +427,14 @@ def lipschitz_probe(
     theta = 0.5 * (d.params.omega + math.pi / 2)
     f_sup = sup_norm_on_bisector(f, theta)
     us = torus.random_trials(a.grid, a.big_n, trials, seed)
-    fa = composition_calculus(CompositionOp(d, a), f, us)
+    fa = fraction_calculus(CompositionOp(d, a), us, f)
     un = torus.lp_norms(us, p)
     reports = []
     for a_tilde in a_tildes:
         dist = (a - a_tilde).inf_norm
         worst = 0.0
         if dist > 0:
-            fb = composition_calculus(CompositionOp(d, a_tilde), f, us)
+            fb = fraction_calculus(CompositionOp(d, a_tilde), us, f)
             worst = torus.max_ratio(fa - fb, p, dist * f_sup * un)
         reports.append(LipschitzReport(worst, dist, f_sup))
     return reports
@@ -483,17 +459,11 @@ def lipschitz_triple_decomposition(
     grid = u.grid
     maps_a = build_similarity(pair, coeffs_a, grid)
     maps_b = build_similarity(pair, coeffs_b, grid)
-
-    def fd(maps: SimilarityMaps, v: torus.GridField) -> torus.GridField:
-        return fraction_calculus(
-            maps.triple_apply, v, f, precond_for=maps.triple_symbol.shifted
-        )
-
     sa_u = maps_a.split(u)
     sb_u = maps_b.split(u)
-    fda_sa = fd(maps_a, sa_u)
-    fdb_sb, fdb_sa, fdb_diff = fd(
-        maps_b, torus.GridField.stack([sb_u, sa_u, sa_u - sb_u])
+    fda_sa = fraction_calculus(maps_a, sa_u, f)
+    fdb_sb, fdb_sa, fdb_diff = fraction_calculus(
+        maps_b, torus.GridField.stack([sb_u, sa_u, sa_u - sb_u]), f
     ).members()
     direct = maps_a.assemble(fda_sa) - maps_b.assemble(fdb_sb)
     term1 = maps_a.assemble(fda_sa) - maps_b.assemble(fda_sa)

@@ -133,7 +133,7 @@ class VariableOp:
         return self.grid.size * self.big_n
 
     @cached_property
-    def total_symbol(self) -> torus.GridSymbol:
+    def symbol(self) -> torus.GridSymbol:
         """The constant-coefficient symbol gamma + gamma_tilde on the grid."""
         return torus.GridSymbol(self.pair.total(), self.grid)
 
@@ -344,20 +344,20 @@ def lu_solve(mat: np.ndarray, cols: np.ndarray, what: str) -> np.ndarray:
 
 
 def solve_shifts(
-    apply_fn: Callable[[torus.GridField], torus.GridField],
+    op,
     u: torus.GridField,
     shifts: Sequence[complex],
     weights,
     *,
     rtol,
     what: str,
-    precond_for: Callable[[complex], torus.MultiplierOp] | None = None,
     contour: matcalc.ContourSpec | None = None,
 ) -> list[torus.GridField]:
     """sum_k weights[j][k] (p_k - T)^{-1} u for each row j of ``weights``, with
-    T = ``apply_fn`` (acting on stacks) and p_k = ``shifts[k]``, on a field or
-    a stack ``u``.  Each solve meets ||u - (p_k - T) x|| <= rtol ||u||, with
-    one rtol or one per shift.
+    p_k = ``shifts[k]`` and T = ``op``: any object with ``apply`` (acting on
+    stacks) and ``symbol``, the torus.GridSymbol S of its constant-coefficient
+    part; on a field or a stack ``u``.  Each solve meets
+    ||u - (p_k - T) x|| <= rtol ||u||, with one rtol or one per shift.
 
     Up to DENSE_SOLVE_LIMIT unknowns T is assembled once.  From
     EIG_ROUTE_POLES shifts up, when cond(V) <= matcalc.EIG_COND_LIMIT, row j
@@ -366,23 +366,22 @@ def solve_shifts(
     ContourTooClose.  Otherwise each shift is one LU for all fields, each
     field's true residual checked.  Past the limit each shift and field is
     one GMRES solve, in that order, right-preconditioned by
-    ``precond_for(p_k)`` when given.  A residual above rtol or not finite,
-    or a singular matrix, raises NotInvertible naming ``what`` and the
-    shift, with the residual.
+    ``op.symbol.shifted(p_k)`` = (p_k - S)^{-1}.  A residual above rtol or not
+    finite, or a singular matrix or preconditioner, raises NotInvertible
+    naming ``what`` and the shift, with the residual (inf where singular).
     """
     grid, big_n, shape = u.grid, u.big_n, u.values.shape
     dim = grid.size * big_n
     weights = np.asarray(weights, dtype=complex)
     rtols = rtol if np.ndim(rtol) else [rtol] * len(shifts)
     if dim <= DENSE_SOLVE_LIMIT:
-        mat = dense_operator(apply_fn, grid, big_n)
+        mat = dense_operator(op.apply, grid, big_n)
         cols = u.values.reshape(-1, dim).T
         if len(shifts) >= EIG_ROUTE_POLES:
             lam, v = np.linalg.eig(mat)
             if np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT:
                 if contour is not None:
-                    nz, _ = matcalc._classify(lam, float(np.abs(lam).max()))
-                    matcalc._check_enclosed(nz, contour, 1e-6)
+                    contour.check_enclosed(lam, float(np.abs(lam).max()))
                 y = lu_solve(v, cols, "eigenvector matrix")
                 out = []
                 for row in weights:
@@ -411,8 +410,11 @@ def solve_shifts(
 
         def pieces(k, p, name):
             # one field at a time, so one solution is held beside the rows
-            matvec = on_flat(lambda y: p * y - apply_fn(y))
-            apply_m = None if precond_for is None else on_flat(precond_for(p).apply)
+            matvec = on_flat(lambda y: p * y - op.apply(y))
+            try:
+                apply_m = on_flat(op.symbol.shifted(p).apply)
+            except NotInvertible as exc:
+                raise NotInvertible(f"{name}: singular preconditioner", residual=math.inf) from exc
             for i, b in enumerate(rhs):
                 yield i, krylov.solve_or_raise(matvec, b, what=name, rtol=rtols[k], precond=apply_m)
 
@@ -428,31 +430,29 @@ def variable_resolvent(
     op: VariableOp, t: float, u: torus.GridField, *, rtol: float = 1e-10
 ) -> torus.GridField:
     """(I + i t Op)^{-1} u = p (p - Op)^{-1} u with p = i/t: one shift of
-    :func:`solve_shifts`, preconditioned on the GMRES route by (p - S)^{-1},
-    exact at B = I."""
+    :func:`solve_shifts`, whose preconditioner (p - S)^{-1} is exact at B = I."""
     if t == 0:
         return u
     p = 1j / t
-    return solve_shifts(op.apply, u, [p], [[p]], rtol=rtol, what=f"resolvent at t={t}",
-                        precond_for=op.total_symbol.shifted)[0]
+    return solve_shifts(op, u, [p], [[p]], rtol=rtol, what=f"resolvent at t={t}")[0]
 
 
 def resolvent_halves(
-    op: VariableOp, scales: Sequence[float], u: torus.GridField, *, rtol=1e-10
+    op, scales: Sequence[float], u: torus.GridField, *, rtol=1e-10
 ) -> list[torus.GridField]:
     """For each t of ``scales`` in turn, the even and odd halves of the pair
     R(+-t) = (I +- i t Op)^{-1} = (+-p)(+-p - Op)^{-1}, p = i/t:
     (R(t)u + R(-t)u) / 2 = (I + t^2 Op^2)^{-1} u and
     (i/2)(R(t)u - R(-t)u) = t Op (I + t^2 Op^2)^{-1} u; every scale's pair
-    in one :func:`solve_shifts` call, with one rtol or one per scale."""
+    in one :func:`solve_shifts` call on ``op``, with one rtol or one per scale."""
     n = len(scales)
     shifts, weights = [], np.zeros((2 * n, 2 * n), dtype=complex)
     for k, t in enumerate(scales):
         p = 1j / t
         shifts += [p, -p]
         weights[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[p / 2, -p / 2], [-0.5 / t, -0.5 / t]]
-    return solve_shifts(op.apply, u, shifts, weights, rtol=np.repeat(np.broadcast_to(rtol, n), 2),
-                        what="resolvent pair", precond_for=op.total_symbol.shifted)
+    return solve_shifts(op, u, shifts, weights, rtol=np.repeat(np.broadcast_to(rtol, n), 2),
+                        what="resolvent pair")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
     """
     # the attainable residual degrades like eps * t * ||op||; ask only
     # for what floating point can deliver at the largest scales
-    big = op.total_symbol.multiplier().inf_norm
+    big = op.symbol.multiplier().inf_norm
     big *= max(1.0, op.coeffs.b1.inf_norm * op.coeffs.b2.inf_norm)
 
     def all_at(scales, u):
@@ -602,33 +602,37 @@ class PerturbationReport:
     ratios: dict | None
 
 
-def hodge_perturbation_report(opa: VariableOp, opb: VariableOp) -> PerturbationReport:
-    """Operator-norm distances between the Hodge projections of two
-    operators sharing a symbol pair, normalized by the coefficient
-    distance.  Dense path; intended for small grids."""
-    if opa.grid != opb.grid or opa.pair != opb.pair:
+def hodge_perturbation_report(
+    base: VariableOp, others: Sequence[VariableOp]
+) -> list[PerturbationReport]:
+    """Operator-norm distances between the Hodge projections of ``base`` and
+    of each operator of the sweep ``others``, which share its symbol pair and
+    grid, normalized by the coefficient distance; one report per member.
+    base's projections and restricted inverse are computed once for the
+    whole sweep.  Dense path; intended for small grids."""
+    if any(op.grid != base.grid or op.pair != base.pair for op in others):
         raise ValueError("operators must share grid and symbol pair")
-    delta = opb.coeffs.distance(opa.coeffs)
-    pa = dense_hodge_projections(opa)
-    pb = dense_hodge_projections(opb)
-    diffs = [matcalc.operator_norm(b - a) for a, b in zip(pa, pb)]
-    # restricted inverse: basis of range(gamma_tilde) mapped through A1, B1
-    gt = dense_operator(opa.gamma_tilde_op.apply, opa.grid, opa.big_n)
-    v = matcalc.range_basis(gt)
-    wa = dense_operator(opa.coeffs.b1.apply, opa.grid, opa.big_n) @ v
-    wb = dense_operator(opb.coeffs.b1.apply, opb.grid, opb.big_n) @ v
-    inv_a = v @ np.linalg.lstsq(wa, pa[2], rcond=None)[0]
-    inv_b = v @ np.linalg.lstsq(wb, pb[2], rcond=None)[0]
-    diff_inv = matcalc.operator_norm(inv_b - inv_a)
-    ratios = None
-    if delta > 0:
-        ratios = {
-            "p0": diffs[0] / delta,
-            "p_gamma": diffs[1] / delta,
-            "p_gamma_tilde": diffs[2] / delta,
-            "restricted_inverse": diff_inv / delta,
-        }
-    return PerturbationReport(delta, diffs[0], diffs[1], diffs[2], diff_inv, ratios)
+    pa = dense_hodge_projections(base)
+    # restricted inverse: basis of range(gamma_tilde) mapped through B1
+    v = matcalc.range_basis(dense_operator(base.gamma_tilde_op.apply, base.grid, base.big_n))
+
+    def restricted_inverse(op: VariableOp, p_gamma_tilde: np.ndarray) -> np.ndarray:
+        w = dense_operator(op.coeffs.b1.apply, op.grid, op.big_n) @ v
+        return v @ np.linalg.lstsq(w, p_gamma_tilde, rcond=None)[0]
+
+    inv_a = restricted_inverse(base, pa[2])
+    reports = []
+    for op in others:
+        delta = op.coeffs.distance(base.coeffs)
+        pb = dense_hodge_projections(op)
+        diffs = [matcalc.operator_norm(b - a) for a, b in zip(pa, pb)]
+        diffs.append(matcalc.operator_norm(restricted_inverse(op, pb[2]) - inv_a))
+        ratios = None
+        if delta > 0:
+            keys = ("p0", "p_gamma", "p_gamma_tilde", "restricted_inverse")
+            ratios = {key: diff / delta for key, diff in zip(keys, diffs)}
+        reports.append(PerturbationReport(delta, *diffs, ratios))
+    return reports
 
 
 def underline_intertwining_residual(op: VariableOp, t: float, *, seed: int = 0) -> float:

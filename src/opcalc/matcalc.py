@@ -130,6 +130,24 @@ class ContourSpec:
         w.flags.writeable = False
         return z, w
 
+    def fractions(self, f: Callable) -> PartialFractions:
+        """The quadrature sum_k w_k f(z_k) / (z_k - z) of the Cauchy integral
+        of f over this path, as partial fractions: poles z_k, residues
+        -w_k f(z_k), with this path as their contour."""
+        z, w = (q.ravel() for q in self.quadrature)
+        return PartialFractions(tuple(z.tolist()), tuple((-w * feval(f, z)).tolist()), self)
+
+    def check_enclosed(self, lam: np.ndarray, scale: float):
+        """ContourTooClose where an eigenvalue of ``lam`` above ZERO_EIG_TOL *
+        ``scale`` is not inside the path by a relative margin of 1e-6."""
+        nz, _ = _classify(lam, scale)
+        mods = np.abs(nz)
+        angs = np.minimum(np.abs(np.angle(nz)), np.abs(np.angle(-nz)))
+        ok_r = (mods >= self.r_inner * (1 + 1e-6)) & (mods <= self.r_outer * (1 - 1e-6))
+        bad = ~(ok_r & (angs <= self.theta_prime - 1e-6))
+        if np.any(bad):
+            raise ContourTooClose(f"eigenvalue {nz[bad][0]:.6g} within margin of the contour")
+
 
 @dataclasses.dataclass(frozen=True)
 class PartialFractions:
@@ -150,7 +168,7 @@ class PartialFractions:
         inverse; NotInvertible where some M - p_k I is singular."""
         mats = np.asarray(mats, dtype=complex)
         p = np.reshape(self.poles, (-1,) + (1,) * mats.ndim)
-        inv = _batched_inv(mats - p * np.eye(mats.shape[-1]), "M - p I")
+        inv = batched_inv(mats - p * np.eye(mats.shape[-1]), "M - p I")
         return np.tensordot(self.residues, inv, axes=1)
 
     def scaled(self, t: float) -> "PartialFractions":
@@ -199,7 +217,7 @@ def _classify(lam: np.ndarray, scale: float):
     return lam[mask], zero_tol
 
 
-def _batched_inv(mats: np.ndarray, what: str) -> np.ndarray:
+def batched_inv(mats: np.ndarray, what: str) -> np.ndarray:
     """Inverse of every matrix in a stack; a singular one is NotInvertible."""
     try:
         return np.linalg.inv(mats)
@@ -246,7 +264,7 @@ def _projections(pieces, cond_limit=None):
         if singular.any():
             bad.append((idx[singular], "subspace basis matrix singular"))
             idx, basis = idx[~singular], basis[~singular]
-        inv = _batched_inv(basis, "subspace basis matrix")
+        inv = batched_inv(basis, "subspace basis matrix")
         edges = np.concatenate([[0], np.cumsum(d)])
         for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             out[j][idx] = basis[..., lo:hi] @ inv[..., lo:hi, :]
@@ -386,7 +404,7 @@ def default_contour(params: BisectorParams, nodes=256) -> ContourSpec:
     return ContourSpec(theta, 0.5 * params.kappa, 2.0 * params.big_m, nodes)
 
 
-def _feval(f: Callable, z: np.ndarray) -> np.ndarray:
+def feval(f: Callable, z: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function on an array, vectorized when possible."""
     try:
         out = np.asarray(f(z), dtype=complex)
@@ -397,25 +415,12 @@ def _feval(f: Callable, z: np.ndarray) -> np.ndarray:
     return np.asarray([complex(f(zz)) for zz in z])
 
 
-def _check_enclosed(nz: np.ndarray, spec: ContourSpec, margin: float):
-    mods = np.abs(nz)
-    angs = np.minimum(np.abs(np.angle(nz)), np.abs(np.angle(-nz)))
-    ok_r = (mods >= spec.r_inner * (1 + margin)) & (mods <= spec.r_outer * (1 - margin))
-    ok_a = angs <= spec.theta_prime - margin
-    bad = ~(ok_r & ok_a)
-    if np.any(bad):
-        raise ContourTooClose(
-            f"eigenvalue {nz[bad][0]:.6g} within margin of the contour"
-        )
-
-
 def contour_fc(t, f: Callable, spec: ContourSpec | None = None):
     """Matrix function f(T) via the truncated-bisector Dunford integral.
 
     Returns ``f(0) * p_ker + (2 pi i)^{-1} * integral of f(z)(z-T)^{-1} dz``
-    over the positively oriented boundary of the truncated bisector, whose
-    quadrature, nodes z_k and weights w_k, is the PartialFractions with
-    poles z_k and residues -w_k f(z_k).  The nonzero spectrum must lie
+    over the positively oriented boundary of the truncated bisector, by the
+    quadrature's :meth:`ContourSpec.fractions`.  The nonzero spectrum must lie
     strictly inside the contour; f must be holomorphic on a neighbourhood
     of the enclosed region and defined at 0.
     ContourTooClose is raised when a nonzero eigenvalue lies within a
@@ -423,13 +428,12 @@ def contour_fc(t, f: Callable, spec: ContourSpec | None = None):
     """
     a = _as_matrix(t)
     p_ker, _ = spectral_split(a)
-    nz, _ = _classify(spectrum(a), operator_norm(a))
+    lam, big_m = spectrum(a), operator_norm(a)
+    nz, _ = _classify(lam, big_m)
     f0 = complex(f(0.0))
     if nz.size == 0:
         return f0 * p_ker
     if spec is None:
         spec = default_contour(bisector_params(a))
-    _check_enclosed(nz, spec, 1e-6)
-    z, w = (q.ravel() for q in spec.quadrature)
-    fractions = PartialFractions(tuple(z.tolist()), tuple((-w * _feval(f, z)).tolist()))
-    return f0 * p_ker + fractions.of(a)
+    spec.check_enclosed(lam, big_m)
+    return f0 * p_ker + spec.fractions(f).of(a)

@@ -363,7 +363,7 @@ class GridSymbol:
         good = np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT
         v[~good] = 0.0
         v_inv = np.zeros_like(v)
-        v_inv[good] = matcalc._batched_inv(v[good], "eigenvector matrix")
+        v_inv[good] = matcalc.batched_inv(v[good], "eigenvector matrix")
         for a in (lam, v, v_inv, good):
             a.flags.writeable = False
         return SpectralTriple(lam, v, v_inv, good)
@@ -393,7 +393,7 @@ class GridSymbol:
         """(z - S)^{-1}, by one batched inverse: the exact constant-coefficient
         inverse that preconditions shifted solves."""
         eye = np.eye(self.symbol.big_n, dtype=complex)
-        return MultiplierOp(self.grid, matcalc._batched_inv(z * eye - self.mats, "z - S"))
+        return MultiplierOp(self.grid, matcalc.batched_inv(z * eye - self.mats, "z - S"))
 
     def fractions(self, f: matcalc.PartialFractions) -> SpectralFunction:
         """f(S): f(lam) on the eigenvalues where V serves and no eigenvalue

@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def field_solves(monkeypatch):
     monkeypatch.setattr(hodge, "lu_solve", counted_lu)
     monkeypatch.setattr(hodge, "dense_operator", counted_dense)
     return routes
+
+
+def map_operator(apply_fn, grid, big_n):
+    """A hand-written map on fields of ``big_n`` components as the operator
+    hodge.solve_shifts takes: ``apply``, and the zero symbol of that size, so
+    that the GMRES route is preconditioned by (p - 0)^{-1}."""
+    zero = symbols.HomogeneousSymbol(grid.n, big_n, 1, {})
+    return types.SimpleNamespace(apply=apply_fn, symbol=torus.GridSymbol(zero, grid))
 
 
 @pytest.fixture(scope="session")
@@ -157,7 +166,7 @@ def resolvent(gs, t):
     """(I + i t S)^{-1} of a GridSymbol at every frequency, by one batched
     inverse: the oracle for the variable resolvent at B = I."""
     eye = np.eye(gs.symbol.big_n)
-    return torus.MultiplierOp(gs.grid, matcalc._batched_inv(eye + 1j * t * gs.mats, "I + i t S"))
+    return torus.MultiplierOp(gs.grid, matcalc.batched_inv(eye + 1j * t * gs.mats, "I + i t S"))
 
 
 def smoothing(gs, t):
@@ -165,7 +174,7 @@ def smoothing(gs, t):
     inverse; NotInvertible where some I + t^2 S(xi)^2 is singular."""
     eye = np.eye(gs.symbol.big_n)
     mats = eye + (t * t) * (gs.mats @ gs.mats)
-    return torus.MultiplierOp(gs.grid, matcalc._batched_inv(mats, "I + t^2 S^2"))
+    return torus.MultiplierOp(gs.grid, matcalc.batched_inv(mats, "I + t^2 S^2"))
 
 
 def bandpass(gs, t):

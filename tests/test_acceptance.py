@@ -167,11 +167,9 @@ def test_06_perturbation_scaling():
     e1 = hodge.diagonal_direction(grid, 2, 606)
     e2 = hodge.diagonal_direction(grid, 2, 607)
     ratios = {k: [] for k in ("p0", "p_gamma", "p_gamma_tilde", "restricted_inverse")}
-    for d in (0.04, 0.02, 0.01):
-        coeffs = hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2)
-        rep = hodge.hodge_perturbation_report(
-            base, hodge.VariableOp(pair, coeffs, grid)
-        )
+    others = [hodge.VariableOp(pair, hodge.CoefficientPair(
+        eye + (d / 2) * e1, eye + (d / 2) * e2), grid) for d in (0.04, 0.02, 0.01)]
+    for rep in hodge.hodge_perturbation_report(base, others):
         for k in ratios:
             ratios[k].append(rep.ratios[k])
     for k, vals in ratios.items():

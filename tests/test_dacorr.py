@@ -8,6 +8,7 @@ from conftest import (
     dense_by_columns,
     dense_resolvent,
     diagonal_coefficients,
+    map_operator,
     matrix_function_eig,
     rel_err,
     zero_field,
@@ -151,7 +152,7 @@ class TestSimilarity:
         op = hodge.VariableOp(dirac_pair, coeffs, grid16)
         u = torus.random_band_limited(grid16, 2, seed=7)
         lhs = maps.split(op.apply(u))
-        rhs = maps.triple_apply(maps.split(u))
+        rhs = maps.apply(maps.split(u))
         assert torus.lp_norm(lhs - rhs, 2.0) <= 1e-8 * torus.lp_norm(u, 2.0)
 
     def test_projection_not_identity_but_idempotent(self, dirac_pair, grid16):
@@ -183,24 +184,20 @@ class TestSimilarity:
         contour = dacorr.discrete_contour(params, grid16, coeff_distance=0.1,
                                           coeff_sup=1.1)
         f = dacorr.contour_fractions(contour, f_odd)
-        via_maps = maps.assemble(dacorr.fraction_calculus(
-            maps.triple_apply, maps.split(u), f, precond_for=maps.triple_symbol.shifted,
-        ))
-        direct = dacorr.fraction_calculus(
-            op.apply, u, f, precond_for=torus.GridSymbol(dirac_pair.total(), grid16).shifted,
-        )
+        via_maps = maps.assemble(dacorr.fraction_calculus(maps, maps.split(u), f))
+        direct = dacorr.fraction_calculus(op, u, f)
         assert torus.lp_norm(via_maps - direct, 2.0) <= 1e-6 * torus.lp_norm(u, 2.0)
 
 
 class TestEigOracle:
     @pytest.mark.parametrize("eps", [0.05, 0.3])
-    def test_composition_calculus_matches_eigendecomposition(self, d_scalar, eps):
+    def test_composition_matches_eigendecomposition(self, d_scalar, eps):
         # exact f(DA) from the eigendecomposition of the assembled operator
         grid = torus.TorusGrid(1, 16)
         a = hodge.perturbed_identity(grid, 1, eps, 67)
         comp = dacorr.CompositionOp(d_scalar, a)
         u = torus.random_band_limited(grid, 1, seed=12)
-        got = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar), u)
+        got = dacorr.fraction_calculus(comp, u, composition_fractions(comp, d_scalar))
         exact = matrix_function_eig(hodge.dense_operator(comp.apply, grid, 1), f_odd) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-6
 
@@ -218,7 +215,7 @@ class TestContourFractions:
         f = dacorr.TEST_FAMILY[name]
         if route == "per-pole":
             monkeypatch.setattr(hodge, "EIG_ROUTE_POLES", np.inf)
-        got = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar, f), u)
+        got = dacorr.fraction_calculus(comp, u, composition_fractions(comp, d_scalar, f))
         exact = matrix_function_eig(hodge.dense_operator(comp.apply, grid, 1), f) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-10
 
@@ -243,10 +240,10 @@ class TestGmresPath:
         comp = dacorr.CompositionOp(d_scalar, hodge.perturbed_identity(grid, 1, 0.3, 67))
         u = torus.random_band_limited(grid, 1, seed=12)
         f = composition_fractions(comp, d_scalar, nodes=32)
-        dense = dacorr.composition_calculus(comp, f, u)
+        dense = dacorr.fraction_calculus(comp, u, f)
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         del field_solves[:]
-        gmres = dacorr.composition_calculus(comp, f, u)
+        gmres = dacorr.fraction_calculus(comp, u, f)
         assert field_solves == ["gmres"] * len(f.poles)
         assert rel_err(gmres.flat(), dense.flat()) < 1e-10
 
@@ -258,22 +255,22 @@ def lu_contour_oracle(apply_fn, u, f, contour):
     z, w = (q.ravel() for q in contour.quadrature)
     rhs = np.broadcast_to(u.flat()[:, None], (z.size, dim, 1))
     sols = np.linalg.solve(z[:, None, None] * np.eye(dim) - mat, rhs)[..., 0]
-    return (matcalc._feval(f, z) * w) @ sols
+    return (matcalc.feval(f, z) * w) @ sols
 
 
-# each case: (apply_fn, field, contour, shifted preconditioner)
+# each case: (operator, field, contour)
 def _composition_case(d, grid16, dirac_pair):
     comp = dacorr.CompositionOp(d, hodge.perturbed_identity(grid16, 1, 0.3, 67))
     contour = dacorr.discrete_contour(d.params, grid16, coeff_distance=0.3, coeff_sup=1.3)
     u = torus.random_band_limited(grid16, 1, seed=12)
-    return comp.apply, u, contour, comp.symbol.shifted
+    return comp, u, contour
 
 
 def _block_case(d, grid16, dirac_pair):
     block = dacorr.build_block(d, hodge.perturbed_identity(grid16, 1, 0.3, 67), seed=0)
     v = torus.random_band_limited(grid16, 2, seed=13)
     contour = dacorr.discrete_contour(d.params, grid16, coeff_distance=0.6, coeff_sup=1.3)
-    return block.apply, v, contour, block.total_symbol.shifted
+    return block, v, contour
 
 
 def _triple_case(d, grid16, dirac_pair):
@@ -282,7 +279,7 @@ def _triple_case(d, grid16, dirac_pair):
     params = symbols.verify_hodge_pair(dirac_pair).params
     contour = dacorr.discrete_contour(params, grid16, coeff_distance=0.1, coeff_sup=1.1)
     v = maps.split(torus.random_band_limited(grid16, 2, seed=10))
-    return maps.triple_apply, v, contour, maps.triple_symbol.shifted
+    return maps, v, contour
 
 
 CASES = [_composition_case, _block_case, _triple_case]
@@ -303,15 +300,15 @@ def jordan_block(grid):
 class TestDenseRoute:
     @pytest.mark.parametrize("case", CASES)
     def test_eig_route_matches_lu_oracle(self, case, d_scalar, grid16, dirac_pair, monkeypatch):
-        apply_fn, u, contour, _ = case(d_scalar, grid16, dirac_pair)
+        op, u, contour = case(d_scalar, grid16, dirac_pair)
         solves = []
         solve = np.linalg.solve
         # the eig route solves once, with V; the per-pole route once per pole
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
-        got = dacorr.fraction_calculus(apply_fn, u, dacorr.contour_fractions(contour, f_odd))
+        got = dacorr.fraction_calculus(op, u, dacorr.contour_fractions(contour, f_odd))
         monkeypatch.undo()
         assert len(solves) == 1
-        assert rel_err(got.flat(), lu_contour_oracle(apply_fn, u, f_odd, contour)) < 1e-12
+        assert rel_err(got.flat(), lu_contour_oracle(op.apply, u, f_odd, contour)) < 1e-12
 
     def test_jordan_block_takes_per_pole_route(self, grid16):
         # one Jordan block, so V is singular
@@ -320,7 +317,8 @@ class TestDenseRoute:
         assert not np.linalg.cond(np.linalg.eig(dense)[1]) <= matcalc.EIG_COND_LIMIT
         spec = matcalc.ContourSpec(1.0, 0.1, 10.0, 64)
         u = torus.random_band_limited(grid16, 1, seed=3)
-        got = dacorr.fraction_calculus(apply_fn, u, dacorr.contour_fractions(spec, f_odd))
+        got = dacorr.fraction_calculus(map_operator(apply_fn, grid16, 1), u,
+                                       dacorr.contour_fractions(spec, f_odd))
         exact = matcalc.contour_fc(dense, f_odd, spec) @ u.flat()
         assert rel_err(got.flat(), exact) < 1e-10
 
@@ -333,8 +331,18 @@ class TestDenseRoute:
         u = torus.random_band_limited(grid16, 1, seed=1)
         f = matcalc.PartialFractions((0.0,), (1.0,))
         with pytest.raises(NotInvertible, match="z=0") as info:
-            dacorr.fraction_calculus(lambda v: 0 * v, u, f)
+            dacorr.fraction_calculus(map_operator(lambda v: 0 * v, grid16, 1), u, f)
         assert info.value.residual is not None
+
+    def test_singular_preconditioner_names_its_shift(self, d_scalar, grid16, monkeypatch):
+        # S(0) = 0, so the pole 0 makes the GMRES preconditioner (p - S)^{-1}
+        # singular; it fails as a singular LU does
+        monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
+        comp = dacorr.CompositionOp(d_scalar, hodge.perturbed_identity(grid16, 1, 0.3, 67))
+        u = torus.random_band_limited(grid16, 1, seed=1)
+        with pytest.raises(NotInvertible, match="shifted solve, z=0") as info:
+            dacorr.fraction_calculus(comp, u, matcalc.PartialFractions((0.0,), (1.0,)))
+        assert info.value.residual == np.inf
 
     def test_near_singular_pole_fails_its_residual_check(self, grid16):
         # at the pole 2.1, (p - T)^{-1} = (0.1 I - N)^{-1} has entries up to
@@ -342,7 +350,7 @@ class TestDenseRoute:
         u = torus.random_band_limited(grid16, 1, seed=1)
         f = matcalc.PartialFractions((2.1,), (1.0,))
         with pytest.raises(NotInvertible, match="z=2.1: dense solve residual") as info:
-            dacorr.fraction_calculus(jordan_block(grid16), u, f)
+            dacorr.fraction_calculus(map_operator(jordan_block(grid16), grid16, 1), u, f)
         assert 1e-12 < info.value.residual < np.inf
 
     def test_spectrum_outside_contour_raises(self, d_scalar, grid16):
@@ -352,25 +360,25 @@ class TestDenseRoute:
         u = torus.random_band_limited(grid16, 1, seed=12)
         f = dacorr.contour_fractions(spec, f_odd)
         with pytest.raises(ContourTooClose):
-            dacorr.fraction_calculus(comp.apply, u, f)
+            dacorr.fraction_calculus(comp, u, f)
         stack = torus.random_trials(grid16, 1, 3, 0)
         with pytest.raises(ContourTooClose):
-            dacorr.fraction_calculus(comp.apply, stack, f)
+            dacorr.fraction_calculus(comp, stack, f)
 
     @pytest.mark.parametrize("case", CASES)
     def test_dense_operator_matches_unit_vector_oracle(self, case, d_scalar, grid16, dirac_pair):
-        apply_fn, u, _, _ = case(d_scalar, grid16, dirac_pair)
-        got = hodge.dense_operator(apply_fn, u.grid, u.big_n)
-        assert np.array_equal(got, dense_by_columns(apply_fn, u.grid, u.big_n))
+        op, u, _ = case(d_scalar, grid16, dirac_pair)
+        got = hodge.dense_operator(op.apply, u.grid, u.big_n)
+        assert np.array_equal(got, dense_by_columns(op.apply, u.grid, u.big_n))
 
 
 def _stack_of_three(case, d, grid16, dirac_pair):
-    apply_fn, u, contour, precond_for = case(d, grid16, dirac_pair)
+    op, u, contour = case(d, grid16, dirac_pair)
     rng = np.random.default_rng(5)
     fields = [u] + [
         torus.GridField(grid16, rng.standard_normal(u.values.shape) + 0j) for _ in range(2)
     ]
-    return apply_fn, fields, contour, precond_for
+    return op, fields, contour
 
 
 class TestFractionRoute:
@@ -378,12 +386,12 @@ class TestFractionRoute:
 
     @pytest.mark.parametrize("case", CASES)
     def test_dense_route_matches_resolvent_formula(self, case, d_scalar, grid16, dirac_pair):
-        apply_fn, fields, _, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        op, fields, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         u = torus.GridField.stack(fields)
-        a = dense_by_columns(apply_fn, grid16, u.big_n)
+        a = dense_by_columns(op.apply, grid16, u.big_n)
         cols = u.values.reshape(3, -1).T
         exact = np.linalg.solve(np.eye(len(a)) + a @ a, a @ cols)
-        got = dacorr.fraction_calculus(apply_fn, u, matcalc.f_rational_odd)
+        got = dacorr.fraction_calculus(op, u, matcalc.f_rational_odd)
         assert got.batch == (3,)
         assert rel_err(got.values.reshape(3, -1).T, exact) < 1e-12
 
@@ -391,14 +399,12 @@ class TestFractionRoute:
     def test_gmres_route_matches_dense_route(
         self, case, d_scalar, grid16, dirac_pair, field_solves, monkeypatch
     ):
-        apply_fn, fields, _, precond_for = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        op, fields, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         u = torus.GridField.stack(fields)
-        dense = dacorr.fraction_calculus(apply_fn, u, matcalc.f_rational_odd)
+        dense = dacorr.fraction_calculus(op, u, matcalc.f_rational_odd)
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         del field_solves[:]
-        gmres = dacorr.fraction_calculus(
-            apply_fn, u, matcalc.f_rational_odd, precond_for=precond_for
-        )
+        gmres = dacorr.fraction_calculus(op, u, matcalc.f_rational_odd)
         assert field_solves == ["gmres"] * 2 * 3
         assert rel_err(gmres.values, dense.values) < 1e-10
 
@@ -436,28 +442,25 @@ class TestStackedCalls:
 
     @pytest.mark.parametrize("case", CASES)
     def test_eig_route(self, case, d_scalar, grid16, dirac_pair):
-        apply_fn, fields, contour, _ = _stack_of_three(case, d_scalar, grid16, dirac_pair)
+        op, fields, contour = _stack_of_three(case, d_scalar, grid16, dirac_pair)
         f = dacorr.contour_fractions(contour, f_odd)
-        got = dacorr.fraction_calculus(apply_fn, torus.GridField.stack(fields), f)
+        got = dacorr.fraction_calculus(op, torus.GridField.stack(fields), f)
         assert got.batch == (3,)
         for member, u in zip(got.members(), fields):
-            one = dacorr.fraction_calculus(apply_fn, u, f)
+            one = dacorr.fraction_calculus(op, u, f)
             assert rel_err(member.flat(), one.flat()) < 1e-13
 
     def test_gmres_route(self, d_scalar, grid16, dirac_pair, field_solves, monkeypatch):
         monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
-        apply_fn, fields, _, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
+        op, fields, _ = _stack_of_three(_composition_case, d_scalar, grid16, dirac_pair)
         contour = dacorr.discrete_contour(
             d_scalar.params, grid16, coeff_distance=0.3, coeff_sup=1.3, nodes=16
         )
-        precond = torus.GridSymbol(d_scalar.symbol, grid16).shifted
         f = dacorr.contour_fractions(contour, f_odd)
-        got = dacorr.fraction_calculus(
-            apply_fn, torus.GridField.stack(fields), f, precond_for=precond
-        )
+        got = dacorr.fraction_calculus(op, torus.GridField.stack(fields), f)
         assert set(field_solves) == {"gmres"}
         for member, u in zip(got.members(), fields):
-            one = dacorr.fraction_calculus(apply_fn, u, f, precond_for=precond)
+            one = dacorr.fraction_calculus(op, u, f)
             assert rel_err(member.flat(), one.flat()) < 1e-10
 
     @pytest.mark.parametrize("suite, g, calls, checks", [
@@ -531,7 +534,7 @@ class TestHolomorphy:
 
         def at(z):
             comp = dacorr.CompositionOp(d_scalar, path.at(z))
-            return dacorr.composition_calculus(comp, matcalc.f_rational_odd, u)
+            return dacorr.fraction_calculus(comp, u, matcalc.f_rational_odd)
 
         center = at(0.0)
         for m, got in ((nodes, rep.residual), (2 * nodes, rep.residual_refined)):
@@ -566,13 +569,13 @@ class TestLipschitz:
         a2 = torus.MatrixField(grid32, np.full(grid32.shape + (1, 1), c2, dtype=complex))
         u = torus.random_band_limited(grid32, 1, seed=13)
         comp = dacorr.CompositionOp(d_scalar, a)
-        fa = dacorr.composition_calculus(comp, composition_fractions(comp, d_scalar), u)
+        fa = dacorr.fraction_calculus(comp, u, composition_fractions(comp, d_scalar))
         xs = grid32.lattice[..., 0]
         hat = torus.fft_field(u)
         exact = torus.ifft_field(grid32, f_odd(c * xs)[..., None] * hat)
         assert torus.lp_norm(fa - exact, 2.0) <= 1e-8 * torus.lp_norm(u, 2.0)
         comp2 = dacorr.CompositionOp(d_scalar, a2)
-        fa2 = dacorr.composition_calculus(comp2, composition_fractions(comp2, d_scalar), u)
+        fa2 = dacorr.fraction_calculus(comp2, u, composition_fractions(comp2, d_scalar))
         exact2 = torus.ifft_field(grid32, f_odd(c2 * xs)[..., None] * hat)
         diff_exact = torus.lp_norm(exact - exact2, 2.0)
         diff_got = torus.lp_norm(fa - fa2, 2.0)

@@ -15,6 +15,7 @@ from conftest import (
     dense_resolvent,
     diagonal_coefficients,
     grad_div_pair_2d,
+    map_operator,
     random_matrix,
     rel_err,
     resolvent,
@@ -252,13 +253,12 @@ class TestVariableResolvent:
         values[5, 1] = np.nan
         with pytest.raises(NotInvertible):
             hodge.solve_shifts(
-                var_op16.apply,
+                var_op16,
                 torus.GridField(grid16, values),
                 [1j],
                 [[1j]],
                 what="resolvent at t=1",
                 rtol=1e-10,
-                precond_for=var_op16.total_symbol.shifted,
             )
         assert field_solves == ["gmres"]
 
@@ -335,7 +335,8 @@ class TestDenseSolveRoute:
             return torus.GridField(grid, -np.roll(f.values, 1, axis=-1))
 
         rhs = torus.random_trials(grid, big_n, 2, seed=3)
-        x, = hodge.solve_shifts(minus_shift, rhs, [3.0], [[1.0]], what="shifted", rtol=1e-12)
+        x, = hodge.solve_shifts(map_operator(minus_shift, grid, big_n), rhs, [3.0], [[1.0]],
+                                what="shifted", rtol=1e-12)
         assert field_solves == [route] * 2
         assert torus.max_ratio(apply_fn(x) - rhs, 2.0, torus.lp_norms(rhs, 2.0)) <= 1e-12
 
@@ -344,7 +345,7 @@ class TestDenseSolveRoute:
         values[5, 1] = np.nan
         with pytest.raises(NotInvertible, match="resolvent at t=1") as info:
             hodge.solve_shifts(
-                var_op16.apply,
+                var_op16,
                 torus.GridField(grid16, values),
                 [1j],
                 [[1j]],
@@ -357,13 +358,14 @@ class TestDenseSolveRoute:
     def test_singular_operator_is_not_invertible(self, grid16):
         stack = torus.random_trials(grid16, 2, 2, seed=6)
         with pytest.raises(NotInvertible, match="zero map") as info:
-            hodge.solve_shifts(lambda f: 0 * f, stack, [0.0], [[1.0]], what="zero map", rtol=1e-10)
+            hodge.solve_shifts(map_operator(lambda f: 0 * f, grid16, 2), stack, [0.0], [[1.0]],
+                               what="zero map", rtol=1e-10)
         assert info.value.residual == np.inf
 
     def test_residual_above_rtol_is_not_invertible(self, var_op16, grid16):
         u = torus.random_band_limited(grid16, 2, seed=6)
         with pytest.raises(NotInvertible, match="above") as info:
-            hodge.solve_shifts(var_op16.apply, u, [1j], [[1j]], what="r", rtol=1e-30)
+            hodge.solve_shifts(var_op16, u, [1j], [[1j]], what="r", rtol=1e-30)
         assert 1e-30 < info.value.residual < 1e-12
 
 
@@ -384,8 +386,8 @@ class TestSolveShifts:
         if route == "gmres":
             monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", 0)
         got = hodge.solve_shifts(
-            op.apply, stack, shifts, np.diag(shifts), what="resolvent",
-            rtol=[1e-12, 1e-12, 1e-11, 1e-11], precond_for=op.total_symbol.shifted,
+            op, stack, shifts, np.diag(shifts), what="resolvent",
+            rtol=[1e-12, 1e-12, 1e-11, 1e-11],
         )
         # the eig route solves once with V, for all shifts
         routes = {"lu": ["dense"] * 4 * 3, "eig": ["dense"] * 3, "gmres": ["gmres"] * 4 * 3}
@@ -398,7 +400,7 @@ class TestSolveShifts:
         # the second shift's rtol is out of reach, and the error names it
         u = torus.random_band_limited(var_op16.grid, 2, seed=6)
         with pytest.raises(NotInvertible, match=r"pair, z=-0-0\.5j") as info:
-            hodge.solve_shifts(var_op16.apply, u, [0.5j, -0.5j], [[1.0, 1.0]], what="pair",
+            hodge.solve_shifts(var_op16, u, [0.5j, -0.5j], [[1.0, 1.0]], what="pair",
                                rtol=[1e-10, 1e-30])
         assert 1e-30 < info.value.residual < 1e-12
 
@@ -574,7 +576,7 @@ class TestPerturbSplitting:
 
 class TestPerturbationReport:
     def test_equal_operators(self, dirac_pair, grid16, var_op16):
-        rep = hodge.hodge_perturbation_report(var_op16, var_op16)
+        (rep,) = hodge.hodge_perturbation_report(var_op16, [var_op16])
         assert rep.delta == 0.0
         assert rep.ratios is None
         assert max(rep.diff_p0, rep.diff_p_gamma, rep.diff_p_gamma_tilde) < 1e-10
@@ -584,7 +586,7 @@ class TestPerturbationReport:
         opa = hodge.VariableOp.constant(symbols.dirac_pair_1d(), grid)
         opb = hodge.VariableOp.constant(symbols.dirac_pair_1d(), grid)
         assert opa.pair is not opb.pair
-        rep = hodge.hodge_perturbation_report(opa, opb)
+        (rep,) = hodge.hodge_perturbation_report(opa, [opb])
         assert rep.delta == 0.0
         assert max(rep.diff_p0, rep.diff_p_gamma, rep.diff_p_gamma_tilde) < 1e-10
 
@@ -594,12 +596,11 @@ class TestPerturbationReport:
         e1 = hodge.diagonal_direction(grid, 2, 41)
         e2 = hodge.diagonal_direction(grid, 2, 42)
         eye = torus.MatrixField.identity(grid, 2)
+        deltas = (0.02, 0.01, 0.005)
+        others = [hodge.VariableOp(dirac_pair, hodge.CoefficientPair(
+            eye + (d / 2) * e1, eye + (d / 2) * e2), grid) for d in deltas]
         ratios = []
-        for d in (0.02, 0.01, 0.005):
-            coeffs = hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2)
-            rep = hodge.hodge_perturbation_report(
-                base, hodge.VariableOp(dirac_pair, coeffs, grid)
-            )
+        for d, rep in zip(deltas, hodge.hodge_perturbation_report(base, others)):
             assert abs(rep.delta - d) < 1e-12
             ratios.append(rep.ratios)
         for key in ("p0", "p_gamma", "p_gamma_tilde", "restricted_inverse"):

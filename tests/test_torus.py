@@ -69,15 +69,33 @@ class TestApplyMultiplier:
         denom = torus.lp_norm(u, 2.0) + torus.lp_norm(v, 2.0)
         assert torus.lp_norm(lhs - rhs, 2.0) <= 1e-10 * denom
 
-    def test_dense_oracle_small_grid(self, dirac_pair):
-        # multiplier against the explicit DFT conjugation on a tiny grid
-        grid = torus.TorusGrid(1, 8)
-        q = bandpass(torus.GridSymbol(dirac_pair.total(), grid), 1.0)
-        u = torus.random_band_limited(grid, 2, seed=8)
-        f = dft_matrix(8)
-        finv = np.conj(f) / 8
-        hats = np.einsum("fij,fj->fi", q.mats, f @ u.values)
-        expected = finv @ hats
+    @pytest.mark.parametrize("case", [
+        "dirac1d-bandpass", "graddiv2d-gamma", "graddiv2d-gamma_tilde", "graddiv2d-bandpass",
+        "graddiv2d-smoothing",
+    ])
+    def test_dense_oracle_small_grid(self, case, dirac_pair, grad_div_pair):
+        # multiplier against the explicit DFT conjugation on a tiny grid: in
+        # 2-D by kron(F, F), on a stack of two fields.  graddiv2d's gamma
+        # reads [0] and writes [1, 2], gamma_tilde the reverse, its bandpass
+        # reads and writes [0, 1, 2], and its smoothing has full support
+        name, kind = case.split("-")
+        if name == "dirac1d":
+            pair, grid = dirac_pair, torus.TorusGrid(1, 8)
+            u = torus.random_band_limited(grid, 2, seed=8)
+        else:
+            pair, grid = grad_div_pair, torus.TorusGrid(2, 4)
+            u = torus.random_trials(grid, 4, 2, seed=8)
+        gs, op = torus.GridSymbol(pair.total(), grid), hodge.VariableOp.constant(pair, grid)
+        q = {"gamma": op.gamma_op, "gamma_tilde": op.gamma_tilde_op,
+             "bandpass": bandpass(gs, 1.0), "smoothing": smoothing(gs, 1.0)}[kind]
+        f = dft_matrix(grid.g)
+        for _ in range(grid.n - 1):
+            f = np.kron(f, dft_matrix(grid.g))
+        finv = np.conj(f) / grid.size
+        big_n = pair.big_n
+        vals = u.values.reshape(u.batch + (grid.size, big_n))
+        hats = np.einsum("fij,...fj->...fi", q.mats.reshape(-1, big_n, big_n), f @ vals)
+        expected = (finv @ hats).reshape(u.values.shape)
         got = torus.apply_multiplier(q, u).values
         assert rel_err(got, expected) < 1e-12
 
