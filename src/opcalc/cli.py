@@ -68,14 +68,17 @@ class ProbeReport:
 
 
 def _plain(obj):
+    """obj as JSON values, with every non-finite float as null (strict JSON)."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -469,7 +472,7 @@ def probe_offdiag(seed, symbol, grid, coefficients, trials):
     return (
         "offdiagonal-decay",
         {"rho": res.rho_values, "ratios": res.ratios, "exponent": res.decay_exponent},
-        {"decaying": res.decay_exponent >= 1.0},
+        {"decaying": res.decay_exponent >= 1.0},  # False for a nan exponent
     )
 
 
@@ -477,7 +480,7 @@ def probe_block(seed, grid, eps, trials):
     d = dacorr.FirstOrderD.verified(DX)
     a = hodge.perturbed_identity(grid, 1, eps, seed + 67)
     block = dacorr.build_block(d, a, seed=seed)
-    comp = dacorr.CompositionOp(d, a)
+    comp = dacorr.CompositionOp(d.symbol, a)
     u2 = torus.random_band_limited(grid, 2, seed=seed + 2)
     u1c, u2c = dacorr.split_components(u2, 1)
     direct = dacorr.stack_components(

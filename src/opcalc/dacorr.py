@@ -32,10 +32,8 @@ class FirstOrderD:
             raise ValueError("first-order operator requires k = 1")
 
     @classmethod
-    def verified(
-        cls, symbol: symbols.HomogeneousSymbol, sample: symbols.SphereSample | None = None
-    ) -> "FirstOrderD":
-        report = symbols.verify_symbol_conditions(symbol, sample)
+    def verified(cls, symbol: symbols.HomogeneousSymbol) -> "FirstOrderD":
+        report = symbols.verify_symbol_conditions(symbol)
         if not report.passed:
             raise CoercivityError(
                 "first-order symbol conditions fail: " + ", ".join(report.failures)
@@ -45,14 +43,15 @@ class FirstOrderD:
 
 @dataclasses.dataclass(frozen=True)
 class CompositionOp:
-    """The operator u -> D(A u): multiplier after pointwise multiplication."""
+    """The operator u -> D(A u): the multiplier of the symbol ``d`` after
+    pointwise multiplication by A."""
 
-    d: FirstOrderD
+    d: symbols.HomogeneousSymbol
     a: torus.MatrixField
 
     @cached_property
     def symbol(self) -> torus.GridSymbol:
-        return torus.GridSymbol(self.d.symbol, self.a.grid)
+        return torus.GridSymbol(self.d, self.a.grid)
 
     @cached_property
     def d_op(self) -> torus.MultiplierOp:
@@ -60,7 +59,7 @@ class CompositionOp:
 
     @property
     def big_n(self):
-        return self.d.symbol.big_n
+        return self.d.big_n
 
     def apply(self, u: torus.GridField) -> torus.GridField:
         return torus.apply_multiplier(self.d_op, self.a.apply(u))
@@ -84,14 +83,20 @@ def block_pair(d: FirstOrderD) -> symbols.HodgeDiracSymbolPair:
     )
 
 
+def _block_diagonal(*blocks: torus.MatrixField | None) -> torus.MatrixField:
+    """diag(blocks) on one grid, each block N x N or None for a zero block."""
+    some = next(b for b in blocks if b is not None)
+    grid, size = some.grid, some.big_n
+    mats = np.zeros(grid.shape + (len(blocks) * size,) * 2, dtype=complex)
+    for k, b in enumerate(blocks):
+        if b is not None:
+            mats[..., k * size : (k + 1) * size, k * size : (k + 1) * size] = b.mats
+    return torus.MatrixField(grid, mats)
+
+
 def block_coefficients(a: torus.MatrixField) -> hodge.CoefficientPair:
     """B1 = diag(A, 0), B2 = diag(0, A) on the doubled component space."""
-    grid, size = a.grid, a.big_n
-    b1 = np.zeros(grid.shape + (2 * size, 2 * size), dtype=complex)
-    b2 = np.zeros_like(b1)
-    b1[..., :size, :size] = a.mats
-    b2[..., size:, size:] = a.mats
-    return hodge.CoefficientPair(torus.MatrixField(grid, b1), torus.MatrixField(grid, b2))
+    return hodge.CoefficientPair(_block_diagonal(a, None), _block_diagonal(None, a))
 
 
 def build_block(d: FirstOrderD, a: torus.MatrixField, *, seed: int = 0) -> hodge.VariableOp:
@@ -187,7 +192,7 @@ def intertwine_check(
     """
     grid = a.grid
     block_op = build_block(d, a, seed=seed)
-    comp = CompositionOp(d, a)
+    comp = CompositionOp(d.symbol, a)
     f_block = f_comp = f
     if not isinstance(f, matcalc.PartialFractions):
 
@@ -222,7 +227,7 @@ def block_resolvent_product(
     Applies, in order: a shear by the plain part, the central smoothing
     inverse (I + t^2 (DA)^2)^{-1}, and a shear by the twisted part.
     """
-    comp = CompositionOp(d, a)
+    comp = CompositionOp(d.symbol, a)
     size = comp.big_n
     u1, u2 = split_components(v, size)
     d_u1 = torus.apply_multiplier(comp.d_op, u1)
@@ -240,15 +245,12 @@ def block_resolvent_product(
 @dataclasses.dataclass
 class SimilarityMaps:
     """split : u -> (kernel part, untwisted twisted-range part, plain-range
-    part) on the tripled space; assemble is its left inverse.  The maps are
-    also the tripled operator: ``apply`` acts on the tripled space, and
-    ``symbol`` is its constant-coefficient symbol."""
+    part) on the tripled space; assemble is its left inverse; ``op`` is the
+    tripled operator, D A with D the tripled symbol and A = diag(0, B1, B2)."""
 
     split: Callable[[torus.GridField], torus.GridField]
     assemble: Callable[[torus.GridField], torus.GridField]
-    apply: Callable[[torus.GridField], torus.GridField]
-    symbol: torus.GridSymbol
-    size: int
+    op: CompositionOp
 
 
 def build_similarity(
@@ -259,48 +261,32 @@ def build_similarity(
     """Maps transporting the twisted operator to a composed first-order one.
 
     Dense path: the Hodge projections and the restricted inverse of B1 on
-    range(gamma_tilde) are assembled explicitly; intended for small grids.
+    range(gamma_tilde) (:func:`hodge.untwist`) are assembled explicitly;
+    intended for small grids.
     """
     op = hodge.VariableOp(pair, coeffs, grid)
     size = pair.big_n
     p0, pg, pgt = hodge.dense_hodge_projections(op)
-    gt = hodge.dense_operator(op.gamma_tilde_op.apply, grid, size)
-    v_basis = matcalc.range_basis(gt)
-    b1_dense = hodge.dense_operator(coeffs.b1.apply, grid, size)
-    w = b1_dense @ v_basis
-    b1_restricted_inv = v_basis @ np.linalg.pinv(w, rcond=1e-12)
+    untwisted = hodge.untwist(op, pgt)
 
     def split(u: torus.GridField) -> torus.GridField:
         x = u.flat()
-        parts = [p0 @ x, b1_restricted_inv @ (pgt @ x), pg @ x]
+        parts = [p0 @ x, untwisted @ x, pg @ x]
         vals = np.concatenate(
             [pp.reshape(grid.shape + (size,)) for pp in parts], axis=-1
         )
         return torus.GridField(grid, vals)
 
     def assemble(v3: torus.GridField) -> torus.GridField:
-        vals = v3.values
-        x0 = vals[..., :size].reshape(-1)
-        x1 = vals[..., size : 2 * size].reshape(-1)
-        x2 = vals[..., 2 * size :].reshape(-1)
-        out = p0 @ x0 + pg @ x2 + pgt @ (b1_dense @ x1)
+        x0, x1, x2 = (
+            torus.GridField(grid, v3.values[..., k * size : (k + 1) * size]) for k in range(3)
+        )
+        out = p0 @ x0.flat() + pg @ x2.flat() + pgt @ coeffs.b1.apply(x1).flat()
         return torus.GridField.from_flat(grid, size, out)
 
-    def apply(v3: torus.GridField) -> torus.GridField:
-        vals = v3.values
-        u1 = torus.GridField(grid, vals[..., size : 2 * size])
-        u2 = torus.GridField(grid, vals[..., 2 * size :])
-        mid = torus.apply_multiplier(op.gamma_tilde_op, coeffs.b2.apply(u2))
-        last = torus.apply_multiplier(op.gamma_op, coeffs.b1.apply(u1))
-        zeros = np.zeros_like(vals[..., :size])
-        return torus.GridField(
-            grid, np.concatenate([zeros, mid.values, last.values], axis=-1)
-        )
-
-    tri_symbol = torus.GridSymbol(
-        _embed_block(pair.gamma_tilde, 1, 2, 3) + _embed_block(pair.gamma, 2, 1, 3), grid
-    )
-    return SimilarityMaps(split, assemble, apply, tri_symbol, size)
+    tri = _embed_block(pair.gamma_tilde, 1, 2, 3) + _embed_block(pair.gamma, 2, 1, 3)
+    a = _block_diagonal(None, coeffs.b1, coeffs.b2)
+    return SimilarityMaps(split, assemble, CompositionOp(tri, a))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +354,7 @@ def holomorphy_probe(
             raise ProbeAborted(msg, node=z)
 
     def at(z: complex) -> np.ndarray:
-        return fraction_calculus(CompositionOp(d, path.at(z)), u, f).values
+        return fraction_calculus(CompositionOp(d.symbol, path.at(z)), u, f).values
 
     center = torus.GridField(grid, at(0.0))
     # summed in node order, so the even-node mean is bitwise the mean over
@@ -427,14 +413,14 @@ def lipschitz_probe(
     theta = 0.5 * (d.params.omega + math.pi / 2)
     f_sup = sup_norm_on_bisector(f, theta)
     us = torus.random_trials(a.grid, a.big_n, trials, seed)
-    fa = fraction_calculus(CompositionOp(d, a), us, f)
+    fa = fraction_calculus(CompositionOp(d.symbol, a), us, f)
     un = torus.lp_norms(us, p)
     reports = []
     for a_tilde in a_tildes:
         dist = (a - a_tilde).inf_norm
         worst = 0.0
         if dist > 0:
-            fb = fraction_calculus(CompositionOp(d, a_tilde), us, f)
+            fb = fraction_calculus(CompositionOp(d.symbol, a_tilde), us, f)
             worst = torus.max_ratio(fa - fb, p, dist * f_sup * un)
         reports.append(LipschitzReport(worst, dist, f_sup))
     return reports
@@ -461,9 +447,9 @@ def lipschitz_triple_decomposition(
     maps_b = build_similarity(pair, coeffs_b, grid)
     sa_u = maps_a.split(u)
     sb_u = maps_b.split(u)
-    fda_sa = fraction_calculus(maps_a, sa_u, f)
+    fda_sa = fraction_calculus(maps_a.op, sa_u, f)
     fdb_sb, fdb_sa, fdb_diff = fraction_calculus(
-        maps_b, torus.GridField.stack([sb_u, sa_u, sa_u - sb_u]), f
+        maps_b.op, torus.GridField.stack([sb_u, sa_u, sa_u - sb_u]), f
     ).members()
     direct = maps_a.assemble(fda_sa) - maps_b.assemble(fdb_sb)
     term1 = maps_a.assemble(fda_sa) - maps_b.assemble(fda_sa)
@@ -481,8 +467,8 @@ def f_rational_even(z):
     return z2 / (1.0 + z2) ** 2
 
 
-def f_sign_approx(z, eps: float = 0.1):
-    return z / np.sqrt(z * z + eps * eps)
+def f_sign_approx(z):
+    return z / np.sqrt(z * z + 0.1 * 0.1)
 
 
 TEST_FAMILY = {

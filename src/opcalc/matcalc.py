@@ -195,17 +195,17 @@ def spectrum(t) -> np.ndarray:
     return lam[order]
 
 
-def numerical_rank(a, tol=RANK_TOL):
+def numerical_rank(a):
     """Numerical rank; batched over the leading axes of a stack."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    return np.sum(s > tol * s[..., :1], axis=-1)
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def range_basis(a, tol=RANK_TOL) -> np.ndarray:
+def range_basis(a) -> np.ndarray:
     """Orthonormal basis of the column space, as columns."""
     a = np.asarray(a, dtype=complex)
     u, s, _ = np.linalg.svd(a)
-    cut = tol * s[0] if s.size and s[0] > 0 else np.inf
+    cut = RANK_TOL * s[0] if s.size and s[0] > 0 else np.inf
     rank = int(np.sum(s > cut))
     return u[:, :rank]
 
@@ -374,7 +374,7 @@ def spectral_split(t):
     return p_ker, p_ran
 
 
-def bisector_params(t, *, angle_tol=1e-9) -> BisectorParams:
+def bisector_params(t) -> BisectorParams:
     """Measured (omega, kappa, big_m) of a matrix; see BisectorParams.
 
     omega is the smallest bisector half-angle containing the nonzero
@@ -389,7 +389,7 @@ def bisector_params(t, *, angle_tol=1e-9) -> BisectorParams:
         return BisectorParams(0.0, big_m, big_m)
     angles = np.minimum(np.abs(np.angle(nz)), np.abs(np.angle(-nz)))
     omega = float(angles.max())
-    if omega >= math.pi / 2 - angle_tol:
+    if omega >= math.pi / 2 - 1e-9:
         raise NotBisectorial(f"spectral angle {omega:.6f} reaches pi/2")
     kappa = float(np.abs(nz).min())
     return BisectorParams(omega, kappa, big_m)

@@ -291,7 +291,8 @@ def offdiagonal_probe(
     ``trials`` fields of ``torus.random_trials``, cut to F, go through
     Q_t^B once, and every rho cuts the same Q_t^B 1_F u to its E, so the
     ratios do not increase with rho.  The fitted exponent of the ratio
-    against (1 + rho) is reported.
+    against (1 + rho) is reported; it is nan, evidence of nothing, when
+    fewer than two rho leave a nonempty E or some ratio is 0.
     """
     grid = op.grid
     mask_f = np.zeros(grid.shape, dtype=bool)
@@ -323,5 +324,5 @@ def offdiagonal_probe(
         slope = np.polyfit(np.log1p(rhos), np.log(ratios), 1)[0]
         exponent = float(-slope)
     else:
-        exponent = math.inf
+        exponent = math.nan
     return OffDiagonalResult(rhos, ratios, exponent)

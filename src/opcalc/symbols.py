@@ -286,14 +286,11 @@ class HodgePairReport:
 
 
 def verify_hodge_pair(
-    pair: HodgeDiracSymbolPair,
-    sample: SphereSample | None = None,
-    *,
-    nilpotence_tol=1e-12,
-    angle_tol=1e-8,
+    pair: HodgeDiracSymbolPair, sample: SphereSample | None = None
 ) -> HodgePairReport:
-    """Nilpotence of both parts, symbol conditions for the sum, and the
-    pointwise identity of ker(sum) with the intersection of the two kernels."""
+    """Nilpotence of both parts (|a^2| <= 1e-12 |a|^2), symbol conditions for
+    the sum, and the pointwise identity of ker(sum) with the intersection of
+    the two kernels (to a principal angle of 1e-8)."""
     if sample is None:
         sample = sphere_sample(pair.n)
     n = pair.big_n
@@ -303,7 +300,7 @@ def verify_hodge_pair(
     def nilpotent_fails(a):
         norm = np.linalg.svd(a, compute_uv=False)[:, 0]
         square = np.linalg.svd(a @ a, compute_uv=False)[:, 0]
-        return square > nilpotence_tol * np.maximum(norm**2, 1e-300)
+        return square > 1e-12 * np.maximum(norm**2, 1e-300)
 
     pi, both = g + gt, np.concatenate([g, gt], axis=-2)
     vh_pi, vh_both = np.linalg.svd(pi)[2], np.linalg.svd(both)[2]
@@ -315,7 +312,7 @@ def verify_hodge_pair(
         k_both = vh_both[idx, n - d :].conj().swapaxes(-1, -2)
         resid = k_both - k_pi @ (k_pi.conj().swapaxes(-1, -2) @ k_both)
         sines = np.linalg.svd(resid, compute_uv=False)[:, 0]
-        kernel_bad[idx] = np.arcsin(np.clip(sines, 0.0, 1.0)) > angle_tol
+        kernel_bad[idx] = np.arcsin(np.clip(sines, 0.0, 1.0)) > 1e-8
     failures, points = _first_failures(
         [
             (GAMMA_NILPOTENT, nilpotent_fails(g)),
@@ -368,17 +365,16 @@ def mikhlin_probe(
     alphas: Sequence[Sequence[int]] | None,
     sample: SphereSample,
     taus: Sequence,
-    *,
-    h: float = 1e-4,
 ) -> list[MikhlinRow]:
     """Estimated sup over sample and taus of |xi|^{|alpha|} |d^alpha m_tau(xi)|.
 
     ``family(tau, xi)`` maps a (P, n) stack of points to the (P, N, N)
     stack of m_tau there, so each derivative covers the whole sample at
-    once.  Derivatives by central differences at step h; each row is
+    once.  Derivatives by central differences at step h = 1e-4; each row is
     recomputed at h/2 and flagged unstable when the two differ by more
     than a factor 2.
     """
+    h = 1e-4
     if alphas is None:
         alphas = default_alphas(sample.n)
     pts = sample.points

@@ -338,8 +338,8 @@ class GridSymbol:
     as a SpectralFunction, which ``apply`` takes to a field transformed once
     to V^{-1} u_hat, one product each; frequencies where V is ill-conditioned
     or an eigenvalue is a pole to rounding take the resolvent sum.  The
-    preconditioner ``shifted`` is one batched inverse, not cached.  S(0) = 0
-    (k >= 1): there the bandpass acts as zero.
+    preconditioner ``shifted`` is the resolvent sum of one pole, not cached.
+    S(0) = 0 (k >= 1): there the bandpass acts as zero.
     """
 
     symbol: symbols.HomogeneousSymbol
@@ -390,10 +390,9 @@ class GridSymbol:
         return MultiplierOp(self.grid, self.mats)
 
     def shifted(self, z: complex) -> MultiplierOp:
-        """(z - S)^{-1}, by one batched inverse: the exact constant-coefficient
-        inverse that preconditions shifted solves."""
-        eye = np.eye(self.symbol.big_n, dtype=complex)
-        return MultiplierOp(self.grid, matcalc.batched_inv(z * eye - self.mats, "z - S"))
+        """(z - S)^{-1}, the fractions of the one pole z with residue -1: the
+        exact constant-coefficient inverse that preconditions shifted solves."""
+        return MultiplierOp(self.grid, matcalc.PartialFractions((z,), (-1,)).of(self.mats))
 
     def fractions(self, f: matcalc.PartialFractions) -> SpectralFunction:
         """f(S): f(lam) on the eigenvalues where V serves and no eigenvalue

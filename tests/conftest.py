@@ -329,6 +329,4 @@ def coefficient_conditions_by_trial(op, *, p=2.0, trials=8, seed=0, floor=1e-6,
         failures.append(hodge.OFFRANGE_NILPOTENCE)
     if min(c_primal, c_dual) < floor:
         failures.append(hodge.COERCIVE_MULTIPLIERS)
-    return hodge.CoefficientConditionReport(
-        nilp, c_primal, c_dual, floor, nilpotence_tol, failures
-    )
+    return hodge.CoefficientConditionReport(nilp, c_primal, c_dual, failures)

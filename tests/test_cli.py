@@ -182,6 +182,29 @@ class TestSuite:
         capsys.readouterr()
         assert code == 1
 
+    def test_offdiag_without_two_separations_fails_in_strict_json(self, tmp_path, capsys):
+        # at g=4 only rho = 1 leaves a nonempty E, so no decay can be fitted
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 1, "g": 4}}))
+        code = cli.main(["suite", "quadest", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        capsys.readouterr()
+        assert code == 1
+
+        def strict(name):
+            raise ValueError(f"non-finite number {name} in a report")
+
+        reports = {path.name: json.loads(path.read_text(), parse_constant=strict)
+                   for path in (tmp_path / "r").glob("*.json")}
+        assert len(reports) == len(cli.SUITES["quadest"]["probes"])
+        offdiag = reports["quadest__offdiag.json"]
+        assert offdiag["constants"]["rho"] == [1.0]
+        assert offdiag["constants"]["exponent"] is None
+        assert offdiag["passes"] == {"decaying": False}
+
+    def test_non_finite_constants_are_null(self):
+        got = cli._plain({"a": [math.inf, np.float64(np.nan), complex(1.0, -math.inf), 2.5]})
+        assert got == {"a": [None, None, [1.0, None], 2.5]}
+
     def test_unknown_suite_is_config_error(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["suite", "no-such-suite"])

@@ -176,10 +176,11 @@ class TestDenseOperator:
 class TestCoefficientConditions:
     def test_identity_passes_exactly(self, dirac_pair, grid16):
         op = hodge.VariableOp.constant(dirac_pair, grid16)
-        rep = hodge.check_coefficient_conditions(op, seed=1)
-        assert rep.passed
-        assert rep.nilpotence_residual <= 1e-12
-        assert abs(rep.coercivity_primal - 1.0) < 1e-12
+        for p in (2.0, 3.0):
+            rep = hodge.coefficient_checks(op, p=p, seed=1)(op.coeffs)
+            assert rep.passed
+            assert rep.nilpotence_residual <= 1e-12
+            assert abs(rep.coercivity_primal - 1.0) < 1e-12
 
     def test_scalar_scaling(self, dirac_pair, grid16):
         two = torus.MatrixField.identity(grid16, 2) * 2.0
@@ -572,6 +573,29 @@ class TestPerturbSplitting:
         p1 = np.eye(2) - p0
         with pytest.raises(PerturbationTooLarge):
             hodge.perturb_splitting(p0, p1, np.eye(2))
+
+
+class TestDenseOracle:
+    def test_two_assemblies_per_build(self, var_op16, field_solves):
+        hodge.dense_hodge_projections(var_op16)
+        assert field_solves.assemblies == {"dense_hodge_projections": 2}
+
+    def test_pi_b_is_the_sum_of_its_parts(self, var_op16, grid16):
+        # op.apply sums the two fields, so the sum of the matrices is bitwise
+        # the assembly of op.apply
+        parts = [hodge.dense_operator(fn, grid16, 2)
+                 for fn in (var_op16.apply, var_op16.gamma_op.apply, var_op16.apply_twisted)]
+        assert np.array_equal(parts[0], parts[1] + parts[2])
+
+    def test_untwist_is_b1_inverse_on_gamma_tilde_range(self, dirac_pair, grid16):
+        op = hodge.VariableOp(dirac_pair, diagonal_coefficients(grid16, 2, 0.05, 31), grid16)
+        pgt = hodge.dense_hodge_projections(op)[2]
+        inv = hodge.untwist(op, pgt)
+        gt = hodge.dense_operator(op.gamma_tilde_op.apply, grid16, 2)
+        b1 = hodge.dense_operator(op.coeffs.b1.apply, grid16, 2)
+        in_range = gt @ np.linalg.lstsq(gt, inv, rcond=None)[0]
+        assert matcalc.operator_norm(in_range - inv) <= 1e-10 * matcalc.operator_norm(inv)
+        assert matcalc.operator_norm(b1 @ inv - pgt) <= 1e-10 * matcalc.operator_norm(pgt)
 
 
 class TestPerturbationReport:

@@ -1,11 +1,13 @@
 """Module boundaries of the opcalc package."""
 
 import ast
+import collections
 import pathlib
 
 import opcalc
 
 SRC = pathlib.Path(opcalc.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def private_reads(path: pathlib.Path) -> list[str]:
@@ -39,3 +41,61 @@ def test_guard_sees_both_import_forms(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from . import matcalc\nfrom .torus import _pointwise\nmatcalc._classify\n")
     assert private_reads(src) == ["2: torus._pointwise", "3: matcalc._classify"]
+
+
+def _sets(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether ``call`` sets the parameter ``name``, at position ``index``
+    (None if keyword-only): by keyword, by position, or through * or **."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_options(sources, callers) -> list[str]:
+    """"module:function.parameter" for each parameter with a default, of a
+    function defined in the files ``sources``, that no call in the files
+    ``callers`` sets.  Calls match by the called name; a class's calls count
+    for its ``__init__``, and a method's positions start after self or cls."""
+    calls = collections.defaultdict(list)
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                calls[getattr(node.func, "id", getattr(node.func, "attr", None))].append(node)
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            in_class = isinstance(owner[fn], ast.ClassDef)
+            name = owner[fn].name if in_class and fn.name == "__init__" else fn.name
+            decorators = {getattr(d, "id", None) for d in fn.decorator_list}
+            skip = in_class and "staticmethod" not in decorators
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            options = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+            options += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                        if d is not None]
+            found += [f"{path.stem}:{name}.{arg}" for arg, index in options
+                      if not any(_sets(call, arg, index) for call in calls[name])]
+    return found
+
+
+def test_every_option_is_set_by_some_call():
+    sources = sorted(SRC.glob("*.py"))
+    assert unset_options(sources, sources + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_option_guard_sees_an_unset_option(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "class C:\n"
+        "    def __init__(self, a, b=2):\n        pass\n"
+        "    def m(self, x, y=0, *, z=1):\n        pass\n"
+        "def f(u, tol=1e-8):\n    pass\n"
+        "C(1, 2).m(1, z=3)\n"
+        "f(0, **{})\n"
+    )
+    assert unset_options([src], [src]) == ["mod:m.y"]

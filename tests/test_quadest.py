@@ -147,16 +147,17 @@ class TestSchurProbe:
         assert oracle <= 0.25 + 1e-12
 
     def test_refinement_stability(self, dirac_pair):
-        vals = []
         ts = [0.25, 1.0, 4.0]
-        for g in (64, 128):
-            grid = torus.TorusGrid(1, g)
-            res = quadest.schur_bound_probe(
-                torus.GridSymbol(dirac_pair.total(), grid), matcalc.f_rational_odd, ts, ts,
-                trials=4, seed=47,
-            )
-            vals.append(res.max_ratio)
-        assert max(vals) <= 2.0 * min(vals)
+        for p in (2.0, 3.0):
+            vals = []
+            for g in (64, 128):
+                grid = torus.TorusGrid(1, g)
+                res = quadest.schur_bound_probe(
+                    torus.GridSymbol(dirac_pair.total(), grid), matcalc.f_rational_odd, ts, ts,
+                    trials=4, p=p, seed=47,
+                )
+                vals.append(res.max_ratio)
+            assert max(vals) <= 2.0 * min(vals)
 
 
 SPECTRAL_CASES = {
@@ -301,10 +302,11 @@ class TestQuadraticEstimate:
         coeffs = diagonal_coefficients(grid16, 2, 0.05, 3)
         op = hodge.VariableOp(dirac_pair, coeffs, grid16)
         u = torus.random_band_limited(grid16, 2, seed=4, kill_zero_mode=True)
-        rep = quadest.quadratic_estimate(
-            op, u, quadest.DyadicScales(-4, 4), samples=32, seed=5
-        )
-        assert 0.0 < rep.ratio < 10.0
+        for p in (2.0, 3.0):
+            rep = quadest.quadratic_estimate(
+                op, u, quadest.DyadicScales(-4, 4), p=p, samples=32, seed=5
+            )
+            assert 0.0 < rep.ratio < 10.0
 
     def test_calculus_constant_couples_to_square_function(self, dirac64, grid64):
         # sanity coupling: the measured bounded-calculus constant stays
@@ -358,23 +360,27 @@ class TestTranslatedEstimate:
         u = torus.random_band_limited(grid64, 2, seed=59, kill_zero_mode=True)
         scales = quadest.DyadicScales(-4, 4)
         zs = [1.0, 4.0, 16.0]
-        reps = quadest.translated_quadratic_estimate(dirac64, u, zs, scales, samples=64, seed=8)
-        means = [rep.estimate.mean for rep in reps]
-        base = quadest.quadratic_estimate(dirac64, u, scales, samples=64, seed=8)
-        slope = np.polyfit(np.log(zs), means, 1)[0]
-        assert slope <= base.estimate.mean
+        for p in (2.0, 3.0):
+            reps = quadest.translated_quadratic_estimate(
+                dirac64, u, zs, scales, p=p, samples=64, seed=8
+            )
+            means = [rep.estimate.mean for rep in reps]
+            base = quadest.quadratic_estimate(dirac64, u, scales, p=p, samples=64, seed=8)
+            slope = np.polyfit(np.log(zs), means, 1)[0]
+            assert slope <= base.estimate.mean
 
 
 class TestOffDiagonal:
     def test_ratio_decreases_with_separation(self, dirac_pair):
         grid = torus.TorusGrid(1, 64)
         op = hodge.VariableOp.constant(dirac_pair, grid)
-        res = quadest.offdiagonal_probe(
-            op, 2 * grid.cell_width, rho_list=(1.0, 4.0), trials=3, seed=63
-        )
-        assert res.ratios[0] < 1.0
-        assert res.ratios[1] < res.ratios[0]
-        assert res.decay_exponent >= 1.0
+        for p in (2.0, 3.0):
+            res = quadest.offdiagonal_probe(
+                op, 2 * grid.cell_width, rho_list=(1.0, 4.0), trials=3, p=p, seed=63
+            )
+            assert res.ratios[0] < 1.0
+            assert res.ratios[1] < res.ratios[0]
+            assert res.decay_exponent >= 1.0
 
     def test_default_probe_solves_each_trial_once(self, field_solves, monkeypatch):
         # Q_t^B 1_F u is solved once per trial (two field solves, on either
