@@ -209,22 +209,23 @@ def constant_hodge_projections(
     At each frequency the three subspace bases are joined into a basis
     matrix which is inverted; failure to span, or a condition number above
     HODGE_COND_LIMIT, raises DecompositionFailure at the first such frequency.
-    The zero frequency carries p0 = I.
+    The zero frequency carries p0 = I.  Subspaces, projections and checks are
+    invariant under scaling xi, so they are taken once per ray direction of
+    the grid (``torus.TorusGrid.rays``) and gathered per frequency; the first
+    failing direction holds the first failing frequency.
     """
-    n_comp = pair.big_n
+    rays = grid.rays
     lattice = grid.lattice.reshape(-1, grid.n)
-    g = torus.GridSymbol(pair.gamma, grid).mats.reshape(-1, n_comp, n_comp)
-    gt = torus.GridSymbol(pair.gamma_tilde, grid).mats.reshape(-1, n_comp, n_comp)
+    g, gt = pair.gamma(rays.directions), pair.gamma_tilde(rays.directions)
     p0, pg, pgt = matcalc.subspace_projections(
         [(g + gt, "ker"), (g, "ran"), (gt, "ran")],
         cond_limit=HODGE_COND_LIMIT,
-        fail=lambda msg, i: DecompositionFailure(msg, xi=lattice[i]),
+        fail=lambda msg, d: DecompositionFailure(msg, xi=lattice[rays.first_frequency(d)]),
     )
-    shape = grid.shape + (n_comp, n_comp)
+    shape = grid.shape + (pair.big_n, pair.big_n)
     ops = {
-        "p0": torus.MultiplierOp(grid, p0.reshape(shape)),
-        "p_gamma": torus.MultiplierOp(grid, pg.reshape(shape)),
-        "p_gamma_tilde": torus.MultiplierOp(grid, pgt.reshape(shape)),
+        name: torus.MultiplierOp(grid, p[rays.index].reshape(shape))
+        for name, p in (("p0", p0), ("p_gamma", pg), ("p_gamma_tilde", pgt))
     }
     return HodgeProjections(
         ops["p0"].apply, ops["p_gamma"].apply, ops["p_gamma_tilde"].apply, multipliers=ops

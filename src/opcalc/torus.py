@@ -30,6 +30,24 @@ def _is_pow2(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
+class Rays(NamedTuple):
+    """The flattened lattice (F frequencies, FFT order) as multiples of
+    primitive directions, on which a homogeneous symbol S(r w) = r^k S(w) is
+    one matrix up to scale.  ``directions`` (D, n) are the primitive integer
+    vectors w, first nonzero coordinate positive, scaled to physical
+    frequencies and numbered by first appearance, so direction 0 is xi = 0;
+    frequency f is ``multiple[f] * directions[index[f]]``, with the signed
+    integer multiple 1 at xi = 0."""
+
+    directions: np.ndarray
+    index: np.ndarray
+    multiple: np.ndarray
+
+    def first_frequency(self, d: int) -> int:
+        """The first frequency, in FFT order, on direction d."""
+        return int(np.argmax(self.index == d))
+
+
 @dataclasses.dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid: n axes, g points per axis, period length."""
@@ -69,12 +87,37 @@ class TorusGrid:
         m = np.where(m > self.g // 2, m - self.g, m)
         return m
 
+    def _integer_lattice(self) -> np.ndarray:
+        axes = np.meshgrid(*([self.axis_integers] * self.n), indexing="ij")
+        return np.stack(axes, axis=-1)
+
     @cached_property
     def lattice(self) -> np.ndarray:
         """Physical frequencies, shape (g,)*n + (n,): 2*pi/length * integers."""
         scale = 2 * math.pi / self.length
-        axes = np.meshgrid(*([self.axis_integers] * self.n), indexing="ij")
-        return scale * np.stack(axes, axis=-1).astype(float)
+        return scale * self._integer_lattice().astype(float)
+
+    @cached_property
+    def rays(self) -> "Rays":
+        """The lattice as integer multiples of primitive directions; see Rays."""
+        m = self._integer_lattice().reshape(-1, self.n)
+        step = np.gcd.reduce(m, axis=-1)
+        lead = m[np.arange(len(m)), np.argmax(m != 0, axis=-1)]
+        multiple = np.where(lead < 0, -step, step)
+        multiple[step == 0] = 1
+        prim = m // multiple[:, None]
+        # one integer per direction, whose coordinates lie in [-g/2, g/2]
+        key = np.ravel_multi_index(tuple((prim + self.g // 2).T), (self.g + 1,) * self.n)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        # renumber the sorted keys by first appearance in FFT order
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        rays = Rays(2 * math.pi / self.length * prim[first[order]].astype(float),
+                    number[inverse], multiple)
+        for a in rays:
+            a.flags.writeable = False
+        return rays
 
     @cached_property
     def coordinates(self) -> np.ndarray:
@@ -334,11 +377,13 @@ class GridSymbol:
 
     ``mats`` (S on the lattice), ``spectral`` (its eigendecomposition) and
     ``kernel_range`` (its kernel/range split) are computed once and kept
-    read-only.  ``fractions`` gives a function of S by its partial fractions
-    as a SpectralFunction, which ``apply`` takes to a field transformed once
-    to V^{-1} u_hat, one product each; frequencies where V is ill-conditioned
-    or an eigenvalue is a pole to rounding take the resolvent sum.  The
-    preconditioner ``shifted`` is the resolvent sum of one pole, not cached.
+    read-only; the last two decompose S once per ray direction of the grid
+    (``TorusGrid.rays``) and gather per frequency.  ``fractions`` gives a
+    function of S by its partial fractions as a SpectralFunction, which
+    ``apply`` takes to a field transformed once to V^{-1} u_hat, one product
+    each; frequencies where V is ill-conditioned or an eigenvalue is a pole
+    to rounding take the resolvent sum.  The preconditioner ``shifted`` is
+    the resolvent sum of one pole, not cached.
     S(0) = 0 (k >= 1): there the bandpass acts as zero.
     """
 
@@ -358,32 +403,43 @@ class GridSymbol:
 
     @cached_property
     def spectral(self) -> SpectralTriple:
-        """One batched eig of ``mats``, guarded per frequency by cond(V)."""
-        lam, v = np.linalg.eig(self._flat)
+        """One batched eig of S on the grid's ray directions, guarded per
+        direction by cond(V), then gathered per frequency: S(r w) = r^k S(w)
+        has the eigenvectors of S(w) and the eigenvalues r^k lam(w)."""
+        rays = self.grid.rays
+        lam, v = np.linalg.eig(self.symbol(rays.directions))
         good = np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT
         v[~good] = 0.0
         v_inv = np.zeros_like(v)
         v_inv[good] = matcalc.batched_inv(v[good], "eigenvector matrix")
-        for a in (lam, v, v_inv, good):
+        scale = rays.multiple.astype(float) ** self.symbol.k
+        lam = scale[:, None] * lam[rays.index]
+        triple = SpectralTriple(lam, v[rays.index], v_inv[rays.index], good[rays.index])
+        for a in triple:
             a.flags.writeable = False
-        return SpectralTriple(lam, v, v_inv, good)
+        return triple
 
     @cached_property
     def kernel_range(self) -> tuple[MultiplierOp, MultiplierOp]:
         """Projections onto ker S(xi) along ran S(xi), and back, at every
-        frequency; the kernel projection is the identity at xi = 0.  Raises
-        SplitUndefined at the first frequency that fails a check of
-        :func:`matcalc.stacked_split`: rank S^2 < rank S (no such splitting), a
-        singular basis matrix, or S P, P S and P^2 - P above SPLIT_CHECK_TOL
-        relative to |S(xi)| (times max(1, |P|))."""
-        p_ker, p_ran, why = matcalc.stacked_split(self._flat)
+        frequency; the kernel projection is the identity at xi = 0.  Both are
+        invariant under scaling, so :func:`matcalc.stacked_split` takes S on
+        the grid's ray directions only, and its projections are gathered per
+        frequency.  Raises SplitUndefined at the first frequency that fails a
+        check: rank S^2 < rank S (no such splitting), a singular basis matrix,
+        or S P, P S and P^2 - P above SPLIT_CHECK_TOL relative to |S(xi)|
+        (times max(1, |P|)).  Every check is scale-invariant, so the first
+        failing direction holds the first failing frequency."""
+        rays = self.grid.rays
+        p_ker, p_ran, why = matcalc.stacked_split(self.symbol(rays.directions))
         bad = np.nonzero(why != "")[0]
         if bad.size:
-            xi = self.grid.lattice.reshape(-1, self.grid.n)[bad[0]]
+            xi = self.grid.lattice.reshape(-1, self.grid.n)[rays.first_frequency(bad[0])]
             raise SplitUndefined(f"{why[bad[0]]} at xi={xi}")
+        shape = self.grid.shape + p_ker.shape[1:]
+        p_ker, p_ran = p_ker[rays.index].reshape(shape), p_ran[rays.index].reshape(shape)
         p_ker.flags.writeable = p_ran.flags.writeable = False
-        return (MultiplierOp(self.grid, p_ker.reshape(self.mats.shape)),
-                MultiplierOp(self.grid, p_ran.reshape(self.mats.shape)))
+        return MultiplierOp(self.grid, p_ker), MultiplierOp(self.grid, p_ran)
 
     def multiplier(self) -> MultiplierOp:
         """S itself."""

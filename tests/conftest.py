@@ -1,14 +1,16 @@
 import collections
+import importlib.util
 import json
 import math
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opcalc import hodge, krylov, matcalc, quadest, symbols, torus
-from opcalc.errors import EigensolverError
+from opcalc.errors import DecompositionFailure, EigensolverError, SplitUndefined
 
 
 @pytest.fixture(scope="session")
@@ -235,6 +237,56 @@ def jordan_symbol_2d():
         (1, 0): [[1, 1, 0], [0, 1, 0], [0, 0, 0]],
         (0, 1): [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
     })
+
+
+def spectral_by_frequency(gs):
+    """GridSymbol.spectral as one batched eig of S at every frequency, each
+    guarded by its own cond(V): the oracle for the build per ray direction."""
+    n = gs.symbol.big_n
+    lam, v = np.linalg.eig(gs.mats.reshape(-1, n, n))
+    good = np.linalg.cond(v) <= matcalc.EIG_COND_LIMIT
+    v[~good] = 0.0
+    v_inv = np.zeros_like(v)
+    v_inv[good] = matcalc.batched_inv(v[good], "eigenvector matrix")
+    return torus.SpectralTriple(lam, v, v_inv, good)
+
+
+def kernel_range_by_frequency(gs):
+    """GridSymbol.kernel_range's (p_ker, p_ran), flattened, by
+    matcalc.stacked_split at every frequency, and SplitUndefined at the first
+    frequency that fails: the oracle for the split per ray direction."""
+    n = gs.symbol.big_n
+    p_ker, p_ran, why = matcalc.stacked_split(gs.mats.reshape(-1, n, n))
+    bad = np.nonzero(why != "")[0]
+    if bad.size:
+        xi = gs.grid.lattice.reshape(-1, gs.grid.n)[bad[0]]
+        raise SplitUndefined(f"{why[bad[0]]} at xi={xi}")
+    return p_ker, p_ran
+
+
+def hodge_projections_by_frequency(pair, grid):
+    """hodge.constant_hodge_projections' three projections, flattened, by
+    matcalc.subspace_projections at every frequency, and DecompositionFailure
+    at the first that fails: the oracle for the projections per ray direction."""
+    lattice = grid.lattice.reshape(-1, grid.n)
+    n = pair.big_n
+    g = pair.gamma(grid.lattice).reshape(-1, n, n)
+    gt = pair.gamma_tilde(grid.lattice).reshape(-1, n, n)
+    p0, pg, pgt = matcalc.subspace_projections(
+        [(g + gt, "ker"), (g, "ran"), (gt, "ran")],
+        cond_limit=hodge.HODGE_COND_LIMIT,
+        fail=lambda msg, i: DecompositionFailure(msg, xi=lattice[i]),
+    )
+    return {"p0": p0, "p_gamma": pg, "p_gamma_tilde": pgt}
+
+
+def tracer_stages() -> dict:
+    """perfbench/tracing.py's STAGES, stage -> the span names it wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.STAGES
 
 
 def zero_mode(op):

@@ -1,8 +1,7 @@
-import importlib.util
+import importlib
 import inspect
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from conftest import (
     rel_err,
     reproducing_sum_by_inverse,
     schur_table_by_inverse,
+    tracer_stages,
     zero_field,
 )
 
@@ -254,21 +254,41 @@ class TestSpectralRoute:
         assert peak < 16 * one
 
 
+def resolves(name: str) -> bool:
+    """Whether a span name of perfbench/tracing.py, "layer.attr[.attr]", is a
+    function defined in that opcalc module."""
+    layer, *attrs = name.split(".")
+    obj = importlib.import_module(f"opcalc.{layer}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return inspect.isfunction(obj) and obj.__module__ == f"opcalc.{layer}"
+
+
 def test_the_benchmark_tracer_finds_its_quadest_stages():
     # perfbench/tracing.py wraps these public functions by name and skips a
     # name that no longer resolves without a word
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    names = {n for stage in tracing.STAGES.values() for n in stage if n.startswith("quadest.")}
+    names = {n for stage in tracer_stages().values() for n in stage if n.startswith("quadest.")}
     assert names >= {
         "quadest.bandpass_fields_constant", "quadest.bandpass_fields_variable",
         "quadest.reproducing_sum", "quadest.reproducing_residual",
     }
     for name in names:
-        fn = getattr(quadest, name.split(".", 1)[1], None)
-        assert inspect.isfunction(fn) and fn.__module__ == quadest.__name__, name
+        assert resolves(name), name
+
+
+def test_the_benchmark_tracer_finds_its_lattice_stages():
+    # the stages under which the per-direction builds and the batched
+    # Mikhlin sweep show in lattice-2d
+    stages = tracer_stages()
+    names = {n for s in ("symbols.eval", "symbols.verify", "symbols.mikhlin",
+                         "hodge.constant_hodge_projections") for n in stages[s]}
+    assert names == {
+        "symbols.HomogeneousSymbol.__call__", "symbols.mikhlin_probe",
+        "symbols.verify_symbol_conditions", "symbols.verify_hodge_pair",
+        "hodge.constant_hodge_projections",
+    }
+    for name in names:
+        assert resolves(name), name
 
 
 class TestQuadraticEstimate:

@@ -7,7 +7,9 @@ from opcalc import cli, dacorr, hodge, krylov, matcalc, quadest, symbols, torus
 from opcalc.errors import DecompositionFailure, NotInvertible, SplitUndefined
 
 from conftest import (
-    bandpass, jordan_symbol_2d, plane_wave, rel_err, resolvent, smoothing, zero_field, zero_mode,
+    bandpass, defective_pair_1d, grad_div_pair_2d, hodge_projections_by_frequency,
+    jordan_symbol_2d, kernel_range_by_frequency, plane_wave, rel_err, resolvent, smoothing,
+    spectral_by_frequency, zero_field, zero_mode,
 )
 
 
@@ -35,6 +37,46 @@ class TestGrid:
         grid = torus.TorusGrid(1, 8, length=np.pi)
         # scale 2*pi/length = 2
         assert np.allclose(grid.lattice[1], [2.0])
+
+
+class TestRays:
+    """TorusGrid.rays: the lattice as integer multiples of primitive directions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("g", [4, 8, 64])
+    def test_every_point_is_its_multiple_of_its_direction(self, n, g):
+        grid = torus.TorusGrid(n, g)
+        rays = grid.rays
+        xi = grid.lattice.reshape(-1, n)
+        # at the default length the physical frequencies are the integers
+        assert np.array_equal(xi, rays.multiple[:, None] * rays.directions[rays.index])
+        ints = rays.directions.astype(int)
+        assert np.array_equal(ints, rays.directions)
+        # direction 0 is xi = 0, every other one primitive with its first
+        # nonzero coordinate positive, and no direction twice
+        assert not ints[0].any() and rays.multiple[0] == 1
+        assert np.all(np.gcd.reduce(ints[1:], axis=-1) == 1)
+        assert np.all(ints[1:][np.arange(len(ints) - 1), np.argmax(ints[1:] != 0, axis=-1)] > 0)
+        assert len(np.unique(ints, axis=0)) == len(ints)
+        # numbered by first appearance in FFT order, each one used
+        _, first = np.unique(rays.index, return_index=True)
+        assert np.all(np.diff(first) > 0) and first.size == len(ints)
+        assert [rays.first_frequency(d) for d in (0, len(ints) - 1)] == [0, first[-1]]
+        # the Nyquist row, +g/2 on the first axis
+        row = xi[:, 0] == g // 2
+        assert row.sum() == g ** (n - 1)
+        assert np.all(np.abs(rays.multiple[row]) * ints[rays.index[row], 0] == g // 2)
+
+    def test_direction_counts(self):
+        assert len(torus.TorusGrid(2, 64).rays.directions) == 1297
+        assert len(torus.TorusGrid(1, 64).rays.directions) == 2
+
+    def test_scaled_with_the_lattice(self):
+        grid = torus.TorusGrid(2, 8, length=np.pi)
+        rays = grid.rays
+        assert np.array_equal(rays.directions, 2.0 * torus.TorusGrid(2, 8).rays.directions)
+        assert np.array_equal(grid.lattice.reshape(-1, 2),
+                              rays.multiple[:, None] * rays.directions[rays.index])
 
 
 class TestApplyMultiplier:
@@ -549,6 +591,90 @@ class TestBatchedSplits:
             hodge.constant_hodge_projections(pair, grid64)
         # the first failing frequency in FFT order is +1
         assert np.array_equal(exc.value.xi, grid64.lattice[1])
+
+
+def per_direction_cases():
+    """name -> (symbol pair, grid): the pairs' builds and their total symbols'.
+    jordan_symbol_2d comes as the pair with a zero second part."""
+    jordan = jordan_symbol_2d()
+    zero = symbols.HomogeneousSymbol(2, 3, 1, {})
+    return {
+        "graddiv2d": (grad_div_pair_2d(), torus.TorusGrid(2, 64)),
+        "dirac1d": (symbols.dirac_pair_1d(), torus.TorusGrid(1, 64)),
+        "jordan2d": (symbols.HodgeDiracSymbolPair(jordan, zero), torus.TorusGrid(2, 16)),
+        "defective1d": (defective_pair_1d(), torus.TorusGrid(1, 64)),
+    }
+
+
+def outcome(build):
+    """build()'s result, or the type, message and xi of the error it raises."""
+    try:
+        return build()
+    except (SplitUndefined, DecompositionFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "xi", None)
+
+
+class TestPerDirectionBuilds:
+    """spectral, kernel_range and the constant Hodge projections decompose S
+    once per ray direction; they agree with the builds at every frequency."""
+
+    @pytest.mark.parametrize("name", sorted(per_direction_cases()))
+    def test_spectral_matches_the_batched_eig(self, name):
+        pair, grid = per_direction_cases()[name]
+        gs = torus.GridSymbol(pair.total(), grid)
+        got, want = gs.spectral, spectral_by_frequency(gs)
+        assert np.array_equal(got.good, want.good)
+        g = got.good
+        assert g[0] and (name != "defective1d" or g.sum() == 1)
+        mats = gs.mats.reshape(-1, *gs.mats.shape[-2:])[g]
+        for lam, v, v_inv in ((got.lam, got.v, got.v_inv), (want.lam, want.v, want.v_inv)):
+            assert rel_err(v[g] @ (lam[g][..., None] * v_inv[g]), mats) < 1e-12
+        assert not got.v[~g].any() and not got.v_inv[~g].any()
+
+    @pytest.mark.parametrize("name", sorted(per_direction_cases()))
+    def test_kernel_range_matches_the_split_per_frequency(self, name):
+        pair, grid = per_direction_cases()[name]
+        gs = torus.GridSymbol(pair.total(), grid)
+        got = outcome(lambda: tuple(p.mats.reshape(grid.size, -1) for p in gs.kernel_range))
+        want = outcome(lambda: kernel_range_by_frequency(gs))
+        if name == "defective1d":
+            assert got[:2] == want[:2] and got[0] is SplitUndefined
+            return
+        for a, b in zip(got, want, strict=True):
+            assert np.abs(a - b.reshape(a.shape)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(per_direction_cases()))
+    def test_hodge_projections_match_the_projections_per_frequency(self, name):
+        pair, grid = per_direction_cases()[name]
+        got = outcome(lambda: hodge.constant_hodge_projections(pair, grid).multipliers)
+        want = outcome(lambda: hodge_projections_by_frequency(pair, grid))
+        if name == "defective1d":
+            assert got[:2] == want[:2] and got[0] is DecompositionFailure
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[2], grid.lattice[1])
+            return
+        for key, p in want.items():
+            assert np.abs(got[key].mats.reshape(p.shape) - p).max() < 1e-12, key
+
+    def test_one_decomposition_per_direction(self, monkeypatch):
+        # a g=64 graddiv2d build decomposes 1,297 matrices, not 4,096
+        sizes = collections.defaultdict(list)
+        for fname in ("eig", "svd"):
+            real = getattr(np.linalg, fname)
+
+            def counted(a, *args, _real=real, _name=fname, **kw):
+                sizes[_name].append(int(np.prod(np.shape(a)[:-2])))
+                return _real(a, *args, **kw)
+
+            monkeypatch.setattr(np.linalg, fname, counted)
+        pair, grid = grad_div_pair_2d(), torus.TorusGrid(2, 64)
+        gs = torus.GridSymbol(pair.total(), grid)
+        gs.spectral
+        assert dict(sizes) == {"eig": [1297]}
+        gs.kernel_range
+        hodge.constant_hodge_projections(pair, grid)
+        # stacked_split: one SVD of S and the two ranks; the Hodge
+        # projections: one SVD of each of gamma + gamma_tilde, gamma, gamma_tilde
+        assert dict(sizes) == {"eig": [1297], "svd": [1297] * 6}
 
 
 class TestTranslate:
