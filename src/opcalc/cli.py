@@ -296,12 +296,10 @@ def probe_hodge_const(seed, symbol, grid, trials, tolerance):
         torus.random_band_limited(grid, symbol.big_n, seed=seed + trial) for trial in range(trials)
     ])
     un = torus.lp_norms(us, 2.0)
-    s = proj.p0(us) + proj.p_gamma(us) + proj.p_gamma_tilde(us)
-    worst_sum = torus.max_ratio(s - us, 2.0, un)
-    worst_idem = 0.0
-    for p_fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
-        v = p_fn(us)
-        worst_idem = max(worst_idem, torus.max_ratio(p_fn(v) - v, 2.0, un))
+    fns = (proj.p0, proj.p_gamma, proj.p_gamma_tilde)
+    vs = [p_fn(us) for p_fn in fns]
+    worst_sum = torus.max_ratio(vs[0] + vs[1] + vs[2] - us, 2.0, un)
+    worst_idem = max(0.0, *(torus.max_ratio(p_fn(v) - v, 2.0, un) for p_fn, v in zip(fns, vs)))
     gu = torus.apply_multiplier(gamma_op, us)
     gtu = torus.apply_multiplier(gt_op, us)
     worst_annih = max(
@@ -390,8 +388,7 @@ def probe_quadest(seed, symbol, grid, samples, k_min, k_max):
     )
     rep = quadest.quadratic_estimate(gs, u, scales, samples=samples, seed=seed)
     est = rep.estimate
-    exact_sq = quadest.exact_l2_square_expectation(rep.summands)
-    sq_err = abs(est.mean_square - exact_sq)
+    sq_err = abs(est.mean_square - est.exact_square)
     # 5 standard errors: the gate must hold for every user-chosen seed, and
     # the squared-norm distribution is skewed enough that 3 SE trips on
     # roughly 1 seed in 100 at small sample counts
@@ -403,7 +400,7 @@ def probe_quadest(seed, symbol, grid, samples, k_min, k_max):
             "mean": est.mean,
             "std_error": est.std_error,
             "mean_square": est.mean_square,
-            "exact_square": exact_sq,
+            "exact_square": est.exact_square,
             "constant": rep.constant,
         },
         {"closed_form_within_5se": bool(sq_ok), "bounded": rep.constant < 1e3},

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,53 +47,54 @@ class RademacherEstimate:
     mean: float
     std_error: float
     samples: int
-    # sample mean of the squared norm: unbiased for the exact p=2 expectation
-    mean_square: float = 0.0
-    std_error_square: float = 0.0
-
-    def __post_init__(self):
-        if self.samples < 16:
-            raise ValueError("need at least 16 sign samples")
-        if self.std_error < 0:
-            raise ValueError("negative standard error")
+    # the sample mean of the squared norm, unbiased for the p=2 exact_square
+    mean_square: float
+    std_error_square: float
+    exact_square: float
 
 
 def rademacher_norm(
-    u_k: Sequence[torus.GridField],
+    u_k: torus.GridField,
     p: float = 2.0,
     samples: int = 64,
     seed: int = 0,
 ) -> RademacherEstimate:
-    """Monte-Carlo estimate of E || sum_k eps_k u_k ||_p.
+    """Monte-Carlo estimate of E || sum_k eps_k u_k ||_p over the members u_k
+    of the stack ``u_k`` (one batch axis), with the p = 2 closed form
+    :func:`exact_l2_square_expectation` beside it.
 
-    The summands are fixed; only the random signs are resampled.
+    The fields are fixed; only the random signs are resampled.
     """
-    ws = list(u_k)
-    if not ws:
-        raise ValueError("empty index set")
-    stack = np.stack([w.values for w in ws])
-    grid = ws[0].grid
+    if len(u_k.batch) != 1 or not u_k.batch[0]:
+        raise ValueError(f"need a nonempty stack on one batch axis, got batch {u_k.batch}")
+    if samples < 16:
+        raise ValueError("need at least 16 sign samples")
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(samples, len(ws))) * 2 - 1
+    signs = rng.integers(0, 2, size=(samples, u_k.batch[0])) * 2 - 1
     norms = np.empty(samples)
     for i in range(samples):
-        total = np.tensordot(signs[i], stack, axes=(0, 0))
-        norms[i] = torus.lp_norm(torus.GridField(grid, total), p)
-    mean = float(norms.mean())
-    std_error = float(norms.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    sq = norms**2
+        total = np.tensordot(signs[i], u_k.values, axes=(0, 0))
+        norms[i] = torus.lp_norm(torus.GridField(u_k.grid, total), p)
+    sq, root = norms**2, math.sqrt(samples)
     return RademacherEstimate(
-        mean,
-        std_error,
-        samples,
-        float(sq.mean()),
-        float(sq.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
+        float(norms.mean()), float(norms.std(ddof=1) / root), samples,
+        float(sq.mean()), float(sq.std(ddof=1) / root), exact_l2_square_expectation(u_k),
     )
 
 
-def exact_l2_square_expectation(u_k: Sequence[torus.GridField]) -> float:
-    """Closed form E || sum eps_k w_k ||_2^2 = sum ||w_k||_2^2."""
-    return float(sum(torus.lp_norm(w, 2.0) ** 2 for w in u_k))
+def exact_l2_square_expectation(u_k: torus.GridField) -> float:
+    """Closed form E || sum eps_k w_k ||_2^2 = sum ||w_k||_2^2 over the members
+    w_k of the stack ``u_k``, in order."""
+    return float(sum(torus.lp_norm(w, 2.0) ** 2 for w in u_k.members()))
+
+
+def _filled(fields: Iterable[torus.GridField], count: int, like: torus.GridField):
+    """The ``count`` fields of ``fields``, each shaped like ``like``, as one
+    stack on a new leading axis, written slot by slot as they come."""
+    out = np.empty((count,) + like.values.shape, dtype=complex)
+    for slot, w in zip(out, fields, strict=True):
+        slot[...] = w.values
+    return torus.GridField(like.grid, out)
 
 
 def eta(x: float) -> float:
@@ -109,21 +110,22 @@ def bandpass_fields_constant(
     gs: torus.GridSymbol,
     u: torus.GridField,
     scales: DyadicScales,
-) -> list[torus.GridField]:
-    """Q_t u for every dyadic t in the window (constant coefficients: ``gs``
-    is the total symbol of the pair on u's grid), one scale formed at a time
-    on u's eigen-coordinates."""
-    return list(gs.apply((gs.bandpass(t) for t in scales.scales()), u))
+) -> torus.GridField:
+    """Q_t u for every dyadic t in the window, as one stack on a new leading
+    axis (constant coefficients: ``gs`` is the total symbol of the pair on
+    u's grid), each scale formed on u's eigen-coordinates into its slot."""
+    return _filled(gs.apply((gs.bandpass(t) for t in scales.scales()), u), len(scales.ks), u)
 
 
 def bandpass_fields_variable(
     op: hodge.VariableOp,
     u: torus.GridField,
     scales: DyadicScales,
-) -> list[torus.GridField]:
-    """Q_t^B u for every dyadic t: the odd halves of the resolvent pairs of
-    all scales, from one :func:`hodge.resolvent_halves` call."""
-    return hodge.resolvent_halves(op, scales.scales(), u)[1::2]
+) -> torus.GridField:
+    """Q_t^B u for every dyadic t, as one stack on a new leading axis: the
+    odd halves of the resolvent pairs of all scales, from one
+    :func:`hodge.resolvent_halves` call."""
+    return _filled(hodge.resolvent_halves(op, scales.scales(), u)[1::2], len(scales.ks), u)
 
 
 def reproducing_sum(
@@ -201,8 +203,6 @@ class QuadraticEstimateReport:
     estimate: RademacherEstimate
     ratio: float
     constant: float
-    # the fields whose Rademacher sum was estimated
-    summands: list[torus.GridField]
 
 
 def quadratic_estimate(
@@ -214,27 +214,22 @@ def quadratic_estimate(
     samples: int = 64,
     seed: int = 0,
 ) -> QuadraticEstimateReport:
-    """Randomized square-function probe E||sum eps_k Q_{2^k} u||_p / ||u||_p.
+    """Randomized square-function probe E||sum eps_k Q_{2^k} u||_p / ||u||_p,
+    reported as numbers: the estimate (with the p = 2 closed form
+    sum_k ||Q_{2^k} u||_2^2 as its ``exact_square``), the ratio and the constant.
 
     For constant coefficients, ``op`` the GridSymbol of the pair's total
     symbol, the ratio probes both sides of the norm equivalence, so the
     reported constant is max(ratio, 1/ratio); for a variable-coefficient
     operator only the upper bound is meaningful.
     """
-    if isinstance(op, torus.GridSymbol):
-        ws = bandpass_fields_constant(op, u, scales)
-        two_sided = True
-    else:
-        ws = bandpass_fields_variable(op, u, scales)
-        two_sided = False
-    est = rademacher_norm(ws, p=p, samples=samples, seed=seed)
+    two_sided = isinstance(op, torus.GridSymbol)
+    bandpass = bandpass_fields_constant if two_sided else bandpass_fields_variable
+    est = rademacher_norm(bandpass(op, u, scales), p=p, samples=samples, seed=seed)
     un = torus.lp_norm(u, p)
     ratio = est.mean / un if un > 0 else 0.0
-    if two_sided and ratio > 0:
-        constant = max(ratio, 1.0 / ratio)
-    else:
-        constant = ratio
-    return QuadraticEstimateReport(est, ratio, constant, ws)
+    constant = max(ratio, 1.0 / ratio) if two_sided and ratio > 0 else ratio
+    return QuadraticEstimateReport(est, ratio, constant)
 
 
 def translated_quadratic_estimate(
@@ -251,8 +246,9 @@ def translated_quadratic_estimate(
     normalized by (1 + log_+ |z|) ||u||_p, one report per shift z of ``zs``
     (n numbers each), with the signs drawn from ``seed`` for every shift.
 
-    The Q_{2^k} u are formed once, ``gs`` being the pair's total symbol; a
-    zero shift takes them untranslated.
+    The stack of the Q_{2^k} u is formed once, ``gs`` being the pair's total
+    symbol, and each nonzero shift translates its members into one more
+    stack; a zero shift takes them untranslated.
     """
     ws = bandpass_fields_constant(gs, u, scales)
     un = torus.lp_norm(u, p)
@@ -260,12 +256,27 @@ def translated_quadratic_estimate(
     for z in np.asarray(zs, dtype=float).reshape(-1, u.grid.n):
         shifted = ws
         if z.any():
-            shifted = [torus.translate(w, (2.0**k) * z) for k, w in zip(scales.ks, ws)]
+            moved = (torus.translate(w, (2.0**k) * z) for k, w in zip(scales.ks, ws.members()))
+            shifted = _filled(moved, len(scales.ks), u)
         est = rademacher_norm(shifted, p=p, samples=samples, seed=seed)
         denom = (1.0 + math.log(max(float(np.linalg.norm(z)), 1.0))) * un
         ratio = est.mean / denom if denom > 0 else 0.0
-        reports.append(QuadraticEstimateReport(est, ratio, ratio, shifted))
+        reports.append(QuadraticEstimateReport(est, ratio, ratio))
     return reports
+
+
+def corner_block_distance(grid: torus.TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """F, the block of the first max(1, g/8) cells along each axis, as a mask,
+    and each cell's torus distance to F: F is a product of intervals, so the
+    per-axis distances to them, squared and summed in axis order (to the
+    last bit the minimum over F's points, as rounding is monotone)."""
+    m = max(1, grid.g // 8)
+    mask_f = np.zeros(grid.shape, dtype=bool)
+    mask_f[(slice(0, m),) * grid.n] = True
+    x = np.arange(grid.g) * grid.cell_width  # as in grid.coordinates
+    d = np.abs(x[:, None] - x[:m])
+    d = np.minimum(d, grid.length - d).min(axis=1)
+    return mask_f, np.sqrt(sum(np.ix_(*[d**2] * grid.n)))
 
 
 @dataclasses.dataclass
@@ -295,15 +306,7 @@ def offdiagonal_probe(
     fewer than two rho leave a nonempty E or some ratio is 0.
     """
     grid = op.grid
-    mask_f = np.zeros(grid.shape, dtype=bool)
-    mask_f[(slice(0, max(1, grid.g // 8)),) * grid.n] = True
-    coords = grid.coordinates
-    xf = coords[mask_f].reshape(-1, grid.n)
-    dist = np.full(grid.shape, np.inf)
-    for pt in xf:
-        d = np.abs(coords - pt)
-        d = np.minimum(d, grid.length - d)
-        dist = np.minimum(dist, np.sqrt((d**2).sum(axis=-1)))
+    mask_f, dist = corner_block_distance(grid)
     rhos, masks = [], []
     for rho in rho_list:
         mask_e = dist >= rho * t

@@ -382,3 +382,17 @@ def coefficient_conditions_by_trial(op, *, p=2.0, trials=8, seed=0, floor=1e-6,
     if min(c_primal, c_dual) < floor:
         failures.append(hodge.COERCIVE_MULTIPLIERS)
     return hodge.CoefficientConditionReport(nilp, c_primal, c_dual, failures)
+
+
+def corner_block_distance_by_points(grid):
+    """quadest.corner_block_distance as the minimum, over the points of F one
+    at a time, of the Euclidean torus distance: the oracle for the per-axis form."""
+    mask_f = np.zeros(grid.shape, dtype=bool)
+    mask_f[(slice(0, max(1, grid.g // 8)),) * grid.n] = True
+    coords = grid.coordinates
+    dist = np.full(grid.shape, np.inf)
+    for pt in coords[mask_f].reshape(-1, grid.n):
+        d = np.abs(coords - pt)
+        d = np.minimum(d, grid.length - d)
+        dist = np.minimum(dist, np.sqrt((d**2).sum(axis=-1)))
+    return mask_f, dist

@@ -12,6 +12,7 @@ from conftest import (
     SOLVE_ROUTES,
     bandpass,
     bandpass_fields_by_inverse,
+    corner_block_distance_by_points,
     defective_pair_1d,
     diagonal_coefficients,
     jordan_symbol_2d,
@@ -35,22 +36,23 @@ def scalar_smoothing(t, x):
 class TestRademacherNorm:
     def test_single_index_exact(self, dirac_pair, grid64):
         u = torus.random_band_limited(grid64, 2, seed=1)
-        est = quadest.rademacher_norm([u], p=2.0, samples=16, seed=0)
+        est = quadest.rademacher_norm(torus.GridField.stack([u]), p=2.0, samples=16, seed=0)
         assert est.std_error == 0.0
         assert abs(est.mean - torus.lp_norm(u, 2.0)) < 1e-12
 
     def test_zero_second_summand(self, grid64):
         u = torus.random_band_limited(grid64, 2, seed=2)
         z = zero_field(grid64, 2)
-        est = quadest.rademacher_norm([u, z], p=2.0, samples=16, seed=0)
+        est = quadest.rademacher_norm(torus.GridField.stack([u, z]), p=2.0, samples=16, seed=0)
         assert abs(est.mean - torus.lp_norm(u, 2.0)) < 1e-12
 
     def test_orthogonal_summands_deterministic(self, grid64):
         # disjoint frequencies: the norm of the signed sum never varies
         u1 = plane_wave(grid64, [1], [1.0, 0.0])
         u2 = plane_wave(grid64, [3], [0.0, 2.0])
-        est = quadest.rademacher_norm([u1, u2], p=2.0, samples=32, seed=3)
-        exact_sq = quadest.exact_l2_square_expectation([u1, u2])
+        ws = torus.GridField.stack([u1, u2])
+        est = quadest.rademacher_norm(ws, p=2.0, samples=32, seed=3)
+        exact_sq = quadest.exact_l2_square_expectation(ws)
         assert est.std_error <= 1e-12
         assert abs(est.mean**2 - exact_sq) <= 1e-10 * exact_sq
 
@@ -66,7 +68,31 @@ class TestRademacherNorm:
     def test_minimum_samples_enforced(self, grid64):
         u = torus.random_band_limited(grid64, 2, seed=8)
         with pytest.raises(ValueError):
-            quadest.rademacher_norm([u], samples=8)
+            quadest.rademacher_norm(torus.GridField.stack([u]), samples=8)
+
+    def test_input_checked_before_any_sample(self, grid64, monkeypatch):
+        calls = []
+        monkeypatch.setattr(torus, "lp_norm", lambda *args: calls.append(args))
+        u = torus.random_band_limited(grid64, 2, seed=8)
+        bad = [
+            (torus.GridField(grid64, np.zeros((0,) + u.values.shape)), 64),  # empty stack
+            (u, 64),  # no batch axis
+            (torus.GridField(grid64, u.values[None, None]), 64),  # two batch axes
+            (torus.GridField.stack([u]), 15),
+        ]
+        for stack, samples in bad:
+            with pytest.raises(ValueError):
+                quadest.rademacher_norm(stack, samples=samples)
+        assert calls == []
+
+    def test_exact_square_is_the_per_member_sum(self, dirac64, grid64):
+        u = torus.random_band_limited(grid64, 2, seed=4, kill_zero_mode=True)
+        ws = quadest.bandpass_fields_constant(dirac64, u, quadest.DyadicScales(-5, 5))
+        want = 0.0
+        for w in ws.values:
+            want += torus.lp_norm(torus.GridField(grid64, w), 2.0) ** 2
+        for p in (2.0, 3.0):
+            assert quadest.rademacher_norm(ws, p=p, samples=16, seed=5).exact_square == want
 
 
 class TestEta:
@@ -182,8 +208,8 @@ class TestSpectralRoute:
         scales = quadest.DyadicScales(-6, 6)
         got = quadest.bandpass_fields_constant(torus.GridSymbol(pair.total(), grid), u, scales)
         want = bandpass_fields_by_inverse(pair, u, scales)
-        for g, w in zip(got, want, strict=True):
-            assert rel_err(g.values, w.values) < 1e-12
+        for g, w in zip(got.values, want, strict=True):
+            assert rel_err(g, w.values) < 1e-12
 
     def test_reproducing_sum(self, case):
         pair, grid = case
@@ -389,8 +415,36 @@ class TestTranslatedEstimate:
             slope = np.polyfit(np.log(zs), means, 1)[0]
             assert slope <= base.estimate.mean
 
+    def test_probe_holds_one_translated_stack(self):
+        # graddiv2d at g=32, 13 scales: the bandpass stack, one translated
+        # stack and the symbol's arrays take about 41 fields; the translated
+        # fields held as a list beside a stacked copy of it would take 79
+        values = cli.read_config(
+            "translated", {"symbol": "bundled:graddiv2d", "grid": {"n": 2, "g": 32}}
+        )
+        field = values["grid"].size * values["symbol"].big_n * 16  # complex128
+        tracemalloc.start()
+        try:
+            cli.probe_translated(**values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * field
+
 
 class TestOffDiagonal:
+    @pytest.mark.parametrize("length", [2 * math.pi, 1.0, 7.3])
+    def test_distance_per_axis_is_the_minimum_over_the_block(self, length):
+        # n = 3 stops at g = 32, where the loop over F's points still takes
+        # a fraction of a second
+        for n, g_max in ((1, 128), (2, 128), (3, 32)):
+            for g in (4, 8, 16, 32, 64, 128):
+                if g <= g_max:
+                    grid = torus.TorusGrid(n, g, length)
+                    got = quadest.corner_block_distance(grid)
+                    want = corner_block_distance_by_points(grid)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want)), (n, g)
+
     def test_ratio_decreases_with_separation(self, dirac_pair):
         grid = torus.TorusGrid(1, 64)
         op = hodge.VariableOp.constant(dirac_pair, grid)
