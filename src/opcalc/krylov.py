@@ -3,6 +3,13 @@
 The solver is deliberately self-contained (complex arithmetic, right
 preconditioning, Givens-rotation least squares) so that residual
 semantics do not depend on external library versions.
+
+Its inner products, norms and solution update are summed by numpy's own
+loops, never by BLAS.  OpenBLAS (0.3.31) runs a dot product of more than
+10,000 elements, and a matrix-vector product, on all its threads, and its
+workers then spin for about 0.1 s: at Krylov sizes they would keep a
+second core busy for one core's work, and the sums, split by thread count,
+would move the low bits of every solution with OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ def _identity(v):
     return v
 
 
+def _vdot(u: np.ndarray, w: np.ndarray):
+    """u^H w, summed by numpy's own loop."""
+    return np.einsum("i,i->", u.conj(), w)
+
+
+def _norm(w: np.ndarray) -> float:
+    """||w||_2 as np.linalg.norm forms it, from the real and imaginary
+    parts, summed by numpy's own loops."""
+    re, im = w.real, w.imag
+    return math.sqrt(np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im))
+
+
 def gmres(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -45,7 +64,7 @@ def gmres(
     """
     b = np.asarray(b, dtype=complex).reshape(-1)
     n = b.size
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, True)
     apply_m = precond if precond is not None else _identity
@@ -54,7 +73,7 @@ def gmres(
     total = 0
     prev_res = math.inf
     while True:
-        beta = float(np.linalg.norm(r))
+        beta = _norm(r)
         res = beta / bnorm
         if res <= rtol:
             return x, SolveInfo(total, res, True)
@@ -74,9 +93,9 @@ def gmres(
         for j in range(m):
             w = matvec(apply_m(v[j]))
             for i in range(j + 1):
-                h[i, j] = np.vdot(v[i], w)
+                h[i, j] = _vdot(v[i], w)
                 w -= h[i, j] * v[i]
-            hnext = float(np.linalg.norm(w))
+            hnext = _norm(w)
             h[j + 1, j] = hnext
             for i in range(j):
                 tmp = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
@@ -102,7 +121,7 @@ def gmres(
         if cols == 0:
             break
         y = np.linalg.solve(h[:cols, :cols], g[:cols])
-        x = x + apply_m(y @ np.array(v[:cols]))
+        x = x + apply_m(sum(yk * vk for yk, vk in zip(y, v)))  # the first cols rows of v
         r = b - matvec(x)
     return x, SolveInfo(total, res, False)
 

@@ -169,6 +169,8 @@ class PartialFractions:
         mats = np.asarray(mats, dtype=complex)
         p = np.reshape(self.poles, (-1,) + (1,) * mats.ndim)
         inv = batched_inv(mats - p * np.eye(mats.shape[-1]), "M - p I")
+        if len(self.poles) == 1:  # no copy of the stack, and no BLAS call
+            return self.residues[0] * inv[0]
         return np.tensordot(self.residues, inv, axes=1)
 
     def scaled(self, t: float) -> "PartialFractions":

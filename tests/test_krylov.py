@@ -1,9 +1,15 @@
 import collections
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opcalc
 from opcalc import krylov
 from opcalc.errors import NotInvertible
 
@@ -69,3 +75,55 @@ class TestGmres:
         b = np.array([1.0, 1.0, 1.0], dtype=complex)
         with pytest.raises(NotInvertible):
             krylov.solve_or_raise(lambda v: a @ v, b, rtol=1e-12, maxiter=60)
+
+
+# One GMRES-route solve (dirac1d at g = 8192: 16,384 unknowns) in a fresh
+# interpreter: the SHA-256 of the solution, and the CPU seconds that threads
+# other than the main one spent over the solve and the 0.2 s after it (null
+# without /proc/self/task).  OpenBLAS reads its thread count at load time.
+ONE_SOLVE = """
+import hashlib, json, os, time
+import numpy as np
+from opcalc import hodge, symbols, torus
+
+def others():
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    tick, ticks = os.sysconf("SC_CLK_TCK"), {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            ticks[tid] = (int(fields[11]) + int(fields[12])) / tick
+    return ticks
+
+grid, pair = torus.TorusGrid(1, 8192), symbols.dirac_pair_1d()
+b1, b2 = (hodge.parse_coefficient(f"identity+0.05*diagrandom({s})", grid, pair.big_n)
+          for s in (23, 24))
+op = hodge.VariableOp(pair, hodge.CoefficientPair(b1, b2), grid)
+rng = np.random.default_rng(5)
+u = torus.GridField(grid, rng.standard_normal((8192, 2)) + 1j * rng.standard_normal((8192, 2)))
+time.sleep(0.3)  # let any BLAS thread woken by the set-up fall idle
+before = others()
+x = hodge.variable_resolvent(op, 2**10, u)
+time.sleep(0.2)
+after = others()
+cpu = None if before is None else sum(v - before.get(t, 0.0) for t, v in after.items())
+print(json.dumps({"sha": hashlib.sha256(x.values.tobytes()).hexdigest(), "others_cpu": cpu}))
+"""
+
+
+def test_gmres_route_runs_on_one_thread():
+    # the Krylov reductions wake no BLAS thread: the solution does not depend
+    # on OPENBLAS_NUM_THREADS, and a second thread stays idle through the solve
+    src = str(pathlib.Path(opcalc.__file__).parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", ONE_SOLVE], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        runs[threads] = json.loads(proc.stdout.splitlines()[-1])
+    assert runs["1"]["sha"] == runs["2"]["sha"]
+    if runs["2"]["others_cpu"] is not None:
+        assert runs["2"]["others_cpu"] <= 0.02

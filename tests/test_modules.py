@@ -43,6 +43,46 @@ def test_guard_sees_both_import_forms(tmp_path):
     assert private_reads(src) == ["2: torus._pointwise", "3: matcalc._classify"]
 
 
+# the numpy calls that reach a BLAS reduction or product, which OpenBLAS
+# runs on its thread pool at Krylov sizes
+BLAS_CALLS = {f"{mod}.{name}" for mod in ("np", "numpy")
+              for name in ("vdot", "dot", "inner", "tensordot", "matmul", "linalg.norm")}
+
+
+def blas_calls(path: pathlib.Path) -> list[str]:
+    """"line: call" for each call in BLAS_CALLS, and "line: @" for each
+    matrix product, in the source file at ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, node.col_offset, "@"))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in BLAS_CALLS:
+            found.append((node.lineno, node.col_offset, ast.unparse(node.func)))
+    return [f"{line}: {what}" for line, _, what in sorted(found)]
+
+
+def test_krylov_calls_no_blas_reduction():
+    assert blas_calls(SRC / "krylov.py") == []
+
+
+def test_blas_guard_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import numpy as np\n"
+        "h = np.vdot(v, w)\n"
+        "n = float(np.linalg.norm(w))\n"
+        "x = y @ basis\n"
+        "x @= y\n"
+        "z = np.dot(a, b) + np.inner(a, b) + numpy.matmul(a, b)\n"
+        "t = np.tensordot(r, m, axes=1)\n"
+        "e = np.einsum('i,i->', v.conj(), w) + v.dot(w)\n"
+    )
+    assert blas_calls(src) == [
+        "2: np.vdot", "3: np.linalg.norm", "4: @", "5: @",
+        "6: np.dot", "6: np.inner", "6: numpy.matmul", "7: np.tensordot",
+    ]
+
+
 def _sets(call: ast.Call, name: str, index: int | None) -> bool:
     """Whether ``call`` sets the parameter ``name``, at position ``index``
     (None if keyword-only): by keyword, by position, or through * or **."""

@@ -496,6 +496,15 @@ class TestFractions:
         for got, one in zip(fn.at(m), s):
             assert rel_err(got, matcalc.contour_fc(one, f)) < 1e-12
 
+    def test_one_pole_takes_no_sum_over_the_poles(self):
+        # the preconditioner (z - S)^{-1}, residue -1: the same values as the
+        # sum over the poles that several poles take
+        gs = torus.GridSymbol(cli.load_symbol_arg("bundled:graddiv2d").total(),
+                              torus.TorusGrid(2, 16))
+        z = 1j / 2**10
+        inv = np.linalg.inv(gs.mats - z * np.eye(4))
+        assert np.array_equal(gs.shifted(z).mats, np.tensordot((-1,), inv[None], axes=1))
+
 
 class TestSpectralFunction:
     """Functions of S carry their matrix formulas through products, sums and
