@@ -296,15 +296,14 @@ def probe_hodge_const(seed, symbol, grid, trials, tolerance):
         torus.random_band_limited(grid, symbol.big_n, seed=seed + trial) for trial in range(trials)
     ])
     un = torus.lp_norms(us, 2.0)
-    fns = (proj.p0, proj.p_gamma, proj.p_gamma_tilde)
-    vs = [p_fn(us) for p_fn in fns]
+    vs = [p.apply(us) for p in proj]
     worst_sum = torus.max_ratio(vs[0] + vs[1] + vs[2] - us, 2.0, un)
-    worst_idem = max(0.0, *(torus.max_ratio(p_fn(v) - v, 2.0, un) for p_fn, v in zip(fns, vs)))
+    worst_idem = max(0.0, *(torus.max_ratio(p.apply(v) - v, 2.0, un) for p, v in zip(proj, vs)))
     gu = torus.apply_multiplier(gamma_op, us)
     gtu = torus.apply_multiplier(gt_op, us)
     worst_annih = max(
-        torus.max_ratio(gu - proj.p_gamma(gu), 2.0, un),
-        torus.max_ratio(gtu - proj.p_gamma_tilde(gtu), 2.0, un),
+        torus.max_ratio(gu - proj.p_gamma.apply(gu), 2.0, un),
+        torus.max_ratio(gtu - proj.p_gamma_tilde.apply(gtu), 2.0, un),
     )
     return (
         "hodge-constant",
@@ -323,21 +322,21 @@ def probe_hodge_var(seed, symbol, grid, coefficients, tolerance):
     cond = hodge.check_coefficient_conditions(op, seed=seed)
     # first, so that its solves do not overlap the stacks the projections keep
     res = hodge.underline_intertwining_residual(op, 2.0, seed=seed)
-    proj = hodge.variable_hodge_projections(op, seed=seed)
+    limit = hodge.variable_hodge_projections(op, seed=seed)
     constants = {
         "nilpotence_residual": cond.nilpotence_residual,
         "coercivity": cond.coercivity_primal,
         "coercivity_dual": cond.coercivity_dual,
-        "curve": proj.report["curve"],
+        "curve": limit.curve,
     }
     passes = {"coefficient_conditions": cond.passed}
     if op.dim <= 4096:
         # the projections the curve settled on, against the dense oracle
-        us = proj.report["fields"]
+        us = limit.fields
         un = torus.lp_norms(us, 2.0)
         cols = us.values.reshape(us.batch[0], -1).T
         worst = 0.0
-        for val, mat in zip(proj.report["final"], hodge.dense_hodge_projections(op)):
+        for val, mat in zip(limit.final, hodge.dense_hodge_projections(op)):
             ref = torus.GridField(grid, (mat @ cols).T.reshape(us.values.shape))
             worst = max(worst, torus.max_ratio(val - ref, 2.0, un))
         constants["limit_vs_dense"] = worst
@@ -354,7 +353,8 @@ def probe_perturb(seed, symbol, grid, deltas):
     eye = torus.MatrixField.identity(grid, symbol.big_n)
     pairs = [hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2) for d in deltas]
     others = [hodge.VariableOp(symbol, coeffs, grid) for coeffs in pairs]
-    ratio_rows = [{"delta": rep.delta, **rep.ratios}
+    # read_config keeps the deltas positive
+    ratio_rows = [{"delta": rep.delta, **{k: d / rep.delta for k, d in rep.diffs.items()}}
                   for rep in hodge.hodge_perturbation_report(base, others)]
     spread = 0.0
     for key in ("p0", "p_gamma", "p_gamma_tilde"):

@@ -451,8 +451,9 @@ def lipschitz_triple_decomposition(
     fdb_sb, fdb_sa, fdb_diff = fraction_calculus(
         maps_b.op, torus.GridField.stack([sb_u, sa_u, sa_u - sb_u]), f
     ).members()
-    direct = maps_a.assemble(fda_sa) - maps_b.assemble(fdb_sb)
-    term1 = maps_a.assemble(fda_sa) - maps_b.assemble(fda_sa)
+    a_fda_sa = maps_a.assemble(fda_sa)
+    direct = a_fda_sa - maps_b.assemble(fdb_sb)
+    term1 = a_fda_sa - maps_b.assemble(fda_sa)
     term2 = maps_b.assemble(fda_sa - fdb_sa)
     term3 = maps_b.assemble(fdb_diff)
     recombined = term1 + term2 + term3

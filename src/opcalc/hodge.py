@@ -17,7 +17,7 @@ import dataclasses
 import math
 import re
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,15 +185,12 @@ def swap_operator(op: VariableOp) -> VariableOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class HodgeProjections:
-    """Three complementary projections; callables on grid fields."""
+class HodgeProjections(NamedTuple):
+    """The three complementary constant-coefficient projections, as multipliers."""
 
-    p0: Callable[[torus.GridField], torus.GridField]
-    p_gamma: Callable[[torus.GridField], torus.GridField]
-    p_gamma_tilde: Callable[[torus.GridField], torus.GridField]
-    multipliers: dict | None = None
-    report: dict | None = None
+    p0: torus.MultiplierOp
+    p_gamma: torus.MultiplierOp
+    p_gamma_tilde: torus.MultiplierOp
 
 
 # Largest condition number of the joined kernel/range basis matrix that the
@@ -223,12 +220,8 @@ def constant_hodge_projections(
         fail=lambda msg, d: DecompositionFailure(msg, xi=lattice[rays.first_frequency(d)]),
     )
     shape = grid.shape + (pair.big_n, pair.big_n)
-    ops = {
-        name: torus.MultiplierOp(grid, p[rays.index].reshape(shape))
-        for name, p in (("p0", p0), ("p_gamma", pg), ("p_gamma_tilde", pgt))
-    }
     return HodgeProjections(
-        ops["p0"].apply, ops["p_gamma"].apply, ops["p_gamma_tilde"].apply, multipliers=ops
+        *(torus.MultiplierOp(grid, p[rays.index].reshape(shape)) for p in (p0, pg, pgt))
     )
 
 
@@ -505,38 +498,50 @@ def untwist(op: VariableOp, p_gamma_tilde: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProjections:
-    """Projections from the large-t limit formulas.
+# The ladder of the limit formulas: successive scales must agree, and the
+# projections are the values at the last.
+LIMIT_SCALES = (2.0**10, 2.0**12, 2.0**14)
 
+
+def limit_projections(
+    op: VariableOp, scales: Sequence[float], u: torus.GridField
+) -> Iterator[tuple[torus.GridField, torus.GridField, torus.GridField]]:
+    """For each t of ``scales`` in turn, the limit-formula parts of u:
     p0 ~ (I + t^2 Op^2)^{-1}, p_gamma ~ gamma . t^2 Op (I + t^2 Op^2)^{-1},
-    and likewise for the twisted part.  Convergence is accepted when
-    successive values along t = 2^10, 2^12, 2^14 agree within 1e-6 on a
-    stack of three random probe fields, all six shifts +-i/t of the ladder
-    taken by one :func:`resolvent_halves` call; otherwise
-    HodgeDecompositionUncertain carries the curve.  The report also keeps
-    the stack ``fields`` and its projections ``final`` at the largest scale.
-    """
+    and likewise for the twisted part, all three from the one resolvent
+    pair at t.  Every scale's pair is taken by one :func:`resolvent_halves`
+    call, and each is released as its scale is yielded."""
     # the attainable residual degrades like eps * t * ||op||; ask only
     # for what floating point can deliver at the largest scales
     big = op.symbol.multiplier().inf_norm
     big *= max(1.0, op.coeffs.b1.inf_norm * op.coeffs.b2.inf_norm)
+    floors = [max(1e-10, 30.0 * np.finfo(float).eps * (1.0 + t * big)) for t in scales]
+    halves = resolvent_halves(op, scales, u, rtol=floors)
+    for t in scales:
+        smooth, band = halves.pop(0), t * halves.pop(0)
+        yield smooth, torus.apply_multiplier(op.gamma_op, band), op.apply_twisted(band)
 
-    def all_at(scales, u):
-        # P_t u and the two parts of t Q_t u, from one resolvent pair per
-        # scale, every scale's pair in one call
-        floors = [max(1e-10, 30.0 * np.finfo(float).eps * (1.0 + t * big)) for t in scales]
-        halves = resolvent_halves(op, scales, u, rtol=floors)
-        for t in scales:
-            smooth, band = halves.pop(0), t * halves.pop(0)
-            yield smooth, torus.apply_multiplier(op.gamma_op, band), op.apply_twisted(band)
 
+class LimitReport(NamedTuple):
+    """The settling curve of the limit formulas, the probe ``fields`` and
+    their projections ``final`` (p0, p_gamma, p_gamma_tilde) at the last scale."""
+
+    curve: list[dict]
+    fields: torus.GridField
+    final: tuple[torus.GridField, torus.GridField, torus.GridField]
+
+
+def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> LimitReport:
+    """The limit formulas along LIMIT_SCALES on a stack of three random
+    probe fields of unit norm.  Convergence is accepted when successive
+    values agree within 1e-6; otherwise HodgeDecompositionUncertain carries
+    the curve."""
     fields = torus.random_trials(op.grid, op.big_n, 3, seed)
     inv_norms = 1.0 / torus.lp_norms(fields, 2.0)
     fields = fields * inv_norms.reshape(fields.batch + (1,) * (op.grid.n + 1))
-    scales = (2.0**10, 2.0**12, 2.0**14)
     curve = []
     prev = None
-    for t, vals in zip(scales, all_at(scales, fields)):
+    for t, vals in zip(LIMIT_SCALES, limit_projections(op, LIMIT_SCALES, fields)):
         if prev is not None:
             diff = max(float(torus.lp_norms(a - b, 2.0).max()) for a, b in zip(vals, prev))
             curve.append({"t": t, "max_diff": diff})
@@ -547,12 +552,7 @@ def variable_hodge_projections(op: VariableOp, *, seed: int = 0) -> HodgeProject
             f"limit formulas not settled: max successive difference {worst:.3e}",
             curve=curve,
         )
-    return HodgeProjections(
-        p0=lambda u: next(all_at([t], u))[0],
-        p_gamma=lambda u: next(all_at([t], u))[1],
-        p_gamma_tilde=lambda u: next(all_at([t], u))[2],
-        report={"curve": curve, "fields": fields, "final": prev},
-    )
+    return LimitReport(curve, fields, prev)
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +601,11 @@ def perturb_splitting(p0: np.ndarray, p1: np.ndarray, t_op: np.ndarray) -> Split
 
 @dataclasses.dataclass
 class PerturbationReport:
+    """The coefficient distance ``delta`` and the operator-norm distances
+    ``diffs`` of p0, p_gamma, p_gamma_tilde and the restricted inverse."""
+
     delta: float
-    diff_p0: float
-    diff_p_gamma: float
-    diff_p_gamma_tilde: float
-    diff_restricted_inverse: float
-    ratios: dict | None
+    diffs: dict[str, float]
 
 
 def hodge_perturbation_report(
@@ -614,7 +613,7 @@ def hodge_perturbation_report(
 ) -> list[PerturbationReport]:
     """Operator-norm distances between the Hodge projections of ``base`` and
     of each operator of the sweep ``others``, which share its symbol pair and
-    grid, normalized by the coefficient distance; one report per member.
+    grid, with their coefficient distance; one report per member.
     base's projections and restricted inverse are computed once for the
     whole sweep (:func:`untwist`).  Dense path; intended for small grids."""
     if any(op.grid != base.grid or op.pair != base.pair for op in others):
@@ -625,13 +624,10 @@ def hodge_perturbation_report(
     for op in others:
         delta = op.coeffs.distance(base.coeffs)
         pb = dense_hodge_projections(op)
-        diffs = [matcalc.operator_norm(b - a) for a, b in zip(pa, pb)]
-        diffs.append(matcalc.operator_norm(untwist(op, pb[2]) - inv_a))
-        ratios = None
-        if delta > 0:
-            keys = ("p0", "p_gamma", "p_gamma_tilde", "restricted_inverse")
-            ratios = {key: diff / delta for key, diff in zip(keys, diffs)}
-        reports.append(PerturbationReport(delta, *diffs, ratios))
+        diffs = {key: matcalc.operator_norm(b - a)
+                 for key, a, b in zip(HodgeProjections._fields, pa, pb)}
+        diffs["restricted_inverse"] = matcalc.operator_norm(untwist(op, pb[2]) - inv_a)
+        reports.append(PerturbationReport(delta, diffs))
     return reports
 
 

@@ -85,7 +85,7 @@ def rademacher_norm(
 def exact_l2_square_expectation(u_k: torus.GridField) -> float:
     """Closed form E || sum eps_k w_k ||_2^2 = sum ||w_k||_2^2 over the members
     w_k of the stack ``u_k``, in order."""
-    return float(sum(torus.lp_norm(w, 2.0) ** 2 for w in u_k.members()))
+    return float(sum((torus.lp_norms(u_k, 2.0) ** 2).tolist()))
 
 
 def _filled(fields: Iterable[torus.GridField], count: int, like: torus.GridField):

@@ -328,6 +328,11 @@ def matrix_function_eig(t, f):
     return v @ (fl[:, None] * np.linalg.inv(v))
 
 
+def limit_parts(op, u):
+    """(p0 u, p_gamma u, p_gamma_tilde u) by the limit formulas at their last scale."""
+    return next(hodge.limit_projections(op, hodge.LIMIT_SCALES[-1:], u))
+
+
 def dense_resolvent(op, t, u):
     """LU oracle for the resolvent (I + i t Op)^{-1} u on a field or a stack;
     small grids only."""

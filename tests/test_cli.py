@@ -1,9 +1,12 @@
 import collections
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import math
+import sys
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +15,12 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from opcalc import cli, hodge, torus
-from opcalc.errors import DecompositionFailure, NotInvertible
+from opcalc.errors import (
+    DecompositionFailure,
+    HodgeDecompositionUncertain,
+    NotInvertible,
+    OpcalcError,
+)
 
 from conftest import symbol_to_dict
 
@@ -88,6 +96,60 @@ class TestAnalyzeSymbol:
         assert cli.main(["analyze-symbol", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n, N and k must be JSON integers" in err
+
+
+def stub_matplotlib(monkeypatch) -> dict:
+    """Put stub ``matplotlib`` and ``matplotlib.pyplot`` modules in sys.modules;
+    the returned dict maps the path of each figure saved to the (x, y) of its
+    axes' one curve."""
+    saved = {}
+
+    class Axes:
+        def plot(self, x, y, style):
+            self.curve = (list(x), list(y))
+
+        semilogy = loglog = plot
+
+        def set_xlabel(self, label):
+            pass
+
+        set_ylabel = set_xlabel
+
+    class Figure:
+        def __init__(self):
+            self.ax = Axes()
+
+        def savefig(self, path, dpi):
+            saved[path] = self.ax.curve
+
+    def subplots():
+        fig = Figure()
+        return fig, fig.ax
+
+    mpl = types.ModuleType("matplotlib")
+    mpl.use = lambda backend: None
+    mpl.pyplot = types.ModuleType("matplotlib.pyplot")
+    mpl.pyplot.subplots, mpl.pyplot.close = subplots, lambda fig: None
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", mpl.pyplot)
+    return saved
+
+
+def unreported_error_data(classes) -> list[str]:
+    """"Class.parameter" for each keyword parameter of an error class's
+    ``__init__`` beyond its message that cli.ERROR_FIELDS does not keep in a
+    failed report."""
+    kinds = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    return [f"{cls.__name__}.{name}" for cls in classes
+            for name, param in inspect.signature(cls.__init__).parameters.items()
+            if param.kind in kinds and name not in ("self", "msg", *cli.ERROR_FIELDS)]
+
+
+def error_types(base=OpcalcError):
+    """Every subclass of ``base``, at any depth."""
+    for sub in base.__subclasses__():
+        yield sub
+        yield from error_types(sub)
 
 
 SMALL = {
@@ -272,6 +334,35 @@ class TestSuite:
         plain = {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()}
         assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == plain
 
+    def test_plots_each_reports_own_curve(self, tmp_path, monkeypatch, capsys):
+        saved = stub_matplotlib(monkeypatch)
+        reps = {r.probe: r.constants for r in cli.run_suite("smoke", {}, tmp_path, plots=True)}
+        capsys.readouterr()
+        curve, sweep = reps["reproducing-sum"]["curve"], reps["lipschitz"]["sweep"]
+        decay = reps["offdiagonal-decay"]
+        assert saved == {
+            tmp_path / "reproducing_residual.png":
+                ([r["window"] for r in curve], [r["residual"] for r in curve]),
+            tmp_path / "lipschitz_ratio.png":
+                ([r["delta"] for r in sweep], [r["ratio"] for r in sweep]),
+            tmp_path / "offdiagonal_decay.png": ([1 + r for r in decay["rho"]], decay["ratios"]),
+        }
+
+    def test_failed_reports_plot_nothing(self, tmp_path, monkeypatch, capsys):
+        # a failed report keeps the error's curve, but is no probe's result
+        def unsettled(**values):
+            raise HodgeDecompositionUncertain("injected", curve=[{"window": 4, "residual": 1.0}])
+
+        saved = stub_matplotlib(monkeypatch)
+        for probe in ("reproducing", "lipschitz", "offdiag"):
+            monkeypatch.setitem(cli.PROBES, probe, unsettled)
+        reps = cli.run_suite("smoke", {}, tmp_path, plots=True)
+        capsys.readouterr()
+        failed = [r for r in reps if not r.passed]
+        assert sorted(r.probe for r in failed) == ["lipschitz", "offdiag", "reproducing"]
+        assert all("curve" in r.constants for r in failed)
+        assert saved == {}
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "r")
         assert cli.main(["suite", "hodge-const", "--seed", "-1", "--out", out]) == 2
@@ -417,6 +508,20 @@ class TestSuite:
             "error": "DecompositionFailure: injected split", "xi": [1.0, -2.0],
         }
         assert read("schur")["passes"] == {"completed": False}
+
+    def test_every_error_datum_reaches_failed_reports(self):
+        package = [cls for cls in error_types() if cls.__module__.startswith("opcalc.")]
+        assert NotInvertible in package
+        assert unreported_error_data(package) == []
+
+    def test_error_data_guard_sees_a_planted_field(self):
+        class Stalled(NotInvertible):
+            def __init__(self, msg, residual=None, iterations=None, *, shift=None):
+                super().__init__(msg, residual, iterations)
+                self.shift = shift
+
+        assert Stalled in error_types()
+        assert unreported_error_data([Stalled, NotInvertible]) == ["Stalled.shift"]
 
     def test_perturb_suite_emits_ratio_table(self, tmp_path, capsys):
         code = cli.main(

@@ -15,6 +15,7 @@ from conftest import (
     dense_resolvent,
     diagonal_coefficients,
     grad_div_pair_2d,
+    limit_parts,
     map_operator,
     random_matrix,
     rel_err,
@@ -70,16 +71,16 @@ class TestConstantProjections:
     def test_dirac_pointwise_values(self, dirac_pair, grid64):
         proj = hodge.constant_hodge_projections(dirac_pair, grid64)
         idx = 1  # frequency +1
-        assert rel_err(proj.multipliers["p_gamma"].mats[idx], np.diag([0.0, 1.0])) < 1e-12
+        assert rel_err(proj.p_gamma.mats[idx], np.diag([0.0, 1.0])) < 1e-12
         assert rel_err(
-            proj.multipliers["p_gamma_tilde"].mats[idx], np.diag([1.0, 0.0])
+            proj.p_gamma_tilde.mats[idx], np.diag([1.0, 0.0])
         ) < 1e-12
-        assert np.abs(proj.multipliers["p0"].mats[idx]).max() < 1e-12
+        assert np.abs(proj.p0.mats[idx]).max() < 1e-12
 
     def test_zero_mode(self, dirac_pair, grid64):
         proj = hodge.constant_hodge_projections(dirac_pair, grid64)
-        assert np.allclose(zero_mode(proj.multipliers["p0"]), np.eye(2))
-        assert np.allclose(zero_mode(proj.multipliers["p_gamma"]), 0)
+        assert np.allclose(zero_mode(proj.p0), np.eye(2))
+        assert np.allclose(zero_mode(proj.p_gamma), 0)
 
     def test_identities_grad_div(self, grad_div_pair):
         grid = torus.TorusGrid(2, 8)
@@ -88,9 +89,9 @@ class TestConstantProjections:
         for _ in range(3):
             u = torus.random_band_limited(grid, 4, seed=int(rng.integers(2**31)))
             un = torus.lp_norm(u, 2.0)
-            s = proj.p0(u) + proj.p_gamma(u) + proj.p_gamma_tilde(u)
+            s = proj.p0.apply(u) + proj.p_gamma.apply(u) + proj.p_gamma_tilde.apply(u)
             assert torus.lp_norm(s - u, 2.0) <= 1e-10 * un
-            for fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
+            for fn in (p.apply for p in proj):
                 v = fn(u)
                 assert torus.lp_norm(fn(v) - v, 2.0) <= 1e-10 * un
 
@@ -99,9 +100,9 @@ class TestConstantProjections:
         op = hodge.VariableOp.constant(dirac_pair, grid16)
         dense = hodge.dense_hodge_projections(op)
         u = torus.random_band_limited(grid16, 2, seed=17)
-        for fn, mat in zip((proj.p0, proj.p_gamma, proj.p_gamma_tilde), dense):
+        for p, mat in zip(proj, dense):
             ref = torus.GridField.from_flat(grid16, 2, mat @ u.flat())
-            assert torus.lp_norm(fn(u) - ref, 2.0) <= 1e-10 * torus.lp_norm(u, 2.0)
+            assert torus.lp_norm(p.apply(u) - ref, 2.0) <= 1e-10 * torus.lp_norm(u, 2.0)
 
     def test_unsplittable_pair_raises(self, dirac_pair, grid64):
         bad = symbols.HodgeDiracSymbolPair(dirac_pair.gamma, dirac_pair.gamma)
@@ -416,14 +417,15 @@ def test_one_dense_size_limit():
 class TestVariableProjections:
     def test_identity_matches_constant(self, dirac_pair, grid16):
         op = hodge.VariableOp.constant(dirac_pair, grid16)
-        proj_v = hodge.variable_hodge_projections(op, seed=6)
+        hodge.variable_hodge_projections(op, seed=6)
         proj_c = hodge.constant_hodge_projections(dirac_pair, grid16)
         u = torus.random_band_limited(grid16, 2, seed=7)
         un = torus.lp_norm(u, 2.0)
-        assert torus.lp_norm(proj_v.p0(u) - proj_c.p0(u), 2.0) <= 1e-8 * un
-        assert torus.lp_norm(proj_v.p_gamma(u) - proj_c.p_gamma(u), 2.0) <= 1e-8 * un
+        v0, vg, vgt = limit_parts(op, u)
+        assert torus.lp_norm(v0 - proj_c.p0.apply(u), 2.0) <= 1e-8 * un
+        assert torus.lp_norm(vg - proj_c.p_gamma.apply(u), 2.0) <= 1e-8 * un
         assert (
-            torus.lp_norm(proj_v.p_gamma_tilde(u) - proj_c.p_gamma_tilde(u), 2.0)
+            torus.lp_norm(vgt - proj_c.p_gamma_tilde.apply(u), 2.0)
             <= 1e-8 * un
         )
 
@@ -437,32 +439,33 @@ class TestVariableProjections:
         c = torus.GridField(
             grid16, np.broadcast_to([1.0, -0.5], grid16.shape + (2,)).astype(complex)
         )
-        proj = hodge.variable_hodge_projections(op, seed=8)
-        assert torus.lp_norm(proj.p0(c) - c, 2.0) <= 1e-8 * torus.lp_norm(c, 2.0)
+        hodge.variable_hodge_projections(op, seed=8)
+        assert torus.lp_norm(limit_parts(op, c)[0] - c, 2.0) <= 1e-8 * torus.lp_norm(c, 2.0)
 
     def test_against_dense_subspace_oracle(self, dirac_pair, grid16):
         coeffs = diagonal_coefficients(grid16, 2, 0.05, 29)
         op = hodge.VariableOp(dirac_pair, coeffs, grid16)
-        proj = hodge.variable_hodge_projections(op, seed=29)
+        hodge.variable_hodge_projections(op, seed=29)
         dense = hodge.dense_hodge_projections(op)
         rng = np.random.default_rng(29)
         worst = 0.0
         for _ in range(3):
             u = torus.random_band_limited(grid16, 2, seed=int(rng.integers(2**31)))
             un = torus.lp_norm(u, 2.0)
-            for fn, mat in zip((proj.p0, proj.p_gamma, proj.p_gamma_tilde), dense):
+            for val, mat in zip(limit_parts(op, u), dense):
                 ref = torus.GridField.from_flat(grid16, 2, mat @ u.flat())
-                worst = max(worst, torus.lp_norm(fn(u) - ref, 2.0) / un)
+                worst = max(worst, torus.lp_norm(val - ref, 2.0) / un)
         assert worst <= 1e-6
 
     def test_projection_identities(self, var_op16, grid16):
-        proj = hodge.variable_hodge_projections(var_op16, seed=9)
+        hodge.variable_hodge_projections(var_op16, seed=9)
         u = torus.random_band_limited(grid16, 2, seed=10)
         un = torus.lp_norm(u, 2.0)
-        s = proj.p0(u) + proj.p_gamma(u) + proj.p_gamma_tilde(u)
+        parts = limit_parts(var_op16, u)
+        s = parts[0] + parts[1] + parts[2]
         assert torus.lp_norm(s - u, 2.0) <= 1e-6 * un
-        v = proj.p_gamma(u)
-        assert torus.lp_norm(proj.p_gamma(v) - v, 2.0) <= 1e-6 * un
+        v = parts[1]
+        assert torus.lp_norm(limit_parts(var_op16, v)[1] - v, 2.0) <= 1e-6 * un
 
     def test_solves_each_resolvent_once(self, var_op16, grid16, field_solves, monkeypatch):
         # per probe field and scale: the resolvent pair R(t)u, R(-t)u, on either route
@@ -470,14 +473,14 @@ class TestVariableProjections:
         for route, limit in SOLVE_ROUTES.items():
             monkeypatch.setattr(hodge, "DENSE_SOLVE_LIMIT", limit)
             del calls[:]
-            proj = hodge.variable_hodge_projections(var_op16, seed=9)
+            hodge.variable_hodge_projections(var_op16, seed=9)
             assert len(calls) == 2 * 3 * 3
             assert set(calls) == {route}
             u = torus.random_band_limited(grid16, 2, seed=10)
-            for fn in (proj.p0, proj.p_gamma, proj.p_gamma_tilde):
-                del calls[:]
-                fn(u)
-                assert len(calls) == 2
+            # all three parts of u from the last scale's one resolvent pair
+            del calls[:]
+            limit_parts(var_op16, u)
+            assert len(calls) == 2
 
     def test_probe_checks_its_curve_against_dense(self, field_solves, monkeypatch):
         # the dense check reuses the projections the curve settled on:
@@ -602,8 +605,8 @@ class TestPerturbationReport:
     def test_equal_operators(self, dirac_pair, grid16, var_op16):
         (rep,) = hodge.hodge_perturbation_report(var_op16, [var_op16])
         assert rep.delta == 0.0
-        assert rep.ratios is None
-        assert max(rep.diff_p0, rep.diff_p_gamma, rep.diff_p_gamma_tilde) < 1e-10
+        assert rep.diffs.keys() == {"p0", "p_gamma", "p_gamma_tilde", "restricted_inverse"}
+        assert max(rep.diffs["p0"], rep.diffs["p_gamma"], rep.diffs["p_gamma_tilde"]) < 1e-10
 
     def test_pairs_equal_but_not_identical(self):
         grid = torus.TorusGrid(1, 8)
@@ -612,7 +615,7 @@ class TestPerturbationReport:
         assert opa.pair is not opb.pair
         (rep,) = hodge.hodge_perturbation_report(opa, [opb])
         assert rep.delta == 0.0
-        assert max(rep.diff_p0, rep.diff_p_gamma, rep.diff_p_gamma_tilde) < 1e-10
+        assert max(rep.diffs["p0"], rep.diffs["p_gamma"], rep.diffs["p_gamma_tilde"]) < 1e-10
 
     def test_delta_sweep_ratio_band(self, dirac_pair):
         grid = torus.TorusGrid(1, 8)
@@ -626,7 +629,7 @@ class TestPerturbationReport:
         ratios = []
         for d, rep in zip(deltas, hodge.hodge_perturbation_report(base, others)):
             assert abs(rep.delta - d) < 1e-12
-            ratios.append(rep.ratios)
+            ratios.append({k: diff / rep.delta for k, diff in rep.diffs.items()})
         for key in ("p0", "p_gamma", "p_gamma_tilde", "restricted_inverse"):
             vals = [r[key] for r in ratios]
             assert max(vals) <= 4.0 * min(vals)
@@ -634,13 +637,13 @@ class TestPerturbationReport:
 
 class TestStructuralInvariants:
     def test_range_membership(self, var_op16, grid16):
-        proj = hodge.variable_hodge_projections(var_op16, seed=13)
+        hodge.variable_hodge_projections(var_op16, seed=13)
         u = torus.random_band_limited(grid16, 2, seed=14)
         un = torus.lp_norm(u, 2.0)
         gu = torus.apply_multiplier(var_op16.gamma_op, u)
-        assert torus.lp_norm(gu - proj.p_gamma(gu), 2.0) <= 1e-8 * un
+        assert torus.lp_norm(gu - limit_parts(var_op16, gu)[1], 2.0) <= 1e-8 * un
         gtu = var_op16.apply_twisted(u)
-        assert torus.lp_norm(gtu - proj.p_gamma_tilde(gtu), 2.0) <= 1e-8 * un
+        assert torus.lp_norm(gtu - limit_parts(var_op16, gtu)[2], 2.0) <= 1e-8 * un
 
     def test_nilpotence_transfer(self, var_op16, grid16):
         u = torus.random_band_limited(grid16, 2, seed=15)

@@ -153,7 +153,7 @@ def support_cases(pair, grid):
     op = hodge.VariableOp.constant(pair, grid)
     cases = {"gamma": op.gamma_op, "gamma_tilde": op.gamma_tilde_op}
     cases.update({f"{k}*": m.adjoint() for k, m in cases.items()})
-    return {**cases, **hodge.constant_hodge_projections(pair, grid).multipliers}
+    return {**cases, **hodge.constant_hodge_projections(pair, grid)._asdict()}
 
 
 class TestSupport:
@@ -583,7 +583,7 @@ class TestBatchedSplits:
         grid = torus.TorusGrid(n, g)
         ref = per_point_splits(pair, grid)
         p_ker, p_ran = torus.GridSymbol(pair.total(), grid).kernel_range
-        hp = hodge.constant_hodge_projections(pair, grid).multipliers
+        hp = hodge.constant_hodge_projections(pair, grid)._asdict()
         got = {
             "p_ker": p_ker, "p_ran": p_ran, "p0": hp["p0"],
             "p_gamma": hp["p_gamma"], "p_gamma_tilde": hp["p_gamma_tilde"],
@@ -655,7 +655,7 @@ class TestPerDirectionBuilds:
     @pytest.mark.parametrize("name", sorted(per_direction_cases()))
     def test_hodge_projections_match_the_projections_per_frequency(self, name):
         pair, grid = per_direction_cases()[name]
-        got = outcome(lambda: hodge.constant_hodge_projections(pair, grid).multipliers)
+        got = outcome(lambda: hodge.constant_hodge_projections(pair, grid)._asdict())
         want = outcome(lambda: hodge_projections_by_frequency(pair, grid))
         if name == "defective1d":
             assert got[:2] == want[:2] and got[0] is DecompositionFailure
