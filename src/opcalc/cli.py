@@ -346,6 +346,13 @@ def probe_hodge_var(seed, symbol, grid, coefficients, tolerance):
     return "hodge-variable", constants, passes
 
 
+def _spread(ratios) -> float:
+    """max / min over the positive ``ratios`` of a sweep; nan where fewer
+    than two are positive, as such a sweep compares nothing."""
+    vals = [r for r in ratios if r > 0]
+    return max(vals) / min(vals) if len(vals) > 1 else math.nan
+
+
 def probe_perturb(seed, symbol, grid, deltas):
     e1 = hodge.diagonal_direction(grid, symbol.big_n, seed + 41)
     e2 = hodge.diagonal_direction(grid, symbol.big_n, seed + 42)
@@ -353,14 +360,15 @@ def probe_perturb(seed, symbol, grid, deltas):
     eye = torus.MatrixField.identity(grid, symbol.big_n)
     pairs = [hodge.CoefficientPair(eye + (d / 2) * e1, eye + (d / 2) * e2) for d in deltas]
     others = [hodge.VariableOp(symbol, coeffs, grid) for coeffs in pairs]
-    # read_config keeps the deltas positive
-    ratio_rows = [{"delta": rep.delta, **{k: d / rep.delta for k, d in rep.diffs.items()}}
-                  for rep in hodge.hodge_perturbation_report(base, others)]
-    spread = 0.0
-    for key in ("p0", "p_gamma", "p_gamma_tilde"):
-        vals = [r[key] for r in ratio_rows if r[key] > 0]
-        if vals:
-            spread = max(spread, max(vals) / min(vals))
+    # a delta that underflows measures 0 and gives no ratios
+    ratio_rows = [
+        {"delta": rep.delta,
+         **{k: d / rep.delta if rep.delta > 0 else math.nan for k, d in rep.diffs.items()}}
+        for rep in hodge.hodge_perturbation_report(base, others)
+    ]
+    # np.max, unlike max, keeps a nan wherever it stands
+    spread = float(np.max([_spread([r[key] for r in ratio_rows])
+                           for key in ("p0", "p_gamma", "p_gamma_tilde")]))
     rng = np.random.default_rng(seed + 37)
     dim = 24
     p0 = np.zeros((dim, dim), dtype=complex)
@@ -526,8 +534,7 @@ def probe_lipschitz(seed, grid, deltas, trials, triple_g):
         d, eye, [eye + eps * e for eps in deltas], matcalc.f_rational_odd, trials=trials, seed=seed
     )
     ratios = [{"delta": eps, "ratio": rep.max_ratio} for eps, rep in zip(deltas, reps)]
-    vals = [r["ratio"] for r in ratios if r["ratio"] > 0]
-    spread = max(vals) / min(vals) if vals else math.inf
+    spread = _spread([r["ratio"] for r in ratios])
     pair = symbols.dirac_pair_1d()
     ca = hodge.CoefficientPair(
         hodge.perturbed_identity(triple_g, 2, 0.05, seed + 81, diagonal=True),
@@ -694,35 +701,30 @@ def _write_plots(reports, out_dir: Path):
     except ImportError:
         print("plots requested but matplotlib is unavailable; skipping", file=sys.stderr)
         return
-    for rep in reports:
-        curve = rep.constants.get("curve")
-        if rep.probe == "reproducing-sum" and curve:
-            fig, ax = plt.subplots()
-            ax.semilogy([r["window"] for r in curve], [r["residual"] for r in curve], "o-")
-            ax.set_xlabel("window half-width")
-            ax.set_ylabel("relative residual")
-            fig.savefig(out_dir / "reproducing_residual.png", dpi=120)
-            plt.close(fig)
-        if rep.probe == "lipschitz":
-            sweep = rep.constants.get("sweep") or []
-            if sweep:
-                fig, ax = plt.subplots()
-                ax.loglog([r["delta"] for r in sweep], [r["ratio"] for r in sweep], "o-")
-                ax.set_xlabel("coefficient distance")
-                ax.set_ylabel("ratio")
-                fig.savefig(out_dir / "lipschitz_ratio.png", dpi=120)
-                plt.close(fig)
-        if rep.probe == "offdiagonal-decay":
-            rho = rep.constants.get("rho") or []
-            if rho:
-                fig, ax = plt.subplots()
-                ax.loglog(
-                    [1 + r for r in rho], rep.constants["ratios"], "o-"
-                )
-                ax.set_xlabel("1 + separation")
-                ax.set_ylabel("masked-norm ratio")
-                fig.savefig(out_dir / "offdiagonal_decay.png", dpi=120)
-                plt.close(fig)
+    # report name -> file, axis labels, the axes' log scales, and the curve's
+    # (x, y) points from the report's constants (none in a failed report)
+    table = {
+        "reproducing-sum": (
+            "reproducing_residual.png", "window half-width", "relative residual", "semilogy",
+            lambda c: [(r["window"], r["residual"]) for r in c.get("curve", [])]),
+        "lipschitz": (
+            "lipschitz_ratio.png", "coefficient distance", "ratio", "loglog",
+            lambda c: [(r["delta"], r["ratio"]) for r in c.get("sweep", [])]),
+        "offdiagonal-decay": (
+            "offdiagonal_decay.png", "1 + separation", "masked-norm ratio", "loglog",
+            lambda c: [(1 + r, q) for r, q in zip(c.get("rho", []), c.get("ratios", []))]),
+    }
+    for rep in (r for r in reports if r.probe in table):
+        name, xlabel, ylabel, scales, curve = table[rep.probe]
+        points = curve(rep.constants)
+        if not points:
+            continue
+        fig, ax = plt.subplots()
+        getattr(ax, scales)(*zip(*points), "o-")
+        ax.set_xlabel(xlabel)
+        ax.set_ylabel(ylabel)
+        fig.savefig(out_dir / name, dpi=120)
+        plt.close(fig)
 
 
 def _print_summary(reports):

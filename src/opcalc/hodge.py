@@ -375,7 +375,7 @@ def solve_shifts(
                 y = lu_solve(v, cols, "eigenvector matrix")
                 out = []
                 for row in weights:
-                    g = sum((w / (p - lam) for p, w in zip(shifts, row)), np.zeros(dim, complex))
+                    g = matcalc.PartialFractions(tuple(shifts), tuple(-row))(lam)
                     out.append(torus.GridField(grid, (v @ (g[:, None] * y)).T.reshape(shape)))
                 return out
         layout, to_field = cols.shape, lambda a: a.T.reshape(shape)

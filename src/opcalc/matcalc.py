@@ -68,7 +68,8 @@ class ContourSpec:
 
     The path is the positively oriented boundary of
     ``{r_inner <= |z| <= r_outer}`` intersected with the bisector of
-    half-angle ``theta_prime``; it has two annular-sector components.
+    half-angle ``theta_prime``; it has two annular-sector components of
+    four pieces each, every piece z = z0 exp(c s) for s in [0, 1].
     """
 
     theta_prime: float
@@ -84,16 +85,18 @@ class ContourSpec:
         if self.nodes_per_segment < 8:
             raise ValueError("nodes_per_segment must be >= 8")
 
-    def pieces(self):
-        """Arcs and segments, oriented anticlockwise around each component."""
+    def pieces(self) -> list[tuple[complex, complex]]:
+        """(z0, c) of each piece z = z0 exp(c s), s in [0, 1], so that
+        dz = c z ds: per component the outer arc, the inward segment, the
+        inner arc and the outward segment, anticlockwise.  On an arc c is i
+        times the swept angle, on a segment log(r_end / r_start)."""
         th, r0, r1 = self.theta_prime, self.r_inner, self.r_outer
+        ell = math.log(r1 / r0)
         out = []
         for base in (0.0, math.pi):
             a0, a1 = base - th, base + th
-            out.append(("arc", r1, a0, a1))
-            out.append(("seg", r1 * np.exp(1j * a1), r0 * np.exp(1j * a1)))
-            out.append(("arc", r0, a1, a0))
-            out.append(("seg", r0 * np.exp(1j * a0), r1 * np.exp(1j * a0)))
+            out += [(r1 * np.exp(1j * a0), 1j * (a1 - a0)), (r1 * np.exp(1j * a1), -ell),
+                    (r0 * np.exp(1j * a1), 1j * (a0 - a1)), (r0 * np.exp(1j * a0), ell)]
         return out
 
     @functools.cached_property
@@ -102,30 +105,17 @@ class ContourSpec:
         the integral of g over the path; read-only, of shape
         (pieces, nodes_per_segment), one row per entry of :meth:`pieces`.
 
-        Gauss-Legendre per piece: the plain trapezoid rule loses too much
-        accuracy at the contour corners to certify 1e-8 agreement.  The
-        radial segments are spaced geometrically, z = z0 (|z1|/|z0|)^s,
-        so that spectrum spread over decades of modulus is resolved at
-        every scale (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 46,
-        2008).
+        Gauss-Legendre in s on each piece z0 exp(c s): the plain trapezoid
+        rule loses too much accuracy at the contour corners to certify 1e-8
+        agreement.  On a radial segment the nodes are thereby spaced
+        geometrically, so that spectrum spread over decades of modulus is
+        resolved at every scale (Hale, Higham & Trefethen, SIAM J. Numer.
+        Anal. 46, 2008).
         """
         x, gw = np.polynomial.legendre.leggauss(self.nodes_per_segment)
-        tt = 0.5 * (x + 1.0)
-        wt = 0.5 * gw
-        zs, ws = [], []
-        for piece in self.pieces():
-            if piece[0] == "arc":
-                _, r, a0, a1 = piece
-                z = r * np.exp(1j * (a0 + (a1 - a0) * tt))
-                dz = 1j * z * (a1 - a0)
-            else:
-                _, z0, z1 = piece
-                ell = math.log(abs(z1) / abs(z0))
-                z = z0 * np.exp(ell * tt)
-                dz = z * ell
-            zs.append(z)
-            ws.append(wt * dz / (2j * math.pi))
-        z, w = np.array(zs), np.array(ws)
+        z0, c = (np.array(col)[:, None] for col in zip(*self.pieces()))
+        z = z0 * np.exp(c * (0.5 * (x + 1.0)))
+        w = 0.5 * gw * (c * z) / (2j * math.pi)
         z.flags.writeable = False
         w.flags.writeable = False
         return z, w
@@ -318,18 +308,6 @@ def stacked_split(mats):
     return p_ker, p_ran, why
 
 
-def split_via_bases(t) -> tuple[np.ndarray, np.ndarray]:
-    """Dense invariant-subspace route to the kernel/range splitting.
-
-    Joins orthonormal bases of ker(T) and of the column space and inverts
-    the basis matrix.  Serves as the independent cross-check for the
-    contour route in :func:`spectral_split`.
-    """
-    a = _as_matrix(t)[None]
-    p_ker, p_ran = subspace_projections([(a, "ker"), (a, "ran")])
-    return p_ker[0], p_ran[0]
-
-
 def spectral_split(t):
     """Complementary projections (p_ker, p_ran) onto ker(T) and ran(T).
 
@@ -339,7 +317,8 @@ def spectral_split(t):
     splitting exists, and when the eigenvalues do not separate into a zero
     cluster of size dim ker(T) and a nonzero rest.  The circle carries 128
     trapezoid nodes.  The result is cross-checked against the dense
-    invariant-subspace oracle, to SPLIT_CHECK_TOL.
+    invariant-subspace oracle, :func:`subspace_projections`, to
+    SPLIT_CHECK_TOL.
     """
     a = _as_matrix(t)
     n = a.shape[0]
@@ -361,16 +340,14 @@ def spectral_split(t):
         raise SplitUndefined(
             f"nonzero spectrum at {min_nz:.3e} cannot be separated from 0"
         )
-    radius = 0.5 * min_nz
-    # Trapezoid on a circle is spectrally accurate; dz = i*lambda dtheta.
+    # The trapezoid rule on |z| = min_nz / 2 is spectrally accurate
+    # (Trefethen & Weideman, SIAM Rev. 56, 2014); as dz = i z dtheta, the
+    # residues of its partial fractions are -z_k / nodes.
     nodes = 128
-    theta = 2 * math.pi * np.arange(nodes) / nodes
-    zs = radius * np.exp(1j * theta)
-    rhs = np.broadcast_to(np.eye(n), (nodes, n, n))
-    res = np.linalg.solve(zs[:, None, None] * np.eye(n) - a, rhs)
-    p_ker = np.einsum("k,kij->ij", zs, res) / nodes
+    zs = 0.5 * min_nz * np.exp(1j * (2 * math.pi * np.arange(nodes) / nodes))
+    p_ker = PartialFractions(tuple(zs), tuple(-zs / nodes)).of(a)
     p_ran = np.eye(n) - p_ker
-    pk_oracle, _ = split_via_bases(a)
+    pk_oracle = subspace_projections([(a[None], "ker"), (a[None], "ran")])[0][0]
     if operator_norm(p_ker - pk_oracle) > SPLIT_CHECK_TOL * max(1.0, operator_norm(p_ker)):
         raise SplitUndefined("contour and subspace splittings disagree")
     return p_ker, p_ran

@@ -534,6 +534,24 @@ class TestSuite:
         # deltas are measured sup-norm distances, not the requested values
         assert np.allclose([r["delta"] for r in rows], [0.04, 0.02, 0.01])
 
+    @pytest.mark.parametrize("suite, deltas, report, band, spread", [
+        ("perturb", [1e-20], "perturb__perturb.json", "ratio_band", "ratio_spread"),
+        # measures 0: a subnormal delta underflows in the coefficients
+        ("perturb", [5e-324], "perturb__perturb.json", "ratio_band", "ratio_spread"),
+        ("lipschitz", [0.04], "lipschitz__lipschitz.json", "stable_band", "spread"),
+    ])
+    def test_sweep_of_one_ratio_fails_its_band(
+        self, tmp_path, capsys, suite, deltas, report, band, spread
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deltas": deltas}))
+        out = tmp_path / "r"
+        assert cli.main(["suite", suite, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        data = json.loads((out / report).read_text())
+        assert data["passes"][band] is False
+        assert data["constants"][spread] is None
+
     def test_threaded_run_matches_serial_bytes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL))

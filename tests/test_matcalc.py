@@ -108,7 +108,7 @@ class TestSpectralSplit:
         lam[1] = 0.0
         t = v @ np.diag(lam) @ np.linalg.inv(v)
         pk, _ = matcalc.spectral_split(t)
-        pk2, _ = matcalc.split_via_bases(t)
+        pk2 = matcalc.subspace_projections([(t[None], "ker"), (t[None], "ran")])[0][0]
         assert np.linalg.norm(pk - pk2) < 1e-9
 
 
@@ -144,6 +144,31 @@ class TestQuadrature:
         # (2 pi i)^{-1} times the integral of dz / (z - lam) over the path
         z, w = self.spec.quadrature
         assert abs(np.sum(w / (z - lam)) - winding) < 1e-12
+
+    def test_piece_geometry(self):
+        spec = self.spec
+        z, w = spec.quadrature
+        th, r0, r1 = spec.theta_prime, spec.r_inner, spec.r_outer
+        s = 0.5 * (np.polynomial.legendre.leggauss(spec.nodes_per_segment)[0] + 1.0)
+        for comp, base in enumerate((0.0, np.pi)):
+            a0, a1 = base - th, base + th
+            # outer arc, inward segment, inner arc, outward segment
+            corners = [r1 * np.exp(1j * a0), r1 * np.exp(1j * a1),
+                       r0 * np.exp(1j * a1), r0 * np.exp(1j * a0)]
+            for k, start in enumerate(corners):
+                end = corners[(k + 1) % 4]
+                zk, wk = z[4 * comp + k], w[4 * comp + k]
+                # sum of w = (2 pi i)^{-1} times the integral of dz along the piece
+                assert abs(wk.sum() - (end - start) / (2j * np.pi)) <= 1e-14 * abs(end - start)
+                if k % 2 == 0:
+                    assert np.allclose(np.abs(zk), abs(start), rtol=1e-14, atol=0)
+                    turn = np.angle(zk * np.exp(-1j * base))
+                    assert np.all(np.diff(turn) * (1 if k == 0 else -1) > 0)
+                else:
+                    ray = start / abs(start)
+                    assert np.abs(zk / np.abs(zk) - ray).max() < 1e-14
+                    line = np.log(abs(start)) + np.log(abs(end) / abs(start)) * s
+                    assert np.abs(np.log(np.abs(zk)) - line).max() < 1e-14
 
     def test_shape_and_read_only(self):
         z, w = self.spec.quadrature

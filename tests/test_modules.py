@@ -3,6 +3,7 @@
 import ast
 import collections
 import pathlib
+import re
 
 import opcalc
 
@@ -139,3 +140,74 @@ def test_option_guard_sees_an_unset_option(tmp_path):
         "f(0, **{})\n"
     )
     assert unset_options([src], [src]) == ["mod:m.y"]
+
+
+def public_definitions(path: pathlib.Path) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each public function and class of
+    the module at ``path``, and of each public method of its classes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [(node.name, node.lineno, node.end_lineno) for scope in scopes
+            for node in scope.body if isinstance(node, defs) and not node.name.startswith("_")]
+
+
+def name_reads(path: pathlib.Path) -> list[tuple[str, int]]:
+    """(name, line) of each name, attribute and imported name the file at
+    ``path`` reads."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node.lineno) for alias in node.names]
+    return found
+
+
+def layout_names(readme: pathlib.Path) -> set[str]:
+    """The identifiers in backticks in the README's "Library layout" table."""
+    text = readme.read_text(encoding="utf-8").split("## Library layout", 1)[1]
+    rows = [line for line in text.split("\n## ", 1)[0].splitlines() if line.startswith("|")]
+    return {name for row in rows for span in re.findall(r"`([^`]*)`", row)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def orphans(sources, readers, documented=frozenset()) -> list[str]:
+    """"module:name" for each public function, class or method defined in
+    the files ``sources`` that no file of ``readers`` reads outside its own
+    definition, and that is not in ``documented``."""
+    reads = collections.defaultdict(list)
+    for path in readers:
+        for name, line in name_reads(path):
+            reads[name].append((path.resolve(), line))
+    found = []
+    for path in sources:
+        for name, first, last in public_definitions(path):
+            inside = lambda at: at[0] == path.resolve() and first <= at[1] <= last
+            if name not in documented and all(inside(at) for at in reads[name]):
+                found.append(f"{path.stem}:{name}")
+    return found
+
+
+def test_every_public_name_is_read():
+    sources = sorted(SRC.glob("*.py"))
+    readme = SRC.parent.parent / "README.md"
+    assert orphans(sources, sources + sorted(TESTS.glob("*.py")), layout_names(readme)) == []
+
+
+def test_orphan_guard_sees_a_planted_orphan(tmp_path):
+    src, readme = tmp_path / "mod.py", tmp_path / "README.md"
+    src.write_text(
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def _private():\n    pass\n"
+        "def documented():\n    pass\n"
+        "class Box:\n"
+        "    def method(self):\n        return used()\n"
+        "    def orphan_method(self):\n        pass\n"
+        "Box().method()\n"
+    )
+    readme.write_text("## Library layout\n\n| `mod` | `documented(x)` |\n\n## Next\n`recursive`\n")
+    assert orphans([src], [src], layout_names(readme)) == ["mod:recursive", "mod:orphan_method"]
