@@ -307,11 +307,11 @@ def coefficient_checks(
 # Largest field dimension (grid.size * big_n) that solve_shifts takes by
 # dense linear algebra (one assembly and a checked LU per shift) instead of
 # GMRES (shifts x fields x iterations).  ms, dense / GMRES, 3 fields, the
-# suites' default coefficients, the lower of two runs of min of 5, default
-# OpenBLAS threads on a 2-core VM:
+# suites' default coefficients, the lower of two runs of min of 5, one
+# OpenBLAS thread (the package default) on a 2-core VM:
 #   dim                                     128      256      512      1024
-#   six-shift ladder, dirac1d VariableOp   6 / 44  21 / 46  95 / 61  396 / 70
-#   two-pole f_rational_odd, CompositionOp 2 / 8    8 / 12  33 / 15  144 / 13
+#   six-shift ladder, dirac1d VariableOp   4 / 33  15 / 34  65 / 36  406 / 49
+#   two-pole f_rational_odd, CompositionOp 1 / 7    5 / 8   23 / 9   154 / 11
 DENSE_SOLVE_LIMIT = 256
 
 # From this many shifts up, the dense route diagonalizes the operator once

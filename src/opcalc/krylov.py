@@ -10,6 +10,10 @@ loops, never by BLAS.  OpenBLAS (0.3.31) runs a dot product of more than
 workers then spin for about 0.1 s: at Krylov sizes they would keep a
 second core busy for one core's work, and the sums, split by thread count,
 would move the low bits of every solution with OPENBLAS_NUM_THREADS.
+``import opcalc`` loads OpenBLAS on one thread by default; the rule still
+matters when a user raises the count (OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS set, or numpy imported first), where
+it keeps this path on one core and its results independent of the count.
 """
 
 from __future__ import annotations

@@ -6,7 +6,12 @@ import pytest
 
 import opcalc
 from opcalc import cli, dacorr, hodge, matcalc, symbols, torus
-from opcalc.errors import DecompositionFailure, NotInvertible, PerturbationTooLarge
+from opcalc.errors import (
+    DecompositionFailure,
+    HodgeDecompositionUncertain,
+    NotInvertible,
+    PerturbationTooLarge,
+)
 
 from conftest import (
     SOLVE_ROUTES,
@@ -500,6 +505,18 @@ class TestVariableProjections:
             assert calls.assemblies["solve_shifts"] == {"dense": 3, "gmres": 0}[route]
             assert constants["limit_vs_dense"] <= values["tolerance"]
             assert passes["limit_vs_dense"]
+
+    def test_unsettled_ladder_raises_with_its_curve(self, dirac_pair, grid16, monkeypatch):
+        # scales far below the operator's resolution: successive limits differ
+        monkeypatch.setattr(hodge, "LIMIT_SCALES", (1.0, 2.0, 4.0))
+        coeffs = hodge.CoefficientPair(hodge.perturbed_identity(grid16, 2, 0.1, 3),
+                                       hodge.perturbed_identity(grid16, 2, 0.1, 4))
+        op = hodge.VariableOp(dirac_pair, coeffs, grid16)
+        with pytest.raises(HodgeDecompositionUncertain, match="not settled") as info:
+            hodge.variable_hodge_projections(op, seed=9)
+        assert [c["t"] for c in info.value.curve] == [2.0, 4.0]
+        diffs = [c["max_diff"] for c in info.value.curve]
+        assert diffs == pytest.approx([0.187, 0.084], abs=1e-3)
 
 
 class TestSwapOperator:
