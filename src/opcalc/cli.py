@@ -11,7 +11,6 @@ configuration, unreadable input or unwritable output.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -624,9 +623,8 @@ def _merge(base: dict, extra: dict) -> dict:
 ERROR_FIELDS = ("residual", "iterations", "curve", "node", "xi")
 
 
-def _run_probe(job) -> ProbeReport:
+def _run_probe(probe_name: str, cfg: dict, values: dict) -> ProbeReport:
     """Run one probe on its read values; an exception becomes a failed report."""
-    probe_name, cfg, values = job
     t0 = time.perf_counter()
     try:
         name, constants, passes = PROBES[probe_name](**values)
@@ -642,7 +640,7 @@ def _run_probe(job) -> ProbeReport:
     return rep
 
 
-def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots=False):
+def run_suite(name: str, config: dict, out_dir: Path, *, plots=False):
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; options: {sorted(SUITES)}")
     suite = SUITES[name]
@@ -677,11 +675,7 @@ def run_suite(name: str, config: dict, out_dir: Path, *, threads: int = 1, plots
         # caught before any probe spends its work; other write errors at the write
         if path.is_dir() or (path.exists() and not os.access(path, os.W_OK)):
             raise ConfigError(f"bad report file {path}: not a writable file")
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_probe, jobs))
-    else:
-        results = [_run_probe(j) for j in jobs]
+    results = [_run_probe(*job) for job in jobs]
     reports = []
     for probe_name, rep in sorted(zip(suite["probes"], results), key=lambda r: r[0]):
         with _config_values(f"report file {paths[probe_name]}"):
@@ -737,7 +731,7 @@ def _print_summary(reports):
 
 def cmd_analyze_symbol(args) -> int:
     cfg = {"symbol": args.file, "sphere_samples": args.sphere_samples}
-    rep = _run_probe(("symbol", cfg, read_config("symbol", cfg)))
+    rep = _run_probe("symbol", cfg, read_config("symbol", cfg))
     print(json.dumps(_plain(rep.constants), sort_keys=True, indent=2))
     print("PASS" if rep.passed else "FAIL")
     if args.json:
@@ -758,12 +752,8 @@ def cmd_suite(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     config.setdefault("seed", 0)  # so the inputs digest covers the seed
-    try:
-        threads = _integer(1)(int(os.environ.get("OPCALC_THREADS", "1")), {})
-    except ValueError as exc:
-        raise ConfigError(f"OPCALC_THREADS must be a positive integer: {exc}") from exc
     out_dir = Path(args.out) if args.out else Path(f"reports-{args.name}")
-    reports = run_suite(args.name, config, out_dir, threads=threads, plots=args.plots)
+    reports = run_suite(args.name, config, out_dir, plots=args.plots)
     _print_summary(reports)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -565,7 +565,6 @@ class SplitPerturbation:
     p0_new: np.ndarray
     p1_new: np.ndarray
     shift0: float
-    shift1: float
 
 
 def perturb_splitting(p0: np.ndarray, p1: np.ndarray, t_op: np.ndarray) -> SplitPerturbation:
@@ -591,12 +590,7 @@ def perturb_splitting(p0: np.ndarray, p1: np.ndarray, t_op: np.ndarray) -> Split
         raise PerturbationTooLarge("I - T p1 numerically singular") from exc
     p0_new = p0 @ u
     p1_new = (eye - t_op @ p1) @ p1 @ u
-    return SplitPerturbation(
-        p0_new,
-        p1_new,
-        matcalc.operator_norm(p0_new - p0),
-        matcalc.operator_norm(p1_new - p1),
-    )
+    return SplitPerturbation(p0_new, p1_new, matcalc.operator_norm(p0_new - p0))
 
 
 @dataclasses.dataclass

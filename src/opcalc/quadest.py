@@ -46,7 +46,6 @@ class DyadicScales:
 class RademacherEstimate:
     mean: float
     std_error: float
-    samples: int
     # the sample mean of the squared norm, unbiased for the p=2 exact_square
     mean_square: float
     std_error_square: float
@@ -77,7 +76,7 @@ def rademacher_norm(
         norms[i] = torus.lp_norm(torus.GridField(u_k.grid, total), p)
     sq, root = norms**2, math.sqrt(samples)
     return RademacherEstimate(
-        float(norms.mean()), float(norms.std(ddof=1) / root), samples,
+        float(norms.mean()), float(norms.std(ddof=1) / root),
         float(sq.mean()), float(sq.std(ddof=1) / root), exact_l2_square_expectation(u_k),
     )
 

@@ -284,13 +284,13 @@ def test_09_holomorphy_and_lipschitz():
 def test_10_smoke_suite_runtime_and_determinism(tmp_path):
     cfg = {"seed": 1010}
     t0 = time.perf_counter()
-    reports = cli.run_suite("smoke", cfg, tmp_path / "a", threads=1)
+    reports = cli.run_suite("smoke", cfg, tmp_path / "a")
     elapsed = time.perf_counter() - t0
     assert all(r.passed for r in reports), [
         (r.probe, r.passes) for r in reports if not r.passed
     ]
     assert elapsed < 60.0, f"smoke suite took {elapsed:.1f}s"
-    cli.run_suite("smoke", cfg, tmp_path / "b", threads=1)
+    cli.run_suite("smoke", cfg, tmp_path / "b")
     for fa in sorted((tmp_path / "a").glob("*.json")):
         fb = tmp_path / "b" / fa.name
         assert fa.read_bytes() == fb.read_bytes(), fa.name

@@ -285,21 +285,6 @@ class TestSuite:
         capsys.readouterr()
         assert code == 2
 
-    def test_non_integer_threads_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OPCALC_THREADS", "abc")
-        code = cli.main(["suite", "symbols", "--out", str(tmp_path / "r")])
-        assert "error: OPCALC_THREADS" in capsys.readouterr().err
-        assert code == 2
-        assert not (tmp_path / "r").exists()
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_are_config_errors(self, tmp_path, monkeypatch, capsys, threads):
-        monkeypatch.setenv("OPCALC_THREADS", threads)
-        code = cli.main(["suite", "symbols", "--out", str(tmp_path / "r")])
-        assert "error: OPCALC_THREADS" in capsys.readouterr().err
-        assert code == 2
-        assert not (tmp_path / "r").exists()
-
     def test_file_as_out_is_config_error(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "file"
         out.write_text("")
@@ -480,7 +465,7 @@ class TestSuite:
             raise RuntimeError("injected")
 
         monkeypatch.setitem(cli.PROBES, "schur", crash)
-        cli.run_suite("quadest", dict(SMALL), tmp_path / "r", threads=2)
+        cli.run_suite("quadest", dict(SMALL), tmp_path / "r")
         capsys.readouterr()
         data = {p.stem: json.loads(p.read_text()) for p in (tmp_path / "r").glob("*.json")}
         crashed = data.pop("quadest__schur")
@@ -551,17 +536,6 @@ class TestSuite:
         data = json.loads((out / report).read_text())
         assert data["passes"][band] is False
         assert data["constants"][spread] is None
-
-    def test_threaded_run_matches_serial_bytes(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SMALL))
-        cli.run_suite("quadest", json.loads(cfg.read_text()), tmp_path / "serial",
-                      threads=1)
-        cli.run_suite("quadest", json.loads(cfg.read_text()), tmp_path / "parallel",
-                      threads=4)
-        capsys.readouterr()
-        for fa in sorted((tmp_path / "serial").glob("*.json")):
-            assert fa.read_bytes() == (tmp_path / "parallel" / fa.name).read_bytes()
 
 
 class TestSeedSweep:

@@ -233,6 +233,13 @@ class TestContourFractions:
         with pytest.raises(ValueError):
             dacorr.contour_fractions(contour, lambda z: 1.0 + z)
 
+    def test_f_at_zero_gate_boundary(self):
+        # the gate admits |f(0)| up to 1e-13
+        contour = matcalc.ContourSpec(np.pi / 4, 0.5, 4.0, 16)
+        with pytest.raises(ValueError):
+            dacorr.contour_fractions(contour, lambda z: 1e-12 + z)
+        dacorr.contour_fractions(contour, lambda z: 1e-14 + z)
+
 
 class TestGmresPath:
     def test_matches_dense_path(self, d_scalar, field_solves, monkeypatch):

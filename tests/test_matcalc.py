@@ -224,6 +224,14 @@ class TestContourFC:
         with pytest.raises(ContourTooClose):
             matcalc.contour_fc(t, f_odd, spec)
 
+    def test_enclosure_margin_boundary(self):
+        # an eigenvalue inside the bisector by less than 1e-6 radians is too close
+        spec = matcalc.ContourSpec(np.pi / 4, 0.5, 4.0, 16)
+        at = lambda margin: np.array([2.0 * np.exp(1j * (np.pi / 4 - margin))])
+        with pytest.raises(ContourTooClose):
+            spec.check_enclosed(at(1e-7), 1.0)
+        spec.check_enclosed(at(1e-5), 1.0)
+
     def test_split_undefined_propagates(self):
         with pytest.raises(SplitUndefined):
             matcalc.contour_fc(np.array([[0, 1], [0, 0]]), f_odd)

@@ -211,3 +211,26 @@ def test_orphan_guard_sees_a_planted_orphan(tmp_path):
     )
     readme.write_text("## Library layout\n\n| `mod` | `documented(x)` |\n\n## Next\n`recursive`\n")
     assert orphans([src], [src], layout_names(readme)) == ["mod:recursive", "mod:orphan_method"]
+
+
+def env_mismatches(sources, readme) -> list[str]:
+    """Each OPCALC_* name that the files ``sources`` or the file ``readme``
+    mention but the other side does not, as "source:NAME" or "README:NAME"."""
+    pattern = re.compile(r"\bOPCALC_\w+")
+    in_src = {name for path in sources
+              for name in pattern.findall(path.read_text(encoding="utf-8"))}
+    in_readme = set(pattern.findall(readme.read_text(encoding="utf-8")))
+    return sorted([f"source:{name}" for name in in_src - in_readme]
+                  + [f"README:{name}" for name in in_readme - in_src])
+
+
+def test_every_environment_variable_is_documented():
+    readme = SRC.parent.parent / "README.md"
+    assert env_mismatches(sorted(SRC.rglob("*.py")), readme) == []
+
+
+def test_environment_guard_sees_both_sides(tmp_path):
+    src, readme = tmp_path / "mod.py", tmp_path / "README.md"
+    src.write_text('import os\nos.environ.get("OPCALC_MEMORY_MB")\nos.environ["OPCALC_SEED"]\n')
+    readme.write_text("`OPCALC_SEED=n` seeds every suite; `OPCALC_THREADS=n` is gone.\n")
+    assert env_mismatches([src], readme) == ["README:OPCALC_THREADS", "source:OPCALC_MEMORY_MB"]

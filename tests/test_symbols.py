@@ -138,6 +138,14 @@ class TestHodgePair:
         assert symbols.GAMMA_NILPOTENT in rep.failures
         assert symbols.GAMMA_TILDE_NILPOTENT in rep.failures
 
+    @pytest.mark.parametrize("eps, flagged", [(1e-10, True), (1e-14, False)])
+    def test_nilpotence_gate_boundary(self, sample1d, eps, flagged):
+        # gamma^2 = eps xi^2 [[eps, 0], [1, 0]]: about eps of |gamma|^2, against 1e-12
+        g = symbols.HomogeneousSymbol(1, 2, 1, {(1,): np.array([[eps, 0], [1.0, 0]])})
+        gt = symbols.HomogeneousSymbol(1, 2, 1, {(1,): np.array([[0, 1.0], [0, 0]])})
+        rep = symbols.verify_hodge_pair(symbols.HodgeDiracSymbolPair(g, gt), sample1d)
+        assert (symbols.GAMMA_NILPOTENT in rep.failures) is flagged
+
     def test_kernel_angles_tight(self, grad_div_pair, sample2d):
         # principal angles between ker(total) and the kernel intersection < 1e-8
         for xi in sample2d.points[:40]:
